@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -102,10 +103,16 @@ def _input_entry(path: str | Path) -> dict[str, str]:
     return {"path": str(p), "sha256": _sha256(p)}
 
 
+def _to_json(value: Any) -> str:
+    """Strict JSON: a NaN or infinity raises ValueError instead of being written."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _write_report(out_dir: Path, name: str, report: dict[str, Any]) -> Path:
+    text = _to_json(report) + "\n"
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path.write_text(text)
     return path
 
 
@@ -238,11 +245,17 @@ def cmd_simulate(
         trace = simulate(scenario, node)
         source_desc = {"kind": "scenario", "name": scenario_name}
 
+    # zero average power (a sleep draw of 0 that never wakes) never drains
+    # the battery: the lifetime is unbounded, reported as null
+    lifetime = (
+        battery_lifetime_days(trace.avg_power_mw, node.battery_mah, node.battery_v)
+        if trace.avg_power_mw > 0
+        else None
+    )
     out_dir = Path(cfg.out_dir)
     csv_path = _write_csv(
         out_dir, "trace.csv", "t_start_s,t_end_s,state,power_mw", _trace_rows(trace, node)
     )
-    lifetime = battery_lifetime_days(trace.avg_power_mw, node.battery_mah, node.battery_v)
 
     report = {
         "command": "simulate",
@@ -417,6 +430,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for flag in ("threshold_v", "mic_scale_v", "supply"):
+            value = getattr(args, flag, None)
+            if value is not None and not math.isfinite(value):
+                raise CliError(
+                    "E_INPUT", f"--{flag.replace('_', '-')}: expected a finite number, got {value}"
+                )
         cfg = _load_config(args)
         if args.subcommand == "coherence":
             report = cmd_coherence(args.source_wav, args.recording_wav, cfg)
@@ -449,7 +468,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"wakenode: error [{_error_code(exc)}]: {exc}", file=sys.stderr)
         return 1
 
-    print(json.dumps(report["results"], indent=2, sort_keys=True))
+    print(_to_json(report["results"]))
     return 0
 
 

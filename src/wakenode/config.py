@@ -8,6 +8,7 @@ key so typos surface immediately.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
@@ -120,7 +121,16 @@ def _number(section: Mapping[str, Any], key: str, path: str, default: float) -> 
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
     return float(value)
+
+
+def _integer(section: Mapping[str, Any], key: str, path: str, default: int) -> int:
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+    return value
 
 
 def _parse_circuit(raw: Any) -> CircuitParams:
@@ -157,7 +167,7 @@ def _parse_welch(raw: Any) -> WelchParams:
         raise ConfigError(f"welch.fft_length: expected an integer or null, got {fft_length!r}")
     try:
         return WelchParams(
-            segment_count=int(_number(section, "segment_count", "welch", defaults.segment_count)),
+            segment_count=_integer(section, "segment_count", "welch", defaults.segment_count),
             overlap_fraction=_number(section, "overlap_fraction", "welch", defaults.overlap_fraction),
             window=window,
             fft_length=fft_length,

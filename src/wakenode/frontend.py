@@ -27,6 +27,12 @@ __all__ = [
     "gain_db",
 ]
 
+# Block prefix-max scan of the envelope recurrence: samples per block, and
+# the largest exponent k * m of the exp(k m) rescaling within one block
+# (exp(600) ~ 4e260 leaves ~1e47 of headroom for the input amplitude).
+SCAN_BLOCK = 65_536
+SCAN_MAX_EXPONENT = 600.0
+
 
 @dataclass(frozen=True)
 class CircuitParams:
@@ -117,28 +123,54 @@ def envelope_detect(s: Signal, p: CircuitParams) -> Signal:
     """Peak detector with exponential decay, followed by the output divider.
 
     The internal state charges instantly to (input - diode drop) when that
-    exceeds it and otherwise decays with time constant tau = r5 * c5. The
-    output stage drops a second diode and divides by r6/(r5 + r6), which
-    puts the quiescent level well under a 1.2 V ADC reference. Output is
-    clamped non-negative.
+    exceeds it and otherwise decays with time constant tau = r5 * c5, i.e.
+    ``level[n] = max(x[n], level[n-1] * decay)`` from ``level[-1] = 0`` with
+    ``decay = exp(-1 / (fs * tau))``. The output stage drops a second diode
+    and divides by r6/(r5 + r6), which puts the quiescent level well under a
+    1.2 V ADC reference. Output is clamped non-negative.
+
+    The recurrence is evaluated as a block prefix-max scan rather than per
+    sample: with ``k = -ln(decay)``, ``level[n] * exp(k n)`` is a running
+    maximum of ``x[n] * exp(k n)``. Each block of at most
+    :data:`SCAN_BLOCK` samples (and at most ``SCAN_MAX_EXPONENT / k``, so
+    the scaled values stay far inside float64 range) is scaled, scanned
+    with ``np.maximum.accumulate`` and scaled back, carrying the last level
+    into the next block; ``decay`` rounding to 0 or 1 needs no scan. The
+    output matches the per-sample recurrence to a relative 1e-9 of the
+    detector state wherever that is a normal float (above ~2.2e-308).
     """
     if len(s) == 0:
         raise ValueError("cannot detect the envelope of an empty signal")
     tau_s = p.r5_ohm * p.c5_f
     decay = math.exp(-1.0 / (s.sample_rate_hz * tau_s))
-    drive = s.samples - p.diode_drop_v
+    # the scan runs in place in the output buffer
+    state = s.samples - p.diode_drop_v
 
-    state = np.empty(len(s), dtype=np.float64)
-    level = 0.0
-    for i, x in enumerate(drive):
-        level *= decay
-        if x > level:
-            level = x
-        state[i] = level
+    # level[-1] = 0 is only folded in by the block scan: a level below zero
+    # gives the same clamped output as zero
+    if decay == 1.0:
+        # fs * tau so large that decay rounds to 1: a plain running max
+        np.maximum.accumulate(state, out=state)
+    elif decay > 0.0:
+        k = -math.log(decay)
+        block = max(1, min(SCAN_BLOCK, int(SCAN_MAX_EXPONENT / k)))
+        ramp = np.exp(k * np.arange(block))
+        level = 0.0
+        for start in range(0, len(state), block):
+            chunk = state[start : start + block]
+            scale = ramp[: len(chunk)]
+            chunk *= scale
+            chunk[0] = max(chunk[0], level * decay)
+            np.maximum.accumulate(chunk, out=chunk)
+            chunk /= scale
+            level = chunk[-1]
+    # else decay == 0.0 (fs * tau so small that exp underflows): nothing is
+    # held from one sample to the next, so the level is the drive itself
 
-    divider = p.r6_ohm / (p.r5_ohm + p.r6_ohm)
-    out = np.maximum(state - p.diode_drop_v, 0.0) * divider
-    return Signal(out, s.sample_rate_hz)
+    state -= p.diode_drop_v
+    np.maximum(state, 0.0, out=state)
+    state *= p.r6_ohm / (p.r5_ohm + p.r6_ohm)
+    return Signal(state, s.sample_rate_hz)
 
 
 def threshold_out(envelope: Signal, v_threshold: float) -> BinarySignal:

@@ -2,7 +2,8 @@
 duty-cycle and savings computation, and battery-lifetime projection.
 
 The simulator is event-driven over segment boundaries (exact interval
-arithmetic); only the wake-signal bridge works per sample. All inputs
+arithmetic). The wake-signal bridge finds the comparator's low runs with
+array edge detection and then works per run, not per sample. All inputs
 are immutable, so independent scenario/profile sweeps can run
 concurrently.
 """
@@ -13,6 +14,8 @@ import enum
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .frontend import BinarySignal
 
@@ -220,16 +223,16 @@ def simulate_from_wake(wake: BinarySignal, config: NodeConfig) -> SimTrace:
     dt = 1.0 / wake.sample_rate_hz
     total_s = len(wake) * dt
 
-    intervals: list[tuple[float, float]] = []
-    run_start: int | None = None
-    for i, high in enumerate(wake.samples):
-        if not high and run_start is None:
-            run_start = i
-        elif high and run_start is not None:
-            intervals.append((run_start * dt, min(i * dt + config.hold_time_s, total_s)))
-            run_start = None
-    if run_start is not None:
-        intervals.append((run_start * dt, total_s))
+    # With a high sample padded on at each end, every low run begins and
+    # ends with a level change, so the change indices alternate: run start,
+    # run end (one past its last low sample), run start, ...
+    low = np.concatenate(([False], ~wake.samples, [False]))
+    edges = np.flatnonzero(np.diff(low.view(np.int8)))
+    starts = edges[0::2] * dt
+    # the hold runs from the first high sample; a run still low at the last
+    # sample ends at total_s (len * dt + hold is never below total_s)
+    ends = np.minimum(edges[1::2] * dt + config.hold_time_s, total_s)
+    intervals = list(zip(starts.tolist(), ends.tolist()))
     return _trace_from_wake_intervals(_merge_intervals(intervals), total_s, config)
 
 

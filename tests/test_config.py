@@ -82,6 +82,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=r"node\.battery_mah"):
             parse_run_config({"node": {"battery_mah": "big"}})
 
+    @pytest.mark.parametrize("text", [".inf", "-.inf", ".nan"])
+    def test_non_finite_number_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"node:\n  battery_mah: {text}\n")
+        with pytest.raises(ConfigError, match=r"node\.battery_mah: expected a finite number"):
+            load_run_config(path)
+
+    @pytest.mark.parametrize("value", [2.7, 8.0, "8", True])
+    def test_segment_count_must_be_an_integer(self, value):
+        with pytest.raises(ConfigError, match=r"welch\.segment_count: expected an integer"):
+            parse_run_config({"welch": {"segment_count": value}})
+
     def test_invariant_violation_reported_with_section(self):
         with pytest.raises(ConfigError, match="circuit"):
             parse_run_config({"circuit": {"vdd_v": -1.0}})

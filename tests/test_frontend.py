@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wakenode import (
@@ -20,6 +20,44 @@ from wakenode import (
 from conftest import tone
 
 positive = st.floats(1e-3, 1e9, allow_nan=False, allow_infinity=False)
+
+FS_HZ = 1000.0
+
+
+def envelope_oracle(x: np.ndarray, fs: float, p: CircuitParams) -> np.ndarray:
+    """Per-sample peak-hold recurrence, the reference for envelope_detect."""
+    decay = math.exp(-1.0 / (fs * p.r5_ohm * p.c5_f))
+    state = np.empty(len(x), dtype=np.float64)
+    level = 0.0
+    for i, v in enumerate(x - p.diode_drop_v):
+        level *= decay
+        if v > level:
+            level = v
+        state[i] = level
+    divider = p.r6_ohm / (p.r5_ohm + p.r6_ohm)
+    return np.maximum(state - p.diode_drop_v, 0.0) * divider
+
+
+def assert_matches_oracle(x: np.ndarray, fs: float, p: CircuitParams) -> None:
+    out = envelope_detect(Signal(x, fs), p).samples
+    # the contract is a relative 1e-9 on the detector state; after the output
+    # diode drop that is rtol 1e-9 plus 1e-9 * drop * divider absolute, and
+    # states below the normal float range (~2e-308) are compared as zero
+    divider = p.r6_ohm / (p.r5_ohm + p.r6_ohm)
+    atol = 1e-9 * p.diode_drop_v * divider + 1e-300
+    np.testing.assert_allclose(out, envelope_oracle(x, fs, p), rtol=1e-9, atol=atol)
+
+
+def clicks_like(duration_s: float, fs: float, clicks: int, seed: int) -> np.ndarray:
+    """Quiet noise plus short windowed 2 kHz clicks at random times."""
+    rng = np.random.default_rng(seed)
+    n = int(duration_s * fs)
+    x = rng.normal(scale=0.002, size=n)
+    burst = np.hanning(10)[1:-1] * np.sin(2 * np.pi * 2000.0 * np.arange(8) / fs + np.pi / 4)
+    burst /= np.max(burst)  # the click's positive peak equals its amplitude
+    for start in rng.integers(0, n - 8, size=clicks):
+        x[start : start + 8] += rng.uniform(0.5, 0.85) * burst
+    return np.clip(x, -1.0, 1.0)
 
 
 class TestCircuitParams:
@@ -138,6 +176,49 @@ class TestEnvelopeDetect:
         sig = Signal(np.abs(rng.normal(size=1000)), 8000.0)
         out = envelope_detect(sig, CircuitParams(diode_drop_v=0.6))
         assert np.all(out.samples >= 0.0)
+
+
+class TestEnvelopeMatchesLoop:
+    # fs * tau = 1e-4 underflows decay to 0.0, 1.0 gives 600-sample scan
+    # blocks, 1440 is the 90 ms time constant at 16 kHz, and 1e20 rounds
+    # decay to 1.0
+    @given(
+        log_fs_tau=st.floats(-4.0, 20.0),
+        drop=st.sampled_from([0.0, 0.05, 0.6]),
+        n=st.integers(1, 2500),
+        density=st.sampled_from([0.002, 0.05, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(log_fs_tau=-4.0, drop=0.0, n=50, density=0.05, seed=0)
+    @example(log_fs_tau=0.0, drop=0.05, n=1801, density=0.002, seed=1)
+    @example(log_fs_tau=math.log10(1440.0), drop=0.6, n=2500, density=0.05, seed=2)
+    @example(log_fs_tau=20.0, drop=0.05, n=500, density=0.05, seed=3)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_sample_recurrence(self, log_fs_tau, drop, n, density, seed):
+        rng = np.random.default_rng(seed)
+        # amplifier-range input, with zero stretches so the level decays
+        x = rng.uniform(0.0, 3.3, size=n) * (rng.random(n) < density)
+        c5_f = 10.0**log_fs_tau / (FS_HZ * CircuitParams().r5_ohm)
+        assert_matches_oracle(x, FS_HZ, CircuitParams(c5_f=c5_f, diode_drop_v=drop))
+
+    def test_long_signal_straddles_full_blocks(self):
+        # tau 90 ms at 16 kHz gives full 65536-sample blocks; 140000 samples
+        # cross two block boundaries
+        fs = 16_000.0
+        p = CircuitParams(c5_f=9e-9, diode_drop_v=0.05)
+        x = amplify(Signal(clicks_like(8.75, fs, 300, seed=4) * 0.01, fs), p).samples
+        assert len(x) == 140_000
+        assert_matches_oracle(x, fs, p)
+
+    def test_wake_runs_identical_on_clicks(self):
+        fs = 16_000.0
+        p = CircuitParams(c5_f=9e-9)  # tau = 90 ms, as in the clicks benchmark
+        amplified = amplify(Signal(clicks_like(10.0, fs, 400, seed=5) * 0.01, fs), p)
+        wake = threshold_out(envelope_detect(amplified, p), 0.022).samples
+        oracle = envelope_oracle(amplified.samples, fs, p) <= 0.022
+        runs = np.count_nonzero(np.diff(wake.astype(np.int8)) == -1)
+        assert runs > 100
+        np.testing.assert_array_equal(wake, oracle)
 
 
 class TestThresholdOut:

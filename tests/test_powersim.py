@@ -25,12 +25,30 @@ from wakenode import (
     simulate_from_wake,
     threshold_out,
 )
+from wakenode.powersim import SimTrace, _merge_intervals, _trace_from_wake_intervals
 
 ZIGBEE_STANDALONE = BUILTIN_PROFILES["zigbee-standalone"]
 
 
 def closed_form_avg(duty: float, profile: PowerProfile) -> float:
     return duty * profile.transmit_mw + (1.0 - duty) * profile.sleep_mw
+
+
+def simulate_from_wake_oracle(wake: BinarySignal, config: NodeConfig) -> SimTrace:
+    """Per-sample low-run scan, the reference for simulate_from_wake."""
+    dt = 1.0 / wake.sample_rate_hz
+    total_s = len(wake) * dt
+    intervals: list[tuple[float, float]] = []
+    run_start: int | None = None
+    for i, high in enumerate(wake.samples):
+        if not high and run_start is None:
+            run_start = i
+        elif high and run_start is not None:
+            intervals.append((run_start * dt, min(i * dt + config.hold_time_s, total_s)))
+            run_start = None
+    if run_start is not None:
+        intervals.append((run_start * dt, total_s))
+    return _trace_from_wake_intervals(_merge_intervals(intervals), total_s, config)
 
 
 def random_scenario(rng: np.random.Generator) -> Scenario:
@@ -212,6 +230,40 @@ class TestSimulateFromWake:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             simulate_from_wake(BinarySignal(np.array([], dtype=bool), 100.0), NodeConfig(ZIGBEE_STANDALONE))
+
+    @pytest.mark.parametrize(
+        "pattern,hold_time_s",
+        [
+            ("0000000000", 0.0),  # all low
+            ("1111111111", 0.0),  # all high
+            ("1010110111", 0.0),  # single-sample runs
+            ("0110110100", 0.0),  # runs at both ends, single-sample last run
+            ("1111100000", 0.0),  # run ending at the last sample
+            ("1001101110", 0.0),
+            ("1001101110", 0.02),  # hold merges the runs two samples apart
+            ("1001101110", 0.03),  # hold merges every run
+            ("1111111101", 0.05),  # hold capped at total_s
+            ("0111111111", 1.0),  # hold from the first sample capped at total_s
+        ],
+    )
+    def test_timeline_equals_loop_oracle(self, pattern, hold_time_s):
+        wake = BinarySignal(np.array([c == "1" for c in pattern]), 100.0)
+        config = NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_time_s)
+        assert simulate_from_wake(wake, config) == simulate_from_wake_oracle(wake, config)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        low_share=st.floats(0.0, 1.0),
+        rate_hz=st.sampled_from([3.0, 100.0, 16_000.0, 44_100.0]),
+        hold_samples=st.floats(0.0, 20.0),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_timeline_equals_loop_oracle(self, seed, n, low_share, rate_hz, hold_samples):
+        rng = np.random.default_rng(seed)
+        wake = BinarySignal(rng.random(n) >= low_share, rate_hz)
+        config = NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_samples / rate_hz)
+        assert simulate_from_wake(wake, config) == simulate_from_wake_oracle(wake, config)
 
     def test_threshold_chain_on_urban_audio(self):
         # end-to-end oracle: the wake signal must track the constructed
