@@ -3,19 +3,23 @@
 Subcommands: ``coherence`` (score a recording against its source),
 ``simulate`` (run the power model over a scenario or a WAV through the
 analog chain), ``calibrate`` (fit the ADC-to-dB curve), and ``rank-mics``
-(order microphone candidates). Every run writes a JSON report embedding
-the effective configuration, so results are reproducible from their own
-output; exit status is zero only if the report was fully written.
+(order microphone candidates). Every run writes a CSV and a JSON report
+embedding the effective configuration, so results are reproducible from
+their own output. The two files are published together or not at all:
+each is written to a temp file in the output directory and renamed into
+place, and a run that fails (exit status 1) leaves no file it wrote.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from typing import Any, Sequence
@@ -108,19 +112,61 @@ def _to_json(value: Any) -> str:
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _write_report(out_dir: Path, name: str, report: dict[str, Any]) -> Path:
+def _publish(out_dir: Path, files: dict[str, str]) -> None:
+    """Write every file into ``out_dir``, in order, or none of them.
+
+    Each text goes to a hidden temp file that is then renamed into place.
+    On any failure the temp files and the files already renamed are
+    removed, and an OSError becomes ``E_OUTPUT``. Mode "x" creates the temp
+    files with the permissions a plain write gives (0644 under umask 022).
+    """
+    written: list[Path] = []  # what this call has put on disk
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            tmp = out_dir / f".{name}.{os.urandom(4).hex()}.tmp"
+            with open(tmp, "x") as fh:
+                written.append(tmp)
+                fh.write(text)
+        for i, name in enumerate(files):
+            os.replace(written[i], out_dir / name)
+            written[i] = out_dir / name
+        written.clear()
+    except OSError as exc:
+        raise CliError("E_OUTPUT", f"cannot write output: {exc}") from exc
+    finally:
+        for path in written:
+            with contextlib.suppress(OSError):
+                path.unlink()
+
+
+def _finish(
+    command: str,
+    cfg: RunConfig,
+    inputs: dict[str, Any],
+    results: dict[str, Any],
+    csv_name: str,
+    csv_lines: list[str],
+) -> dict[str, Any]:
+    """Build a command's report, then publish its CSV (header line first)
+    and the report.
+
+    The report is serialised as strict JSON before any file is opened.
+    """
+    report = {
+        "command": command,
+        "version": __version__,
+        "inputs": inputs,
+        "config": cfg.snapshot(),
+        "results": {**results, f"{csv_name.removesuffix('.csv')}_csv": csv_name},
+    }
     text = _to_json(report) + "\n"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text)
-    return path
-
-
-def _write_csv(out_dir: Path, name: str, header: str, rows: list[str]) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(header + "\n" + "".join(row + "\n" for row in rows))
-    return path
+    csv_text = "".join(line + "\n" for line in csv_lines)
+    _publish(
+        Path(cfg.out_dir),
+        {csv_name: csv_text, f"{command.replace('-', '_')}_report.json": text},
+    )
+    return report
 
 
 def _format(value: float) -> str:
@@ -152,33 +198,24 @@ def cmd_coherence(source_wav: str, recording_wav: str, cfg: RunConfig) -> dict[s
 
     details = score_with_details(source, recording, cfg.welch)
 
-    out_dir = Path(cfg.out_dir)
-    rows = [
+    lines = ["frequency_hz,coherence,envelope"]
+    lines.extend(
         f"{_format(f)},{_format(v)},{_format(e)}"
         for f, v, e in zip(
             details.estimate.frequencies_hz, details.estimate.values, details.envelope
         )
-    ]
-    csv_path = _write_csv(out_dir, "coherence.csv", "frequency_hz,coherence,envelope", rows)
-
-    report = {
-        "command": "coherence",
-        "version": __version__,
-        "inputs": {
-            "source_wav": _input_entry(source_wav),
-            "recording_wav": _input_entry(recording_wav),
-        },
-        "config": cfg.snapshot(),
-        "results": {
-            "score": details.score,
-            "delay_samples": details.delay_samples,
-            "bins": len(details.estimate.values),
-            "coherence_csv": csv_path.name,
-            "warnings": warnings,
-        },
+    )
+    inputs = {
+        "source_wav": _input_entry(source_wav),
+        "recording_wav": _input_entry(recording_wav),
     }
-    _write_report(out_dir, "coherence_report.json", report)
-    return report
+    results = {
+        "score": details.score,
+        "delay_samples": details.delay_samples,
+        "bins": len(details.estimate.values),
+        "warnings": warnings,
+    }
+    return _finish("coherence", cfg, inputs, results, "coherence.csv", lines)
 
 
 def _silence_scenario() -> Scenario:
@@ -193,12 +230,12 @@ def _resolve_scenario(name_or_path: str) -> Scenario:
     return load_scenario(name_or_path)
 
 
-def _trace_rows(trace: SimTrace, node: NodeConfig) -> list[str]:
+def _trace_lines(trace: SimTrace, node: NodeConfig) -> list[str]:
     power = {
         "sleep": node.profile.sleep_mw,
         "transmit": node.profile.transmit_mw,
     }
-    return [
+    return ["t_start_s,t_end_s,state,power_mw"] + [
         f"{_format(iv.t_start_s)},{_format(iv.t_end_s)},{iv.state.value},"
         f"{_format(power[iv.state.value])}"
         for iv in trace.timeline
@@ -221,12 +258,7 @@ def cmd_simulate(
                 f"unknown profile {profile_name!r}; built-ins are "
                 f"{sorted(BUILTIN_PROFILES)}",
             )
-        node = NodeConfig(
-            profile=BUILTIN_PROFILES[profile_name],
-            hold_time_s=node.hold_time_s,
-            battery_mah=node.battery_mah,
-            battery_v=node.battery_v,
-        )
+        node = replace(node, profile=BUILTIN_PROFILES[profile_name])
 
     inputs: dict[str, Any] = {}
     if wav_path is not None:
@@ -252,75 +284,50 @@ def cmd_simulate(
         if trace.avg_power_mw > 0
         else None
     )
-    out_dir = Path(cfg.out_dir)
-    csv_path = _write_csv(
-        out_dir, "trace.csv", "t_start_s,t_end_s,state,power_mw", _trace_rows(trace, node)
-    )
-
-    report = {
-        "command": "simulate",
-        "version": __version__,
-        "inputs": inputs,
-        "config": cfg.snapshot(),
-        "results": {
-            "source": source_desc,
-            "profile": node.profile.name,
-            "duty_cycle": trace.duty_cycle,
-            "avg_power_mw": trace.avg_power_mw,
-            "energy_mwh": trace.energy_mwh,
-            "lifetime_days": lifetime,
-            "savings_percent": savings_percent(node.profile),
-            "trace_csv": csv_path.name,
-        },
+    results = {
+        "source": source_desc,
+        "profile": node.profile.name,
+        "duty_cycle": trace.duty_cycle,
+        "avg_power_mw": trace.avg_power_mw,
+        "energy_mwh": trace.energy_mwh,
+        "lifetime_days": lifetime,
+        "savings_percent": savings_percent(node.profile),
     }
-    _write_report(out_dir, "simulate_report.json", report)
-    return report
+    return _finish("simulate", cfg, inputs, results, "trace.csv", _trace_lines(trace, node))
 
 
 def cmd_calibrate(points_csv: str, cfg: RunConfig) -> dict[str, Any]:
     points = load_cal_points(points_csv)
     curve, r2 = fit_curve(points)
 
-    out_dir = Path(cfg.out_dir)
-    rows = []
+    lines = ["adc_value,spl_db,predicted_db,residual_db"]
     for p in points:
         predicted = curve.a * (p.adc_value - curve.c) ** curve.b + curve.d
-        rows.append(
+        lines.append(
             f"{_format(p.adc_value)},{_format(p.spl_db)},"
             f"{_format(predicted)},{_format(p.spl_db - predicted)}"
         )
-    csv_path = _write_csv(
-        out_dir, "residuals.csv", "adc_value,spl_db,predicted_db,residual_db", rows
-    )
-
-    report = {
-        "command": "calibrate",
-        "version": __version__,
-        "inputs": {"points_csv": _input_entry(points_csv)},
-        "config": cfg.snapshot(),
-        "results": {
-            "curve": {"a": curve.a, "b": curve.b, "c": curve.c, "d": curve.d},
-            "r_squared": r2,
-            "points": len(points),
-            "residuals_csv": csv_path.name,
-        },
+    results = {
+        "curve": {"a": curve.a, "b": curve.b, "c": curve.c, "d": curve.d},
+        "r_squared": r2,
+        "points": len(points),
     }
-    _write_report(out_dir, "calibrate_report.json", report)
-    return report
+    inputs = {"points_csv": _input_entry(points_csv)}
+    return _finish("calibrate", cfg, inputs, results, "residuals.csv", lines)
 
 
-def _ranking_rows(ranking: list[RankedMic]) -> list[str]:
-    rows = []
+def _ranking_lines(ranking: list[RankedMic]) -> list[str]:
+    lines = ["rank,name,accuracy,power_mw,eligible,reasons"]
     for entry in ranking:
         c = entry.candidate
         rank = str(entry.rank) if entry.rank is not None else ""
         eligible = "yes" if entry.eligible else "no"
         reasons = "; ".join(entry.reasons)
-        rows.append(
+        lines.append(
             f"{rank},{c.name},{_format(c.accuracy)},{_format(c.power_mw)},"
             f"{eligible},{reasons}"
         )
-    return rows
+    return lines
 
 
 def cmd_rank_mics(
@@ -329,38 +336,23 @@ def cmd_rank_mics(
     candidates = load_mic_table(mic_csv)
     ranking = rank_microphones(candidates, require_analog=require_analog, supply_v=supply_v)
 
-    out_dir = Path(cfg.out_dir)
-    csv_path = _write_csv(
-        out_dir,
-        "ranking.csv",
-        "rank,name,accuracy,power_mw,eligible,reasons",
-        _ranking_rows(ranking),
-    )
-
-    report = {
-        "command": "rank-mics",
-        "version": __version__,
-        "inputs": {"mic_csv": _input_entry(mic_csv)},
-        "config": cfg.snapshot(),
-        "results": {
-            "require_analog": require_analog,
-            "supply_v": supply_v,
-            "ranking": [
-                {
-                    "rank": e.rank,
-                    "name": e.candidate.name,
-                    "accuracy": e.candidate.accuracy,
-                    "power_mw": e.candidate.power_mw,
-                    "eligible": e.eligible,
-                    "reasons": list(e.reasons),
-                }
-                for e in ranking
-            ],
-            "ranking_csv": csv_path.name,
-        },
+    results = {
+        "require_analog": require_analog,
+        "supply_v": supply_v,
+        "ranking": [
+            {
+                "rank": e.rank,
+                "name": e.candidate.name,
+                "accuracy": e.candidate.accuracy,
+                "power_mw": e.candidate.power_mw,
+                "eligible": e.eligible,
+                "reasons": list(e.reasons),
+            }
+            for e in ranking
+        ],
     }
-    _write_report(out_dir, "rank_mics_report.json", report)
-    return report
+    inputs = {"mic_csv": _input_entry(mic_csv)}
+    return _finish("rank-mics", cfg, inputs, results, "ranking.csv", _ranking_lines(ranking))
 
 
 # ----------------------------------------------------------------------
@@ -416,15 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     cfg = load_run_config(path) if path else RunConfig()
-    if args.out_dir:
-        cfg = RunConfig(
-            circuit=cfg.circuit,
-            welch=cfg.welch,
-            node=cfg.node,
-            calibration=cfg.calibration,
-            out_dir=args.out_dir,
-        )
-    return cfg
+    return replace(cfg, out_dir=args.out_dir) if args.out_dir else cfg
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -1,22 +1,25 @@
 """Structured input parsing: the run-config YAML file, scenario files,
 and the CSV tables (microphone candidates, calibration points).
 
-Unknown config keys are rejected with the dotted path of the offending
-key so typos surface immediately.
+The dataclasses are the schema: a config section's keys and a table's
+columns are the fields of the dataclass they build. Unknown config keys
+are rejected with the dotted path of the offending key so typos surface
+immediately.
 """
 
 from __future__ import annotations
 
 import csv
+import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping, get_type_hints
 
 import yaml
 
-from .calibrate import CalPoint, CalibrationCurve
-from .coherence import MicCandidate, MicConfiguration, WelchParams, Window
+from .calibrate import CalPoint
+from .coherence import MicCandidate, WelchParams
 from .frontend import CircuitParams
 from .powersim import (
     BUILTIN_PROFILES,
@@ -39,16 +42,6 @@ __all__ = [
 
 DEFAULT_OUT_DIR = "wakenode-out"
 
-MIC_CSV_COLUMNS = [
-    "name",
-    "power_mw",
-    "accuracy",
-    "configuration",
-    "supply_min_v",
-    "supply_max_v",
-]
-CAL_CSV_COLUMNS = ["adc_value", "spl_db"]
-
 
 class ConfigError(ValueError):
     """A structured input failed validation; the message carries its location."""
@@ -56,51 +49,56 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Effective configuration of one CLI invocation."""
+    """Effective configuration of one CLI invocation.
+
+    Each dataclass field is a YAML section of the same name whose keys are
+    that dataclass's fields; ``out_dir`` is read from ``io.out_dir``.
+    """
 
     circuit: CircuitParams = field(default_factory=CircuitParams)
     welch: WelchParams = field(default_factory=WelchParams)
     node: NodeConfig = field(
         default_factory=lambda: NodeConfig(profile=BUILTIN_PROFILES["zigbee-standalone"])
     )
-    calibration: CalibrationCurve = field(default_factory=CalibrationCurve)
     out_dir: str = DEFAULT_OUT_DIR
 
     def snapshot(self) -> dict[str, Any]:
-        """Plain-dict image of every effective value, for report embedding."""
-        node: dict[str, Any] = {
-            "profile": {
-                "name": self.node.profile.name,
-                "transmit_mw": self.node.profile.transmit_mw,
-                "sleep_mw": self.node.profile.sleep_mw,
-            },
-            "hold_time_s": self.node.hold_time_s,
-            "battery_mah": self.node.battery_mah,
-            "battery_v": self.node.battery_v,
-        }
-        return {
-            "circuit": {
-                k: getattr(self.circuit, k)
-                for k in (
-                    "vdd_v rf_ohm r1_ohm r2_ohm r3_ohm r4_ohm r5_ohm r6_ohm "
-                    "c1_f c2_f c3_f c4_f c5_f diode_drop_v"
-                ).split()
-            },
-            "welch": {
-                "segment_count": self.welch.segment_count,
-                "overlap_fraction": self.welch.overlap_fraction,
-                "window": self.welch.window.value,
-                "fft_length": self.welch.fft_length,
-            },
-            "node": node,
-            "calibration": {
-                "a": self.calibration.a,
-                "b": self.calibration.b,
-                "c": self.calibration.c,
-                "d": self.calibration.d,
-            },
-            "io": {"out_dir": self.out_dir},
-        }
+        """Plain-dict image of every settable value, for report embedding.
+
+        It has the shape of a config file: ``parse_run_config`` reads it back.
+        """
+        image = _snapshot(self)
+        image["io"] = {"out_dir": image.pop("out_dir")}
+        return image
+
+
+def _settable(cls: type) -> dict[str, Any]:
+    """Name and type of each field of ``cls`` that a config file can set.
+
+    These are the fields of a type ``_parse_value`` reads; any other field
+    (``PowerProfile.components``) is neither parsed nor snapshotted.
+    """
+    hints = get_type_hints(cls)
+    kinds = {f.name: hints[f.name] for f in fields(cls)}
+    return {
+        name: kind
+        for name, kind in kinds.items()
+        if kind in (float, int, int | None, str)
+        or is_dataclass(kind)
+        or (isinstance(kind, type) and issubclass(kind, enum.Enum))
+    }
+
+
+def _snapshot(obj: Any) -> dict[str, Any]:
+    image: dict[str, Any] = {}
+    for name in _settable(type(obj)):
+        value = getattr(obj, name)
+        if is_dataclass(value):
+            value = _snapshot(value)
+        elif isinstance(value, enum.Enum):
+            value = value.value
+        image[name] = value
+    return image
 
 
 def _require_mapping(value: Any, path: str) -> Mapping[str, Any]:
@@ -111,143 +109,91 @@ def _require_mapping(value: Any, path: str) -> Mapping[str, Any]:
     return value
 
 
-def _reject_unknown(section: Mapping[str, Any], allowed: set[str], path: str) -> None:
+def _reject_unknown(section: Mapping[str, Any], allowed: Iterable[str], path: str) -> None:
     for key in section:
         if key not in allowed:
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
-def _number(section: Mapping[str, Any], key: str, path: str, default: float) -> float:
-    value = section.get(key, default)
+def _number(value: Any, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
     if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
-def _integer(section: Mapping[str, Any], key: str, path: str, default: int) -> int:
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    return value
-
-
-def _parse_circuit(raw: Any) -> CircuitParams:
-    section = _require_mapping(raw, "circuit")
-    defaults = CircuitParams()
-    names = {
-        "vdd_v", "rf_ohm", "r1_ohm", "r2_ohm", "r3_ohm", "r4_ohm", "r5_ohm",
-        "r6_ohm", "c1_f", "c2_f", "c3_f", "c4_f", "c5_f", "diode_drop_v",
-    }
-    _reject_unknown(section, names, "circuit")
-    kwargs = {k: _number(section, k, "circuit", getattr(defaults, k)) for k in names}
+def _enum(kind: type[enum.Enum], value: Any, path: str) -> Any:
     try:
-        return CircuitParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"circuit: {exc}") from exc
-
-
-def _parse_welch(raw: Any) -> WelchParams:
-    section = _require_mapping(raw, "welch")
-    _reject_unknown(
-        section, {"segment_count", "overlap_fraction", "window", "fft_length"}, "welch"
-    )
-    defaults = WelchParams()
-    window_name = section.get("window", defaults.window.value)
-    try:
-        window = Window(str(window_name).lower())
+        return kind(str(value).strip().lower())
     except ValueError:
-        raise ConfigError(
-            f"welch.window: unknown window {window_name!r}; expected one of "
-            f"{[w.value for w in Window]}"
-        ) from None
-    fft_length = section.get("fft_length", defaults.fft_length)
-    if fft_length is not None and (isinstance(fft_length, bool) or not isinstance(fft_length, int)):
-        raise ConfigError(f"welch.fft_length: expected an integer or null, got {fft_length!r}")
-    try:
-        return WelchParams(
-            segment_count=_integer(section, "segment_count", "welch", defaults.segment_count),
-            overlap_fraction=_number(section, "overlap_fraction", "welch", defaults.overlap_fraction),
-            window=window,
-            fft_length=fft_length,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"welch: {exc}") from exc
+        choices = " or ".join(member.value for member in kind)
+        raise ConfigError(f"{path}: expected {choices}, got {value!r}") from None
 
 
-def _parse_profile(raw: Any, path: str) -> PowerProfile:
-    if isinstance(raw, str):
+def _parse_value(kind: Any, value: Any, path: str) -> Any:
+    """Validate one YAML value as a field of type ``kind``."""
+    if kind is float:
+        return _number(value, path)
+    if kind in (int, int | None):
+        if value is None and kind is not int:
+            return None
+        if isinstance(value, bool) or not isinstance(value, int):
+            expected = "an integer" if kind is int else "an integer or null"
+            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+        return value
+    if kind is str:
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
+        return value
+    if kind is PowerProfile and isinstance(value, str):
         try:
-            return BUILTIN_PROFILES[raw]
+            return BUILTIN_PROFILES[value]
         except KeyError:
             raise ConfigError(
-                f"{path}: unknown profile {raw!r}; built-ins are "
+                f"{path}: unknown profile {value!r}; built-ins are "
                 f"{sorted(BUILTIN_PROFILES)}"
             ) from None
+    if is_dataclass(kind):
+        return _parse_section(kind, value, path)
+    return _enum(kind, value, path)
+
+
+def _parse_section(cls: type, raw: Any, path: str, base: Any = None) -> Any:
+    """Build a ``cls`` from a YAML mapping of its settable fields.
+
+    A key the mapping omits keeps its value in ``base``; without a base
+    (an inline profile), every field lacking a default must be given.
+    """
     section = _require_mapping(raw, path)
-    _reject_unknown(section, {"name", "transmit_mw", "sleep_mw"}, path)
-    name = section.get("name")
-    if not isinstance(name, str) or not name:
-        raise ConfigError(f"{path}.name: a custom profile needs a non-empty name")
+    kinds = _settable(cls)
+    _reject_unknown(section, kinds, path)
+    values = {key: _parse_value(kinds[key], section[key], f"{path}.{key}") for key in section}
+    if base is None:
+        for f in fields(cls):
+            if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{path}.{f.name}: required key is missing")
     try:
-        return PowerProfile(
-            name=name,
-            transmit_mw=_number(section, "transmit_mw", path, 0.0),
-            sleep_mw=_number(section, "sleep_mw", path, 0.0),
-        )
+        return cls(**values) if base is None else replace(base, **values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _parse_node(raw: Any) -> NodeConfig:
-    section = _require_mapping(raw, "node")
-    _reject_unknown(section, {"profile", "hold_time_s", "battery_mah", "battery_v"}, "node")
-    defaults = NodeConfig(profile=BUILTIN_PROFILES["zigbee-standalone"])
-    profile = (
-        _parse_profile(section["profile"], "node.profile")
-        if "profile" in section
-        else defaults.profile
-    )
-    try:
-        return NodeConfig(
-            profile=profile,
-            hold_time_s=_number(section, "hold_time_s", "node", defaults.hold_time_s),
-            battery_mah=_number(section, "battery_mah", "node", defaults.battery_mah),
-            battery_v=_number(section, "battery_v", "node", defaults.battery_v),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"node: {exc}") from exc
-
-
-def _parse_calibration(raw: Any) -> CalibrationCurve:
-    section = _require_mapping(raw, "calibration")
-    _reject_unknown(section, {"a", "b", "c", "d"}, "calibration")
-    defaults = CalibrationCurve()
-    return CalibrationCurve(
-        a=_number(section, "a", "calibration", defaults.a),
-        b=_number(section, "b", "calibration", defaults.b),
-        c=_number(section, "c", "calibration", defaults.c),
-        d=_number(section, "d", "calibration", defaults.d),
-    )
 
 
 def parse_run_config(raw: Any, source: str = "<config>") -> RunConfig:
     """Validate a parsed YAML document into a RunConfig."""
     document = _require_mapping(raw, source)
-    _reject_unknown(document, {"circuit", "welch", "node", "calibration", "io"}, source)
+    defaults = RunConfig()
+    sections = {name: kind for name, kind in _settable(RunConfig).items() if is_dataclass(kind)}
+    _reject_unknown(document, [*sections, "io"], source)
+    values = {
+        name: _parse_section(kind, document.get(name), name, getattr(defaults, name))
+        for name, kind in sections.items()
+    }
     io_section = _require_mapping(document.get("io"), "io")
     _reject_unknown(io_section, {"out_dir"}, "io")
-    out_dir = io_section.get("out_dir", DEFAULT_OUT_DIR)
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError(f"io.out_dir: expected a non-empty string, got {out_dir!r}")
-    return RunConfig(
-        circuit=_parse_circuit(document.get("circuit")),
-        welch=_parse_welch(document.get("welch")),
-        node=_parse_node(document.get("node")),
-        calibration=_parse_calibration(document.get("calibration")),
-        out_dir=out_dir,
-    )
+    if "out_dir" in io_section:
+        values["out_dir"] = _parse_value(str, io_section["out_dir"], "io.out_dir")
+    return replace(defaults, **values)
 
 
 def _load_yaml(path: Path) -> Any:
@@ -292,14 +238,18 @@ def load_scenario(path: str | Path) -> Scenario:
             raise ConfigError(f"{where}.label: expected a string, got {label!r}")
         try:
             segments.append(
-                ScenarioSegment(_number(section, "duration_s", where, 0.0), sound, label)
+                ScenarioSegment(_number(section["duration_s"], f"{where}.duration_s"), sound, label)
             )
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     return Scenario(tuple(segments))
 
 
-def _read_csv_rows(path: Path, columns: list[str]) -> list[tuple[int, dict[str, str]]]:
+def _load_table(path: str | Path, cls: type) -> list[Any]:
+    """Read CSV rows into ``cls`` instances; the header must list its fields in order."""
+    path = Path(path)
+    kinds = _settable(cls)
+    columns = list(kinds)
     try:
         with open(path, newline="") as fh:
             reader = csv.DictReader(fh)
@@ -315,62 +265,35 @@ def _read_csv_rows(path: Path, columns: list[str]) -> list[tuple[int, dict[str, 
         raise ConfigError(f"{path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    return rows
-
-
-def _row_float(row: dict[str, str], key: str, where: str) -> float:
-    raw = (row.get(key) or "").strip()
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"{where}: {key} must be a number, got {raw!r}") from None
+    records = []
+    for line_num, row in rows:
+        where = f"{path}:{line_num}"
+        values: dict[str, Any] = {}
+        for name, kind in kinds.items():
+            text = (row.get(name) or "").strip()
+            if kind is float:
+                try:
+                    values[name] = float(text)
+                except ValueError:
+                    raise ConfigError(f"{where}: {name} must be a number, got {text!r}") from None
+            elif kind is str:
+                if not text:
+                    raise ConfigError(f"{where}: {name} is empty")
+                values[name] = text
+            else:
+                values[name] = _enum(kind, text, f"{where}: {name}")
+        try:
+            records.append(cls(**values))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+    return records
 
 
 def load_mic_table(path: str | Path) -> list[MicCandidate]:
     """Read microphone candidates from CSV."""
-    path = Path(path)
-    candidates = []
-    for line_num, row in _read_csv_rows(path, MIC_CSV_COLUMNS):
-        where = f"{path}:{line_num}"
-        config_raw = (row.get("configuration") or "").strip().lower()
-        try:
-            configuration = MicConfiguration(config_raw)
-        except ValueError:
-            raise ConfigError(
-                f"{where}: configuration must be analog or digital, got {config_raw!r}"
-            ) from None
-        name = (row.get("name") or "").strip()
-        if not name:
-            raise ConfigError(f"{where}: name is empty")
-        try:
-            candidates.append(
-                MicCandidate(
-                    name=name,
-                    power_mw=_row_float(row, "power_mw", where),
-                    accuracy=_row_float(row, "accuracy", where),
-                    configuration=configuration,
-                    supply_min_v=_row_float(row, "supply_min_v", where),
-                    supply_max_v=_row_float(row, "supply_max_v", where),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    return candidates
+    return _load_table(path, MicCandidate)
 
 
 def load_cal_points(path: str | Path) -> list[CalPoint]:
     """Read calibration measurements from CSV."""
-    path = Path(path)
-    points = []
-    for line_num, row in _read_csv_rows(path, CAL_CSV_COLUMNS):
-        where = f"{path}:{line_num}"
-        try:
-            points.append(
-                CalPoint(
-                    adc_value=_row_float(row, "adc_value", where),
-                    spl_db=_row_float(row, "spl_db", where),
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
-    return points
+    return _load_table(path, CalPoint)

@@ -36,27 +36,20 @@ SCAN_MAX_EXPONENT = 600.0
 
 @dataclass(frozen=True)
 class CircuitParams:
-    """Component values of the prototype's analog board.
+    """Component values of the prototype's analog board that enter the
+    behavioral equations.
 
-    r2..r4 and c1..c4 set bias and coupling points in the hardware; they
-    are carried for completeness but do not enter the behavioral
-    equations. The gain path uses rf/r1, the envelope uses r5/c5/r6.
-    rf_ohm may be zero (a wire), collapsing the gain stage to a unity
-    follower.
+    The gain path uses rf/r1, the envelope detector r5/c5/r6. The board's
+    bias and coupling parts (r2..r4, c1..c4) shape nothing these models
+    compute, so they are not parameters. rf_ohm may be zero (a wire),
+    collapsing the gain stage to a unity follower.
     """
 
     vdd_v: float = 3.3
     rf_ohm: float = 1e5
     r1_ohm: float = 1e3
-    r2_ohm: float = 1e6
-    r3_ohm: float = 1e7
-    r4_ohm: float = 5e5
     r5_ohm: float = 1e7
     r6_ohm: float = 1e5
-    c1_f: float = 22e-6
-    c2_f: float = 100e-9
-    c3_f: float = 4.5e-6
-    c4_f: float = 1.5e-9
     c5_f: float = 9e-6
     diode_drop_v: float = 0.0
 

@@ -238,8 +238,6 @@ def simulate_from_wake(wake: BinarySignal, config: NodeConfig) -> SimTrace:
 
 def savings_percent(profile: PowerProfile) -> float:
     """Idle power saved by sleeping instead of transmitting, in percent."""
-    if profile.transmit_mw <= 0:
-        raise ValueError("transmit power must be positive")
     return 100.0 * (1.0 - profile.sleep_mw / profile.transmit_mw)
 
 

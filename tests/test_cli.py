@@ -1,9 +1,20 @@
 import json
 import math
+import os
+import stat
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy.io import wavfile
 
-from wakenode.cli import _write_report, main
+from wakenode import adc_to_db
+from wakenode.cli import _finish, data_path, main
+from wakenode.config import RunConfig
+
+from conftest import add_noise_at_snr, shift_right
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_config(tmp_path, text: str):
@@ -53,6 +64,96 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_report_writer_refuses_non_json_numbers(self, tmp_path, value):
+        cfg = RunConfig(out_dir=str(tmp_path))
         with pytest.raises(ValueError):
-            _write_report(tmp_path, "report.json", {"results": {"lifetime_days": value}})
-        assert not (tmp_path / "report.json").exists()
+            _finish("simulate", cfg, {}, {"lifetime_days": value}, "trace.csv", ["t", "0"])
+        assert not (tmp_path / "simulate_report.json").exists()
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestAtomicOutput:
+    def test_failed_report_leaves_no_csv(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        (out / "simulate_report.json").mkdir(parents=True)
+        assert main(["--out-dir", str(out), "simulate", "--scenario", "urban"]) == 1
+        assert "[E_OUTPUT]" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+        assert os.listdir(out) == ["simulate_report.json"]
+
+    def test_out_dir_blocked_by_a_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        assert main(["--out-dir", str(out), "simulate", "--scenario", "urban"]) == 1
+        assert "[E_OUTPUT]" in capsys.readouterr().err
+
+    def test_outputs_get_plain_write_mode_and_no_temp_files(self, tmp_path):
+        out = tmp_path / "out"
+        args = ["--out-dir", str(out), "rank-mics", str(data_path("microphones.csv"))]
+        assert main(args) == 0
+        assert main(args) == 0  # a second run replaces the first run's files
+        plain = tmp_path / "plain.txt"
+        plain.write_text("")
+        mode = stat.S_IMODE(plain.stat().st_mode)
+        assert sorted(os.listdir(out)) == ["rank_mics_report.json", "ranking.csv"]
+        for name in os.listdir(out):
+            assert stat.S_IMODE((out / name).stat().st_mode) == mode
+
+
+class TestGoldens:
+    def test_analog_ranking_at_3v3(self, tmp_path):
+        out = tmp_path / "out"
+        mics = str(data_path("microphones.csv"))
+        assert main(["--out-dir", str(out), "rank-mics", mics, "--analog", "--supply", "3.3"]) == 0
+        got = (out / "ranking.csv").read_text().splitlines()
+        assert got == (GOLDEN / "ranking_analog_3v3.csv").read_text().splitlines()
+
+    @pytest.mark.parametrize(
+        "profile,expected",
+        [
+            line.split(",")
+            for line in (GOLDEN / "savings_percent.csv").read_text().splitlines()[1:]
+        ],
+    )
+    def test_urban_savings_percent(self, tmp_path, capsys, profile, expected):
+        out = tmp_path / "out"
+        args = ["--out-dir", str(out), "simulate", "--scenario", "urban", "--profile", profile]
+        assert main(args) == 0
+        results = json.loads(capsys.readouterr().out)
+        assert results["profile"] == profile
+        assert f"{round(results['savings_percent'], 1):.1f}" == expected
+
+
+class TestCommands:
+    def test_coherence_finds_delay_and_scores(self, tmp_path, capsys, urban_90s_8k):
+        source = tmp_path / "source.wav"
+        recording = tmp_path / "recording.wav"
+        wavfile.write(source, 8000, urban_90s_8k.samples)
+        noisy = add_noise_at_snr(shift_right(urban_90s_8k, 800), 20.0, seed=3)
+        wavfile.write(recording, 8000, noisy.samples)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "coherence", str(source), str(recording)]) == 0
+        report = json.loads((out / "coherence_report.json").read_text())
+        results = report["results"]
+        assert json.loads(capsys.readouterr().out) == results
+        assert results["delay_samples"] == 800
+        assert 0.5 < results["score"] <= 1.0
+        assert len(results["warnings"]) == 2  # both files are below 16 kHz
+        rows = (out / results["coherence_csv"]).read_text().splitlines()
+        assert rows[0] == "frequency_hz,coherence,envelope"
+        assert len(rows) == results["bins"] + 1
+
+    def test_calibrate_fits_model_points(self, tmp_path, capsys):
+        adc = np.linspace(380.0, 1000.0, 12).tolist()
+        points = tmp_path / "points.csv"
+        points.write_text(
+            "adc_value,spl_db\n" + "".join(f"{x!r},{adc_to_db(x)!r}\n" for x in adc)
+        )
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "calibrate", str(points)]) == 0
+        results = json.loads(capsys.readouterr().out)
+        assert results["points"] == 12
+        assert results["r_squared"] > 0.999
+        rows = (out / results["residuals_csv"]).read_text().splitlines()
+        assert rows[0] == "adc_value,spl_db,predicted_db,residual_db"
+        assert len(rows) == 13
+        assert max(abs(float(row.split(",")[3])) for row in rows[1:]) < 0.05

@@ -27,11 +27,6 @@ node:
   hold_time_s: 2.5
   battery_mah: 1200
   battery_v: 3.7
-calibration:
-  a: -100.0
-  b: -0.1
-  c: 200
-  d: 250.0
 io:
   out_dir: results
 """
@@ -43,7 +38,6 @@ class TestRunConfig:
         assert cfg.circuit.vdd_v == 3.3
         assert cfg.welch.segment_count == 8
         assert cfg.node.profile.name == "zigbee-standalone"
-        assert cfg.calibration.a == -290.5
         assert cfg.out_dir == "wakenode-out"
 
     def test_full_document(self, tmp_path):
@@ -59,7 +53,6 @@ class TestRunConfig:
         assert cfg.node.profile is BUILTIN_PROFILES["ble"]
         assert cfg.node.hold_time_s == 2.5
         assert cfg.node.battery_v == 3.7
-        assert cfg.calibration.c == 200.0
         assert cfg.out_dir == "results"
 
     def test_unknown_top_level_key(self):
@@ -111,11 +104,61 @@ class TestRunConfig:
 
     def test_snapshot_round_trips_through_parser(self):
         cfg = parse_run_config(
-            {"welch": {"segment_count": 4}, "node": {"profile": "wifi"}}
+            {
+                "circuit": {"vdd_v": 5.0, "rf_ohm": 0, "c5_f": 9e-9, "diode_drop_v": 0.3},
+                "welch": {"segment_count": 4, "window": "hann", "fft_length": 4096},
+                "node": {
+                    "profile": {"name": "lab", "transmit_mw": 50.0, "sleep_mw": 2.0},
+                    "hold_time_s": 1.5,
+                    "battery_mah": 1200,
+                    "battery_v": 3.7,
+                },
+                "io": {"out_dir": "results"},
+            }
         )
-        again = parse_run_config(cfg.snapshot())
-        assert again.welch == cfg.welch
-        assert again.node.profile.name == "wifi"
+        assert parse_run_config(cfg.snapshot()) == cfg
+
+    def test_default_snapshot(self):
+        assert RunConfig().snapshot() == {
+            "circuit": {
+                "vdd_v": 3.3,
+                "rf_ohm": 1e5,
+                "r1_ohm": 1e3,
+                "r5_ohm": 1e7,
+                "r6_ohm": 1e5,
+                "c5_f": 9e-6,
+                "diode_drop_v": 0.0,
+            },
+            "welch": {
+                "segment_count": 8,
+                "overlap_fraction": 0.5,
+                "window": "hamming",
+                "fft_length": None,
+            },
+            "node": {
+                "profile": {"name": "zigbee-standalone", "transmit_mw": 34.3, "sleep_mw": 1.0},
+                "hold_time_s": 0.0,
+                "battery_mah": 2900.0,
+                "battery_v": 3.3,
+            },
+            "io": {"out_dir": "wakenode-out"},
+        }
+
+    @pytest.mark.parametrize(
+        "document,path",
+        [
+            ({"circuit": {"r2_ohm": 1e6}}, r"circuit\.r2_ohm"),
+            ({"circuit": {"c1_f": 22e-6}}, r"circuit\.c1_f"),
+            ({"calibration": {"a": -290.5}}, r"calibration"),
+        ],
+    )
+    def test_removed_keys_are_unknown(self, document, path):
+        with pytest.raises(ConfigError, match=path + ": unknown key"):
+            parse_run_config(document)
+
+    def test_inline_profile_needs_every_power_figure(self):
+        with pytest.raises(ConfigError, match=r"node\.profile\.sleep_mw: required key"):
+            parse_run_config({"node": {"profile": {"name": "lab", "transmit_mw": 50.0}}})
 
     def test_invalid_yaml_reports_location(self, tmp_path):
         path = tmp_path / "broken.yaml"

@@ -66,15 +66,8 @@ class TestCircuitParams:
         assert p.vdd_v == 3.3
         assert p.rf_ohm == 1e5
         assert p.r1_ohm == 1e3
-        assert p.r2_ohm == 1e6
-        assert p.r3_ohm == 1e7
-        assert p.r4_ohm == 5e5
         assert p.r5_ohm == 1e7
         assert p.r6_ohm == 1e5
-        assert p.c1_f == 22e-6
-        assert p.c2_f == 100e-9
-        assert p.c3_f == 4.5e-6
-        assert p.c4_f == 1.5e-9
         assert p.c5_f == 9e-6
         assert p.diode_drop_v == 0.0
 
