@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 __all__ = [
     "CalibrationCurve",
@@ -151,6 +150,8 @@ def fit_curve(points: Sequence[CalPoint]) -> tuple[CalibrationCurve, float]:
             coarse.append((seeded[0], float(c), seeded[1]))
     if not coarse:
         raise FitError("no floor candidate produced a solvable linear system")
+
+    from scipy.optimize import least_squares
 
     coarse.sort(key=lambda item: item[0])
     best_sse = np.inf

@@ -262,11 +262,14 @@ def cmd_simulate(
 
     inputs: dict[str, Any] = {}
     if wav_path is not None:
-        audio = read_wav(wav_path)
+        # one name for every stage of the chain: rebinding it frees each
+        # stage's input as soon as the next stage's output exists
+        chain = read_wav(wav_path)
         inputs["wav"] = _input_entry(wav_path)
-        mic = Signal(audio.samples * mic_scale_v, audio.sample_rate_hz)
-        envelope = envelope_detect(amplify(mic, cfg.circuit), cfg.circuit)
-        wake = threshold_out(envelope, threshold_v)
+        chain = Signal(chain.samples * mic_scale_v, chain.sample_rate_hz)
+        chain = amplify(chain, cfg.circuit)
+        chain = envelope_detect(chain, cfg.circuit)
+        wake = threshold_out(chain, threshold_v)
         trace = simulate_from_wake(wake, node)
         source_desc = {"kind": "wav", "threshold_v": threshold_v, "mic_scale_v": mic_scale_v}
     else:
@@ -293,7 +296,9 @@ def cmd_simulate(
         "lifetime_days": lifetime,
         "savings_percent": savings_percent(node.profile),
     }
-    return _finish("simulate", cfg, inputs, results, "trace.csv", _trace_lines(trace, node))
+    return _finish(
+        "simulate", replace(cfg, node=node), inputs, results, "trace.csv", _trace_lines(trace, node)
+    )
 
 
 def cmd_calibrate(points_csv: str, cfg: RunConfig) -> dict[str, Any]:

@@ -18,8 +18,6 @@ from typing import Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy.interpolate import PchipInterpolator
-from scipy.signal import find_peaks
 
 from .signals import Signal, clip, find_delay, resample
 
@@ -258,6 +256,9 @@ def peak_envelope(series: ArrayLike, min_peak_separation: int) -> NDArray[np.flo
         raise ValueError("min_peak_separation must be >= 1")
     if values.size < 3:
         return values.copy()
+
+    from scipy.interpolate import PchipInterpolator
+    from scipy.signal import find_peaks
 
     peaks, _ = find_peaks(values, distance=min_peak_separation)
     knots = np.concatenate(([0], peaks, [values.size - 1]))

@@ -16,8 +16,6 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, get_type_hints
 
-import yaml
-
 from .calibrate import CalPoint
 from .coherence import MicCandidate, WelchParams
 from .frontend import CircuitParams
@@ -197,6 +195,8 @@ def parse_run_config(raw: Any, source: str = "<config>") -> RunConfig:
 
 
 def _load_yaml(path: Path) -> Any:
+    import yaml
+
     try:
         text = path.read_text()
     except OSError as exc:
@@ -276,6 +276,8 @@ def _load_table(path: str | Path, cls: type) -> list[Any]:
                     values[name] = float(text)
                 except ValueError:
                     raise ConfigError(f"{where}: {name} must be a number, got {text!r}") from None
+                if not math.isfinite(values[name]):
+                    raise ConfigError(f"{where}: {name} must be a finite number, got {text!r}")
             elif kind is str:
                 if not text:
                     raise ConfigError(f"{where}: {name} is empty")

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
-from scipy import signal as sps
 
 __all__ = ["Signal", "resample", "find_delay", "clip"]
 
@@ -132,8 +131,10 @@ def find_delay(reference: Signal, candidate: Signal, search_window_samples: int)
             f"usable lag {max_lag} for these signal lengths"
         )
 
+    from scipy.signal import correlate
+
     # full cross-correlation; index i corresponds to lag i - (len(reference) - 1)
-    corr = sps.correlate(candidate.samples, reference.samples, mode="full", method="auto")
+    corr = correlate(candidate.samples, reference.samples, mode="full", method="auto")
     lags = np.arange(corr.size) - (len(reference) - 1)
     window = np.abs(lags) <= search_window_samples
     corr = corr[window]

@@ -10,7 +10,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .signals import Signal
 
@@ -23,6 +22,8 @@ class WavFormatError(ValueError):
 
 def read_wav(path: str | Path) -> Signal:
     """Decode a WAV file to a mono, full-scale-normalized Signal."""
+    from scipy.io import wavfile
+
     path = Path(path)
     try:
         rate, data = wavfile.read(path)

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from wakenode import adc_to_db
+from wakenode import BUILTIN_PROFILES, adc_to_db
 from wakenode.cli import _finish, data_path, main
-from wakenode.config import RunConfig
+from wakenode.config import RunConfig, parse_run_config
 
 from conftest import add_noise_at_snr, shift_right
 
@@ -121,6 +121,13 @@ class TestGoldens:
         results = json.loads(capsys.readouterr().out)
         assert results["profile"] == profile
         assert f"{round(results['savings_percent'], 1):.1f}" == expected
+
+    def test_profile_flag_reaches_the_embedded_config(self, tmp_path):
+        out = tmp_path / "out"
+        args = ["--out-dir", str(out), "simulate", "--scenario", "urban", "--profile", "wifi"]
+        assert main(args) == 0
+        report = json.loads((out / "simulate_report.json").read_text())
+        assert parse_run_config(report["config"]).node.profile == BUILTIN_PROFILES["wifi"]
 
 
 class TestCommands:

@@ -233,6 +233,16 @@ class TestCsvLoaders:
         with pytest.raises(ConfigError, match="mics.csv:3"):
             load_mic_table(path)
 
+    def test_mic_table_non_finite_number_carries_row(self, tmp_path):
+        path = tmp_path / "mics.csv"
+        path.write_text(
+            "name,power_mw,accuracy,configuration,supply_min_v,supply_max_v\n"
+            "ok,1.0,0.5,analog,1.0,3.0\n"
+            "boundless,inf,0.5,analog,1.0,3.0\n"
+        )
+        with pytest.raises(ConfigError, match="mics.csv:3: power_mw must be a finite number"):
+            load_mic_table(path)
+
     def test_cal_points_load(self, tmp_path):
         path = tmp_path / "points.csv"
         path.write_text("adc_value,spl_db\n400,60.5\n500,80.0\n")
@@ -244,4 +254,10 @@ class TestCsvLoaders:
         path = tmp_path / "points.csv"
         path.write_text("adc_value,spl_db\n")
         with pytest.raises(ConfigError, match="no data rows"):
+            load_cal_points(path)
+
+    def test_cal_points_non_finite_number_carries_row(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("adc_value,spl_db\n400,60.5\n500,nan\n")
+        with pytest.raises(ConfigError, match="points.csv:3: spl_db must be a finite number"):
             load_cal_points(path)

@@ -172,9 +172,10 @@ class TestEnvelopeDetect:
 
 
 class TestEnvelopeMatchesLoop:
-    # fs * tau = 1e-4 underflows decay to 0.0, 1.0 gives 600-sample scan
-    # blocks, 1440 is the 90 ms time constant at 16 kHz, and 1e20 rounds
-    # decay to 1.0
+    # fs * tau = 1e-4 underflows decay to 0.0, 0.002 to 0.3 take the
+    # log-step scan (blocks would be under SCAN_MIN_BLOCK samples), 1/3 is
+    # the shortest that takes the block scan, 1.0 gives 600-sample blocks,
+    # 1440 is the 90 ms time constant at 16 kHz, and 1e20 rounds decay to 1.0
     @given(
         log_fs_tau=st.floats(-4.0, 20.0),
         drop=st.sampled_from([0.0, 0.05, 0.6]),
@@ -183,6 +184,10 @@ class TestEnvelopeMatchesLoop:
         seed=st.integers(0, 2**32 - 1),
     )
     @example(log_fs_tau=-4.0, drop=0.0, n=50, density=0.05, seed=0)
+    @example(log_fs_tau=math.log10(0.002), drop=0.05, n=2500, density=0.05, seed=6)
+    @example(log_fs_tau=math.log10(0.05), drop=0.6, n=2500, density=0.002, seed=7)
+    @example(log_fs_tau=math.log10(0.3), drop=0.0, n=2500, density=0.002, seed=8)
+    @example(log_fs_tau=math.log10(1 / 3), drop=0.05, n=2500, density=0.002, seed=9)
     @example(log_fs_tau=0.0, drop=0.05, n=1801, density=0.002, seed=1)
     @example(log_fs_tau=math.log10(1440.0), drop=0.6, n=2500, density=0.05, seed=2)
     @example(log_fs_tau=20.0, drop=0.05, n=500, density=0.05, seed=3)

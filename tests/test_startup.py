@@ -1,0 +1,76 @@
+"""Start-up cost guard: each command imports only the libraries it computes with.
+
+One fresh interpreter imports ``wakenode.cli`` and then runs ``rank-mics``,
+``simulate --scenario`` and ``calibrate`` in that order, recording the
+loaded scipy and yaml modules after each step. An eager scipy import at
+module level would load hundreds of modules (over a second) for every
+command, including those that never call scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from wakenode import adc_to_db
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+STEPS = r"""
+import contextlib, json, sys
+
+def heavy():
+    return sorted(m for m in sys.modules if m == "yaml" or m.split(".")[0] == "scipy")
+
+out_dir, points_csv = sys.argv[1:]
+loaded = {}
+from wakenode.cli import data_path, main
+loaded["import"] = heavy()
+with contextlib.redirect_stdout(sys.stderr):
+    for step, args in [
+        ("rank-mics", ["rank-mics", str(data_path("microphones.csv")), "--analog", "--supply", "3.3"]),
+        ("simulate", ["simulate", "--scenario", "urban"]),
+        ("calibrate", ["calibrate", points_csv]),
+    ]:
+        if main(["--out-dir", out_dir, *args]) != 0:
+            raise SystemExit(f"{step} failed")
+        loaded[step] = heavy()
+print(json.dumps(loaded))
+"""
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("startup")
+    points = tmp / "points.csv"
+    adc = np.linspace(380.0, 1000.0, 12).tolist()
+    points.write_text("adc_value,spl_db\n" + "".join(f"{x!r},{adc_to_db(x)!r}\n" for x in adc))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", STEPS, str(tmp / "out"), str(points)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return {step: set(modules) for step, modules in json.loads(proc.stdout).items()}
+
+
+def test_import_loads_no_scipy_and_no_yaml(loaded):
+    assert loaded["import"] == set()
+
+
+@pytest.mark.parametrize("step", ["rank-mics", "simulate"])
+def test_commands_without_numerics_load_no_scipy(loaded, step):
+    assert {m for m in loaded[step] if m.startswith("scipy")} == set()
+
+
+def test_calibrate_loads_only_the_optimizer(loaded):
+    assert "scipy.optimize" in loaded["calibrate"]
+    assert {"scipy.signal", "scipy.interpolate", "scipy.io"}.isdisjoint(loaded["calibrate"])
