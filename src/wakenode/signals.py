@@ -18,6 +18,12 @@ __all__ = ["Signal", "resample", "find_delay", "clip"]
 ANTIALIAS_TAPS = 64
 ANTIALIAS_CUTOFF_FRACTION = 0.45  # of the target rate
 
+# find_delay correlates directly while len(candidate) * len(reference), the
+# direct multiply-adds, is at most this many times nfft * log2(nfft), the
+# FFT path's butterflies; measured crossover ~25x (numpy 2.4, x86-64: equal
+# lengths near 512 samples, 50 000 x 500 samples).
+DIRECT_CORRELATE_COST_RATIO = 25
+
 
 def _as_readonly_f64(samples: ArrayLike) -> NDArray[np.float64]:
     arr = np.asarray(samples, dtype=np.float64)
@@ -114,6 +120,11 @@ def find_delay(reference: Signal, candidate: Signal, search_window_samples: int)
     Returns the integer lag d with |d| <= ``search_window_samples`` that
     maximizes the cross-correlation; positive d means the candidate lags
     the reference. Ties go to the smallest |d|, then negative over positive.
+
+    Small inputs are correlated directly, so the tie rule is exact there.
+    Above ``DIRECT_CORRELATE_COST_RATIO`` the correlation comes from a
+    zero-padded FFT product, whose rounding decides between lags that tie
+    or nearly tie.
     """
     if reference.sample_rate_hz != candidate.sample_rate_hz:
         raise ValueError(
@@ -131,14 +142,17 @@ def find_delay(reference: Signal, candidate: Signal, search_window_samples: int)
             f"usable lag {max_lag} for these signal lengths"
         )
 
-    from scipy.signal import correlate
-
-    # full cross-correlation; index i corresponds to lag i - (len(reference) - 1)
-    corr = correlate(candidate.samples, reference.samples, mode="full", method="auto")
-    lags = np.arange(corr.size) - (len(reference) - 1)
-    window = np.abs(lags) <= search_window_samples
-    corr = corr[window]
-    lags = lags[window]
+    n, m, w = len(candidate), len(reference), search_window_samples
+    nfft = 1 << (n + m - 2).bit_length()  # >= n + m - 1: no circular wrap
+    if n * m <= DIRECT_CORRELATE_COST_RATIO * nfft * (nfft.bit_length() - 1):
+        # full cross-correlation; index i corresponds to lag i - (m - 1)
+        corr = np.correlate(candidate.samples, reference.samples, "full")[m - 1 - w : m + w]
+    else:
+        spectrum = np.fft.rfft(candidate.samples, nfft)
+        spectrum *= np.conj(np.fft.rfft(reference.samples, nfft))
+        circular = np.fft.irfft(spectrum, nfft)  # lag d at index d mod nfft
+        corr = np.concatenate((circular[nfft - w :], circular[: w + 1]))
+    lags = np.arange(-w, w + 1)
 
     best = np.max(corr)
     tied = lags[corr == best]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wakenode import (
@@ -211,6 +211,48 @@ class TestPeakEnvelope:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
             peak_envelope(np.array([]), 100)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            peak_envelope(np.array([0.0, 1.0, np.nan, 0.5]), 1)
+
+    @staticmethod
+    def scipy_envelope(series: np.ndarray, distance: int) -> np.ndarray:
+        """The envelope as scipy computes it: the reference for bit identity."""
+        from scipy.interpolate import PchipInterpolator
+        from scipy.signal import find_peaks
+
+        peaks, _ = find_peaks(series, distance=distance)
+        knots = np.unique(np.concatenate(([0], peaks, [series.size - 1])))
+        return PchipInterpolator(knots, series[knots])(np.arange(series.size))
+
+    # small integer levels make plateaus and equal peak heights common
+    levels = st.lists(st.integers(0, 5), min_size=3, max_size=300).map(
+        lambda v: np.array(v, dtype=np.float64) * 0.3
+    )
+    reals = st.lists(
+        st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False), min_size=3, max_size=300
+    ).map(np.array)
+
+    @given(series=st.one_of(levels, reals), distance=st.integers(1, 30))
+    @example(series=np.array([0.0, 1.0, 0.0]), distance=1)
+    @example(series=np.array([0.2, 1.0, 1.0, 0.1]), distance=1)
+    @example(series=np.array([0.0, 2.0, 2.0, 2.0, 0.0, 2.0, 0.0]), distance=3)
+    @example(series=np.full(7, 0.6), distance=2)
+    @example(series=np.array([0.0, 0.5, 0.5, 1.0]), distance=5)
+    @example(series=np.array([1.0, 0.3, 0.9, 0.3, 0.9, 0.3, 1.0]), distance=2)
+    # equal heights 3 apart: np.argsort and a stable sort keep different peaks
+    @example(series=np.array([0, 2, 1, 0, 2, 1, 1, 0, 1, 0, 1, 0], dtype=float), distance=3)
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_to_find_peaks_and_pchip(self, series, distance):
+        assert np.array_equal(
+            peak_envelope(series, distance), self.scipy_envelope(series, distance)
+        )
+
+    def test_bit_identical_on_a_coherence_spectrum(self, urban_90s_8k):
+        rec = add_noise_at_snr(urban_90s_8k, 10.0, seed=3)
+        values = magnitude_squared_coherence(urban_90s_8k, rec, WelchParams()).values
+        assert np.array_equal(peak_envelope(values, 100), self.scipy_envelope(values, 100))
 
 
 class TestCoherenceScore:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wakenode import Signal, clip, find_delay, resample
+from wakenode.signals import DIRECT_CORRELATE_COST_RATIO
 
 from conftest import shift_right, tone
 
@@ -143,6 +144,33 @@ class TestFindDelay:
         cand[27] = 1.0
         cand[33] = 1.0
         assert find_delay(Signal(base, 100.0), Signal(cand, 100.0), 10) == -3
+
+    # (candidate, reference) lengths; the first three fall on the direct side
+    # of find_delay's size rule, including the 64-sample tie tests above
+    SIZES = [(64, 64), (300, 500), (500, 300), (2000, 2000), (3000, 1200), (1200, 3000)]
+
+    @staticmethod
+    def correlates_directly(n: int, m: int) -> bool:
+        nfft = 1 << (n + m - 2).bit_length()
+        return n * m <= DIRECT_CORRELATE_COST_RATIO * nfft * (nfft.bit_length() - 1)
+
+    def test_sizes_cover_both_paths(self):
+        sides = [self.correlates_directly(n, m) for n, m in self.SIZES]
+        assert sides == [True, True, True, False, False, False]
+
+    @pytest.mark.parametrize("n, m", SIZES)
+    def test_matches_scipy_correlate(self, n, m):
+        from scipy.signal import correlate
+
+        # white noise: the maximum over the window is unique, with no planted peak
+        rng = np.random.default_rng(7 * n + m)
+        cand, ref = rng.normal(size=n), rng.normal(size=m)
+        window = min(n, m) - 1
+        corr = correlate(cand, ref, mode="full", method="auto")
+        lags = np.arange(corr.size) - (m - 1)
+        inside = np.abs(lags) <= window
+        expected = lags[inside][np.argmax(corr[inside])]
+        assert find_delay(Signal(ref, 8000.0), Signal(cand, 8000.0), window) == expected
 
     def test_rate_mismatch_rejected(self):
         a = tone(100, 0.1, 8000)

@@ -1,10 +1,11 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from wakenode import WavFormatError, read_wav
+from wakenode import WavFormatError, read_wav, wavio
 
 
 def write_24bit_wav(path, rate: int, values: np.ndarray) -> None:
@@ -80,3 +81,159 @@ def test_garbage_rejected(tmp_path):
 def test_missing_file_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         read_wav(tmp_path / "nope.wav")
+
+
+# ----------------------------------------------------------------------
+# parity with scipy.io.wavfile.read, the decoder read_wav used to call
+
+GUID_TAIL = {
+    "<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
+    ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71",
+}
+
+
+def chunk(cid: bytes, body: bytes, order: str = "<") -> bytes:
+    return cid + struct.pack(order + "I", len(body)) + body + b"\0" * (len(body) % 2)
+
+
+def fmt_chunk(tag, channels, rate, bits, width, order="<", subformat=None) -> bytes:
+    block = channels * width
+    body = struct.pack(order + "HHIIHH", tag, channels, rate, rate * block, block, bits)
+    if subformat is not None:
+        guid = struct.pack(order + "I", subformat) + GUID_TAIL[order]
+        body += struct.pack(order + "HHI", 22, bits, 0) + guid
+    return chunk(b"fmt ", body, order)
+
+
+def riff(*chunks: bytes, order: str = "<") -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return (b"RIFF" if order == "<" else b"RIFX") + struct.pack(order + "I", len(body)) + body
+
+
+def rf64(fmt: bytes, samples: bytes) -> bytes:
+    data = b"data" + struct.pack("<I", 0xFFFFFFFF) + samples
+    ds64 = chunk(b"ds64", struct.pack("<QQQI", 0, len(samples), 0, 0))
+    riff_size = 4 + len(ds64) + len(fmt) + len(data)
+    ds64 = chunk(b"ds64", struct.pack("<QQQI", riff_size, len(samples), 0, 0))
+    return b"RF64" + struct.pack("<I", 0xFFFFFFFF) + b"WAVE" + ds64 + fmt + data
+
+
+def assert_matches_scipy(path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # truncation, checked apart
+        rate, expected = wavfile.read(path)
+        got_rate, got = wavio._parse(path.read_bytes())
+        decoded = read_wav(path).samples
+    assert got_rate == rate
+    assert got.dtype == expected.dtype
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    # read_wav scales and averages exactly as it did on scipy's arrays
+    samples = expected.astype(np.float64)
+    if expected.dtype.kind == "u":
+        samples = (samples - 128.0) / 128.0
+    elif expected.dtype.kind == "i":
+        samples = samples / 2.0 ** (8 * expected.dtype.itemsize - 1)
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    assert np.array_equal(decoded, samples)
+
+
+RNG = np.random.default_rng(11)
+PCM = {
+    "uint8": RNG.integers(0, 256, size=(97, 2), dtype=np.uint8),
+    "int16": RNG.integers(-(2**15), 2**15, size=(97, 2), dtype=np.int16),
+    "int32": RNG.integers(-(2**31), 2**31, size=(97, 2), dtype=np.int32),
+    "float32": RNG.uniform(-1, 1, size=(97, 2)).astype(np.float32),
+    "float64": RNG.uniform(-1, 1, size=(97, 2)),
+}
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("dtype", sorted(PCM))
+def test_scipy_written_files_decode_identically(tmp_path, dtype, channels):
+    path = tmp_path / "a.wav"
+    data = PCM[dtype] if channels == 2 else PCM[dtype][:, 0].copy()
+    wavfile.write(path, 22050, data)
+    assert_matches_scipy(path)
+
+
+def test_24bit_matches_scipy(tmp_path):
+    path = tmp_path / "a.wav"
+    write_24bit_wav(path, 8000, RNG.integers(-(2**23), 2**23, size=51))
+    assert_matches_scipy(path)
+
+
+@pytest.mark.parametrize("order", ["<", ">"])
+@pytest.mark.parametrize(
+    "subformat, bits, dtype",
+    [(1, 16, "i2"), (1, 24, "i4"), (3, 32, "f4"), (3, 64, "f8")],
+)
+def test_extensible_and_rifx_match_scipy(tmp_path, order, subformat, bits, dtype):
+    path = tmp_path / "a.wav"
+    width = bits // 8
+    if dtype == "i4":
+        values = RNG.integers(-(2**23), 2**23, size=80)
+        byteorder = "big" if order == ">" else "little"
+        raw = b"".join(int(v).to_bytes(3, byteorder, signed=True) for v in values)
+    else:
+        values = RNG.uniform(-0.9, 0.9, size=(40, 2)) * (2**15 if dtype == "i2" else 1)
+        raw = values.astype(order + dtype).tobytes()
+    fmt = fmt_chunk(0xFFFE, 2, 16000, bits, width, order, subformat)
+    path.write_bytes(riff(fmt, chunk(b"data", raw, order), order=order))
+    assert_matches_scipy(path)
+
+
+def test_12bit_in_16bit_container_matches_scipy(tmp_path):
+    path = tmp_path / "a.wav"
+    values = (RNG.integers(-(2**11), 2**11, size=63) * 16).astype("<i2")
+    path.write_bytes(riff(fmt_chunk(1, 1, 8000, 12, 2), chunk(b"data", values.tobytes())))
+    assert_matches_scipy(path)
+    assert read_wav(path).samples.max() < 1.0
+
+
+def test_odd_list_chunk_before_data_is_skipped(tmp_path):
+    path = tmp_path / "a.wav"
+    values = RNG.integers(-(2**15), 2**15, size=33).astype("<i2")
+    path.write_bytes(
+        riff(
+            fmt_chunk(1, 1, 8000, 16, 2),
+            chunk(b"LIST", b"INFOx"),
+            chunk(b"data", values.tobytes()),
+        )
+    )
+    assert_matches_scipy(path)
+
+
+@pytest.mark.parametrize("cut", [1, 2, 7])
+def test_truncated_data_chunk_reads_short_with_a_warning(tmp_path, cut):
+    path = tmp_path / "a.wav"
+    wavfile.write(path, 8000, PCM["int16"][:, 0].copy())
+    path.write_bytes(path.read_bytes()[:-cut])
+    assert_matches_scipy(path)
+    with pytest.warns(UserWarning, match="file holds"):
+        assert len(read_wav(path)) == 97 - (cut + 1) // 2
+
+
+def test_rf64_matches_scipy(tmp_path):
+    path = tmp_path / "a.wav"
+    values = RNG.integers(-(2**15), 2**15, size=(29, 2)).astype("<i2")
+    path.write_bytes(rf64(fmt_chunk(1, 2, 44100, 16, 2), values.tobytes()))
+    assert_matches_scipy(path)
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        riff(chunk(b"data", b"\0\0\1\0")),
+        riff(fmt_chunk(1, 1, 8000, 16, 2)),
+        riff(fmt_chunk(6, 1, 8000, 8, 1), chunk(b"data", b"\1\2")),
+        riff(fmt_chunk(0xFFFE, 1, 8000, 8, 1, subformat=6), chunk(b"data", b"\1\2")),
+    ],
+    ids=["no-fmt", "no-data", "a-law", "extensible-a-law"],
+)
+def test_undecodable_layouts_rejected(tmp_path, content):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(content)
+    with pytest.raises(WavFormatError, match="cannot decode"):
+        read_wav(path)
