@@ -42,9 +42,7 @@ from .frontend import (
     threshold_out,
 )
 from .powersim import (
-    BUILTIN_COMPONENTS,
     BUILTIN_PROFILES,
-    ComponentPower,
     NodeConfig,
     NodeState,
     PowerProfile,
@@ -53,7 +51,6 @@ from .powersim import (
     SimTrace,
     battery_lifetime_days,
     build_urban_scenario,
-    compose_profile,
     savings_percent,
     simulate,
     simulate_from_wake,

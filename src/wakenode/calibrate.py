@@ -1,10 +1,13 @@
 """ADC-count to sound-pressure-level calibration.
 
 The model is dB = a*(x - c)^b + d, valid for ADC readings above the
-floor c. Fitting minimizes squared dB residuals: c is grid-searched in
-integer steps (joint four-parameter descent on this model is
-ill-conditioned) while (a, b, d) are refined per candidate, seeded from
-a coarse grid over b with the linear pair (a, d) solved exactly.
+floor c. Fitting minimizes squared dB residuals by variable projection
+(Golub & Pereyra, 1973): for fixed (c, b) the model is linear in (a, d),
+so that pair is solved in closed form and only c and b are searched. The
+floor c is grid-searched in integer steps. Per c, a coarse log-spaced
+grid picks b, and for the 8 best floors a golden-section search refines
+b between the coarse value's grid neighbours, first stepping past the end
+of the grid while the residual keeps falling there.
 """
 
 from __future__ import annotations
@@ -27,9 +30,11 @@ __all__ = [
 
 ADC_MAX = 1023  # 10-bit converter
 
-_B_COARSE_GRID = np.concatenate(
-    [-np.logspace(-3, 0.5, 18), np.logspace(-3, 0.5, 18)]
-)
+# Coarse exponent grid, ascending: 18 log-spaced magnitudes per sign.
+_B_GRID = np.sort(np.concatenate([-np.logspace(-3, 0.5, 18), np.logspace(-3, 0.5, 18)]))
+_B_GRID_STEP = _B_GRID[-1] / _B_GRID[-2]  # ratio of neighbouring magnitudes
+_B_TOL = 1e-10  # relative width at which the exponent search stops
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 class CalibrationDomainError(ValueError):
@@ -85,43 +90,60 @@ def db_to_adc(spl: float, curve: CalibrationCurve = CalibrationCurve()) -> float
     return curve.c + ratio ** (1.0 / curve.b)
 
 
-def _predict(params: np.ndarray, c: float, x: np.ndarray) -> np.ndarray:
-    a, b, d = params
-    return a * (x - c) ** b + d
-
-
-def _residuals(params: np.ndarray, c: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # keep the damped iteration bounded when a trial b overflows the power
-    with np.errstate(over="ignore", invalid="ignore"):
-        r = _predict(params, c, x) - y
-    return np.nan_to_num(r, nan=1e12, posinf=1e12, neginf=-1e12)
-
-
-def _coarse_seed(
-    x: np.ndarray, y: np.ndarray, c: float
-) -> tuple[float, np.ndarray] | None:
-    """Best (a, b, d) over the coarse b grid with (a, d) solved exactly.
+def _project(
+    x: np.ndarray, y: np.ndarray, c: float, b: np.ndarray | float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum of squared residuals and exact (a, d) for each exponent in ``b``.
 
     For fixed (b, c) the model is linear in (a, d), so the pair has a
-    closed-form least-squares solution; this evaluates the whole b grid
-    at once. Returns (sse, params) or None if every row is singular.
+    closed-form least-squares solution. The sum is +inf where that system
+    is singular or the power overflows.
     """
-    t = (x[None, :] - c) ** _B_COARSE_GRID[:, None]
-    t_mean = t.mean(axis=1)
-    y_mean = y.mean()
-    centered = t - t_mean[:, None]
-    var = (centered**2).mean(axis=1)
-    cov = (centered * (y - y_mean)).mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = cov / var
-    d = y_mean - a * t_mean
-    pred = a[:, None] * t + d[:, None]
-    sse = np.sum((pred - y) ** 2, axis=1)
-    sse = np.where((var > 0) & np.isfinite(sse), sse, np.inf)
-    i = int(np.argmin(sse))
-    if not np.isfinite(sse[i]):
-        return None
-    return float(sse[i]), np.array([a[i], _B_COARSE_GRID[i], d[i]])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = (x - c) ** np.asarray(b)[..., None]
+        t_mean = t.mean(axis=-1)
+        centered = t - t_mean[..., None]
+        var = (centered**2).mean(axis=-1)
+        y_mean = y.mean()
+        a = (centered * (y - y_mean)).mean(axis=-1) / var
+        d = y_mean - a * t_mean
+        sse = np.sum((a[..., None] * t + d[..., None] - y) ** 2, axis=-1)
+    return np.where((var > 0) & np.isfinite(sse), sse, np.inf), a, d
+
+
+def _refine_b(x: np.ndarray, y: np.ndarray, c: float, i: int) -> tuple[float, float]:
+    """(sse, b) minimising the projected sum near the coarse exponent _B_GRID[i].
+
+    The bracket is the grid neighbours of ``i``. At an end of the grid it
+    first grows outward by grid steps while the sum falls, since the
+    optimum can lie past the grid. Golden-section search then shrinks it.
+    """
+
+    def sse_at(b: float) -> float:
+        return float(_project(x, y, c, b)[0])
+
+    best = (sse_at(_B_GRID[i]), float(_B_GRID[i]))
+    lo, hi = _B_GRID[max(i - 1, 0)], _B_GRID[min(i + 1, _B_GRID.size - 1)]
+    if i in (0, _B_GRID.size - 1):
+        inner, edge = (hi, lo) if i == 0 else (lo, hi)
+        outer = edge * _B_GRID_STEP
+        while (sse_outer := sse_at(outer)) < best[0]:
+            best = (sse_outer, outer)
+            inner, edge, outer = edge, outer, outer * _B_GRID_STEP
+        lo, hi = sorted((inner, outer))
+
+    x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    f1, f2 = sse_at(x1), sse_at(x2)
+    while hi - lo > _B_TOL * max(abs(lo), abs(hi)):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = sse_at(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = sse_at(x2)
+    return min(best, (f1, x1), (f2, x2))
 
 
 def fit_curve(points: Sequence[CalPoint]) -> tuple[CalibrationCurve, float]:
@@ -129,7 +151,7 @@ def fit_curve(points: Sequence[CalPoint]) -> tuple[CalibrationCurve, float]:
 
     Returns the fitted curve and its R^2 over dB residuals. Needs at
     least six points spanning some dB variance; raises FitError when the
-    data are degenerate or no candidate converges.
+    data are degenerate.
     """
     if len(points) < 6:
         raise ValueError(f"need at least 6 calibration points, got {len(points)}")
@@ -142,40 +164,21 @@ def fit_curve(points: Sequence[CalPoint]) -> tuple[CalibrationCurve, float]:
     if c_grid.size == 0:
         raise FitError("no admissible floor candidate below the smallest ADC value")
 
-    # Coarse pass: per integer c, best b on the coarse grid with (a, d) exact.
-    coarse: list[tuple[float, float, np.ndarray]] = []  # (sse, c, params)
+    # Coarse pass: per integer c, the best b on the grid.
+    coarse: list[tuple[float, float, int]] = []  # (sse, c, grid index of b)
     for c in c_grid:
-        seeded = _coarse_seed(x, y, float(c))
-        if seeded is not None:
-            coarse.append((seeded[0], float(c), seeded[1]))
+        sse = _project(x, y, float(c), _B_GRID)[0]
+        i = int(np.argmin(sse))
+        if np.isfinite(sse[i]):
+            coarse.append((float(sse[i]), float(c), i))
     if not coarse:
         raise FitError("no floor candidate produced a solvable linear system")
 
-    from scipy.optimize import least_squares
-
     coarse.sort(key=lambda item: item[0])
-    best_sse = np.inf
-    best_fit: tuple[float, np.ndarray] | None = None
-    for sse0, c, seed in coarse[:8]:
-        try:
-            result = least_squares(
-                _residuals,
-                seed,
-                args=(c, x, y),
-                method="lm",
-                max_nfev=2000,
-            )
-        except (ValueError, FloatingPointError):
-            continue
-        sse = float(np.sum(result.fun**2))
-        if np.all(np.isfinite(result.x)) and sse < best_sse:
-            best_sse = sse
-            best_fit = (c, result.x)
-    if best_fit is None:
-        raise FitError("damped refinement did not converge for any floor candidate")
-
-    c, (a, b, d) = best_fit[0], best_fit[1]
-    curve = CalibrationCurve(a=float(a), b=float(b), c=float(c), d=float(d))
+    fits = [(*_refine_b(x, y, c, i), c) for _, c, i in coarse[:8]]
+    _, b, c = min(fits, key=lambda fit: fit[0])
+    _, a, d = _project(x, y, c, b)
+    curve = CalibrationCurve(a=float(a), b=float(b), c=c, d=float(d))
     return curve, r_squared(points, curve)
 
 

@@ -25,11 +25,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import __version__
-from .calibrate import (
-    CalibrationDomainError,
-    FitError,
-    fit_curve,
-)
+from .calibrate import CalibrationDomainError, FitError, adc_to_db, fit_curve
 from .coherence import (
     AlignmentError,
     RankedMic,
@@ -307,7 +303,7 @@ def cmd_calibrate(points_csv: str, cfg: RunConfig) -> dict[str, Any]:
 
     lines = ["adc_value,spl_db,predicted_db,residual_db"]
     for p in points:
-        predicted = curve.a * (p.adc_value - curve.c) ** curve.b + curve.d
+        predicted = adc_to_db(p.adc_value, curve)
         lines.append(
             f"{_format(p.adc_value)},{_format(p.spl_db)},"
             f"{_format(predicted)},{_format(p.spl_db - predicted)}"
@@ -321,6 +317,13 @@ def cmd_calibrate(points_csv: str, cfg: RunConfig) -> dict[str, Any]:
     return _finish("calibrate", cfg, inputs, results, "residuals.csv", lines)
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field, quoted as the csv module's minimal quoting does."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _ranking_lines(ranking: list[RankedMic]) -> list[str]:
     lines = ["rank,name,accuracy,power_mw,eligible,reasons"]
     for entry in ranking:
@@ -329,8 +332,8 @@ def _ranking_lines(ranking: list[RankedMic]) -> list[str]:
         eligible = "yes" if entry.eligible else "no"
         reasons = "; ".join(entry.reasons)
         lines.append(
-            f"{rank},{c.name},{_format(c.accuracy)},{_format(c.power_mw)},"
-            f"{eligible},{reasons}"
+            f"{rank},{_csv_field(c.name)},{_format(c.accuracy)},{_format(c.power_mw)},"
+            f"{eligible},{_csv_field(reasons)}"
         )
     return lines
 

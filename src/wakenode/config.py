@@ -71,20 +71,9 @@ class RunConfig:
 
 
 def _settable(cls: type) -> dict[str, Any]:
-    """Name and type of each field of ``cls`` that a config file can set.
-
-    These are the fields of a type ``_parse_value`` reads; any other field
-    (``PowerProfile.components``) is neither parsed nor snapshotted.
-    """
+    """Name and type of each field of ``cls``; a config file can set every one."""
     hints = get_type_hints(cls)
-    kinds = {f.name: hints[f.name] for f in fields(cls)}
-    return {
-        name: kind
-        for name, kind in kinds.items()
-        if kind in (float, int, int | None, str)
-        or is_dataclass(kind)
-        or (isinstance(kind, type) and issubclass(kind, enum.Enum))
-    }
+    return {f.name: hints[f.name] for f in fields(cls)}
 
 
 def _snapshot(obj: Any) -> dict[str, Any]:
@@ -252,15 +241,15 @@ def _load_table(path: str | Path, cls: type) -> list[Any]:
     columns = list(kinds)
     try:
         with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise ConfigError(f"{path}:1: CSV file is empty")
-            if [c.strip() for c in reader.fieldnames] != columns:
+            if [c.strip() for c in header] != columns:
                 raise ConfigError(
-                    f"{path}:1: expected header {','.join(columns)}, "
-                    f"got {','.join(reader.fieldnames)}"
+                    f"{path}:1: expected header {','.join(columns)}, got {','.join(header)}"
                 )
-            rows = [(reader.line_num, row) for row in reader]
+            rows = [(reader.line_num, row) for row in reader if row]
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not rows:
@@ -268,9 +257,11 @@ def _load_table(path: str | Path, cls: type) -> list[Any]:
     records = []
     for line_num, row in rows:
         where = f"{path}:{line_num}"
+        if len(row) != len(columns):
+            raise ConfigError(f"{where}: expected {len(columns)} fields, got {len(row)}")
         values: dict[str, Any] = {}
-        for name, kind in kinds.items():
-            text = (row.get(name) or "").strip()
+        for (name, kind), cell in zip(kinds.items(), row):
+            text = cell.strip()
             if kind is float:
                 try:
                     values[name] = float(text)

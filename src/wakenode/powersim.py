@@ -11,17 +11,13 @@ concurrently.
 from __future__ import annotations
 
 import enum
-import warnings
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .frontend import BinarySignal
 
 __all__ = [
     "NodeState",
-    "ComponentPower",
     "PowerProfile",
     "ScenarioSegment",
     "Scenario",
@@ -33,18 +29,12 @@ __all__ = [
     "savings_percent",
     "battery_lifetime_days",
     "build_urban_scenario",
-    "compose_profile",
-    "BUILTIN_COMPONENTS",
     "BUILTIN_PROFILES",
 ]
 
 URBAN_SOUND_SECONDS = 20.0
 URBAN_SILENCE_SECONDS = 100.0
 URBAN_CATEGORIES = ("human", "nature", "music", "mechanical")
-
-# A composed profile whose totals stray further than this from a supplied
-# expected value is probably mismeasured; warn, do not fail.
-COMPOSE_TOLERANCE = 0.01
 
 
 class NodeState(str, enum.Enum):
@@ -53,35 +43,12 @@ class NodeState(str, enum.Enum):
 
 
 @dataclass(frozen=True)
-class ComponentPower:
-    """Measured draw of one hardware component in each node state."""
-
-    name: str
-    transmit_mw: float
-    sleep_mw: float
-
-    def __post_init__(self) -> None:
-        if self.transmit_mw < 0 or self.sleep_mw < 0:
-            raise ValueError(f"{self.name}: power figures must be non-negative")
-        if self.sleep_mw > self.transmit_mw:
-            raise ValueError(
-                f"{self.name}: sleep power {self.sleep_mw} mW exceeds "
-                f"transmit power {self.transmit_mw} mW"
-            )
-
-
-@dataclass(frozen=True)
 class PowerProfile:
-    """Total node draw per state for one hardware permutation.
-
-    When a component list is attached the profile-level totals stay
-    authoritative; measured totals and component sums can disagree.
-    """
+    """Total node draw per state for one hardware permutation."""
 
     name: str
     transmit_mw: float
     sleep_mw: float
-    components: tuple[ComponentPower, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.transmit_mw <= 0:
@@ -258,53 +225,7 @@ def build_urban_scenario() -> Scenario:
     return Scenario(tuple(segments))
 
 
-def compose_profile(
-    components: Sequence[ComponentPower],
-    name: str,
-    expected_transmit_mw: float | None = None,
-    expected_sleep_mw: float | None = None,
-) -> PowerProfile:
-    """Sum per-component draws into a profile, keeping the component list.
-
-    If expected totals are supplied (e.g. a measured whole-node figure)
-    and the component sum deviates from them by more than 1%, a warning
-    is emitted; measured totals stay authoritative elsewhere.
-    """
-    if not components:
-        raise ValueError("component list is empty")
-    transmit = sum(c.transmit_mw for c in components)
-    sleep = sum(c.sleep_mw for c in components)
-    for label, total, expected in (
-        ("transmit", transmit, expected_transmit_mw),
-        ("sleep", sleep, expected_sleep_mw),
-    ):
-        if expected is not None and expected > 0:
-            deviation = abs(total - expected) / expected
-            if deviation > COMPOSE_TOLERANCE:
-                warnings.warn(
-                    f"{name}: component {label} sum {total:.2f} mW deviates "
-                    f"{deviation:.1%} from the expected {expected:.2f} mW",
-                    stacklevel=2,
-                )
-    return PowerProfile(name, transmit, sleep, tuple(components))
-
-
-# Per-component measurements, bit-exact as recorded.
-BUILTIN_COMPONENTS: dict[str, ComponentPower] = {
-    c.name: c
-    for c in (
-        ComponentPower("microphone", 0.35, 0.35),
-        ComponentPower("amplifier", 0.20, 0.20),
-        ComponentPower("threshold", 0.07, 0.07),
-        ComponentPower("nodemcu", 91.84, 16.76),
-        ComponentPower("wifi-radio", 265.75, 0.00),
-        ComponentPower("ble-radio", 49.02, 8.47),
-        ComponentPower("zigbee-radio", 33.68, 0.07),
-    )
-}
-
-# Whole-prototype measurements; these totals are authoritative even where
-# they disagree with the component sums.
+# Whole-prototype measurements, bit-exact as recorded.
 BUILTIN_PROFILES: dict[str, PowerProfile] = {
     p.name: p
     for p in (

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -148,6 +150,23 @@ class TestCommands:
         rows = (out / results["coherence_csv"]).read_text().splitlines()
         assert rows[0] == "frequency_hz,coherence,envelope"
         assert len(rows) == results["bins"] + 1
+
+    def test_ranking_csv_quotes_names(self, tmp_path):
+        mics = tmp_path / "mics.csv"
+        mics.write_text(
+            "name,power_mw,accuracy,configuration,supply_min_v,supply_max_v\n"
+            '"Knowles, SPU0410",0.12,0.7,analog,1.5,3.6\n'
+            'Mic "B",0.2,0.6,digital,1.6,3.6\n'
+        )
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "rank-mics", str(mics), "--analog"]) == 0
+        text = (out / "ranking.csv").read_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert sorted(row[1] for row in rows[1:]) == ["Knowles, SPU0410", 'Mic "B"']
+        rewritten = io.StringIO()
+        csv.writer(rewritten, lineterminator="\n").writerows(rows)
+        assert rewritten.getvalue() == text
 
     def test_calibrate_fits_model_points(self, tmp_path, capsys):
         adc = np.linspace(380.0, 1000.0, 12).tolist()

@@ -261,3 +261,21 @@ class TestCsvLoaders:
         path.write_text("adc_value,spl_db\n400,60.5\n500,nan\n")
         with pytest.raises(ConfigError, match="points.csv:3: spl_db must be a finite number"):
             load_cal_points(path)
+
+    def test_spaced_header_reads_every_column(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("adc_value, spl_db\n400, 60.5\n500,80.0\n")
+        points = load_cal_points(path)
+        assert [(p.adc_value, p.spl_db) for p in points] == [(400.0, 60.5), (500.0, 80.0)]
+
+    @pytest.mark.parametrize("row", ["400,60,99", "400"])
+    def test_row_with_wrong_field_count_rejected(self, tmp_path, row):
+        path = tmp_path / "points.csv"
+        path.write_text(f"adc_value,spl_db\n500,80.0\n{row}\n")
+        with pytest.raises(ConfigError, match=r"points.csv:3: expected 2 fields, got"):
+            load_cal_points(path)
+
+    def test_blank_rows_skipped(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_text("adc_value,spl_db\n\n400,60.5\n\n500,80.0\n")
+        assert len(load_cal_points(path)) == 2

@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wakenode import (
-    BUILTIN_COMPONENTS,
     BUILTIN_PROFILES,
     BinarySignal,
     CircuitParams,
-    ComponentPower,
     NodeConfig,
     NodeState,
     PowerProfile,
@@ -18,7 +16,6 @@ from wakenode import (
     amplify,
     battery_lifetime_days,
     build_urban_scenario,
-    compose_profile,
     envelope_detect,
     savings_percent,
     simulate,
@@ -66,13 +63,6 @@ def random_profile(rng: np.random.Generator) -> PowerProfile:
 
 
 class TestTypes:
-    def test_component_rejects_sleep_above_transmit(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            ComponentPower("x", 1.0, 2.0)
-
-    def test_component_allows_equal_draws(self):
-        ComponentPower("mic", 0.35, 0.35)
-
     def test_profile_requires_strict_headroom(self):
         with pytest.raises(ValueError, match="below"):
             PowerProfile("x", 1.0, 1.0)
@@ -96,17 +86,6 @@ class TestTypes:
         assert BUILTIN_PROFILES["zigbee"].sleep_mw == 16.83
         assert ZIGBEE_STANDALONE.transmit_mw == 34.30
         assert ZIGBEE_STANDALONE.sleep_mw == 1.00
-
-    def test_builtin_components_are_bit_exact(self):
-        assert BUILTIN_COMPONENTS["nodemcu"].transmit_mw == 91.84
-        assert BUILTIN_COMPONENTS["nodemcu"].sleep_mw == 16.76
-        assert BUILTIN_COMPONENTS["wifi-radio"].transmit_mw == 265.75
-        assert BUILTIN_COMPONENTS["wifi-radio"].sleep_mw == 0.00
-        assert BUILTIN_COMPONENTS["ble-radio"].transmit_mw == 49.02
-        assert BUILTIN_COMPONENTS["zigbee-radio"].transmit_mw == 33.68
-        assert BUILTIN_COMPONENTS["microphone"].transmit_mw == 0.35
-        assert BUILTIN_COMPONENTS["amplifier"].transmit_mw == 0.20
-        assert BUILTIN_COMPONENTS["threshold"].transmit_mw == 0.07
 
 
 class TestSimulate:
@@ -342,50 +321,3 @@ class TestUrbanScenario:
         labels = [s.label for s in build_urban_scenario().segments if s.sound_present]
         assert labels == ["human", "nature", "music", "mechanical"]
 
-
-class TestComposeProfile:
-    def test_ble_prototype_row(self):
-        profile = compose_profile(
-            [BUILTIN_COMPONENTS["nodemcu"], BUILTIN_COMPONENTS["ble-radio"]], "ble"
-        )
-        assert profile.transmit_mw == pytest.approx(140.86)
-        assert profile.sleep_mw == pytest.approx(25.23)
-        assert profile.components is not None and len(profile.components) == 2
-
-    def test_wifi_prototype_row(self):
-        profile = compose_profile(
-            [BUILTIN_COMPONENTS["nodemcu"], BUILTIN_COMPONENTS["wifi-radio"]], "wifi"
-        )
-        assert profile.transmit_mw == pytest.approx(357.59)
-        assert profile.sleep_mw == pytest.approx(16.76)
-
-    def test_single_component_passthrough(self):
-        mcu = BUILTIN_COMPONENTS["nodemcu"]
-        profile = compose_profile([mcu], "mcu-only")
-        assert profile.transmit_mw == mcu.transmit_mw
-        assert profile.sleep_mw == mcu.sleep_mw
-
-    def test_warns_when_sum_disagrees_with_measured_total(self):
-        # the zigbee prototype measured 160.43 mW but components sum to 125.52
-        with pytest.warns(UserWarning, match="deviates"):
-            compose_profile(
-                [BUILTIN_COMPONENTS["nodemcu"], BUILTIN_COMPONENTS["zigbee-radio"]],
-                "zigbee",
-                expected_transmit_mw=160.43,
-            )
-
-    def test_no_warning_when_totals_agree(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            compose_profile(
-                [BUILTIN_COMPONENTS["nodemcu"], BUILTIN_COMPONENTS["ble-radio"]],
-                "ble",
-                expected_transmit_mw=140.86,
-                expected_sleep_mw=25.23,
-            )
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            compose_profile([], "nothing")
