@@ -7,7 +7,14 @@ analog chain), ``calibrate`` (fit the ADC-to-dB curve), and ``rank-mics``
 embedding the effective configuration, so results are reproducible from
 their own output. The two files are published together or not at all:
 each is written to a temp file in the output directory and renamed into
-place, and a run that fails (exit status 1) leaves no file it wrote.
+place, and a run that fails (exit status 1) leaves no file it wrote. CSV
+rows are written to the temp file as they are formatted, not joined first.
+
+``simulate --wav`` streams the recording through the analog chain in
+fixed-size chunks (:func:`wakenode.frontend.stream_chunk_samples`), each
+stage carrying its state across chunk boundaries, so its memory does not
+grow with the recording's length and its outputs are those of one pass
+over the whole recording.
 """
 
 from __future__ import annotations
@@ -22,13 +29,16 @@ import sys
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import __version__
 from .calibrate import CalibrationDomainError, FitError, adc_to_db, fit_curve
 from .coherence import (
     AlignmentError,
     RankedMic,
+    ScoreBreakdown,
     rank_microphones,
     score_with_details,
 )
@@ -40,23 +50,32 @@ from .config import (
     load_run_config,
     load_scenario,
 )
-from .frontend import amplify, envelope_detect, threshold_out
+from .frontend import (
+    CircuitParams,
+    EnvelopeCarry,
+    amplify,
+    envelope_detect,
+    stream_chunk_samples,
+    threshold_out,
+)
 from .powersim import (
     BUILTIN_PROFILES,
     NodeConfig,
     Scenario,
     ScenarioSegment,
     SimTrace,
+    WakeRuns,
     battery_lifetime_days,
     build_urban_scenario,
     savings_percent,
     simulate,
-    simulate_from_wake,
 )
 from .signals import Signal
-from .wavio import WavFormatError, read_wav
+from .wavio import WavFormatError, WavReader, read_wav
 
 CONFIG_ENV_VAR = "WAKENODE_CONFIG"
+# rows per string of a streamed coherence CSV
+CSV_BLOCK_ROWS = 4096
 
 MIN_SOURCE_RATE_HZ = 8_000.0
 PREFERRED_SOURCE_RATE_HZ = 16_000.0
@@ -108,22 +127,24 @@ def _to_json(value: Any) -> str:
     return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _publish(out_dir: Path, files: dict[str, str]) -> None:
+def _publish(out_dir: Path, files: dict[str, Iterable[str]]) -> None:
     """Write every file into ``out_dir``, in order, or none of them.
 
-    Each text goes to a hidden temp file that is then renamed into place.
-    On any failure the temp files and the files already renamed are
-    removed, and an OSError becomes ``E_OUTPUT``. Mode "x" creates the temp
-    files with the permissions a plain write gives (0644 under umask 022).
+    Each file's text chunks are written, as they are produced, to a hidden
+    temp file that is then renamed into place. On any failure, including
+    one raised while a chunk is produced, the temp files and the files
+    already renamed are removed, and an OSError becomes ``E_OUTPUT``. Mode
+    "x" creates the temp files with the permissions a plain write gives
+    (0644 under umask 022).
     """
     written: list[Path] = []  # what this call has put on disk
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in files.items():
+        for name, chunks in files.items():
             tmp = out_dir / f".{name}.{os.urandom(4).hex()}.tmp"
             with open(tmp, "x") as fh:
                 written.append(tmp)
-                fh.write(text)
+                fh.writelines(chunks)
         for i, name in enumerate(files):
             os.replace(written[i], out_dir / name)
             written[i] = out_dir / name
@@ -142,10 +163,10 @@ def _finish(
     inputs: dict[str, Any],
     results: dict[str, Any],
     csv_name: str,
-    csv_lines: list[str],
+    csv_text: Iterable[str],
 ) -> dict[str, Any]:
-    """Build a command's report, then publish its CSV (header line first)
-    and the report.
+    """Build a command's report, then publish its CSV, streamed from the
+    text chunks of ``csv_text`` (header line first), and the report.
 
     The report is serialised as strict JSON before any file is opened.
     """
@@ -157,10 +178,9 @@ def _finish(
         "results": {**results, f"{csv_name.removesuffix('.csv')}_csv": csv_name},
     }
     text = _to_json(report) + "\n"
-    csv_text = "".join(line + "\n" for line in csv_lines)
     _publish(
         Path(cfg.out_dir),
-        {csv_name: csv_text, f"{command.replace('-', '_')}_report.json": text},
+        {csv_name: csv_text, f"{command.replace('-', '_')}_report.json": (text,)},
     )
     return report
 
@@ -194,13 +214,6 @@ def cmd_coherence(source_wav: str, recording_wav: str, cfg: RunConfig) -> dict[s
 
     details = score_with_details(source, recording, cfg.welch)
 
-    lines = ["frequency_hz,coherence,envelope"]
-    lines.extend(
-        f"{_format(f)},{_format(v)},{_format(e)}"
-        for f, v, e in zip(
-            details.estimate.frequencies_hz, details.estimate.values, details.envelope
-        )
-    )
     inputs = {
         "source_wav": _input_entry(source_wav),
         "recording_wav": _input_entry(recording_wav),
@@ -211,7 +224,19 @@ def cmd_coherence(source_wav: str, recording_wav: str, cfg: RunConfig) -> dict[s
         "bins": len(details.estimate.values),
         "warnings": warnings,
     }
-    return _finish("coherence", cfg, inputs, results, "coherence.csv", lines)
+    return _finish("coherence", cfg, inputs, results, "coherence.csv", _coherence_csv(details))
+
+
+def _coherence_csv(details: ScoreBreakdown) -> Iterator[str]:
+    """Header, then the rows, a block of rows per string."""
+    yield "frequency_hz,coherence,envelope\n"
+    table = np.column_stack(
+        (details.estimate.frequencies_hz, details.estimate.values, details.envelope)
+    )
+    for start in range(0, len(table), CSV_BLOCK_ROWS):
+        block = table[start : start + CSV_BLOCK_ROWS]
+        # %r of a Python float is repr(), as _format gives
+        yield ("%r,%r,%r\n" * len(block)) % tuple(block.ravel().tolist())
 
 
 def _silence_scenario() -> Scenario:
@@ -226,16 +251,40 @@ def _resolve_scenario(name_or_path: str) -> Scenario:
     return load_scenario(name_or_path)
 
 
-def _trace_lines(trace: SimTrace, node: NodeConfig) -> list[str]:
+def _trace_csv(trace: SimTrace, node: NodeConfig) -> Iterator[str]:
     power = {
         "sleep": node.profile.sleep_mw,
         "transmit": node.profile.transmit_mw,
     }
-    return ["t_start_s,t_end_s,state,power_mw"] + [
-        f"{_format(iv.t_start_s)},{_format(iv.t_end_s)},{iv.state.value},"
-        f"{_format(power[iv.state.value])}"
-        for iv in trace.timeline
-    ]
+    yield "t_start_s,t_end_s,state,power_mw\n"
+    for iv in trace.timeline:
+        yield (
+            f"{_format(iv.t_start_s)},{_format(iv.t_end_s)},{iv.state.value},"
+            f"{_format(power[iv.state.value])}\n"
+        )
+
+
+def _simulate_wav(
+    wav_path: str, circuit: CircuitParams, node: NodeConfig, threshold_v: float, mic_scale_v: float
+) -> SimTrace:
+    """Stream a recording through the analog chain, one chunk at a time.
+
+    Each stage carries its state across chunk boundaries, so the trace is
+    that of the whole recording while only one chunk of each stage's
+    samples is held.
+    """
+    with WavReader(wav_path) as wav:
+        rate = wav.sample_rate_hz
+        envelope = EnvelopeCarry()
+        runs = WakeRuns(rate)
+        # one name for every stage: rebinding it frees each stage's input
+        # as soon as the next stage's output exists
+        for chain in wav.chunks(stream_chunk_samples(circuit, rate)):
+            chain = Signal(chain.samples * mic_scale_v, rate)
+            chain = amplify(chain, circuit)
+            chain = envelope_detect(chain, circuit, envelope)
+            runs.feed(threshold_out(chain, threshold_v))
+    return runs.trace(node)
 
 
 def cmd_simulate(
@@ -258,15 +307,8 @@ def cmd_simulate(
 
     inputs: dict[str, Any] = {}
     if wav_path is not None:
-        # one name for every stage of the chain: rebinding it frees each
-        # stage's input as soon as the next stage's output exists
-        chain = read_wav(wav_path)
+        trace = _simulate_wav(wav_path, cfg.circuit, node, threshold_v, mic_scale_v)
         inputs["wav"] = _input_entry(wav_path)
-        chain = Signal(chain.samples * mic_scale_v, chain.sample_rate_hz)
-        chain = amplify(chain, cfg.circuit)
-        chain = envelope_detect(chain, cfg.circuit)
-        wake = threshold_out(chain, threshold_v)
-        trace = simulate_from_wake(wake, node)
         source_desc = {"kind": "wav", "threshold_v": threshold_v, "mic_scale_v": mic_scale_v}
     else:
         assert scenario_name is not None
@@ -293,7 +335,7 @@ def cmd_simulate(
         "savings_percent": savings_percent(node.profile),
     }
     return _finish(
-        "simulate", replace(cfg, node=node), inputs, results, "trace.csv", _trace_lines(trace, node)
+        "simulate", replace(cfg, node=node), inputs, results, "trace.csv", _trace_csv(trace, node)
     )
 
 
@@ -301,12 +343,12 @@ def cmd_calibrate(points_csv: str, cfg: RunConfig) -> dict[str, Any]:
     points = load_cal_points(points_csv)
     curve, r2 = fit_curve(points)
 
-    lines = ["adc_value,spl_db,predicted_db,residual_db"]
+    lines = ["adc_value,spl_db,predicted_db,residual_db\n"]
     for p in points:
         predicted = adc_to_db(p.adc_value, curve)
         lines.append(
             f"{_format(p.adc_value)},{_format(p.spl_db)},"
-            f"{_format(predicted)},{_format(p.spl_db - predicted)}"
+            f"{_format(predicted)},{_format(p.spl_db - predicted)}\n"
         )
     results = {
         "curve": {"a": curve.a, "b": curve.b, "c": curve.c, "d": curve.d},
@@ -325,7 +367,7 @@ def _csv_field(text: str) -> str:
 
 
 def _ranking_lines(ranking: list[RankedMic]) -> list[str]:
-    lines = ["rank,name,accuracy,power_mw,eligible,reasons"]
+    lines = ["rank,name,accuracy,power_mw,eligible,reasons\n"]
     for entry in ranking:
         c = entry.candidate
         rank = str(entry.rank) if entry.rank is not None else ""
@@ -333,7 +375,7 @@ def _ranking_lines(ranking: list[RankedMic]) -> list[str]:
         reasons = "; ".join(entry.reasons)
         lines.append(
             f"{rank},{_csv_field(c.name)},{_format(c.accuracy)},{_format(c.power_mw)},"
-            f"{eligible},{_csv_field(reasons)}"
+            f"{eligible},{_csv_field(reasons)}\n"
         )
     return lines
 

@@ -9,7 +9,7 @@ ideal (zero drop) with a configurable constant drop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,7 +22,9 @@ __all__ = [
     "amplifier_gain",
     "common_mode",
     "amplify",
+    "EnvelopeCarry",
     "envelope_detect",
+    "stream_chunk_samples",
     "threshold_out",
     "gain_db",
 ]
@@ -36,6 +38,9 @@ __all__ = [
 SCAN_BLOCK = 65_536
 SCAN_MAX_EXPONENT = 600.0
 SCAN_MIN_BLOCK = 200
+# Samples per chunk of a recording streamed through the chain, before
+# rounding down to whole scan blocks: 1 MiB per float64 stage.
+STREAM_CHUNK_SAMPLES = 2 * SCAN_BLOCK
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,48 @@ def amplify(s: Signal, p: CircuitParams) -> Signal:
     return Signal(out, s.sample_rate_hz)
 
 
-def envelope_detect(s: Signal, p: CircuitParams) -> Signal:
+def _decay(p: CircuitParams, sample_rate_hz: float) -> float:
+    """Per-sample decay factor of the detector state: exp(-1 / (fs * r5 * c5))."""
+    return math.exp(-1.0 / (sample_rate_hz * p.r5_ohm * p.c5_f))
+
+
+def _scan_block(decay: float) -> int:
+    """Block length of the block prefix-max scan, or 0 where it does not run."""
+    if decay in (0.0, 1.0):
+        return 0
+    k = -math.log(decay)
+    if k * SCAN_MIN_BLOCK > SCAN_MAX_EXPONENT:
+        return 0
+    return min(SCAN_BLOCK, int(SCAN_MAX_EXPONENT / k))
+
+
+def stream_chunk_samples(p: CircuitParams, sample_rate_hz: float) -> int:
+    """Samples per chunk when a recording is streamed through :func:`envelope_detect`.
+
+    :data:`STREAM_CHUNK_SAMPLES` rounded down to whole scan blocks, so the
+    block boundaries, and with them the output's bits, are those of one
+    call on the whole recording.
+    """
+    block = _scan_block(_decay(p, sample_rate_hz))
+    return STREAM_CHUNK_SAMPLES // block * block if block else STREAM_CHUNK_SAMPLES
+
+
+@dataclass
+class EnvelopeCarry:
+    """Detector state :func:`envelope_detect` carries from one chunk of a
+    recording to the next.
+
+    ``level`` is the last level of the block scan, or the running maximum
+    when ``decay`` rounds to 1. ``tail`` holds the log-step scan's last
+    ``2**passes - 1`` input samples, every lag a pass reads back across the
+    chunk boundary.
+    """
+
+    level: float = 0.0
+    tail: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
+
+
+def envelope_detect(s: Signal, p: CircuitParams, carry: EnvelopeCarry | None = None) -> Signal:
     """Peak detector with exponential decay, followed by the output divider.
 
     The internal state charges instantly to (input - diode drop) when that
@@ -141,35 +187,36 @@ def envelope_detect(s: Signal, p: CircuitParams) -> Signal:
     ``decay**lag`` underflows, after about ``745 / k`` lags. The output
     matches the per-sample recurrence to a relative 1e-9 of the detector
     state wherever that is a normal float (above ~2.2e-308).
+
+    A recording can be passed in consecutive chunks that share one
+    ``carry``; with chunks of :func:`stream_chunk_samples` samples (the last
+    may be shorter) the outputs joined are bit for bit the output of one
+    call on the whole recording. Without ``carry`` the call is a whole
+    recording.
     """
     if len(s) == 0:
         raise ValueError("cannot detect the envelope of an empty signal")
-    tau_s = p.r5_ohm * p.c5_f
-    decay = math.exp(-1.0 / (s.sample_rate_hz * tau_s))
-    # the scan runs in place in the output buffer
-    state = s.samples - p.diode_drop_v
+    if carry is None:
+        carry = EnvelopeCarry()
+    decay = _decay(p, s.sample_rate_hz)
+    block = _scan_block(decay)
+    # the scan runs in place in the output buffer, behind the carried tail
+    # of the log-step scan (empty for the other scans)
+    carried = len(carry.tail)
+    state = np.empty(carried + len(s))
+    state[:carried] = carry.tail
+    np.subtract(s.samples, p.diode_drop_v, out=state[carried:])
 
-    # level[-1] = 0 is only folded in by the block scan: a level below zero
-    # gives the same clamped output as zero
+    # level[-1] = 0 is folded into the first sample of the scans that carry
+    # a level: a level below zero gives the same clamped output as zero
     if decay == 1.0:
         # fs * tau so large that decay rounds to 1: a plain running max
+        state[0] = max(state[0], carry.level)
         np.maximum.accumulate(state, out=state)
-    elif decay == 0.0 or -math.log(decay) * SCAN_MIN_BLOCK > SCAN_MAX_EXPONENT:
-        # short time constant: after the pass at lag d every sample holds
-        # the max over lags 0..2d-1; decay == 0.0 (exp underflows) holds
-        # nothing from one sample to the next, so the level is the drive
-        lag = 1
-        while lag < len(state):
-            factor = decay**lag
-            if factor == 0.0:
-                break
-            np.maximum(state[lag:], state[:-lag] * factor, out=state[lag:])
-            lag *= 2
-    else:
-        k = -math.log(decay)
-        block = min(SCAN_BLOCK, int(SCAN_MAX_EXPONENT / k))
-        ramp = np.exp(k * np.arange(block))
-        level = 0.0
+        carry.level = state[-1]
+    elif block:
+        ramp = np.exp(-math.log(decay) * np.arange(block))
+        level = carry.level
         for start in range(0, len(state), block):
             chunk = state[start : start + block]
             scale = ramp[: len(chunk)]
@@ -178,6 +225,21 @@ def envelope_detect(s: Signal, p: CircuitParams) -> Signal:
             np.maximum.accumulate(chunk, out=chunk)
             chunk /= scale
             level = chunk[-1]
+        carry.level = level
+    else:
+        # short time constant: after the pass at lag d every sample holds
+        # the max over lags 0..2d-1, so the last 2d-1 inputs are carried;
+        # decay == 0.0 (exp underflows) holds nothing from one sample to
+        # the next, so the level is the drive
+        lags, lag = [], 1
+        while decay**lag != 0.0:
+            lags.append(lag)
+            lag *= 2
+        keep = 2 * lags[-1] - 1 if lags else 0
+        carry.tail = state[max(len(state) - keep, 0) :].copy()
+        for lag in lags:
+            np.maximum(state[lag:], state[:-lag] * decay**lag, out=state[lag:])
+        state = state[carried:]
 
     state -= p.diode_drop_v
     np.maximum(state, 0.0, out=state)

@@ -3,9 +3,9 @@ duty-cycle and savings computation, and battery-lifetime projection.
 
 The simulator is event-driven over segment boundaries (exact interval
 arithmetic). The wake-signal bridge finds the comparator's low runs with
-array edge detection and then works per run, not per sample. All inputs
-are immutable, so independent scenario/profile sweeps can run
-concurrently.
+array edge detection, chunk by chunk, and then works per run, not per
+sample. All inputs are immutable, so independent scenario/profile sweeps
+can run concurrently.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ __all__ = [
     "SimTrace",
     "simulate",
     "simulate_from_wake",
+    "WakeRuns",
     "savings_percent",
     "battery_lifetime_days",
     "build_urban_scenario",
@@ -178,29 +179,64 @@ def simulate(scenario: Scenario, config: NodeConfig) -> SimTrace:
     return _trace_from_wake_intervals(_merge_intervals(wake), total_s, config)
 
 
+class WakeRuns:
+    """Low runs of a comparator output that arrives in consecutive chunks.
+
+    Edge detection carries two things across a chunk boundary: whether the
+    previous chunk ended low, and the sample offset of the next chunk.
+    """
+
+    def __init__(self, sample_rate_hz: float) -> None:
+        self.sample_rate_hz = sample_rate_hz
+        self._samples = 0
+        self._ended_low = False
+        # indices where the level changes, alternating: run start, run end
+        # (one past its last low sample), run start, ...
+        self._edges: list[np.ndarray] = []
+
+    def feed(self, wake: BinarySignal) -> None:
+        """Take the next chunk of the comparator output."""
+        if wake.sample_rate_hz != self.sample_rate_hz:
+            raise ValueError(
+                f"chunk sample rate {wake.sample_rate_hz} is not {self.sample_rate_hz}"
+            )
+        # with the previous chunk's last level in front, change index i is
+        # the chunk's first sample at the new level
+        low = np.empty(len(wake) + 1, dtype=bool)
+        low[0] = self._ended_low
+        np.invert(wake.samples, out=low[1:])
+        self._edges.append(np.flatnonzero(np.diff(low.view(np.int8))) + self._samples)
+        self._ended_low = bool(low[-1])
+        self._samples += len(wake)
+
+    def trace(self, config: NodeConfig) -> SimTrace:
+        """Run the node over every chunk fed so far, as :func:`simulate_from_wake`."""
+        if self._samples == 0:
+            raise ValueError("wake signal is empty")
+        dt = 1.0 / self.sample_rate_hz
+        total_s = self._samples * dt
+        # a run still low at the last sample ends one past it
+        closing = [np.array([self._samples])] if self._ended_low else []
+        edges = np.concatenate(self._edges + closing)
+        starts = edges[0::2] * dt
+        # the hold runs from the first high sample; a run still low at the
+        # last sample ends at total_s (len * dt + hold is never below total_s)
+        ends = np.minimum(edges[1::2] * dt + config.hold_time_s, total_s)
+        intervals = list(zip(starts.tolist(), ends.tolist()))
+        return _trace_from_wake_intervals(_merge_intervals(intervals), total_s, config)
+
+
 def simulate_from_wake(wake: BinarySignal, config: NodeConfig) -> SimTrace:
     """Run the node from a comparator output signal.
 
     Low samples (active-low interrupt) mark transmit; each low run is
     extended by the hold time after its release edge. Energy accounting
-    is identical to :func:`simulate`.
+    is identical to :func:`simulate`. This is :class:`WakeRuns` fed the
+    whole signal as one chunk.
     """
-    if len(wake) == 0:
-        raise ValueError("wake signal is empty")
-    dt = 1.0 / wake.sample_rate_hz
-    total_s = len(wake) * dt
-
-    # With a high sample padded on at each end, every low run begins and
-    # ends with a level change, so the change indices alternate: run start,
-    # run end (one past its last low sample), run start, ...
-    low = np.concatenate(([False], ~wake.samples, [False]))
-    edges = np.flatnonzero(np.diff(low.view(np.int8)))
-    starts = edges[0::2] * dt
-    # the hold runs from the first high sample; a run still low at the last
-    # sample ends at total_s (len * dt + hold is never below total_s)
-    ends = np.minimum(edges[1::2] * dt + config.hold_time_s, total_s)
-    intervals = list(zip(starts.tolist(), ends.tolist()))
-    return _trace_from_wake_intervals(_merge_intervals(intervals), total_s, config)
+    runs = WakeRuns(wake.sample_rate_hz)
+    runs.feed(wake)
+    return runs.trace(config)
 
 
 def savings_percent(profile: PowerProfile) -> float:

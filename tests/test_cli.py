@@ -4,15 +4,27 @@ import json
 import math
 import os
 import stat
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from wakenode import BUILTIN_PROFILES, adc_to_db
-from wakenode.cli import _finish, data_path, main
-from wakenode.config import RunConfig, parse_run_config
+from wakenode import (
+    BUILTIN_PROFILES,
+    Signal,
+    adc_to_db,
+    amplify,
+    envelope_detect,
+    read_wav,
+    simulate_from_wake,
+    threshold_out,
+)
+from wakenode.cli import _finish, _trace_csv, data_path, main
+from wakenode.config import RunConfig, load_run_config, parse_run_config
+from wakenode.frontend import stream_chunk_samples
 
 from conftest import add_noise_at_snr, shift_right
 
@@ -68,7 +80,7 @@ class TestNonFiniteInputs:
     def test_report_writer_refuses_non_json_numbers(self, tmp_path, value):
         cfg = RunConfig(out_dir=str(tmp_path))
         with pytest.raises(ValueError):
-            _finish("simulate", cfg, {}, {"lifetime_days": value}, "trace.csv", ["t", "0"])
+            _finish("simulate", cfg, {}, {"lifetime_days": value}, "trace.csv", ["t\n", "0\n"])
         assert not (tmp_path / "simulate_report.json").exists()
         assert list(tmp_path.iterdir()) == []
 
@@ -99,6 +111,18 @@ class TestAtomicOutput:
         assert sorted(os.listdir(out)) == ["rank_mics_report.json", "ranking.csv"]
         for name in os.listdir(out):
             assert stat.S_IMODE((out / name).stat().st_mode) == mode
+
+
+    def test_csv_that_fails_midway_leaves_no_file(self, tmp_path):
+        def rows():
+            yield "t\n"
+            yield "0\n"
+            raise RuntimeError("row formatting failed")
+
+        cfg = RunConfig(out_dir=str(tmp_path))
+        with pytest.raises(RuntimeError, match="row formatting"):
+            _finish("simulate", cfg, {}, {}, "trace.csv", rows())
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestGoldens:
@@ -183,3 +207,94 @@ class TestCommands:
         assert rows[0] == "adc_value,spl_db,predicted_db,residual_db"
         assert len(rows) == 13
         assert max(abs(float(row.split(",")[3])) for row in rows[1:]) < 0.05
+
+
+# ----------------------------------------------------------------------
+# simulate --wav streams the recording through the chain in chunks
+
+RATE = 16_000
+# a loud stretch over the first chunk boundary of every time constant
+# below: 130 800 samples (600-sample scan blocks) or 131 072
+BURST = (130_700, 131_300)
+
+
+def write_int16(path: Path, x: np.ndarray) -> None:
+    wavfile.write(path, RATE, np.round(np.clip(x, -1.0, 1.0) * 32767).astype(np.int16))
+
+
+def bursty(n: int, seed: int) -> np.ndarray:
+    """Quiet noise with loud stretches across the first chunk boundaries and at the end."""
+    x = np.random.default_rng(seed).normal(scale=0.002, size=n)
+    x[min(BURST[0], n // 2) : BURST[1]] += 0.9
+    x[-40:] += 0.9
+    return x
+
+
+def whole_array_outputs(wav: Path, config: str) -> tuple[str, float, np.ndarray]:
+    """trace.csv text, duty cycle and wake samples from whole-array calls."""
+    cfg = load_run_config(config)
+    audio = read_wav(wav)
+    chain = amplify(Signal(audio.samples * 0.01, audio.sample_rate_hz), cfg.circuit)
+    wake = threshold_out(envelope_detect(chain, cfg.circuit), 0.022)
+    trace = simulate_from_wake(wake, cfg.node)
+    return "".join(_trace_csv(trace, cfg.node)), trace.duty_cycle, wake.samples
+
+
+class TestSimulateWavStreaming:
+    # fs * tau: 1.44e6 (the default board) and 1440 take 65536-sample scan
+    # blocks, 1 takes 600-sample blocks (130800-sample chunks), 0.3 to 0.002
+    # the log-step scan, and 1.6e23 rounds decay to 1
+    @pytest.mark.parametrize("fs_tau", [1.44e6, 1440.0, 1.0, 0.3, 0.05, 0.002, 1.6e23])
+    @pytest.mark.parametrize("samples", [300_000, 1_000])
+    def test_trace_matches_whole_array_chain(self, tmp_path, capsys, fs_tau, samples):
+        wav = tmp_path / "a.wav"
+        write_int16(wav, bursty(samples, seed=samples))
+        config = write_config(tmp_path, f"circuit:\n  c5_f: {fs_tau / (RATE * 1e7):.17e}\n")
+        out = tmp_path / "out"
+        assert main(["--config", config, "--out-dir", str(out), "simulate", "--wav", str(wav)]) == 0
+        trace_csv, duty, wake = whole_array_outputs(wav, config)
+        assert (out / "trace.csv").read_text() == trace_csv
+        assert json.loads(capsys.readouterr().out)["duty_cycle"] == duty
+        assert not wake[-1]  # a run still low at the last sample
+        chunk = stream_chunk_samples(load_run_config(config).circuit, RATE)
+        if samples > chunk:  # a low run across the first chunk boundary
+            assert not wake[chunk - 1] and not wake[chunk]
+
+    def test_truncated_data_warns_once(self, tmp_path, capsys):
+        wav = tmp_path / "a.wav"
+        write_int16(wav, bursty(300_000, seed=1))
+        wav.write_bytes(wav.read_bytes()[:-1])
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(["--out-dir", str(tmp_path / "out"), "simulate", "--wav", str(wav)]) == 0
+        assert [w.category for w in record] == [UserWarning]
+        assert "file holds" in str(record[0].message)
+
+    def test_nan_in_a_later_chunk_leaves_no_output(self, tmp_path, capsys):
+        wav = tmp_path / "a.wav"
+        x = np.random.default_rng(2).normal(scale=0.002, size=300_000).astype(np.float32)
+        x[200_000] = np.nan  # in the second chunk
+        wavfile.write(wav, RATE, x)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "simulate", "--wav", str(wav)]) == 1
+        assert "[E_INPUT]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_peak_memory_does_not_grow_with_length(self, tmp_path, capsys):
+        # the same four clicks in 60 s and in 240 s of quiet noise: the
+        # traces have the same rows, so only held samples could grow the peak
+        peaks = []
+        for seconds in (60, 240):
+            wav = tmp_path / f"{seconds}s.wav"
+            x = np.random.default_rng(3).normal(scale=0.002, size=seconds * RATE)
+            for t in (5, 20, 35, 50):
+                x[t * RATE : t * RATE + 8] += 0.8
+            write_int16(wav, x)
+            del x
+            tracemalloc.start()
+            try:
+                assert main(["--out-dir", str(tmp_path / "out"), "simulate", "--wav", str(wav)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 2**20, peaks

@@ -17,6 +17,9 @@ from wakenode import (
     threshold_out,
 )
 
+from wakenode import frontend
+from wakenode.frontend import EnvelopeCarry, stream_chunk_samples
+
 from conftest import tone
 
 positive = st.floats(1e-3, 1e9, allow_nan=False, allow_infinity=False)
@@ -217,6 +220,54 @@ class TestEnvelopeMatchesLoop:
         runs = np.count_nonzero(np.diff(wake.astype(np.int8)) == -1)
         assert runs > 100
         np.testing.assert_array_equal(wake, oracle)
+
+
+def envelope_in_chunks(x: np.ndarray, fs: float, p: CircuitParams, chunk: int) -> np.ndarray:
+    """envelope_detect over consecutive chunks of x that share one carry."""
+    carry = EnvelopeCarry()
+    return np.concatenate(
+        [envelope_detect(Signal(x[i : i + chunk], fs), p, carry).samples
+         for i in range(0, len(x), chunk)]
+    )
+
+
+def sparse_drive(n: int, seed: int) -> np.ndarray:
+    """Amplifier-range input, zero mostly, so the level decays across boundaries."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, 3.3, size=n) * (rng.random(n) < 0.05)
+
+
+class TestEnvelopeInChunks:
+    # fs * tau = 1 gives 600-sample blocks, four to a 2400-sample chunk;
+    # 0.002 to 0.3 take the log-step scan, 1e-4 underflows decay to 0.0
+    # and 1e20 rounds it to 1.0
+    @pytest.mark.parametrize("fs_tau", [1.0, 0.002, 0.05, 0.3, 1e-4, 1e20])
+    def test_stream_chunks_are_bit_identical(self, monkeypatch, fs_tau):
+        monkeypatch.setattr(frontend, "STREAM_CHUNK_SAMPLES", 2500)
+        p = CircuitParams(c5_f=fs_tau / (FS_HZ * 1e7), diode_drop_v=0.05)
+        chunk = stream_chunk_samples(p, FS_HZ)
+        assert chunk == (2400 if fs_tau == 1.0 else 2500)
+        x = sparse_drive(10_001, seed=int(fs_tau * 1000) % 97)
+        whole = envelope_detect(Signal(x, FS_HZ), p).samples
+        np.testing.assert_array_equal(envelope_in_chunks(x, FS_HZ, p, chunk), whole)
+
+    def test_full_scan_blocks_are_bit_identical(self):
+        # tau 90 ms at 16 kHz: 65536-sample blocks, two to a chunk
+        fs = 16_000.0
+        p = CircuitParams(c5_f=9e-9, diode_drop_v=0.05)
+        chunk = stream_chunk_samples(p, fs)
+        assert chunk == 2 * frontend.SCAN_BLOCK
+        x = amplify(Signal(clicks_like(20.0, fs, 600, seed=6) * 0.01, fs), p).samples
+        whole = envelope_detect(Signal(x, fs), p).samples
+        np.testing.assert_array_equal(envelope_in_chunks(x, fs, p, chunk), whole)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 255, 256, 1000])
+    @pytest.mark.parametrize("fs_tau", [0.002, 0.05, 0.3])
+    def test_log_step_scan_takes_any_chunk_length(self, fs_tau, chunk):
+        p = CircuitParams(c5_f=fs_tau / (FS_HZ * 1e7))
+        x = sparse_drive(3000, seed=chunk)
+        whole = envelope_detect(Signal(x, FS_HZ), p).samples
+        np.testing.assert_array_equal(envelope_in_chunks(x, FS_HZ, p, chunk), whole)
 
 
 class TestThresholdOut:

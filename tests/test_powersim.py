@@ -22,7 +22,7 @@ from wakenode import (
     simulate_from_wake,
     threshold_out,
 )
-from wakenode.powersim import SimTrace, _merge_intervals, _trace_from_wake_intervals
+from wakenode.powersim import SimTrace, WakeRuns, _merge_intervals, _trace_from_wake_intervals
 
 ZIGBEE_STANDALONE = BUILTIN_PROFILES["zigbee-standalone"]
 
@@ -270,6 +270,47 @@ class TestSimulateFromWake:
         wake = threshold_out(envelope, threshold_v)
         trace = simulate_from_wake(wake, NodeConfig(ZIGBEE_STANDALONE))
         assert 0.15 <= trace.duty_cycle <= 0.25
+
+
+class TestWakeRunsInChunks:
+    @pytest.mark.parametrize(
+        "pattern,splits",
+        [
+            ("1100001111", [4]),  # a low run across a chunk boundary
+            ("1100001111", [2, 6]),  # boundaries on the run's first and release edges
+            ("1111100000", [7]),  # a run still low at the last sample
+            ("0000000000", [1, 5, 9]),  # low throughout, across every chunk
+            ("1010110111", list(range(1, 10))),  # one sample per chunk
+            ("0110110100", [3]),
+        ],
+    )
+    @pytest.mark.parametrize("hold_time_s", [0.0, 0.02])
+    def test_chunks_give_the_whole_signal_trace(self, pattern, splits, hold_time_s):
+        samples = np.array([c == "1" for c in pattern])
+        config = NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_time_s)
+        runs = WakeRuns(100.0)
+        for part in np.split(samples, splits):
+            runs.feed(BinarySignal(part, 100.0))
+        assert runs.trace(config) == simulate_from_wake(BinarySignal(samples, 100.0), config)
+
+    def test_random_chunk_lengths_give_the_whole_signal_trace(self):
+        rng = np.random.default_rng(12)
+        samples = rng.random(5000) < 0.9  # many short low runs
+        config = NodeConfig(ZIGBEE_STANDALONE, hold_time_s=0.05)
+        whole = simulate_from_wake(BinarySignal(samples, 100.0), config)
+        for chunk in (1, 3, 64, 999, 5000):
+            runs = WakeRuns(100.0)
+            for start in range(0, samples.size, chunk):
+                runs.feed(BinarySignal(samples[start : start + chunk], 100.0))
+            assert runs.trace(config) == whole
+
+    def test_nothing_fed_is_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            WakeRuns(100.0).trace(NodeConfig(ZIGBEE_STANDALONE))
+
+    def test_chunk_at_another_rate_is_rejected(self):
+        with pytest.raises(ValueError, match="sample rate"):
+            WakeRuns(100.0).feed(BinarySignal(np.ones(3, dtype=bool), 50.0))
 
 
 class TestSavings:

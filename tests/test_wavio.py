@@ -6,6 +6,7 @@ import pytest
 from scipy.io import wavfile
 
 from wakenode import WavFormatError, read_wav, wavio
+from wakenode.wavio import WavReader
 
 
 def write_24bit_wav(path, rate: int, values: np.ndarray) -> None:
@@ -118,25 +119,38 @@ def rf64(fmt: bytes, samples: bytes) -> bytes:
     return b"RF64" + struct.pack("<I", 0xFFFFFFFF) + b"WAVE" + ds64 + fmt + data
 
 
+def container_samples(path):
+    """Rate and the samples in their container dtype, as the reader decodes them."""
+    with open(path, "rb") as fh:
+        layout = wavio._read_header(fh)
+        fh.seek(layout.start)
+        return layout.rate, wavio._decode(fh.read(layout.frames * layout.block_align), layout)
+
+
 def assert_matches_scipy(path):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # truncation, checked apart
         rate, expected = wavfile.read(path)
-        got_rate, got = wavio._parse(path.read_bytes())
+        got_rate, got = container_samples(path)
         decoded = read_wav(path).samples
     assert got_rate == rate
     assert got.dtype == expected.dtype
     assert got.shape == expected.shape
     assert np.array_equal(got, expected)
     # read_wav scales and averages exactly as it did on scipy's arrays
-    samples = expected.astype(np.float64)
-    if expected.dtype.kind == "u":
+    assert np.array_equal(decoded, to_mono(expected))
+
+
+def to_mono(container: np.ndarray) -> np.ndarray:
+    """Container samples scaled to full scale and averaged, as read_wav does."""
+    samples = container.astype(np.float64)
+    if container.dtype.kind == "u":
         samples = (samples - 128.0) / 128.0
-    elif expected.dtype.kind == "i":
-        samples = samples / 2.0 ** (8 * expected.dtype.itemsize - 1)
+    elif container.dtype.kind == "i":
+        samples = samples / 2.0 ** (8 * container.dtype.itemsize - 1)
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
-    assert np.array_equal(decoded, samples)
+    return samples
 
 
 RNG = np.random.default_rng(11)
@@ -205,14 +219,39 @@ def test_odd_list_chunk_before_data_is_skipped(tmp_path):
     assert_matches_scipy(path)
 
 
-@pytest.mark.parametrize("cut", [1, 2, 7])
-def test_truncated_data_chunk_reads_short_with_a_warning(tmp_path, cut):
-    path = tmp_path / "a.wav"
+def write_cut_short(path, case) -> np.ndarray:
+    """Write a WAV whose data ends inside a frame; return the whole frames it holds."""
+    if case == "stereo-mid-frame":
+        wavfile.write(path, 8000, PCM["int16"])
+        path.write_bytes(path.read_bytes()[:-1])
+        return PCM["int16"][:-1]
+    if case == "24bit-mid-sample":
+        values = RNG.integers(-(2**23), 2**23, size=51)
+        write_24bit_wav(path, 8000, values)
+        path.write_bytes(path.read_bytes()[:-2])
+        return (values[:-1] * 256).astype(np.int32)  # left-justified in int32
+    if case == "declared-part-frame":
+        raw = PCM["int16"].tobytes() + b"\1\2"  # 97 four-byte frames and half of one
+        path.write_bytes(riff(fmt_chunk(1, 2, 8000, 16, 2), chunk(b"data", raw)))
+        return PCM["int16"]
+    # mono int16 with the last `case` bytes cut
     wavfile.write(path, 8000, PCM["int16"][:, 0].copy())
-    path.write_bytes(path.read_bytes()[:-cut])
-    assert_matches_scipy(path)
-    with pytest.warns(UserWarning, match="file holds"):
-        assert len(read_wav(path)) == 97 - (cut + 1) // 2
+    path.write_bytes(path.read_bytes()[:-case])
+    return PCM["int16"][: 97 - (case + 1) // 2, 0]
+
+
+@pytest.mark.parametrize(
+    "case", [1, 2, 7, "stereo-mid-frame", "24bit-mid-sample", "declared-part-frame"]
+)
+def test_truncated_data_chunk_reads_short_with_a_warning(tmp_path, case):
+    path = tmp_path / "a.wav"
+    frames = write_cut_short(path, case)
+    if isinstance(case, int):
+        assert_matches_scipy(path)
+    with pytest.warns(UserWarning, match="file holds") as record:
+        decoded = read_wav(path).samples
+    assert len(record) == 1
+    assert np.array_equal(decoded, to_mono(frames))
 
 
 def test_rf64_matches_scipy(tmp_path):
@@ -237,3 +276,50 @@ def test_undecodable_layouts_rejected(tmp_path, content):
     path.write_bytes(content)
     with pytest.raises(WavFormatError, match="cannot decode"):
         read_wav(path)
+
+
+# ----------------------------------------------------------------------
+# the chunk reader: read_wav is one chunk of it
+
+
+@pytest.mark.parametrize("layout", ["stereo-int16", "24bit", "stereo-uint8", "rifx-float64"])
+@pytest.mark.parametrize("frames", [1, 7, 96, 97, 500])
+def test_chunks_join_to_the_whole_file(tmp_path, layout, frames):
+    path = tmp_path / "a.wav"
+    if layout == "24bit":
+        write_24bit_wav(path, 8000, RNG.integers(-(2**23), 2**23, size=97))
+    elif layout == "rifx-float64":
+        raw = PCM["float64"].astype(">f8").tobytes()
+        fmt = fmt_chunk(3, 2, 8000, 64, 8, ">")
+        path.write_bytes(riff(fmt, chunk(b"data", raw, ">"), order=">"))
+    else:
+        wavfile.write(path, 8000, PCM[layout.split("-")[1]])
+    with WavReader(path) as wav:
+        assert wav.frames == 97
+        parts = list(wav.chunks(frames))
+    assert [len(part) for part in parts[:-1]] == [frames] * (len(parts) - 1)
+    assert 1 <= len(parts[-1]) <= frames
+    assert all(part.sample_rate_hz == 8000.0 for part in parts)
+    assert np.array_equal(np.concatenate([part.samples for part in parts]), read_wav(path).samples)
+
+
+def test_truncation_warns_once_however_many_chunks(tmp_path):
+    path = tmp_path / "a.wav"
+    wavfile.write(path, 8000, PCM["int16"])
+    path.write_bytes(path.read_bytes()[:-1])
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        with WavReader(path) as wav:
+            parts = list(wav.chunks(5))
+    assert len(parts) == 20
+    assert [str(w.message) for w in record] == [
+        "data chunk declares 388 bytes and the file holds 387 of them; "
+        "reading the 96 whole 4-byte frames"
+    ]
+
+
+def test_empty_data_chunk_rejected_when_opened(tmp_path):
+    path = tmp_path / "a.wav"
+    path.write_bytes(riff(fmt_chunk(1, 1, 8000, 16, 2), chunk(b"data", b"")))
+    with pytest.raises(WavFormatError, match="no samples"):
+        WavReader(path)
