@@ -44,7 +44,6 @@ from .frontend import (
 from .powersim import (
     BUILTIN_PROFILES,
     NodeConfig,
-    NodeState,
     PowerProfile,
     Scenario,
     ScenarioSegment,

@@ -80,7 +80,9 @@ def adc_to_db(x: float, curve: CalibrationCurve = CalibrationCurve()) -> float:
 
 
 def db_to_adc(spl: float, curve: CalibrationCurve = CalibrationCurve()) -> float:
-    """Invert the calibration model: the ADC reading producing ``spl``."""
+    """Invert the calibration model: the ADC reading producing ``spl``.
+
+    Public as the way to set a wake level given in dB as an ADC count."""
     ratio = (spl - curve.d) / curve.a
     if ratio <= 0:
         raise CalibrationDomainError(

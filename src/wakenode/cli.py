@@ -28,6 +28,7 @@ import os
 import sys
 from dataclasses import replace
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -38,7 +39,6 @@ from .calibrate import CalibrationDomainError, FitError, adc_to_db, fit_curve
 from .coherence import (
     AlignmentError,
     RankedMic,
-    ScoreBreakdown,
     rank_microphones,
     score_with_details,
 )
@@ -74,7 +74,7 @@ from .signals import Signal
 from .wavio import WavFormatError, WavReader, read_wav
 
 CONFIG_ENV_VAR = "WAKENODE_CONFIG"
-# rows per string of a streamed coherence CSV
+# rows per string of a streamed coherence or trace CSV
 CSV_BLOCK_ROWS = 4096
 
 MIN_SOURCE_RATE_HZ = 8_000.0
@@ -189,6 +189,16 @@ def _format(value: float) -> str:
     return repr(float(value))
 
 
+def _csv_blocks(header: str, row_format: str, *columns: np.ndarray) -> Iterator[str]:
+    """``header``, then one ``row_format`` row per index of ``columns``, in
+    strings of ``CSV_BLOCK_ROWS`` rows; ``%r`` of a Python float is repr(), as
+    :func:`_format` gives."""
+    yield header
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = [column[start : start + CSV_BLOCK_ROWS].tolist() for column in columns]
+        yield (row_format * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
+
+
 # ----------------------------------------------------------------------
 # subcommands
 
@@ -224,19 +234,10 @@ def cmd_coherence(source_wav: str, recording_wav: str, cfg: RunConfig) -> dict[s
         "bins": len(details.estimate.values),
         "warnings": warnings,
     }
-    return _finish("coherence", cfg, inputs, results, "coherence.csv", _coherence_csv(details))
-
-
-def _coherence_csv(details: ScoreBreakdown) -> Iterator[str]:
-    """Header, then the rows, a block of rows per string."""
-    yield "frequency_hz,coherence,envelope\n"
-    table = np.column_stack(
-        (details.estimate.frequencies_hz, details.estimate.values, details.envelope)
-    )
-    for start in range(0, len(table), CSV_BLOCK_ROWS):
-        block = table[start : start + CSV_BLOCK_ROWS]
-        # %r of a Python float is repr(), as _format gives
-        yield ("%r,%r,%r\n" * len(block)) % tuple(block.ravel().tolist())
+    estimate = details.estimate
+    columns = (estimate.frequencies_hz, estimate.values, details.envelope)
+    rows = _csv_blocks("frequency_hz,coherence,envelope\n", "%r,%r,%r\n", *columns)
+    return _finish("coherence", cfg, inputs, results, "coherence.csv", rows)
 
 
 def _silence_scenario() -> Scenario:
@@ -252,16 +253,11 @@ def _resolve_scenario(name_or_path: str) -> Scenario:
 
 
 def _trace_csv(trace: SimTrace, node: NodeConfig) -> Iterator[str]:
-    power = {
-        "sleep": node.profile.sleep_mw,
-        "transmit": node.profile.transmit_mw,
-    }
-    yield "t_start_s,t_end_s,state,power_mw\n"
-    for iv in trace.timeline:
-        yield (
-            f"{_format(iv.t_start_s)},{_format(iv.t_end_s)},{iv.state.value},"
-            f"{_format(power[iv.state.value])}\n"
-        )
+    t_start, t_end, transmit = trace.timeline()
+    state = np.where(transmit, "transmit", "sleep")
+    power = np.where(transmit, node.profile.transmit_mw, node.profile.sleep_mw)
+    header = "t_start_s,t_end_s,state,power_mw\n"
+    return _csv_blocks(header, "%r,%r,%s,%r\n", t_start, t_end, state, power)
 
 
 def _simulate_wav(

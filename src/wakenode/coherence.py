@@ -217,6 +217,7 @@ def cross_spectral_density(
 
     Returns (frequencies_hz, complex values) over [0, Nyquist]. With
     ``x is y`` the result is the auto-spectrum: real and non-negative.
+    Public as the only way to read the phase of G_xy, which coherence drops.
     """
     freqs, gxy, _, _ = _welch_spectra(x, y, p)
     return freqs, gxy
@@ -421,7 +422,9 @@ def score_with_details(
 
 
 def coherence_score(source: Signal, recording: Signal) -> float:
-    """Scalar similarity of a recording to its source, in [0, 1]."""
+    """Scalar similarity of a recording to its source, in [0, 1].
+
+    Public as the paper's score in one call, without the spectra the CLI needs."""
     return score_with_details(source, recording).score
 
 

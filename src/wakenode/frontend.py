@@ -260,7 +260,9 @@ def threshold_out(envelope: Signal, v_threshold: float) -> BinarySignal:
 
 
 def gain_db(gain_vv: float) -> float:
-    """Voltage gain expressed in decibels: 20 log10(gain)."""
+    """Voltage gain expressed in decibels: 20 log10(gain).
+
+    Public because the paper states gains in dB (the default 101 V/V is 40.1 dB)."""
     if not (gain_vv > 0):
         raise ValueError(f"gain must be positive, got {gain_vv}")
     return 20.0 * math.log10(gain_vv)

@@ -1,28 +1,28 @@
 """Sleep/transmit state machine simulation with energy accounting,
 duty-cycle and savings computation, and battery-lifetime projection.
 
-The simulator is event-driven over segment boundaries (exact interval
-arithmetic). The wake-signal bridge finds the comparator's low runs with
-array edge detection, chunk by chunk, and then works per run, not per
-sample. All inputs are immutable, so independent scenario/profile sweeps
-can run concurrently.
+:func:`simulate` takes wake intervals from a scenario's sound segments,
+:class:`WakeRuns` from a comparator output's low runs, found chunk by
+chunk with array edge detection. Both merge them with array operations and
+integrate energy exactly; the trace holds the transmit intervals as one
+array and the sleep/transmit timeline is derived from it. All inputs are
+immutable, so independent scenario/profile sweeps can run concurrently.
 """
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass
 import numpy as np
+from numpy.typing import NDArray
 
 from .frontend import BinarySignal
 
 __all__ = [
-    "NodeState",
     "PowerProfile",
     "ScenarioSegment",
     "Scenario",
     "NodeConfig",
-    "TraceInterval",
     "SimTrace",
     "simulate",
     "simulate_from_wake",
@@ -38,11 +38,6 @@ URBAN_SILENCE_SECONDS = 100.0
 URBAN_CATEGORIES = ("human", "nature", "music", "mechanical")
 
 
-class NodeState(str, enum.Enum):
-    SLEEP = "sleep"
-    TRANSMIT = "transmit"
-
-
 @dataclass(frozen=True)
 class PowerProfile:
     """Total node draw per state for one hardware permutation."""
@@ -52,10 +47,10 @@ class PowerProfile:
     sleep_mw: float
 
     def __post_init__(self) -> None:
-        if self.transmit_mw <= 0:
-            raise ValueError(f"{self.name}: transmit_mw must be positive")
-        if self.sleep_mw < 0:
-            raise ValueError(f"{self.name}: sleep_mw must be non-negative")
+        if not (0 < self.transmit_mw < math.inf):
+            raise ValueError(f"{self.name}: transmit_mw must be finite and positive")
+        if not (0 <= self.sleep_mw < math.inf):
+            raise ValueError(f"{self.name}: sleep_mw must be finite and non-negative")
         if self.sleep_mw >= self.transmit_mw:
             raise ValueError(
                 f"{self.name}: sleep power {self.sleep_mw} mW must be below "
@@ -70,8 +65,8 @@ class ScenarioSegment:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if not (self.duration_s > 0):
-            raise ValueError(f"segment duration must be positive, got {self.duration_s}")
+        if not (0 < self.duration_s < math.inf):
+            raise ValueError(f"segment duration must be finite and positive, got {self.duration_s}")
 
 
 @dataclass(frozen=True)
@@ -100,65 +95,65 @@ class NodeConfig:
     battery_v: float = 3.3
 
     def __post_init__(self) -> None:
-        if self.hold_time_s < 0:
-            raise ValueError(f"hold_time_s must be non-negative, got {self.hold_time_s}")
-        if self.battery_mah <= 0 or self.battery_v <= 0:
-            raise ValueError("battery capacity and voltage must be positive")
+        if not (0 <= self.hold_time_s < math.inf):
+            raise ValueError(f"hold_time_s must be finite and non-negative, got {self.hold_time_s}")
+        if not (0 < self.battery_mah < math.inf and 0 < self.battery_v < math.inf):
+            raise ValueError("battery capacity and voltage must be finite and positive")
 
 
-@dataclass(frozen=True)
-class TraceInterval:
-    t_start_s: float
-    t_end_s: float
-    state: NodeState
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimTrace:
-    """Simulated state timeline with its integrated energy figures."""
+    """Transmit intervals over ``[0, total_s]`` with their integrated energy figures.
 
-    timeline: tuple[TraceInterval, ...]
+    ``wake_s`` is a read-only ``(n, 2)`` array of sorted, disjoint
+    ``[start, end)`` transmit intervals in seconds; the node sleeps between.
+    """
+
+    wake_s: NDArray[np.float64]
+    total_s: float
     energy_mwh: float
     duty_cycle: float
     avg_power_mw: float
 
-    @property
-    def duration_s(self) -> float:
-        return self.timeline[-1].t_end_s - self.timeline[0].t_start_s
+    def timeline(self) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.bool_]]:
+        """The contiguous state timeline as ``(t_start, t_end, transmit)`` rows.
+
+        The sleep gaps go around the transmit rows. A sleep gap of zero length
+        is dropped, a transmit row never is; no wake interval gives the one
+        sleep row ``[0, total_s)``.
+        """
+        bounds = np.concatenate(([0.0], self.wake_s.ravel(), [self.total_s]))
+        transmit = np.zeros(len(bounds) - 1, dtype=bool)
+        transmit[1::2] = True
+        keep = transmit | (bounds[1:] > bounds[:-1])
+        return bounds[:-1][keep], bounds[1:][keep], transmit[keep]
 
 
-def _merge_intervals(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    merged: list[tuple[float, float]] = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def _trace_from_wake_intervals(
-    wake: list[tuple[float, float]], total_s: float, config: NodeConfig
+def _trace(
+    starts: NDArray[np.float64], ends: NDArray[np.float64], total_s: float, config: NodeConfig
 ) -> SimTrace:
-    """Build the full timeline and integrate energy over exact intervals."""
-    profile = config.profile
-    timeline: list[TraceInterval] = []
-    cursor = 0.0
-    for start, end in wake:
-        if start > cursor:
-            timeline.append(TraceInterval(cursor, start, NodeState.SLEEP))
-        timeline.append(TraceInterval(start, end, NodeState.TRANSMIT))
-        cursor = end
-    if cursor < total_s or not timeline:
-        timeline.append(TraceInterval(cursor, total_s, NodeState.SLEEP))
+    """Merge wake intervals and integrate energy over them exactly.
 
-    transmit_s = sum(end - start for start, end in wake)
+    ``starts`` never decrease, so no sort is needed: the running max of
+    ``ends`` is how far the intervals so far reach, and interval i opens a
+    merged one where it starts past that reach (equal starts always merge).
+    """
+    reach = np.maximum.accumulate(ends)
+    opens = np.ones(len(starts), dtype=bool)
+    opens[1:] = starts[1:] > reach[:-1]
+    # a merged interval ends where the next one opens, or at the last interval
+    wake_s = np.column_stack((starts[opens], reach[np.roll(opens, -1)]))
+    wake_s.flags.writeable = False
+
+    profile = config.profile
+    # builtin sum over Python floats, in order, as a loop over the intervals adds
+    transmit_s = sum((wake_s[:, 1] - wake_s[:, 0]).tolist())
     sleep_s = total_s - transmit_s
     energy_mws = transmit_s * profile.transmit_mw + sleep_s * profile.sleep_mw
     energy_mwh = energy_mws / 3600.0
     duty = transmit_s / total_s
     avg_power_mw = energy_mwh / (total_s / 3600.0)
-    return SimTrace(tuple(timeline), energy_mwh, duty, avg_power_mw)
+    return SimTrace(wake_s, total_s, energy_mwh, duty, avg_power_mw)
 
 
 def simulate(scenario: Scenario, config: NodeConfig) -> SimTrace:
@@ -170,13 +165,13 @@ def simulate(scenario: Scenario, config: NodeConfig) -> SimTrace:
     integrated exactly per interval.
     """
     total_s = scenario.duration_s
-    wake: list[tuple[float, float]] = []
-    t = 0.0
-    for seg in scenario.segments:
-        if seg.sound_present:
-            wake.append((t, min(t + seg.duration_s + config.hold_time_s, total_s)))
-        t += seg.duration_s
-    return _trace_from_wake_intervals(_merge_intervals(wake), total_s, config)
+    durations = np.array([seg.duration_s for seg in scenario.segments])
+    sound = np.array([seg.sound_present for seg in scenario.segments], dtype=bool)
+    # cumsum adds one segment at a time, left to right, as a running total would
+    seg_end = np.cumsum(durations)
+    seg_start = np.concatenate(([0.0], seg_end[:-1]))
+    ends = np.minimum(seg_end[sound] + config.hold_time_s, total_s)
+    return _trace(seg_start[sound], ends, total_s, config)
 
 
 class WakeRuns:
@@ -222,8 +217,7 @@ class WakeRuns:
         # the hold runs from the first high sample; a run still low at the
         # last sample ends at total_s (len * dt + hold is never below total_s)
         ends = np.minimum(edges[1::2] * dt + config.hold_time_s, total_s)
-        intervals = list(zip(starts.tolist(), ends.tolist()))
-        return _trace_from_wake_intervals(_merge_intervals(intervals), total_s, config)
+        return _trace(starts, ends, total_s, config)
 
 
 def simulate_from_wake(wake: BinarySignal, config: NodeConfig) -> SimTrace:

@@ -148,6 +148,16 @@ class TestGoldens:
         assert results["profile"] == profile
         assert f"{round(results['savings_percent'], 1):.1f}" == expected
 
+    def test_urban_trace_closed_form(self, tmp_path):
+        # zigbee-standalone: 20 s of transmit at 34.3 mW, then 100 s asleep
+        # at 1.0 mW, four times
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "simulate", "--scenario", "urban"]) == 0
+        rows = ["t_start_s,t_end_s,state,power_mw\n"]
+        for t in (0.0, 120.0, 240.0, 360.0):
+            rows.append(f"{t},{t + 20.0},transmit,34.3\n{t + 20.0},{t + 120.0},sleep,1.0\n")
+        assert (out / "trace.csv").read_text() == "".join(rows)
+
     def test_profile_flag_reaches_the_embedded_config(self, tmp_path):
         out = tmp_path / "out"
         args = ["--out-dir", str(out), "simulate", "--scenario", "urban", "--profile", "wifi"]
@@ -298,3 +308,27 @@ class TestSimulateWavStreaming:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2 * 2**20, peaks
+
+    def test_peak_memory_does_not_grow_with_trace_rows(self, tmp_path, capsys):
+        # 240 s with 4 clicks and with 20 000, one every 12 ms: at tau = 90 ms
+        # each click's envelope falls back under the threshold in about 9 ms,
+        # so every click is a wake run of its own
+        config = write_config(tmp_path, "circuit:\n  c5_f: 9.0e-9\n")
+        peaks, rows = [], []
+        for clicks in (4, 20_000):
+            wav = tmp_path / f"{clicks}.wav"
+            x = np.random.default_rng(3).normal(scale=0.002, size=240 * RATE)
+            x.reshape(clicks, -1)[:, 8:16] += 0.8
+            write_int16(wav, x)
+            del x
+            out = tmp_path / f"out{clicks}"
+            args = ["--config", config, "--out-dir", str(out), "simulate", "--wav", str(wav)]
+            tracemalloc.start()
+            try:
+                assert main(args) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            rows.append(len((out / "trace.csv").read_text().splitlines()) - 1)
+        assert rows == [9, 40_001]
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,6 @@ from wakenode import (
     BinarySignal,
     CircuitParams,
     NodeConfig,
-    NodeState,
     PowerProfile,
     Scenario,
     ScenarioSegment,
@@ -22,7 +23,7 @@ from wakenode import (
     simulate_from_wake,
     threshold_out,
 )
-from wakenode.powersim import SimTrace, WakeRuns, _merge_intervals, _trace_from_wake_intervals
+from wakenode.powersim import SimTrace, WakeRuns, _trace
 
 ZIGBEE_STANDALONE = BUILTIN_PROFILES["zigbee-standalone"]
 
@@ -31,7 +32,57 @@ def closed_form_avg(duty: float, profile: PowerProfile) -> float:
     return duty * profile.transmit_mw + (1.0 - duty) * profile.sleep_mw
 
 
-def simulate_from_wake_oracle(wake: BinarySignal, config: NodeConfig) -> SimTrace:
+TraceRows = tuple[list[tuple[float, float, bool]], float, float, float]
+
+
+def trace_rows(trace: SimTrace) -> TraceRows:
+    """A trace's timeline rows and energy figures, to compare traces bit for bit."""
+    rows = list(zip(*(column.tolist() for column in trace.timeline())))
+    return rows, trace.energy_mwh, trace.duty_cycle, trace.avg_power_mw
+
+
+def trace_oracle(
+    intervals: list[tuple[float, float]], total_s: float, config: NodeConfig
+) -> TraceRows:
+    """Sort-and-merge loop, then one row per wake run and sleep gap: the
+    reference for the array merge and timeline of ``powersim``."""
+    merged: list[tuple[float, float]] = []
+    for start, end in sorted(intervals):
+        if merged and start <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
+        else:
+            merged.append((start, end))
+
+    rows: list[tuple[float, float, bool]] = []
+    cursor = 0.0
+    for start, end in merged:
+        if start > cursor:
+            rows.append((cursor, start, False))
+        rows.append((start, end, True))
+        cursor = end
+    if cursor < total_s or not rows:
+        rows.append((cursor, total_s, False))
+
+    profile = config.profile
+    transmit_s = sum(end - start for start, end in merged)
+    sleep_s = total_s - transmit_s
+    energy_mwh = (transmit_s * profile.transmit_mw + sleep_s * profile.sleep_mw) / 3600.0
+    return rows, energy_mwh, transmit_s / total_s, energy_mwh / (total_s / 3600.0)
+
+
+def simulate_oracle(scenario: Scenario, config: NodeConfig) -> TraceRows:
+    """Loop over the segments with a running time, the reference for simulate."""
+    total_s = scenario.duration_s
+    intervals: list[tuple[float, float]] = []
+    t = 0.0
+    for seg in scenario.segments:
+        if seg.sound_present:
+            intervals.append((t, min(t + seg.duration_s + config.hold_time_s, total_s)))
+        t += seg.duration_s
+    return trace_oracle(intervals, total_s, config)
+
+
+def simulate_from_wake_oracle(wake: BinarySignal, config: NodeConfig) -> TraceRows:
     """Per-sample low-run scan, the reference for simulate_from_wake."""
     dt = 1.0 / wake.sample_rate_hz
     total_s = len(wake) * dt
@@ -45,7 +96,7 @@ def simulate_from_wake_oracle(wake: BinarySignal, config: NodeConfig) -> SimTrac
             run_start = None
     if run_start is not None:
         intervals.append((run_start * dt, total_s))
-    return _trace_from_wake_intervals(_merge_intervals(intervals), total_s, config)
+    return trace_oracle(intervals, total_s, config)
 
 
 def random_scenario(rng: np.random.Generator) -> Scenario:
@@ -77,6 +128,23 @@ class TestTypes:
         with pytest.raises(ValueError, match="battery"):
             NodeConfig(ZIGBEE_STANDALONE, battery_mah=0.0)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: PowerProfile("x", v, 1.0),
+            lambda v: PowerProfile("x", 10.0, v),
+            lambda v: NodeConfig(ZIGBEE_STANDALONE, hold_time_s=v),
+            lambda v: NodeConfig(ZIGBEE_STANDALONE, battery_mah=v),
+            lambda v: NodeConfig(ZIGBEE_STANDALONE, battery_v=v),
+            lambda v: ScenarioSegment(v, True),
+        ],
+        ids=["transmit_mw", "sleep_mw", "hold_time_s", "battery_mah", "battery_v", "duration_s"],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, build, value):
+        with pytest.raises(ValueError, match="finite"):
+            build(value)
+
     def test_builtin_profiles_are_bit_exact(self):
         assert BUILTIN_PROFILES["wifi"].transmit_mw == 357.59
         assert BUILTIN_PROFILES["wifi"].sleep_mw == 16.76
@@ -94,7 +162,8 @@ class TestSimulate:
         trace = simulate(scenario, NodeConfig(ZIGBEE_STANDALONE))
         assert trace.duty_cycle == 0.0
         assert trace.avg_power_mw == pytest.approx(ZIGBEE_STANDALONE.sleep_mw)
-        assert [iv.state for iv in trace.timeline] == [NodeState.SLEEP]
+        assert trace.wake_s.shape == (0, 2)
+        assert trace_rows(trace)[0] == [(0.0, 100.0, False)]
 
     def test_urban_scenario_closed_form(self):
         trace = simulate(build_urban_scenario(), NodeConfig(ZIGBEE_STANDALONE))
@@ -124,15 +193,14 @@ class TestSimulate:
             )
         )
         trace = simulate(scenario, NodeConfig(ZIGBEE_STANDALONE, hold_time_s=5.0))
-        transmit = [iv for iv in trace.timeline if iv.state is NodeState.TRANSMIT]
-        assert len(transmit) == 1
-        assert transmit[0].t_start_s == 0.0
-        assert transmit[0].t_end_s == pytest.approx(28.0)
+        assert trace.wake_s.tolist() == [[0.0, pytest.approx(28.0)]]
+        assert not trace.wake_s.flags.writeable
+        assert trace.timeline()[2].tolist() == [True, False]
 
     def test_hold_capped_at_scenario_end(self):
         scenario = Scenario((ScenarioSegment(50.0, False), ScenarioSegment(10.0, True)))
         trace = simulate(scenario, NodeConfig(ZIGBEE_STANDALONE, hold_time_s=100.0))
-        assert trace.timeline[-1].t_end_s == pytest.approx(60.0)
+        assert trace.timeline()[1][-1] == pytest.approx(60.0)
         assert trace.duty_cycle == pytest.approx(10.0 / 60.0)
 
     def test_timeline_is_contiguous_partition(self):
@@ -141,11 +209,54 @@ class TestSimulate:
             scenario = random_scenario(rng)
             config = NodeConfig(random_profile(rng), hold_time_s=float(rng.uniform(0, 60)))
             trace = simulate(scenario, config)
-            assert trace.timeline[0].t_start_s == 0.0
-            assert trace.timeline[-1].t_end_s == pytest.approx(scenario.duration_s)
-            for prev, cur in zip(trace.timeline, trace.timeline[1:]):
-                assert prev.t_end_s == cur.t_start_s
-                assert prev.state != cur.state
+            t_start, t_end, transmit = trace.timeline()
+            assert t_start[0] == 0.0
+            assert t_end[-1] == pytest.approx(scenario.duration_s)
+            assert np.array_equal(t_end[:-1], t_start[1:])
+            assert np.all(transmit[:-1] != transmit[1:])
+
+    @pytest.mark.parametrize("hold_time_s", [0.0, 0.5, 3.0])
+    def test_equal_starts_match_loop_oracle(self, hold_time_s):
+        # 1.0 + 1e-18 == 1.0, so each 1e-18 s segment starts where the next
+        # segment does, and with no hold it is a transmit row of zero length
+        scenario = Scenario(
+            (
+                ScenarioSegment(1.0, False),
+                ScenarioSegment(1e-18, True),
+                ScenarioSegment(2.0, True),
+                ScenarioSegment(1e-18, True),
+                ScenarioSegment(1.0, False),
+                ScenarioSegment(1e-18, True),
+                ScenarioSegment(4.0, False),
+            )
+        )
+        config = NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_time_s)
+        assert trace_rows(simulate(scenario, config)) == simulate_oracle(scenario, config)
+
+    def test_random_scenarios_match_loop_oracle(self):
+        rng = np.random.default_rng(14)
+        merged = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 40))
+            durations = np.where(rng.random(n) < 0.2, 1e-18, rng.uniform(0.1, 50.0, n))
+            scenario = Scenario(
+                tuple(ScenarioSegment(float(d), bool(rng.integers(2))) for d in durations)
+            )
+            hold_time_s = float(rng.uniform(0.0, 40.0)) if rng.integers(3) else 0.0
+            config = NodeConfig(random_profile(rng), hold_time_s=hold_time_s)
+            trace = simulate(scenario, config)
+            assert trace_rows(trace) == simulate_oracle(scenario, config)
+            sound = sum(seg.sound_present for seg in scenario.segments)
+            merged += len(trace.wake_s) < sound
+        assert merged > 100  # most scenarios merge some wakes
+
+    def test_nested_intervals_merge_as_the_loop_oracle(self):
+        # neither caller passes an end below an earlier one; _trace takes it
+        starts = [0.0, 1.0, 2.0, 6.0, 6.0, 9.0]
+        ends = [5.0, 2.0, 3.0, 6.0, 7.0, 9.5]
+        config = NodeConfig(ZIGBEE_STANDALONE)
+        trace = _trace(np.array(starts), np.array(ends), 10.0, config)
+        assert trace_rows(trace) == trace_oracle(list(zip(starts, ends)), 10.0, config)
 
     def test_energy_matches_closed_form(self):
         rng = np.random.default_rng(12)
@@ -228,7 +339,8 @@ class TestSimulateFromWake:
     def test_timeline_equals_loop_oracle(self, pattern, hold_time_s):
         wake = BinarySignal(np.array([c == "1" for c in pattern]), 100.0)
         config = NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_time_s)
-        assert simulate_from_wake(wake, config) == simulate_from_wake_oracle(wake, config)
+        expected = simulate_from_wake_oracle(wake, config)
+        assert trace_rows(simulate_from_wake(wake, config)) == expected
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -242,7 +354,8 @@ class TestSimulateFromWake:
         rng = np.random.default_rng(seed)
         wake = BinarySignal(rng.random(n) >= low_share, rate_hz)
         config = NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_samples / rate_hz)
-        assert simulate_from_wake(wake, config) == simulate_from_wake_oracle(wake, config)
+        expected = simulate_from_wake_oracle(wake, config)
+        assert trace_rows(simulate_from_wake(wake, config)) == expected
 
     def test_threshold_chain_on_urban_audio(self):
         # end-to-end oracle: the wake signal must track the constructed
@@ -291,18 +404,19 @@ class TestWakeRunsInChunks:
         runs = WakeRuns(100.0)
         for part in np.split(samples, splits):
             runs.feed(BinarySignal(part, 100.0))
-        assert runs.trace(config) == simulate_from_wake(BinarySignal(samples, 100.0), config)
+        whole = simulate_from_wake(BinarySignal(samples, 100.0), config)
+        assert trace_rows(runs.trace(config)) == trace_rows(whole)
 
     def test_random_chunk_lengths_give_the_whole_signal_trace(self):
         rng = np.random.default_rng(12)
         samples = rng.random(5000) < 0.9  # many short low runs
         config = NodeConfig(ZIGBEE_STANDALONE, hold_time_s=0.05)
-        whole = simulate_from_wake(BinarySignal(samples, 100.0), config)
+        whole = trace_rows(simulate_from_wake(BinarySignal(samples, 100.0), config))
         for chunk in (1, 3, 64, 999, 5000):
             runs = WakeRuns(100.0)
             for start in range(0, samples.size, chunk):
                 runs.feed(BinarySignal(samples[start : start + chunk], 100.0))
-            assert runs.trace(config) == whole
+            assert trace_rows(runs.trace(config)) == whole
 
     def test_nothing_fed_is_rejected(self):
         with pytest.raises(ValueError, match="empty"):
