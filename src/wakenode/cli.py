@@ -14,7 +14,10 @@ rows are written to the temp file as they are formatted, not joined first.
 fixed-size chunks (:func:`wakenode.frontend.stream_chunk_samples`), each
 stage carrying its state across chunk boundaries, so its memory does not
 grow with the recording's length and its outputs are those of one pass
-over the whole recording.
+over the whole recording. ``coherence`` streams each recording the same
+way, in chunks of :data:`WAV_CHUNK_FRAMES`, through the resampler to the
+8 kHz scoring rate, so no full-rate copy of a recording is ever held; its
+rate and length are checked from the WAV header before any decoding.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ import numpy as np
 from . import __version__
 from .calibrate import CalibrationDomainError, FitError, adc_to_db, fit_curve
 from .coherence import (
+    SCORE_RATE_HZ,
     AlignmentError,
     RankedMic,
+    check_duration,
     rank_microphones,
     score_with_details,
 )
@@ -70,12 +75,14 @@ from .powersim import (
     savings_percent,
     simulate,
 )
-from .signals import Signal
-from .wavio import WavFormatError, WavReader, read_wav
+from .signals import ResampleCarry, Signal, resample
+from .wavio import WavFormatError, WavReader
 
 CONFIG_ENV_VAR = "WAKENODE_CONFIG"
 # rows per string of a streamed coherence or trace CSV
 CSV_BLOCK_ROWS = 4096
+# frames per chunk of a recording streamed into coherence: 1 MiB as float64
+WAV_CHUNK_FRAMES = 1 << 17
 
 MIN_SOURCE_RATE_HZ = 8_000.0
 PREFERRED_SOURCE_RATE_HZ = 16_000.0
@@ -203,24 +210,39 @@ def _csv_blocks(header: str, row_format: str, *columns: np.ndarray) -> Iterator[
 # subcommands
 
 
-def cmd_coherence(source_wav: str, recording_wav: str, cfg: RunConfig) -> dict[str, Any]:
-    source = read_wav(source_wav)
-    recording = read_wav(recording_wav)
+def _at_score_rate(wav: WavReader) -> Signal:
+    """A recording resampled to the scoring rate, one chunk at a time."""
+    carry = ResampleCarry(wav.frames)
+    pieces = [
+        resample(chunk, SCORE_RATE_HZ, carry).samples for chunk in wav.chunks(WAV_CHUNK_FRAMES)
+    ]
+    return Signal(np.concatenate(pieces), SCORE_RATE_HZ)
 
+
+def cmd_coherence(source_wav: str, recording_wav: str, cfg: RunConfig) -> dict[str, Any]:
     warnings: list[str] = []
-    for label, sig in (("source", source), ("recording", recording)):
-        if sig.sample_rate_hz < MIN_SOURCE_RATE_HZ:
-            raise CliError(
-                "E_WAV",
-                f"{label} sample rate {sig.sample_rate_hz:.0f} Hz is below the "
-                f"{MIN_SOURCE_RATE_HZ:.0f} Hz analysis rate",
-            )
-        if sig.sample_rate_hz < PREFERRED_SOURCE_RATE_HZ:
-            warnings.append(
-                f"{label} sample rate {sig.sample_rate_hz:.0f} Hz is below "
-                f"{PREFERRED_SOURCE_RATE_HZ:.0f} Hz; the top of the analysis "
-                "band has no headroom"
-            )
+    with WavReader(source_wav) as source_file, WavReader(recording_wav) as recording_file:
+        files = (("source", source_file), ("recording", recording_file))
+        for label, wav in files:
+            rate = wav.sample_rate_hz
+            if rate < MIN_SOURCE_RATE_HZ:
+                raise CliError(
+                    "E_WAV",
+                    f"{label} sample rate {rate:.0f} Hz is below the "
+                    f"{MIN_SOURCE_RATE_HZ:.0f} Hz analysis rate",
+                )
+            if rate < PREFERRED_SOURCE_RATE_HZ:
+                warnings.append(
+                    f"{label} sample rate {rate:.0f} Hz is below "
+                    f"{PREFERRED_SOURCE_RATE_HZ:.0f} Hz; the top of the analysis "
+                    "band has no headroom"
+                )
+        # at the input's own rate: 3 968 999 frames at 44.1 kHz fall short of
+        # 90 s but resample to exactly 720 000 samples at 8 kHz
+        for label, wav in files:
+            check_duration(label, wav.frames / wav.sample_rate_hz)
+        source = _at_score_rate(source_file)
+        recording = _at_score_rate(recording_file)
 
     details = score_with_details(source, recording, cfg.welch)
 

@@ -1,11 +1,15 @@
 """Welch cross-spectral estimation, magnitude-squared coherence, and the
 microphone accuracy score built on them.
 
-The scoring pipeline: resample both waveforms to 8 kHz, align them by
-cross-correlating their first 10 seconds, trim the recording to exactly
-80 seconds from the alignment point, estimate the magnitude-squared
-coherence, take the peak envelope of the per-frequency values, and
-average it into a single number in [0, 1].
+The scoring pipeline: check that both waveforms last at least 90 seconds,
+resample them to 8 kHz (polyphase between integer rates, see
+:func:`wakenode.signals.resample`), align them by cross-correlating their
+first 10 seconds, trim the recording to exactly 80 seconds from the
+alignment point, estimate the magnitude-squared coherence, take the peak
+envelope of the per-frequency values, and average it into a single number
+in [0, 1]. Input already at 8 kHz passes through the resampler unchanged,
+so a caller may resample a recording itself, chunk by chunk, and check its
+length with :func:`check_duration` at the input's own rate.
 
 All functions are pure; scoring many recordings concurrently is safe.
 """
@@ -30,6 +34,7 @@ __all__ = [
     "RankedMic",
     "ScoreBreakdown",
     "AlignmentError",
+    "check_duration",
     "cross_spectral_density",
     "magnitude_squared_coherence",
     "peak_envelope",
@@ -45,6 +50,17 @@ ENVELOPE_PEAK_SEPARATION = 100
 
 # Product of auto-spectra below this is treated as silence, not coherence.
 POWER_FLOOR = 1e-30
+
+
+def check_duration(name: str, duration_s: float) -> None:
+    """Reject a waveform shorter than the protocol's 90 seconds."""
+    min_seconds = ALIGN_SECONDS + ANALYSIS_SECONDS
+    if duration_s < min_seconds:
+        raise ValueError(
+            f"{name} is {duration_s!r} s long; the protocol needs "
+            f"at least {min_seconds} s ({ALIGN_SECONDS} s alignment + "
+            f"{ANALYSIS_SECONDS} s analysis)"
+        )
 
 
 class AlignmentError(ValueError):
@@ -382,14 +398,8 @@ def score_with_details(
     (after resampling to 8 kHz) are used to find the recording's delay,
     then exactly 80 seconds of each waveform are compared.
     """
-    min_seconds = ALIGN_SECONDS + ANALYSIS_SECONDS
     for name, sig in (("source", source), ("recording", recording)):
-        if sig.duration_s < min_seconds:
-            raise ValueError(
-                f"{name} is {sig.duration_s:.2f} s long; the protocol needs "
-                f"at least {min_seconds} s ({ALIGN_SECONDS} s alignment + "
-                f"{ANALYSIS_SECONDS} s analysis)"
-            )
+        check_duration(name, sig.duration_s)
 
     src = resample(source, SCORE_RATE_HZ)
     rec = resample(recording, SCORE_RATE_HZ)

@@ -19,6 +19,8 @@ from wakenode import (
     amplify,
     envelope_detect,
     read_wav,
+    resample,
+    score_with_details,
     simulate_from_wake,
     threshold_out,
 )
@@ -26,7 +28,7 @@ from wakenode.cli import _finish, _trace_csv, data_path, main
 from wakenode.config import RunConfig, load_run_config, parse_run_config
 from wakenode.frontend import stream_chunk_samples
 
-from conftest import add_noise_at_snr, shift_right
+from conftest import add_noise_at_snr, shift_right, urban_like_signal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -332,3 +334,66 @@ class TestSimulateWavStreaming:
             rows.append(len((out / "trace.csv").read_text().splitlines()) - 1)
         assert rows == [9, 40_001]
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+
+# ----------------------------------------------------------------------
+# coherence streams each recording through the resampler in chunks
+
+SCORE_DELAY = 11_025  # 2000 samples at the 8 kHz scoring rate
+
+
+def write_pair(directory: Path, rate: int, source: np.ndarray, recording: np.ndarray) -> list[str]:
+    paths = []
+    for name, x in (("source", source), ("recording", recording)):
+        path = directory / f"{name}_{rate}_{len(x)}.wav"
+        wavfile.write(path, rate, np.round(np.clip(x, -1.0, 1.0) * 32767).astype(np.int16))
+        paths.append(str(path))
+    return paths
+
+
+@pytest.fixture(scope="module")
+def pair_95s(tmp_path_factory) -> tuple[list[str], list[str]]:
+    """A 95 s 44.1 kHz source and its delayed, noisy recording, and the same
+    two files resampled to 8 kHz."""
+    directory = tmp_path_factory.mktemp("pair")
+    source = urban_like_signal(95.0, 44_100.0, seed=11)
+    recording = add_noise_at_snr(shift_right(source, SCORE_DELAY), 20.0, seed=12)
+    full = write_pair(directory, 44_100, source.samples, 0.5 * recording.samples)
+    at_8k = [resample(read_wav(path), 8000.0).samples for path in full]
+    return full, write_pair(directory, 8000, *at_8k)
+
+
+class TestCoherenceStreaming:
+    def test_peak_memory_is_that_of_8khz_input(self, tmp_path, capsys, pair_95s):
+        peaks = []
+        for pair in pair_95s:
+            tracemalloc.start()
+            try:
+                assert main(["--out-dir", str(tmp_path / "out"), "coherence", *pair]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[0] - peaks[1]) < 4 * 2**20, peaks
+
+    def test_score_is_that_of_whole_signals(self, tmp_path, capsys, pair_95s):
+        source, recording = pair_95s[0]
+        assert main(["--out-dir", str(tmp_path / "out"), "coherence", source, recording]) == 0
+        results = json.loads(capsys.readouterr().out)
+        details = score_with_details(read_wav(source), read_wav(recording))
+        assert results["delay_samples"] == details.delay_samples == 2000
+        assert results["score"] == details.score
+
+    # 3 969 000 frames are exactly 90 s at 44.1 kHz; one frame fewer still
+    # resamples to 720 000 samples, exactly 90 s at 8 kHz
+    @pytest.mark.parametrize(
+        "frames, code",
+        [((3_968_999, 3_969_000), 1), ((3_969_000, 3_968_999), 1), ((3_969_000, 3_969_000), 0)],
+    )
+    def test_90_s_is_counted_at_the_input_rate(self, tmp_path, capsys, pair_95s, frames, code):
+        whole = [read_wav(path).samples for path in pair_95s[0]]
+        pair = write_pair(tmp_path, 44_100, *(x[:n] for x, n in zip(whole, frames)))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "coherence", *pair]) == code
+        if code:
+            assert "[E_INPUT]" in capsys.readouterr().err
+            assert not out.exists()

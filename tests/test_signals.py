@@ -1,12 +1,41 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wakenode import Signal, clip, find_delay, resample
-from wakenode.signals import DIRECT_CORRELATE_COST_RATIO
+from wakenode import signals
+from wakenode.cli import WAV_CHUNK_FRAMES
+from wakenode.signals import (
+    ANTIALIAS_TAPS,
+    DIRECT_CORRELATE_COST_RATIO,
+    ResampleCarry,
+    _antialias_kernel,
+    _fft_length,
+)
 
 from conftest import shift_right, tone
+
+
+def resample_oracle(s: Signal, target_rate_hz: float) -> Signal:
+    """``resample`` before polyphase: filter the whole signal with
+    ``np.convolve``, then interpolate the new grid with ``np.interp``."""
+    if target_rate_hz == s.sample_rate_hz:
+        return s
+    ratio = target_rate_hz / s.sample_rate_hz
+    n_out = max(int(round(len(s) * ratio)), 1)
+    positions = np.arange(n_out, dtype=np.float64) / ratio
+    if target_rate_hz > s.sample_rate_hz:
+        src = s.samples
+        offset = 0.0
+    else:
+        kernel = _antialias_kernel(s.sample_rate_hz, target_rate_hz)
+        src = np.convolve(s.samples, kernel, mode="full")
+        offset = (ANTIALIAS_TAPS - 1) / 2.0
+    grid = np.arange(src.size, dtype=np.float64)
+    return Signal(np.interp(positions + offset, grid, src), target_rate_hz)
 
 
 def dft_peak(sig: Signal) -> tuple[float, float]:
@@ -102,6 +131,73 @@ class TestResample:
             resample(tone(100, 0.1, 8000), 0)
 
 
+POLYPHASE_RATES = [11_025, 16_000, 22_050, 32_000, 44_100, 48_000, 88_200, 96_000]
+# 44 101 Hz reduces to 8000/44101, too large a kernel matrix, and 44 100.5 Hz
+# is not an integer; both keep the convolve path, as upsampling does
+CONVOLVE_RATES = [44_101, 44_100.5]
+# odd lengths, and lengths shorter than the 64 taps
+LENGTHS = [1, 2, 7, 63, 64, 65, 441, 1001, 9999, 96_001]
+
+
+def full_scale_noise(n: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+
+
+def in_chunks(x: np.ndarray, rate: float, chunk: int, target: float = 8000.0) -> np.ndarray:
+    carry = ResampleCarry(len(x))
+    parts = [
+        resample(Signal(x[i : i + chunk], rate), target, carry).samples
+        for i in range(0, len(x), chunk)
+    ]
+    assert carry.fed == len(x)
+    return np.concatenate(parts)
+
+
+class TestPolyphaseResample:
+    @pytest.mark.parametrize("rate", POLYPHASE_RATES)
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_within_tolerance_of_the_oracle(self, rate, n):
+        assert signals._polyphase(float(rate), 8000.0) is not None
+        s = Signal(full_scale_noise(n, seed=n), float(rate))
+        got, want = resample(s, 8000.0), resample_oracle(s, 8000.0)
+        assert len(got) == len(want) == max(round(n * 8000 / rate), 1)
+        assert np.max(np.abs(got.samples - want.samples)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "rate, target", [(r, 8000.0) for r in CONVOLVE_RATES] + [(8000, 48_000.0)]
+    )
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_other_ratios_equal_the_oracle(self, rate, target, n):
+        s = Signal(full_scale_noise(n, seed=n), float(rate))
+        assert np.array_equal(resample(s, target).samples, resample_oracle(s, target).samples)
+
+    @pytest.mark.parametrize("rate", POLYPHASE_RATES + CONVOLVE_RATES)
+    def test_chunks_join_to_one_call(self, rate, monkeypatch):
+        # blocks of 1 to 10 rows, so 7919 samples span at least four of them
+        monkeypatch.setattr(signals, "RESAMPLE_BLOCK_MACS", 1 << 13)
+        x = full_scale_noise(7919, seed=1)
+        whole = resample(Signal(x, float(rate)), 8000.0).samples
+        down = round(rate) // math.gcd(round(rate), 8000)
+        for chunk in (1, down - 1, down, 3 * down + 7, WAV_CHUNK_FRAMES):
+            assert np.array_equal(in_chunks(x, float(rate), chunk), whole), chunk
+
+    def test_cli_chunks_across_full_size_blocks(self):
+        x = full_scale_noise(3 * WAV_CHUNK_FRAMES + 12_345, seed=2)
+        whole = resample(Signal(x, 44_100.0), 8000.0).samples
+        for chunk in (WAV_CHUNK_FRAMES, 3 * 441 + 7):
+            assert np.array_equal(in_chunks(x, 44_100.0, chunk), whole), chunk
+
+    def test_equal_rate_chunks_pass_through(self):
+        x = full_scale_noise(1000, seed=3)
+        assert np.array_equal(in_chunks(x, 8000.0, 300), x)
+
+    def test_chunk_past_the_total_rejected(self):
+        carry = ResampleCarry(100)
+        resample(Signal(np.zeros(60), 44_100.0), 8000.0, carry)
+        with pytest.raises(ValueError, match="runs past"):
+            resample(Signal(np.zeros(60), 44_100.0), 8000.0, carry)
+
+
 class TestFindDelay:
     def test_self_delay_is_zero(self):
         rng = np.random.default_rng(1)
@@ -151,8 +247,19 @@ class TestFindDelay:
 
     @staticmethod
     def correlates_directly(n: int, m: int) -> bool:
-        nfft = 1 << (n + m - 2).bit_length()
+        nfft = _fft_length(n + m - 1)
         return n * m <= DIRECT_CORRELATE_COST_RATIO * nfft * (nfft.bit_length() - 1)
+
+    def test_fft_length_is_the_next_5_smooth_number(self):
+        def smooth(k):
+            for p in (2, 3, 5):
+                while k % p == 0:
+                    k //= p
+            return k == 1
+
+        want = [next(k for k in range(n, 2 * n + 1) if smooth(k)) for n in range(1, 3000)]
+        assert [_fft_length(n) for n in range(1, 3000)] == want
+        assert _fft_length(80_000 + 80_000 - 1) == 160_000
 
     def test_sizes_cover_both_paths(self):
         sides = [self.correlates_directly(n, m) for n, m in self.SIZES]
