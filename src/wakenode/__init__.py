@@ -4,7 +4,24 @@ The package covers four concerns: waveform primitives and the coherence
 scoring pipeline used to compare microphones, behavioral models of the
 analog wake-up chain, a sleep/transmit power simulator with battery
 projection, and the ADC-to-decibel calibration model.
+
+Importing the package pins OpenBLAS to one thread, unless the caller set
+``OPENBLAS_NUM_THREADS`` or numpy was already imported. When numpy loads,
+OpenBLAS starts a helper thread per extra core, and every matrix product
+here (:data:`wakenode.signals.RESAMPLE_BLOCK_MACS` bounds their size) is
+too small to hand it any work; the idle helper still spins for about
+0.13 s of CPU per process. The pin must come before numpy's first import,
+so it sits here, ahead of every module that imports numpy: both the
+``wakenode`` console script and ``python -m wakenode.cli`` pass through it.
+Once numpy is loaded the pin could no longer take effect, and setting the
+variable would only reach the process's children.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .calibrate import (
     CalibrationCurve,

@@ -5,10 +5,13 @@ Subcommands: ``coherence`` (score a recording against its source),
 analog chain), ``calibrate`` (fit the ADC-to-dB curve), and ``rank-mics``
 (order microphone candidates). Every run writes a CSV and a JSON report
 embedding the effective configuration, so results are reproducible from
-their own output. The two files are published together or not at all:
-each is written to a temp file in the output directory and renamed into
-place, and a run that fails (exit status 1) leaves no file it wrote. CSV
-rows are written to the temp file as they are formatted, not joined first.
+their own output. Every Python warning raised while a command runs is
+recorded in its report's ``results.warnings``, after the warnings the
+command adds itself, instead of going to stderr. The two files are
+published together or not at all: each is written to a temp file in the
+output directory and renamed into place, and a run that fails (exit
+status 1) leaves no file it wrote. CSV rows are written to the temp file
+as they are formatted, not joined first.
 
 ``simulate --wav`` streams the recording through the analog chain in
 fixed-size chunks (:func:`wakenode.frontend.stream_chunk_samples`), each
@@ -29,6 +32,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 from importlib import resources
 from itertools import chain
@@ -171,18 +175,25 @@ def _finish(
     results: dict[str, Any],
     csv_name: str,
     csv_text: Iterable[str],
+    warned: Sequence[warnings.WarningMessage],
 ) -> dict[str, Any]:
     """Build a command's report, then publish its CSV, streamed from the
     text chunks of ``csv_text`` (header line first), and the report.
 
-    The report is serialised as strict JSON before any file is opened.
+    ``results["warnings"]`` lists the command's own warnings, if it has
+    any, then the message of each Python warning in ``warned``. The report
+    is serialised as strict JSON before any file is opened.
     """
     report = {
         "command": command,
         "version": __version__,
         "inputs": inputs,
         "config": cfg.snapshot(),
-        "results": {**results, f"{csv_name.removesuffix('.csv')}_csv": csv_name},
+        "results": {
+            **results,
+            "warnings": [*results.get("warnings", ()), *(str(w.message) for w in warned)],
+            f"{csv_name.removesuffix('.csv')}_csv": csv_name,
+        },
     }
     text = _to_json(report) + "\n"
     _publish(
@@ -219,8 +230,10 @@ def _at_score_rate(wav: WavReader) -> Signal:
     return Signal(np.concatenate(pieces), SCORE_RATE_HZ)
 
 
-def cmd_coherence(source_wav: str, recording_wav: str, cfg: RunConfig) -> dict[str, Any]:
-    warnings: list[str] = []
+def cmd_coherence(
+    source_wav: str, recording_wav: str, cfg: RunConfig, warned: Sequence[warnings.WarningMessage]
+) -> dict[str, Any]:
+    rate_warnings: list[str] = []
     with WavReader(source_wav) as source_file, WavReader(recording_wav) as recording_file:
         files = (("source", source_file), ("recording", recording_file))
         for label, wav in files:
@@ -232,7 +245,7 @@ def cmd_coherence(source_wav: str, recording_wav: str, cfg: RunConfig) -> dict[s
                     f"{MIN_SOURCE_RATE_HZ:.0f} Hz analysis rate",
                 )
             if rate < PREFERRED_SOURCE_RATE_HZ:
-                warnings.append(
+                rate_warnings.append(
                     f"{label} sample rate {rate:.0f} Hz is below "
                     f"{PREFERRED_SOURCE_RATE_HZ:.0f} Hz; the top of the analysis "
                     "band has no headroom"
@@ -254,12 +267,12 @@ def cmd_coherence(source_wav: str, recording_wav: str, cfg: RunConfig) -> dict[s
         "score": details.score,
         "delay_samples": details.delay_samples,
         "bins": len(details.estimate.values),
-        "warnings": warnings,
+        "warnings": rate_warnings,
     }
     estimate = details.estimate
     columns = (estimate.frequencies_hz, estimate.values, details.envelope)
     rows = _csv_blocks("frequency_hz,coherence,envelope\n", "%r,%r,%r\n", *columns)
-    return _finish("coherence", cfg, inputs, results, "coherence.csv", rows)
+    return _finish("coherence", cfg, inputs, results, "coherence.csv", rows, warned)
 
 
 def _silence_scenario() -> Scenario:
@@ -312,6 +325,7 @@ def cmd_simulate(
     profile_name: str | None,
     threshold_v: float,
     mic_scale_v: float,
+    warned: Sequence[warnings.WarningMessage],
 ) -> dict[str, Any]:
     node = cfg.node
     if profile_name is not None:
@@ -337,11 +351,12 @@ def cmd_simulate(
         source_desc = {"kind": "scenario", "name": scenario_name}
 
     # zero average power (a sleep draw of 0 that never wakes) never drains
-    # the battery: the lifetime is unbounded, reported as null
+    # the battery, and a subnormal one outlasts any float: the lifetime is
+    # unbounded, reported as null
     lifetime = (
         battery_lifetime_days(trace.avg_power_mw, node.battery_mah, node.battery_v)
         if trace.avg_power_mw > 0
-        else None
+        else math.inf
     )
     results = {
         "source": source_desc,
@@ -349,15 +364,23 @@ def cmd_simulate(
         "duty_cycle": trace.duty_cycle,
         "avg_power_mw": trace.avg_power_mw,
         "energy_mwh": trace.energy_mwh,
-        "lifetime_days": lifetime,
+        "lifetime_days": lifetime if math.isfinite(lifetime) else None,
         "savings_percent": savings_percent(node.profile),
     }
     return _finish(
-        "simulate", replace(cfg, node=node), inputs, results, "trace.csv", _trace_csv(trace, node)
+        "simulate",
+        replace(cfg, node=node),
+        inputs,
+        results,
+        "trace.csv",
+        _trace_csv(trace, node),
+        warned,
     )
 
 
-def cmd_calibrate(points_csv: str, cfg: RunConfig) -> dict[str, Any]:
+def cmd_calibrate(
+    points_csv: str, cfg: RunConfig, warned: Sequence[warnings.WarningMessage]
+) -> dict[str, Any]:
     points = load_cal_points(points_csv)
     curve, r2 = fit_curve(points)
 
@@ -374,7 +397,7 @@ def cmd_calibrate(points_csv: str, cfg: RunConfig) -> dict[str, Any]:
         "points": len(points),
     }
     inputs = {"points_csv": _input_entry(points_csv)}
-    return _finish("calibrate", cfg, inputs, results, "residuals.csv", lines)
+    return _finish("calibrate", cfg, inputs, results, "residuals.csv", lines, warned)
 
 
 def _csv_field(text: str) -> str:
@@ -399,7 +422,11 @@ def _ranking_lines(ranking: list[RankedMic]) -> list[str]:
 
 
 def cmd_rank_mics(
-    mic_csv: str, cfg: RunConfig, require_analog: bool, supply_v: float | None
+    mic_csv: str,
+    cfg: RunConfig,
+    require_analog: bool,
+    supply_v: float | None,
+    warned: Sequence[warnings.WarningMessage],
 ) -> dict[str, Any]:
     candidates = load_mic_table(mic_csv)
     ranking = rank_microphones(candidates, require_analog=require_analog, supply_v=supply_v)
@@ -420,7 +447,8 @@ def cmd_rank_mics(
         ],
     }
     inputs = {"mic_csv": _input_entry(mic_csv)}
-    return _finish("rank-mics", cfg, inputs, results, "ranking.csv", _ranking_lines(ranking))
+    ranking_csv = _ranking_lines(ranking)
+    return _finish("rank-mics", cfg, inputs, results, "ranking.csv", ranking_csv, warned)
 
 
 # ----------------------------------------------------------------------
@@ -488,31 +516,37 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise CliError(
                     "E_INPUT", f"--{flag.replace('_', '-')}: expected a finite number, got {value}"
                 )
-        cfg = _load_config(args)
-        if args.subcommand == "coherence":
-            report = cmd_coherence(args.source_wav, args.recording_wav, cfg)
-        elif args.subcommand == "simulate":
-            report = cmd_simulate(
-                cfg,
-                scenario_name=args.scenario,
-                wav_path=args.wav,
-                profile_name=args.profile,
-                threshold_v=args.threshold_v,
-                mic_scale_v=args.mic_scale_v,
-            )
-        elif args.subcommand == "calibrate":
-            report = cmd_calibrate(args.points_csv, cfg)
-        else:
-            if args.no_constraints and (args.analog or args.supply is not None):
-                raise CliError(
-                    "E_INPUT", "--no-constraints cannot be combined with --analog/--supply"
+        # every Python warning raised while the command runs goes into its
+        # report, not to stderr
+        with warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
+            cfg = _load_config(args)
+            if args.subcommand == "coherence":
+                report = cmd_coherence(args.source_wav, args.recording_wav, cfg, warned)
+            elif args.subcommand == "simulate":
+                report = cmd_simulate(
+                    cfg,
+                    scenario_name=args.scenario,
+                    wav_path=args.wav,
+                    profile_name=args.profile,
+                    threshold_v=args.threshold_v,
+                    mic_scale_v=args.mic_scale_v,
+                    warned=warned,
                 )
-            report = cmd_rank_mics(
-                args.mic_csv,
-                cfg,
-                require_analog=args.analog and not args.no_constraints,
-                supply_v=None if args.no_constraints else args.supply,
-            )
+            elif args.subcommand == "calibrate":
+                report = cmd_calibrate(args.points_csv, cfg, warned)
+            else:
+                if args.no_constraints and (args.analog or args.supply is not None):
+                    raise CliError(
+                        "E_INPUT", "--no-constraints cannot be combined with --analog/--supply"
+                    )
+                report = cmd_rank_mics(
+                    args.mic_csv,
+                    cfg,
+                    require_analog=args.analog and not args.no_constraints,
+                    supply_v=None if args.no_constraints else args.supply,
+                    warned=warned,
+                )
     except CliError as exc:
         print(f"wakenode: error [{exc.code}]: {exc}", file=sys.stderr)
         return 1

@@ -240,7 +240,8 @@ def _load_table(path: str | Path, cls: type) -> list[Any]:
     kinds = _settable(cls)
     columns = list(kinds)
     try:
-        with open(path, newline="") as fh:
+        # utf-8-sig: a spreadsheet export may start with a byte-order mark
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
@@ -250,7 +251,7 @@ def _load_table(path: str | Path, cls: type) -> list[Any]:
                     f"{path}:1: expected header {','.join(columns)}, got {','.join(header)}"
                 )
             rows = [(reader.line_num, row) for row in reader if row]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: no data rows")

@@ -239,11 +239,16 @@ def savings_percent(profile: PowerProfile) -> float:
 
 
 def battery_lifetime_days(avg_power_mw: float, battery_mah: float, battery_v: float) -> float:
-    """Days a battery of the given capacity sustains the average draw."""
+    """Days a battery of the given capacity sustains the average draw.
+
+    A draw so small that the days overflow a float (a subnormal draw) gives
+    ``inf``.
+    """
     if avg_power_mw <= 0 or battery_mah <= 0 or battery_v <= 0:
         raise ValueError("power, capacity, and voltage must all be positive")
     energy_wh = battery_mah / 1000.0 * battery_v
-    return energy_wh / (avg_power_mw / 1000.0) / 24.0
+    power_w = avg_power_mw / 1000.0  # underflows to 0 below ~2.5e-321 mW
+    return energy_wh / power_w / 24.0 if power_w > 0 else math.inf
 
 
 def build_urban_scenario() -> Scenario:

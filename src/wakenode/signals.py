@@ -32,10 +32,9 @@ ANTIALIAS_CUTOFF_FRACTION = 0.45  # of the target rate
 # Largest polyphase kernel matrix, in elements (2 MiB); a ratio needing more
 # (44 101 -> 8000 Hz has 8000 phases: 353 M) takes the convolve path.
 POLYPHASE_MAX_KERNEL = 1 << 18
-# Multiply-adds per matrix product, which sets the rows in a block. Larger
-# products woke a second OpenBLAS thread that doubled the CPU time and saved
-# no wall time (95 s of audio, 2 cores, 44.1 -> 8 kHz: 25 ms per pass at
-# 2**19, 25 ms wall and 49 ms CPU at 2**20); 154 rows at 44.1 -> 8 kHz.
+# Multiply-adds per matrix product, which sets the rows in a block: 154 rows
+# at 44.1 -> 8 kHz. OpenBLAS's output bits depend on a product's row count,
+# so this value fixes the resampled samples' bits; changing it changes them.
 RESAMPLE_BLOCK_MACS = 1 << 19
 
 # find_delay correlates directly while len(candidate) * len(reference), the

@@ -24,7 +24,7 @@ from wakenode import (
     simulate_from_wake,
     threshold_out,
 )
-from wakenode.cli import _finish, _trace_csv, data_path, main
+from wakenode.cli import CSV_BLOCK_ROWS, _csv_blocks, _finish, _trace_csv, data_path, main
 from wakenode.config import RunConfig, load_run_config, parse_run_config
 from wakenode.frontend import stream_chunk_samples
 
@@ -54,6 +54,20 @@ class TestSimulateZeroPower:
         assert json.loads(capsys.readouterr().out) == report["results"]
         assert (out / "trace.csv").read_text().splitlines()[1:] == ["0.0,480.0,sleep,0.0"]
 
+    @pytest.mark.parametrize("sleep_mw", ["1.0e-320", "2.0e-321"])
+    def test_overflowing_lifetime_reported_as_null(self, tmp_path, capsys, sleep_mw):
+        config = write_config(
+            tmp_path,
+            f"node:\n  profile: {{name: tiny, transmit_mw: 1.0, sleep_mw: {sleep_mw}}}\n",
+        )
+        out = tmp_path / "out"
+        code = main(["--config", config, "--out-dir", str(out), "simulate", "--scenario", "silence"])
+        assert code == 0, capsys.readouterr().err
+        report = json.loads((out / "simulate_report.json").read_text())
+        assert 0.0 < report["results"]["avg_power_mw"] < 1e-300
+        assert report["results"]["lifetime_days"] is None
+        assert json.loads(capsys.readouterr().out) == report["results"]
+
 
 class TestNonFiniteInputs:
     def test_infinite_battery_rejected_before_any_output(self, tmp_path, capsys):
@@ -82,9 +96,33 @@ class TestNonFiniteInputs:
     def test_report_writer_refuses_non_json_numbers(self, tmp_path, value):
         cfg = RunConfig(out_dir=str(tmp_path))
         with pytest.raises(ValueError):
-            _finish("simulate", cfg, {}, {"lifetime_days": value}, "trace.csv", ["t\n", "0\n"])
+            _finish("simulate", cfg, {}, {"lifetime_days": value}, "trace.csv", ["t\n", "0\n"], [])
         assert not (tmp_path / "simulate_report.json").exists()
         assert list(tmp_path.iterdir()) == []
+
+
+class TestCsvBlocks:
+    SPECIAL = [5e-324, -2.2250738585072e-308, 1e-310, 0.0, -0.0, 1e-5, 1e16, 3.0, -4096.0, 2.0**53]
+
+    @pytest.mark.parametrize("rows", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    def test_float_cells_are_repr_and_read_back_to_the_same_bits(self, rows):
+        bits = np.random.default_rng(rows).integers(0, 2**64, rows, dtype=np.uint64, endpoint=False)
+        bits[(bits >> np.uint64(52)) & np.uint64(0x7FF) == 0x7FF] ^= np.uint64(1 << 62)  # finite
+        noise = bits.view(np.float64)
+        # the special values open the first block and close the last rows
+        noise[: len(self.SPECIAL)] = noise[-len(self.SPECIAL) :] = self.SPECIAL
+        integers = np.arange(rows, dtype=np.float64) - 2048.0
+        state = np.where(np.arange(rows) % 3 == 0, "transmit", "sleep")
+        blocks = list(_csv_blocks("a,state,b\n", "%r,%s,%r\n", noise, state, integers))
+        assert len(blocks) == 1 + -(-rows // CSV_BLOCK_ROWS)
+        lines = "".join(blocks).splitlines()
+        assert lines[0] == "a,state,b" and len(lines) == rows + 1
+        a, got_state, b = zip(*(line.split(",") for line in lines[1:]))
+        assert list(got_state) == state.tolist()
+        for cells, column in ((a, noise), (b, integers)):
+            assert list(cells) == [repr(v) for v in column.tolist()]
+            read_back = np.array([float(cell) for cell in cells])
+            assert np.array_equal(read_back.view(np.uint64), column.view(np.uint64))
 
 
 class TestAtomicOutput:
@@ -123,7 +161,7 @@ class TestAtomicOutput:
 
         cfg = RunConfig(out_dir=str(tmp_path))
         with pytest.raises(RuntimeError, match="row formatting"):
-            _finish("simulate", cfg, {}, {}, "trace.csv", rows())
+            _finish("simulate", cfg, {}, {}, "trace.csv", rows(), [])
         assert list(tmp_path.iterdir()) == []
 
 
@@ -186,6 +224,23 @@ class TestCommands:
         rows = (out / results["coherence_csv"]).read_text().splitlines()
         assert rows[0] == "frequency_hz,coherence,envelope"
         assert len(rows) == results["bins"] + 1
+
+    def test_coherence_rate_warnings_come_first(self, tmp_path, capsys, urban_90s_8k):
+        source = tmp_path / "source.wav"
+        recording = tmp_path / "recording.wav"
+        wavfile.write(source, 8000, urban_90s_8k.samples)
+        wavfile.write(recording, 8000, urban_90s_8k.samples.astype(np.float32))
+        # the truncation warning is raised as the file opens, before the rate checks
+        recording.write_bytes(recording.read_bytes()[:-1])
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "coherence", str(source), str(recording)]) == 0
+        results = json.loads((out / "coherence_report.json").read_text())["results"]
+        assert json.loads(capsys.readouterr().out) == results
+        found = results["warnings"]
+        assert len(found) == 3
+        assert found[0].startswith("source sample rate 8000 Hz")
+        assert found[1].startswith("recording sample rate 8000 Hz")
+        assert "the file holds" in found[2]
 
     def test_ranking_csv_quotes_names(self, tmp_path):
         mics = tmp_path / "mics.csv"
@@ -276,11 +331,17 @@ class TestSimulateWavStreaming:
         wav = tmp_path / "a.wav"
         write_int16(wav, bursty(300_000, seed=1))
         wav.write_bytes(wav.read_bytes()[:-1])
+        out = tmp_path / "out"
         with warnings.catch_warnings(record=True) as record:
             warnings.simplefilter("always")
-            assert main(["--out-dir", str(tmp_path / "out"), "simulate", "--wav", str(wav)]) == 0
-        assert [w.category for w in record] == [UserWarning]
-        assert "file holds" in str(record[0].message)
+            assert main(["--out-dir", str(out), "simulate", "--wav", str(wav)]) == 0
+        assert record == []  # reported, not raised past main
+        results = json.loads((out / "simulate_report.json").read_text())["results"]
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == results
+        assert captured.err == ""
+        assert len(results["warnings"]) == 1
+        assert "file holds" in results["warnings"][0]
 
     def test_nan_in_a_later_chunk_leaves_no_output(self, tmp_path, capsys):
         wav = tmp_path / "a.wav"

@@ -279,3 +279,28 @@ class TestCsvLoaders:
         path = tmp_path / "points.csv"
         path.write_text("adc_value,spl_db\n\n400,60.5\n\n500,80.0\n")
         assert len(load_cal_points(path)) == 2
+
+    def test_bom_prefixed_mic_table_loads(self, tmp_path):
+        # a spreadsheet export: byte-order mark, UTF-8 name, CRLF line ends
+        text = data_path("microphones.csv").read_text(encoding="utf-8")
+        text += "Mikrofon µ,1.0,0.5,analog,1.0,3.0\n"
+        path = tmp_path / "mics.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode("utf-8"))
+        mics = load_mic_table(path)
+        assert mics[:-1] == load_mic_table(data_path("microphones.csv"))
+        assert mics[-1].name == "Mikrofon µ"
+
+    def test_bom_prefixed_cal_points_load(self, tmp_path):
+        path = tmp_path / "points.csv"
+        path.write_bytes(b"\xef\xbb\xbfadc_value,spl_db\n400,60.5\n500,80.0\n")
+        points = load_cal_points(path)
+        assert [(p.adc_value, p.spl_db) for p in points] == [(400.0, 60.5), (500.0, 80.0)]
+
+    def test_non_utf8_table_rejected_with_path(self, tmp_path):
+        path = tmp_path / "mics.csv"
+        path.write_bytes(
+            b"name,power_mw,accuracy,configuration,supply_min_v,supply_max_v\n"
+            b"Mikrofon \xb5,1.0,0.5,analog,1.0,3.0\n"
+        )
+        with pytest.raises(ConfigError, match="mics.csv: .*utf-8"):
+            load_mic_table(path)

@@ -459,6 +459,10 @@ class TestBatteryLifetime:
         with pytest.raises(ValueError):
             battery_lifetime_days(0.0, 2900.0, 3.3)
 
+    @pytest.mark.parametrize("avg_power_mw", [1e-320, 2e-321])
+    def test_subnormal_draw_lasts_forever(self, avg_power_mw):
+        assert battery_lifetime_days(avg_power_mw, 2900.0, 3.3) == math.inf
+
 
 class TestUrbanScenario:
     def test_total_duration(self):

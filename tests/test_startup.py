@@ -1,4 +1,5 @@
-"""Start-up guard: no command needs scipy, and importing the CLI loads no YAML.
+"""Start-up guards: no command needs scipy, importing the CLI loads no YAML,
+and importing the package pins OpenBLAS to one thread.
 
 One fresh interpreter makes scipy unimportable (``sys.modules["scipy"] =
 None``) before it imports ``wakenode.cli``, then runs ``rank-mics``,
@@ -6,6 +7,8 @@ None``) before it imports ``wakenode.cli``, then runs ``rank-mics``,
 ``calibrate`` in that order and records each exit status. A scipy import
 anywhere on a command's path makes that command fail. An eager PyYAML
 import at module level would load it for commands that read no config.
+Three more fresh interpreters import ``wakenode.cli`` with and without a
+preset ``OPENBLAS_NUM_THREADS`` and after numpy.
 """
 
 import json
@@ -48,6 +51,47 @@ print(json.dumps(runs))
 """
 
 
+PIN = r"""
+import json, os, sys
+
+if sys.argv[1:] == ["numpy-first"]:
+    import numpy
+import wakenode.cli
+task = "/proc/self/task"
+threads = len(os.listdir(task)) if os.path.isdir(task) else None
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+def _child_env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
+
+
+def _pin(*args: str, **env: str) -> list:
+    proc = subprocess.run(
+        [sys.executable, "-c", PIN, *args],
+        capture_output=True,
+        text=True,
+        env={**_child_env(), **env},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_pins_openblas_to_one_thread_unless_preset_or_too_late():
+    variable, threads = _pin()
+    assert variable == "1"
+    assert _pin(OPENBLAS_NUM_THREADS="2")[0] == "2"  # the user's value is kept
+    assert _pin("numpy-first")[0] is None  # too late to pin: left unset
+    if threads is None:
+        pytest.skip("no /proc/self/task to count threads")
+    assert threads == 1
+
+
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("startup")
@@ -59,13 +103,11 @@ def runs(tmp_path_factory):
     wavs = [tmp / "source.wav", tmp / "recording.wav"]
     for path, sig in zip(wavs, (source, recording)):
         wavfile.write(path, 8000, sig.samples.astype(np.float32))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-c", STEPS, str(tmp / "out"), str(points), *map(str, wavs)],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
