@@ -3,15 +3,22 @@
 Subcommands: ``coherence`` (score a recording against its source),
 ``simulate`` (run the power model over a scenario or a WAV through the
 analog chain), ``calibrate`` (fit the ADC-to-dB curve), and ``rank-mics``
-(order microphone candidates). Every run writes a CSV and a JSON report
-embedding the effective configuration, so results are reproducible from
-their own output. Every Python warning raised while a command runs is
-recorded in its report's ``results.warnings``, after the warnings the
-command adds itself, instead of going to stderr. The two files are
-published together or not at all: each is written to a temp file in the
-output directory and renamed into place, and a run that fails (exit
-status 1) leaves no file it wrote. CSV rows are written to the temp file
-as they are formatted, not joined first.
+(order microphone candidates).
+
+Every subcommand is a ``cmd_*(args, cfg)`` function that only computes: it
+returns the effective configuration, its inputs, its results, the CSV
+file name and the CSV text chunks. :func:`main` is the one runner. It
+looks the command up when it parses the arguments, records every Python
+warning raised while the command runs, and hands the command's output to
+:func:`_finish`, which writes a CSV and a JSON report embedding the
+effective configuration, so results are reproducible from their own
+output. The recorded warnings go into the report's ``results.warnings``,
+after the warnings the command adds itself, instead of going to stderr.
+The two files are published together or not at all: each is written to a
+temp file in the output directory and renamed into place, and a run that
+fails (exit status 1) leaves no file it wrote. Every CSV goes through
+:func:`_csv_blocks`, its rows written to the temp file as they are
+formatted, not joined first.
 
 ``simulate --wav`` streams the recording through the analog chain in
 fixed-size chunks (:func:`wakenode.frontend.stream_chunk_samples`), each
@@ -37,7 +44,7 @@ from dataclasses import replace
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,7 +53,6 @@ from .calibrate import CalibrationDomainError, FitError, adc_to_db, fit_curve
 from .coherence import (
     SCORE_RATE_HZ,
     AlignmentError,
-    RankedMic,
     check_duration,
     rank_microphones,
     score_with_details,
@@ -90,6 +96,9 @@ WAV_CHUNK_FRAMES = 1 << 17
 
 MIN_SOURCE_RATE_HZ = 8_000.0
 PREFERRED_SOURCE_RATE_HZ = 16_000.0
+
+# what a cmd_* returns: cfg, inputs, results, CSV name and CSV text chunks
+CommandOutput = tuple[RunConfig, dict[str, Any], dict[str, Any], str, Iterable[str]]
 
 _ERROR_CODES: list[tuple[type[BaseException], str]] = [
     (ConfigError, "E_CONFIG"),
@@ -203,14 +212,10 @@ def _finish(
     return report
 
 
-def _format(value: float) -> str:
-    return repr(float(value))
-
-
 def _csv_blocks(header: str, row_format: str, *columns: np.ndarray) -> Iterator[str]:
     """``header``, then one ``row_format`` row per index of ``columns``, in
-    strings of ``CSV_BLOCK_ROWS`` rows; ``%r`` of a Python float is repr(), as
-    :func:`_format` gives."""
+    strings of ``CSV_BLOCK_ROWS`` rows; ``%r`` of a Python float is its
+    repr(), which reads back to the same bits."""
     yield header
     for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         block = [column[start : start + CSV_BLOCK_ROWS].tolist() for column in columns]
@@ -218,7 +223,9 @@ def _csv_blocks(header: str, row_format: str, *columns: np.ndarray) -> Iterator[
 
 
 # ----------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed arguments and the run config and
+# returns (cfg, inputs, results, csv_name, csv_chunks), the arguments of
+# _finish between the command name and the recorded warnings; main runs it
 
 
 def _at_score_rate(wav: WavReader) -> Signal:
@@ -230,11 +237,9 @@ def _at_score_rate(wav: WavReader) -> Signal:
     return Signal(np.concatenate(pieces), SCORE_RATE_HZ)
 
 
-def cmd_coherence(
-    source_wav: str, recording_wav: str, cfg: RunConfig, warned: Sequence[warnings.WarningMessage]
-) -> dict[str, Any]:
+def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
     rate_warnings: list[str] = []
-    with WavReader(source_wav) as source_file, WavReader(recording_wav) as recording_file:
+    with WavReader(args.source_wav) as source_file, WavReader(args.recording_wav) as recording_file:
         files = (("source", source_file), ("recording", recording_file))
         for label, wav in files:
             rate = wav.sample_rate_hz
@@ -260,8 +265,8 @@ def cmd_coherence(
     details = score_with_details(source, recording, cfg.welch)
 
     inputs = {
-        "source_wav": _input_entry(source_wav),
-        "recording_wav": _input_entry(recording_wav),
+        "source_wav": _input_entry(args.source_wav),
+        "recording_wav": _input_entry(args.recording_wav),
     }
     results = {
         "score": details.score,
@@ -272,19 +277,13 @@ def cmd_coherence(
     estimate = details.estimate
     columns = (estimate.frequencies_hz, estimate.values, details.envelope)
     rows = _csv_blocks("frequency_hz,coherence,envelope\n", "%r,%r,%r\n", *columns)
-    return _finish("coherence", cfg, inputs, results, "coherence.csv", rows, warned)
+    return cfg, inputs, results, "coherence.csv", rows
 
 
-def _silence_scenario() -> Scenario:
-    return Scenario((ScenarioSegment(480.0, False, "silence"),))
-
-
-def _resolve_scenario(name_or_path: str) -> Scenario:
-    if name_or_path == "urban":
-        return build_urban_scenario()
-    if name_or_path == "silence":
-        return _silence_scenario()
-    return load_scenario(name_or_path)
+BUILTIN_SCENARIOS: dict[str, Callable[[], Scenario]] = {
+    "urban": build_urban_scenario,
+    "silence": lambda: Scenario((ScenarioSegment(480.0, False, "silence"),)),
+}
 
 
 def _trace_csv(trace: SimTrace, node: NodeConfig) -> Iterator[str]:
@@ -318,37 +317,33 @@ def _simulate_wav(
     return runs.trace(node)
 
 
-def cmd_simulate(
-    cfg: RunConfig,
-    scenario_name: str | None,
-    wav_path: str | None,
-    profile_name: str | None,
-    threshold_v: float,
-    mic_scale_v: float,
-    warned: Sequence[warnings.WarningMessage],
-) -> dict[str, Any]:
+def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
     node = cfg.node
-    if profile_name is not None:
-        if profile_name not in BUILTIN_PROFILES:
+    if args.profile is not None:
+        if args.profile not in BUILTIN_PROFILES:
             raise CliError(
                 "E_INPUT",
-                f"unknown profile {profile_name!r}; built-ins are "
-                f"{sorted(BUILTIN_PROFILES)}",
+                f"unknown profile {args.profile!r}; built-ins are {sorted(BUILTIN_PROFILES)}",
             )
-        node = replace(node, profile=BUILTIN_PROFILES[profile_name])
+        node = replace(node, profile=BUILTIN_PROFILES[args.profile])
 
     inputs: dict[str, Any] = {}
-    if wav_path is not None:
-        trace = _simulate_wav(wav_path, cfg.circuit, node, threshold_v, mic_scale_v)
-        inputs["wav"] = _input_entry(wav_path)
-        source_desc = {"kind": "wav", "threshold_v": threshold_v, "mic_scale_v": mic_scale_v}
+    if args.wav is not None:
+        trace = _simulate_wav(args.wav, cfg.circuit, node, args.threshold_v, args.mic_scale_v)
+        inputs["wav"] = _input_entry(args.wav)
+        source_desc = {
+            "kind": "wav",
+            "threshold_v": args.threshold_v,
+            "mic_scale_v": args.mic_scale_v,
+        }
     else:
-        assert scenario_name is not None
-        scenario = _resolve_scenario(scenario_name)
-        if not (scenario_name in ("urban", "silence")):
-            inputs["scenario"] = _input_entry(scenario_name)
+        if args.scenario in BUILTIN_SCENARIOS:
+            scenario = BUILTIN_SCENARIOS[args.scenario]()
+        else:
+            scenario = load_scenario(args.scenario)
+            inputs["scenario"] = _input_entry(args.scenario)
         trace = simulate(scenario, node)
-        source_desc = {"kind": "scenario", "name": scenario_name}
+        source_desc = {"kind": "scenario", "name": args.scenario}
 
     # zero average power (a sleep draw of 0 that never wakes) never drains
     # the battery, and a subnormal one outlasts any float: the lifetime is
@@ -367,88 +362,67 @@ def cmd_simulate(
         "lifetime_days": lifetime if math.isfinite(lifetime) else None,
         "savings_percent": savings_percent(node.profile),
     }
-    return _finish(
-        "simulate",
-        replace(cfg, node=node),
-        inputs,
-        results,
-        "trace.csv",
-        _trace_csv(trace, node),
-        warned,
-    )
+    return replace(cfg, node=node), inputs, results, "trace.csv", _trace_csv(trace, node)
 
 
-def cmd_calibrate(
-    points_csv: str, cfg: RunConfig, warned: Sequence[warnings.WarningMessage]
-) -> dict[str, Any]:
-    points = load_cal_points(points_csv)
+def cmd_calibrate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
+    points = load_cal_points(args.points_csv)
     curve, r2 = fit_curve(points)
 
-    lines = ["adc_value,spl_db,predicted_db,residual_db\n"]
-    for p in points:
-        predicted = adc_to_db(p.adc_value, curve)
-        lines.append(
-            f"{_format(p.adc_value)},{_format(p.spl_db)},"
-            f"{_format(predicted)},{_format(p.spl_db - predicted)}\n"
-        )
+    adc = np.array([p.adc_value for p in points])
+    spl = np.array([p.spl_db for p in points])
+    predicted = np.array([adc_to_db(p.adc_value, curve) for p in points])
+    header = "adc_value,spl_db,predicted_db,residual_db\n"
+    rows = _csv_blocks(header, "%r,%r,%r,%r\n", adc, spl, predicted, spl - predicted)
     results = {
         "curve": {"a": curve.a, "b": curve.b, "c": curve.c, "d": curve.d},
         "r_squared": r2,
         "points": len(points),
     }
-    inputs = {"points_csv": _input_entry(points_csv)}
-    return _finish("calibrate", cfg, inputs, results, "residuals.csv", lines, warned)
+    inputs = {"points_csv": _input_entry(args.points_csv)}
+    return cfg, inputs, results, "residuals.csv", rows
 
 
-def _csv_field(text: str) -> str:
-    """``text`` as one CSV field, quoted as the csv module's minimal quoting does."""
+def _csv_cell(value: Any) -> str:
+    """A ranking value as one CSV cell: a float as its repr(), None empty, a
+    boolean yes/no, a list joined by "; ", and text quoted as the csv
+    module's minimal quoting does."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "yes" if value else "no"
+    if isinstance(value, float):
+        return repr(value)
+    text = "; ".join(value) if isinstance(value, list) else str(value)
     if any(ch in text for ch in ',"\r\n'):
         return '"' + text.replace('"', '""') + '"'
     return text
 
 
-def _ranking_lines(ranking: list[RankedMic]) -> list[str]:
-    lines = ["rank,name,accuracy,power_mw,eligible,reasons\n"]
-    for entry in ranking:
-        c = entry.candidate
-        rank = str(entry.rank) if entry.rank is not None else ""
-        eligible = "yes" if entry.eligible else "no"
-        reasons = "; ".join(entry.reasons)
-        lines.append(
-            f"{rank},{_csv_field(c.name)},{_format(c.accuracy)},{_format(c.power_mw)},"
-            f"{eligible},{_csv_field(reasons)}\n"
-        )
-    return lines
+def cmd_rank_mics(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
+    if args.no_constraints and (args.analog or args.supply is not None):
+        raise CliError("E_INPUT", "--no-constraints cannot be combined with --analog/--supply")
+    candidates = load_mic_table(args.mic_csv)
+    ranking = rank_microphones(candidates, require_analog=args.analog, supply_v=args.supply)
 
-
-def cmd_rank_mics(
-    mic_csv: str,
-    cfg: RunConfig,
-    require_analog: bool,
-    supply_v: float | None,
-    warned: Sequence[warnings.WarningMessage],
-) -> dict[str, Any]:
-    candidates = load_mic_table(mic_csv)
-    ranking = rank_microphones(candidates, require_analog=require_analog, supply_v=supply_v)
-
-    results = {
-        "require_analog": require_analog,
-        "supply_v": supply_v,
-        "ranking": [
-            {
-                "rank": e.rank,
-                "name": e.candidate.name,
-                "accuracy": e.candidate.accuracy,
-                "power_mw": e.candidate.power_mw,
-                "eligible": e.eligible,
-                "reasons": list(e.reasons),
-            }
-            for e in ranking
-        ],
-    }
-    inputs = {"mic_csv": _input_entry(mic_csv)}
-    ranking_csv = _ranking_lines(ranking)
-    return _finish("rank-mics", cfg, inputs, results, "ranking.csv", ranking_csv, warned)
+    entries = [
+        {
+            "rank": e.rank,
+            "name": e.candidate.name,
+            "accuracy": e.candidate.accuracy,
+            "power_mw": e.candidate.power_mw,
+            "eligible": e.eligible,
+            "reasons": list(e.reasons),
+        }
+        for e in ranking
+    ]
+    results = {"require_analog": args.analog, "supply_v": args.supply, "ranking": entries}
+    inputs = {"mic_csv": _input_entry(args.mic_csv)}
+    # one column per entry key, so the CSV and the report share one field list
+    fields = list(entries[0])
+    columns = [np.array([_csv_cell(entry[f]) for entry in entries]) for f in fields]
+    rows = _csv_blocks(",".join(fields) + "\n", ",".join(["%s"] * len(fields)) + "\n", *columns)
+    return cfg, inputs, results, "ranking.csv", rows
 
 
 # ----------------------------------------------------------------------
@@ -465,12 +439,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("coherence", help="score a recording against its source")
+    p.set_defaults(run=cmd_coherence)
     p.add_argument("source_wav")
     p.add_argument("recording_wav")
 
     p = sub.add_parser("simulate", help="simulate node power over a scenario or WAV")
+    p.set_defaults(run=cmd_simulate)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--scenario", help="urban, silence, or a scenario YAML path")
+    scenarios = ", ".join(BUILTIN_SCENARIOS)
+    group.add_argument("--scenario", help=f"{scenarios}, or a scenario YAML path")
     group.add_argument("--wav", help="drive the analog chain from a WAV file")
     p.add_argument("--profile", help=f"built-in profile: {', '.join(sorted(BUILTIN_PROFILES))}")
     p.add_argument(
@@ -487,9 +464,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("calibrate", help="fit the ADC-to-dB calibration curve")
+    p.set_defaults(run=cmd_calibrate)
     p.add_argument("points_csv")
 
     p = sub.add_parser("rank-mics", help="rank microphone candidates")
+    p.set_defaults(run=cmd_rank_mics)
     p.add_argument("mic_csv")
     p.add_argument("--analog", action="store_true", help="require an analog microphone")
     p.add_argument("--supply", type=float, help="supply voltage candidates must accept")
@@ -508,6 +487,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # the parser is built on every call, so each subparser's ``run`` default
+    # is the module's cmd_* function as bound at call time
     args = _build_parser().parse_args(argv)
     try:
         for flag in ("threshold_v", "mic_scale_v", "supply"):
@@ -516,37 +497,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise CliError(
                     "E_INPUT", f"--{flag.replace('_', '-')}: expected a finite number, got {value}"
                 )
+        if args.out_dir == "":
+            raise CliError("E_INPUT", "--out-dir: expected a directory, got an empty string")
         # every Python warning raised while the command runs goes into its
         # report, not to stderr
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
             cfg = _load_config(args)
-            if args.subcommand == "coherence":
-                report = cmd_coherence(args.source_wav, args.recording_wav, cfg, warned)
-            elif args.subcommand == "simulate":
-                report = cmd_simulate(
-                    cfg,
-                    scenario_name=args.scenario,
-                    wav_path=args.wav,
-                    profile_name=args.profile,
-                    threshold_v=args.threshold_v,
-                    mic_scale_v=args.mic_scale_v,
-                    warned=warned,
-                )
-            elif args.subcommand == "calibrate":
-                report = cmd_calibrate(args.points_csv, cfg, warned)
-            else:
-                if args.no_constraints and (args.analog or args.supply is not None):
-                    raise CliError(
-                        "E_INPUT", "--no-constraints cannot be combined with --analog/--supply"
-                    )
-                report = cmd_rank_mics(
-                    args.mic_csv,
-                    cfg,
-                    require_analog=args.analog and not args.no_constraints,
-                    supply_v=None if args.no_constraints else args.supply,
-                    warned=warned,
-                )
+            report = _finish(args.subcommand, *args.run(args, cfg), warned)
     except CliError as exc:
         print(f"wakenode: error [{exc.code}]: {exc}", file=sys.stderr)
         return 1

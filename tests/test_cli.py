@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import wakenode.cli
 from wakenode import (
     BUILTIN_PROFILES,
+    CalibrationCurve,
     Signal,
     adc_to_db,
     amplify,
@@ -274,6 +276,93 @@ class TestCommands:
         assert rows[0] == "adc_value,spl_db,predicted_db,residual_db"
         assert len(rows) == 13
         assert max(abs(float(row.split(",")[3])) for row in rows[1:]) < 0.05
+
+    def test_residuals_cells_are_repr_of_the_scalar_model(self, tmp_path, capsys):
+        adc = np.linspace(380.0, 1000.0, 12).tolist()
+        spl = [adc_to_db(x) + 0.1 * (-1) ** i for i, x in enumerate(adc)]
+        points = tmp_path / "points.csv"
+        rows = "".join(f"{x!r},{y!r}\n" for x, y in zip(adc, spl))
+        points.write_text("adc_value,spl_db\n" + rows)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "calibrate", str(points)]) == 0
+        results = json.loads(capsys.readouterr().out)
+        curve = CalibrationCurve(**results["curve"])
+        expected = []
+        for x, y in zip(adc, spl):
+            predicted = adc_to_db(x, curve)
+            expected.append(",".join(repr(float(v)) for v in (x, y, predicted, y - predicted)))
+        assert (out / "residuals.csv").read_text().splitlines()[1:] == expected
+
+    def test_rank_mics_without_constraints_is_the_plain_ranking(self, tmp_path, capsys):
+        mics = str(data_path("microphones.csv"))
+        runs = []
+        for name, flags in (("plain", []), ("free", ["--no-constraints"])):
+            out = tmp_path / name
+            assert main(["--out-dir", str(out), "rank-mics", mics, *flags]) == 0
+            runs.append(((out / "ranking.csv").read_text(), json.loads(capsys.readouterr().out)))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("flags", [["--analog"], ["--supply", "3.3"]])
+    def test_rank_mics_no_constraints_with_a_constraint_is_rejected(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        mics = str(data_path("microphones.csv"))
+        assert main(["--out-dir", str(out), "rank-mics", mics, "--no-constraints", *flags]) == 1
+        assert "[E_INPUT]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_out_dir_is_rejected_before_any_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--out-dir", "", "simulate", "--scenario", "urban"]) == 1
+        assert "[E_INPUT]" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def command_args(command: str, tmp_path: Path, urban: Signal) -> list[str]:
+    """Arguments that run ``command`` on small inputs written under ``tmp_path``."""
+    if command == "coherence":
+        wavs = [tmp_path / "source.wav", tmp_path / "recording.wav"]
+        wavfile.write(wavs[0], 8000, urban.samples)
+        wavfile.write(wavs[1], 8000, shift_right(urban, 80).samples)
+        return ["coherence", *map(str, wavs)]
+    if command == "simulate":
+        return ["simulate", "--scenario", "urban"]
+    if command == "calibrate":
+        points = tmp_path / "points.csv"
+        adc = np.linspace(380.0, 1000.0, 12).tolist()
+        points.write_text("adc_value,spl_db\n" + "".join(f"{x!r},{adc_to_db(x)!r}\n" for x in adc))
+        return ["calibrate", str(points)]
+    return ["rank-mics", str(data_path("microphones.csv"))]
+
+
+@pytest.mark.parametrize(
+    "command, csv_key",
+    [
+        ("coherence", "coherence_csv"),
+        ("simulate", "trace_csv"),
+        ("calibrate", "residuals_csv"),
+        ("rank-mics", "ranking_csv"),
+    ],
+)
+def test_main_runs_the_command_looked_up_at_call_time(
+    tmp_path, capsys, monkeypatch, urban_90s_8k, command, csv_key
+):
+    attribute = f"cmd_{command.replace('-', '_')}"
+    original = getattr(wakenode.cli, attribute)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(wakenode.cli, attribute, counting)
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), *command_args(command, tmp_path, urban_90s_8k)]) == 0
+    assert len(calls) == 1
+    report = json.loads((out / f"{command.replace('-', '_')}_report.json").read_text())
+    assert report["command"] == command
+    assert isinstance(report["results"]["warnings"], list)
+    assert (out / report["results"][csv_key]).exists()
+    assert json.loads(capsys.readouterr().out) == report["results"]
 
 
 # ----------------------------------------------------------------------
