@@ -26,8 +26,11 @@ stage carrying its state across chunk boundaries, so its memory does not
 grow with the recording's length and its outputs are those of one pass
 over the whole recording. ``coherence`` streams each recording the same
 way, in chunks of :data:`WAV_CHUNK_FRAMES`, through the resampler to the
-8 kHz scoring rate, so no full-rate copy of a recording is ever held; its
-rate and length are checked from the WAV header before any decoding.
+8 kHz scoring rate and on into the scorer, which holds the first 10 s of
+each and then one Welch segment, so no whole recording is held at any
+rate. The Welch settings are checked against the 80 s analysis span, and
+each recording's rate and length against its WAV header, before any
+decoding.
 """
 
 from __future__ import annotations
@@ -53,9 +56,10 @@ from .calibrate import CalibrationDomainError, FitError, adc_to_db, fit_curve
 from .coherence import (
     SCORE_RATE_HZ,
     AlignmentError,
+    analysis_welch,
     check_duration,
     rank_microphones,
-    score_with_details,
+    score_streams,
 )
 from .config import (
     ConfigError,
@@ -91,8 +95,8 @@ from .wavio import WavFormatError, WavReader
 CONFIG_ENV_VAR = "WAKENODE_CONFIG"
 # rows per string of a streamed coherence or trace CSV
 CSV_BLOCK_ROWS = 4096
-# frames per chunk of a recording streamed into coherence: 1 MiB as float64
-WAV_CHUNK_FRAMES = 1 << 17
+# frames per chunk of a recording streamed into coherence: 256 KiB as float64
+WAV_CHUNK_FRAMES = 1 << 15
 
 MIN_SOURCE_RATE_HZ = 8_000.0
 PREFERRED_SOURCE_RATE_HZ = 16_000.0
@@ -228,16 +232,18 @@ def _csv_blocks(header: str, row_format: str, *columns: np.ndarray) -> Iterator[
 # _finish between the command name and the recorded warnings; main runs it
 
 
-def _at_score_rate(wav: WavReader) -> Signal:
-    """A recording resampled to the scoring rate, one chunk at a time."""
-    carry = ResampleCarry(wav.frames)
-    pieces = [
-        resample(chunk, SCORE_RATE_HZ, carry).samples for chunk in wav.chunks(WAV_CHUNK_FRAMES)
-    ]
-    return Signal(np.concatenate(pieces), SCORE_RATE_HZ)
+def _at_score_rate(chunks: Iterator[Signal], frames: int) -> Iterator[Signal]:
+    """A recording's chunks, each resampled to the scoring rate as it is decoded."""
+    carry = ResampleCarry(frames)
+    for chunk in chunks:
+        yield resample(chunk, SCORE_RATE_HZ, carry)
 
 
 def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
+    try:
+        welch = analysis_welch(cfg.welch)
+    except ValueError as exc:
+        raise ConfigError(f"welch: {exc}") from exc
     rate_warnings: list[str] = []
     with WavReader(args.source_wav) as source_file, WavReader(args.recording_wav) as recording_file:
         files = (("source", source_file), ("recording", recording_file))
@@ -259,10 +265,19 @@ def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
         # 90 s but resample to exactly 720 000 samples at 8 kHz
         for label, wav in files:
             check_duration(label, wav.frames / wav.sample_rate_hz)
-        source = _at_score_rate(source_file)
-        recording = _at_score_rate(recording_file)
-
-    details = score_with_details(source, recording, cfg.welch)
+        source, recording = (wav.chunks(WAV_CHUNK_FRAMES) for _, wav in files)
+        try:
+            details = score_streams(
+                _at_score_rate(source, source_file.frames),
+                _at_score_rate(recording, recording_file.frames),
+                welch,
+            )
+        finally:
+            # decode what scoring left of both files, the source first, so a
+            # bad sample anywhere fails the run as when each file was read
+            # whole before scoring
+            for _ in chain(source, recording):
+                pass
 
     inputs = {
         "source_wav": _input_entry(args.source_wav),

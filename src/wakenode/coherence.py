@@ -4,12 +4,18 @@ microphone accuracy score built on them.
 The scoring pipeline: check that both waveforms last at least 90 seconds,
 resample them to 8 kHz (polyphase between integer rates, see
 :func:`wakenode.signals.resample`), align them by cross-correlating their
-first 10 seconds, trim the recording to exactly 80 seconds from the
-alignment point, estimate the magnitude-squared coherence, take the peak
-envelope of the per-frequency values, and average it into a single number
-in [0, 1]. Input already at 8 kHz passes through the resampler unchanged,
-so a caller may resample a recording itself, chunk by chunk, and check its
-length with :func:`check_duration` at the input's own rate.
+first 10 seconds, feed exactly 80 seconds of each waveform from the
+alignment point into a Welch accumulator, take the magnitude-squared
+coherence of its spectra, take the peak envelope of the per-frequency
+values, and average it into a single number in [0, 1].
+
+The pipeline reads each waveform at 8 kHz as a stream of chunks
+(:func:`score_streams`), holding the first 10 seconds for the alignment
+and then one Welch segment, so a caller can decode and resample a
+recording chunk by chunk and check its length with :func:`check_duration`
+at the input's own rate. Whole signals are one chunk:
+:func:`score_with_details` and the spectral functions run the same code,
+and every chunking gives the same bits.
 
 All functions are pure; scoring many recordings concurrently is safe.
 """
@@ -19,12 +25,13 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .signals import Signal, clip, find_delay, resample
+from .signals import Signal, find_delay, resample
 
 __all__ = [
     "Window",
@@ -50,6 +57,11 @@ ENVELOPE_PEAK_SEPARATION = 100
 
 # Product of auto-spectra below this is treated as silence, not coherence.
 POWER_FLOOR = 1e-30
+
+# (frequencies, G_xy, G_xx, G_yy) of a Welch estimate
+_Spectra = tuple[
+    NDArray[np.float64], NDArray[np.complex128], NDArray[np.float64], NDArray[np.float64]
+]
 
 
 def check_duration(name: str, duration_s: float) -> None:
@@ -185,45 +197,123 @@ class RankedMic:
     rank: int | None = None
 
 
-def _welch_spectra(
-    x: Signal, y: Signal, p: WelchParams
-) -> tuple[NDArray[np.float64], NDArray[np.complex128], NDArray[np.float64], NDArray[np.float64]]:
-    """Shared Welch machinery: (frequencies, G_xy, G_xx, G_yy).
+class WelchAccumulator:
+    """Welch-averaged spectra of two signals of ``length`` samples, fed as
+    consecutive pairs of equal-length pieces.
 
     Windowed, overlapped segments; the final partial segment is discarded.
-    Density scaling (1 / (fs * window energy)) is applied uniformly, so it
-    cancels in coherence ratios.
+    Each piece is copied into one segment buffer per signal, and a segment
+    is windowed, transformed and added to G_xy, G_xx and G_yy as soon as
+    the buffers hold it, so the segments, their order and the sums are
+    those of one pass over the whole signals, whatever the pieces. The
+    window, the buffers and the work arrays are allocated once, when the
+    segments are planned, and freed after the last segment; a ``length``
+    too short for ``params`` raises ValueError at the planning.
     """
+
+    def __init__(self, length: int, sample_rate_hz: float, params: WelchParams) -> None:
+        seg_len = params.segment_length(length)
+        self._nfft = params.resolve_fft_length(seg_len)
+        self.length = length
+        self.sample_rate_hz = sample_rate_hz
+        self.params = params
+        self.fed = 0
+        self._seg_len = seg_len
+        self._hop = seg_len - int(params.overlap_fraction * seg_len)
+        self._count = len(range(0, length - seg_len + 1, self._hop))
+        self._left = self._count  # segments not yet added
+        self._held = 0  # samples in the buffers, from the current segment's start
+        window = _window_values(params.window, seg_len)
+        # density scaling, the same for every segment, so it cancels in
+        # coherence ratios
+        self._scale = 1.0 / (sample_rate_hz * np.sum(window**2))
+        bins = self._nfft // 2 + 1
+        # the window, a segment buffer per signal, the windowed segment and
+        # a product of transforms
+        self._work: tuple[NDArray, ...] | None = (
+            window,
+            np.empty((2, seg_len)),
+            np.empty(seg_len),
+            np.empty(bins, dtype=np.complex128),
+        )
+        self._sums: tuple[NDArray, ...] | None = (
+            np.zeros(bins, dtype=np.complex128),
+            np.zeros(bins, dtype=np.float64),
+            np.zeros(bins, dtype=np.float64),
+        )
+
+    def feed(self, x: NDArray[np.float64], y: NDArray[np.float64]) -> None:
+        """Add the next ``len(x)`` samples of each signal."""
+        if len(x) != len(y):
+            raise ValueError(f"piece lengths differ: {len(x)} vs {len(y)}")
+        if self.fed + len(x) > self.length:
+            raise ValueError(
+                f"piece of {len(x)} samples runs past the {self.length} samples "
+                f"planned ({self.fed} already fed)"
+            )
+        self.fed += len(x)
+        pos = 0
+        while self._left and pos < len(x):
+            buffers = self._work[1]
+            take = min(self._seg_len - self._held, len(x) - pos)
+            stop = self._held + take
+            buffers[0, self._held : stop] = x[pos : pos + take]
+            buffers[1, self._held : stop] = y[pos : pos + take]
+            self._held, pos = stop, pos + take
+            if stop == self._seg_len:
+                self._add_segment()
+                self._held = self._seg_len - self._hop
+                buffers[:, : self._held] = buffers[:, self._hop :]
+        if not self._left:
+            self._work = None
+
+    def _add_segment(self) -> None:
+        # fx * conj(fx), conj(fx) * fy and fy * conj(fy), each computed in
+        # ``product``; fx is dropped before fy is transformed, so only one
+        # transform is held at a time
+        window, buffers, windowed, product = self._work
+        gxy, gxx, gyy = self._sums
+        np.multiply(window, buffers[0], out=windowed)
+        fx = np.fft.rfft(windowed, self._nfft)
+        np.multiply(fx, np.conjugate(fx, out=product), out=product)
+        gxx += product.real
+        np.conjugate(fx, out=product)
+        del fx
+        np.multiply(window, buffers[1], out=windowed)
+        fy = np.fft.rfft(windowed, self._nfft)
+        np.multiply(product, fy, out=product)
+        gxy += product
+        np.multiply(fy, np.conjugate(fy, out=product), out=product)
+        gyy += product.real
+        self._left -= 1
+
+    def finish(self) -> _Spectra:
+        """(frequencies, G_xy, G_xx, G_yy) once every planned sample is fed:
+        the sums averaged over the segments, scaled to a density (1 / (fs *
+        window energy)) and handed over, so the accumulator is done with."""
+        if self.fed < self.length:
+            raise ValueError(f"only {self.fed} of the {self.length} planned samples were fed")
+        gxy, gxx, gyy = self._sums
+        self._sums = None
+        factor = self._scale / self._count
+        gxy *= factor
+        gxx *= factor
+        gyy *= factor
+        return np.fft.rfftfreq(self._nfft, 1.0 / self.sample_rate_hz), gxy, gxx, gyy
+
+
+def _welch_spectra(x: Signal, y: Signal, p: WelchParams) -> _Spectra:
+    """Shared Welch machinery: (frequencies, G_xy, G_xx, G_yy), the whole
+    signals fed to a :class:`WelchAccumulator` as one piece."""
     if x.sample_rate_hz != y.sample_rate_hz:
         raise ValueError(
             f"sample rates differ: {x.sample_rate_hz} vs {y.sample_rate_hz}"
         )
     if len(x) != len(y):
         raise ValueError(f"signal lengths differ: {len(x)} vs {len(y)}")
-    n = len(x)
-    seg_len = p.segment_length(n)
-    hop = seg_len - int(p.overlap_fraction * seg_len)
-    nfft = p.resolve_fft_length(seg_len)
-    window = _window_values(p.window, seg_len)
-    scale = 1.0 / (x.sample_rate_hz * np.sum(window**2))
-
-    starts = range(0, n - seg_len + 1, hop)
-    gxy = np.zeros(nfft // 2 + 1, dtype=np.complex128)
-    gxx = np.zeros(nfft // 2 + 1, dtype=np.float64)
-    gyy = np.zeros(nfft // 2 + 1, dtype=np.float64)
-    count = 0
-    for s0 in starts:
-        fx = np.fft.rfft(window * x.samples[s0 : s0 + seg_len], nfft)
-        fy = np.fft.rfft(window * y.samples[s0 : s0 + seg_len], nfft)
-        gxy += np.conj(fx) * fy
-        gxx += (fx * np.conj(fx)).real
-        gyy += (fy * np.conj(fy)).real
-        count += 1
-    gxy *= scale / count
-    gxx *= scale / count
-    gyy *= scale / count
-    freqs = np.fft.rfftfreq(nfft, 1.0 / x.sample_rate_hz)
-    return freqs, gxy, gxx, gyy
+    welch = WelchAccumulator(len(x), x.sample_rate_hz, p)
+    welch.feed(x.samples, y.samples)
+    return welch.finish()
 
 
 def cross_spectral_density(
@@ -239,6 +329,22 @@ def cross_spectral_density(
     return freqs, gxy
 
 
+def _require_two_segments(p: WelchParams) -> None:
+    if p.segment_count < 2:
+        raise ValueError("coherence needs at least two Welch segments; one is degenerate")
+
+
+def _coherence(spectra: _Spectra, p: WelchParams, sample_rate_hz: float) -> CoherenceEstimate:
+    """|G_xy|^2 / (G_xx G_yy) of Welch spectra, clamped to [0, 1]."""
+    freqs, gxy, gxx, gyy = spectra
+    denom = gxx * gyy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.abs(gxy) ** 2 / denom
+    values = np.where(denom < POWER_FLOOR, 0.0, values)
+    values = np.clip(values, 0.0, 1.0)
+    return CoherenceEstimate(freqs, values, p, sample_rate_hz)
+
+
 def magnitude_squared_coherence(x: Signal, y: Signal, p: WelchParams) -> CoherenceEstimate:
     """|G_xy|^2 / (G_xx G_yy) per frequency bin, clamped to [0, 1].
 
@@ -246,17 +352,10 @@ def magnitude_squared_coherence(x: Signal, y: Signal, p: WelchParams) -> Coheren
     ratio identically one and carries no information. Bins where the
     auto-spectra underflow are reported as zero coherence.
     """
-    if p.segment_count < 2:
-        raise ValueError("coherence needs at least two Welch segments; one is degenerate")
+    _require_two_segments(p)
     if not np.any(x.samples) or not np.any(y.samples):
         raise ValueError("coherence of an all-zero signal is undefined")
-    freqs, gxy, gxx, gyy = _welch_spectra(x, y, p)
-    denom = gxx * gyy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.abs(gxy) ** 2 / denom
-    values = np.where(denom < POWER_FLOOR, 0.0, values)
-    values = np.clip(values, 0.0, 1.0)
-    return CoherenceEstimate(freqs, values, p, x.sample_rate_hz)
+    return _coherence(_welch_spectra(x, y, p), p, x.sample_rate_hz)
 
 
 def _local_maxima(values: NDArray[np.float64]) -> NDArray[np.intp]:
@@ -389,6 +488,97 @@ class ScoreBreakdown:
     envelope: NDArray[np.float64]
 
 
+def analysis_welch(params: WelchParams | None = None) -> WelchAccumulator:
+    """The accumulator for the 80 s analysis span at the scoring rate.
+
+    Raises ValueError, before any sample is read, for ``params`` that
+    cannot score that span: one segment, more segments than the span has
+    samples for, or an FFT length shorter than a segment.
+    """
+    params = params if params is not None else WelchParams()
+    _require_two_segments(params)
+    return WelchAccumulator(int(SCORE_RATE_HZ * ANALYSIS_SECONDS), SCORE_RATE_HZ, params)
+
+
+def _split(
+    pieces: Iterator[NDArray[np.float64]], n: int
+) -> tuple[NDArray[np.float64], Iterator[NDArray[np.float64]]]:
+    """The first ``n`` samples of a stream of arrays (all of them, if it is
+    shorter), and the rest of the stream."""
+    head = np.empty(n)
+    held = 0
+    for piece in pieces:
+        take = min(n - held, len(piece))
+        head[held : held + take] = piece[:take]
+        held += take
+        if held == n:
+            return head, chain((piece[take:],), pieces)
+    return head[:held], pieces
+
+
+def _in_step(
+    xs: Iterator[NDArray[np.float64]], ys: Iterator[NDArray[np.float64]], n: int
+) -> Iterator[tuple[NDArray[np.float64], NDArray[np.float64]]]:
+    """The first ``n`` samples of two streams of arrays, as pairs of
+    equal-length pieces, until either stream ends."""
+    x = y = np.empty(0)
+    while n:
+        try:
+            while not len(x):
+                x = next(xs)
+            while not len(y):
+                y = next(ys)
+        except StopIteration:
+            return
+        k = min(len(x), len(y), n)
+        yield x[:k], y[:k]
+        x, y, n = x[k:], y[k:], n - k
+
+
+def score_streams(
+    source: Iterable[Signal], recording: Iterable[Signal], welch: WelchAccumulator
+) -> ScoreBreakdown:
+    """The scoring pipeline on two waveforms at 8 kHz, each given as its
+    consecutive chunks, with ``welch`` from :func:`analysis_welch`.
+
+    The first 10 seconds of each are held to find the recording's delay;
+    then the source from its first sample and the recording from the delay
+    are fed to ``welch`` as their chunks arrive, so no whole waveform is
+    held. The source must hold the 80 s span, as any waveform that passes
+    :func:`check_duration` does; a recording that ends before its span
+    raises AlignmentError. Chunks past the spans are not read.
+    """
+    align_len = int(SCORE_RATE_HZ * ALIGN_SECONDS)
+    src_head, src_rest = _split((c.samples for c in source), align_len)
+    rec_head, rec_rest = _split((c.samples for c in recording), align_len)
+    delay = find_delay(
+        Signal(src_head, SCORE_RATE_HZ), Signal(rec_head, SCORE_RATE_HZ), align_len - 1
+    )
+    if delay < 0:
+        raise AlignmentError(
+            f"recording leads the source by {-delay} samples; no 80 s span "
+            "starts at the delay point"
+        )
+    src_sound = rec_sound = False
+    xs = chain((src_head,), src_rest)
+    ys = chain((rec_head[delay:],), rec_rest)
+    for x, y in _in_step(xs, ys, welch.length):
+        src_sound = src_sound or bool(np.any(x))
+        rec_sound = rec_sound or bool(np.any(y))
+        welch.feed(x, y)
+    if welch.fed < welch.length:
+        raise AlignmentError(
+            f"delay of {delay} samples leaves fewer than {welch.length} "
+            "samples of recording to analyze"
+        )
+    if not (src_sound and rec_sound):
+        raise ValueError("coherence of an all-zero signal is undefined")
+    estimate = _coherence(welch.finish(), welch.params, welch.sample_rate_hz)
+    envelope = peak_envelope(estimate.values, ENVELOPE_PEAK_SEPARATION)
+    score = float(min(max(np.mean(envelope), 0.0), 1.0))
+    return ScoreBreakdown(score, delay, estimate, envelope)
+
+
 def score_with_details(
     source: Signal, recording: Signal, params: WelchParams | None = None
 ) -> ScoreBreakdown:
@@ -396,39 +586,15 @@ def score_with_details(
 
     Both inputs must be at least 90 seconds long: the first 10 seconds
     (after resampling to 8 kHz) are used to find the recording's delay,
-    then exactly 80 seconds of each waveform are compared.
+    then exactly 80 seconds of each waveform are compared. Each resampled
+    waveform goes to :func:`score_streams` as one chunk.
     """
     for name, sig in (("source", source), ("recording", recording)):
         check_duration(name, sig.duration_s)
-
+    welch = analysis_welch(params)
     src = resample(source, SCORE_RATE_HZ)
     rec = resample(recording, SCORE_RATE_HZ)
-
-    align_len = int(SCORE_RATE_HZ * ALIGN_SECONDS)
-    src_clip = clip(src, 0, align_len)
-    rec_clip = clip(rec, 0, align_len)
-    delay = find_delay(src_clip, rec_clip, align_len - 1)
-
-    analysis_len = int(SCORE_RATE_HZ * ANALYSIS_SECONDS)
-    if delay < 0:
-        raise AlignmentError(
-            f"recording leads the source by {-delay} samples; no 80 s span "
-            "starts at the delay point"
-        )
-    if delay + analysis_len > len(rec):
-        raise AlignmentError(
-            f"delay of {delay} samples leaves fewer than {analysis_len} "
-            "samples of recording to analyze"
-        )
-    rec_aligned = clip(rec, delay, analysis_len)
-    src_aligned = clip(src, 0, analysis_len)
-
-    estimate = magnitude_squared_coherence(
-        src_aligned, rec_aligned, params if params is not None else WelchParams()
-    )
-    envelope = peak_envelope(estimate.values, ENVELOPE_PEAK_SEPARATION)
-    score = float(min(max(np.mean(envelope), 0.0), 1.0))
-    return ScoreBreakdown(score, delay, estimate, envelope)
+    return score_streams((src,), (rec,), welch)
 
 
 def coherence_score(source: Signal, recording: Signal) -> float:

@@ -547,3 +547,117 @@ class TestCoherenceStreaming:
         if code:
             assert "[E_INPUT]" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_peak_memory_does_not_grow_with_length(self, tmp_path, capsys, pair_95s):
+        # the 95 s 8 kHz pair and the same audio repeated to 380 s
+        repeated = (np.tile(read_wav(path).samples, 4) for path in pair_95s[1])
+        long_pair = write_pair(tmp_path, 8000, *repeated)
+        peaks = []
+        for pair in (pair_95s[1], long_pair):
+            tracemalloc.start()
+            try:
+                assert main(["--out-dir", str(tmp_path / "out"), "coherence", *pair]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+
+def assert_cli_scores_whole_signals(out: Path, stdout: str, pair: list[str]) -> dict:
+    """The CLI's report and CSV hold the bits of score_with_details on the
+    whole decoded files."""
+    results = json.loads(stdout)
+    details = score_with_details(*(read_wav(path) for path in pair))
+    assert results["score"] == details.score
+    assert results["delay_samples"] == details.delay_samples
+    assert results["bins"] == len(details.estimate.values)
+    rows = (out / "coherence.csv").read_text().splitlines()[1:]
+    columns = np.array([[float(v) for v in row.split(",")] for row in rows]).T
+    assert np.array_equal(columns[0], details.estimate.frequencies_hz)
+    assert np.array_equal(columns[1], details.estimate.values)
+    assert np.array_equal(columns[2], details.envelope)
+    return results
+
+
+def click_then_noise(n: int, click: int, quiet: int, seed: int) -> np.ndarray:
+    """A click at sample ``click`` and white noise from sample ``quiet`` on,
+    so a 10 s alignment window sees only the click."""
+    x = np.zeros(n)
+    x[quiet:] = np.random.default_rng(seed).normal(scale=0.2, size=n - quiet)
+    x[click] = 0.9
+    return x
+
+
+class TestCoherenceStreamsBitIdentical:
+    @pytest.mark.parametrize("delay", [0, 79_999])
+    def test_8khz_delays(self, tmp_path, capsys, delay):
+        # the largest delay the 10 s search window allows: only the click,
+        # at sample 0 of the source, falls inside both alignment windows
+        source = click_then_noise(760_000, 0, 80_000, seed=1)
+        recording = np.zeros(760_000)
+        recording[delay:] = 0.5 * source[: 760_000 - delay]
+        recording += np.random.default_rng(2).normal(scale=0.002, size=760_000)
+        pair = write_pair(tmp_path, 8000, source, recording)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "coherence", *pair]) == 0
+        results = assert_cli_scores_whole_signals(out, capsys.readouterr().out, pair)
+        assert results["delay_samples"] == delay
+
+    def test_48khz_source_and_44khz_recording(self, tmp_path, capsys):
+        # the same click and 440 Hz tone at both rates, the recording 0.1 s late
+        paths = []
+        for name, rate, lag in (("source", 48_000, 0.0), ("recording", 44_100, 0.1)):
+            t = np.arange(95 * rate) / rate
+            x = 0.4 * np.sin(2 * np.pi * 440.0 * (t - lag)) * (t >= 10.0)
+            x += click_then_noise(len(t), int(lag * rate), 10 * rate, seed=rate)
+            paths.append(str(tmp_path / f"{name}.wav"))
+            wavfile.write(paths[-1], rate, np.round(np.clip(x, -1, 1) * 32767).astype(np.int16))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "coherence", *paths]) == 0
+        results = assert_cli_scores_whole_signals(out, capsys.readouterr().out, paths)
+        assert results["delay_samples"] == 800
+
+    def test_44khz_pair(self, tmp_path, capsys, pair_95s):
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "coherence", *pair_95s[0]]) == 0
+        assert_cli_scores_whole_signals(out, capsys.readouterr().out, pair_95s[0])
+
+
+class TestCoherenceReadsWholeFiles:
+    @pytest.mark.parametrize("lead", [False, True], ids=["aligned", "leading"])
+    def test_non_finite_sample_after_the_span_fails(self, tmp_path, capsys, pair_95s, lead):
+        # the NaN sits in the last 5 s, which scoring never reads; a recording
+        # that also leads the source fails on the NaN, not on the alignment
+        source, recording = (read_wav(path).samples for path in pair_95s[1])
+        if lead:
+            recording = source[4000:]
+        bad = np.array(recording, dtype=np.float32)
+        bad[-8000] = np.nan
+        path = tmp_path / "nan.wav"
+        wavfile.write(path, 8000, bad)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "coherence", pair_95s[1][0], str(path)]) == 1
+        assert "[E_INPUT]: samples must all be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "welch, message",
+        [
+            ("segment_count: 1", "two Welch segments"),
+            ("fft_length: 1024", "shorter than the segment length 142222"),
+            ("segment_count: 1000000000", "too short for 1000000000 segments"),
+        ],
+    )
+    def test_bad_welch_settings_fail_before_decoding(
+        self, tmp_path, capsys, monkeypatch, pair_95s, welch, message
+    ):
+        def no_decoding(*args):
+            raise AssertionError("a WAV was decoded")
+
+        monkeypatch.setattr(wakenode.cli.WavReader, "chunks", no_decoding)
+        config = write_config(tmp_path, f"welch:\n  {welch}\n")
+        out = tmp_path / "out"
+        assert main(["--config", config, "--out-dir", str(out), "coherence", *pair_95s[0]]) == 1
+        err = capsys.readouterr().err
+        assert "[E_CONFIG]: welch: " in err and message in err
+        assert not out.exists()

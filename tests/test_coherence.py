@@ -16,6 +16,14 @@ from wakenode import (
     peak_envelope,
     rank_microphones,
 )
+from wakenode.coherence import (
+    WelchAccumulator,
+    _welch_spectra,
+    _window_values,
+    analysis_welch,
+    score_streams,
+)
+from wakenode.signals import ResampleCarry, find_delay, resample
 
 from conftest import add_noise_at_snr, shift_right, tone, urban_like_signal
 
@@ -322,3 +330,195 @@ class TestRankMicrophones:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             rank_microphones([], require_analog=False, supply_v=None)
+
+
+# ----------------------------------------------------------------------
+# the Welch accumulator and the streamed scorer
+
+
+def welch_loop_oracle(x: np.ndarray, y: np.ndarray, fs: float, p: WelchParams):
+    """The whole-signal Welch loop the accumulator replaced, statement for
+    statement: (G_xy, G_xx, G_yy)."""
+    seg_len = p.segment_length(len(x))
+    hop = seg_len - int(p.overlap_fraction * seg_len)
+    nfft = p.resolve_fft_length(seg_len)
+    window = _window_values(p.window, seg_len)
+    scale = 1.0 / (fs * np.sum(window**2))
+    gxy = np.zeros(nfft // 2 + 1, dtype=np.complex128)
+    gxx = np.zeros(nfft // 2 + 1)
+    gyy = np.zeros(nfft // 2 + 1)
+    count = 0
+    for s0 in range(0, len(x) - seg_len + 1, hop):
+        fx = np.fft.rfft(window * x[s0 : s0 + seg_len], nfft)
+        fy = np.fft.rfft(window * y[s0 : s0 + seg_len], nfft)
+        gxy += np.conj(fx) * fy
+        gxx += (fx * np.conj(fx)).real
+        gyy += (fy * np.conj(fy)).real
+        count += 1
+    gxy *= scale / count
+    gxx *= scale / count
+    gyy *= scale / count
+    return gxy, gxx, gyy
+
+
+def cuts_of(n: int, sizes: list[int]) -> list[int]:
+    """Piece boundaries from a list of piece sizes, cycled until ``n``."""
+    cuts, at = [0], 0
+    while at < n:
+        for size in sizes:
+            at = min(at + size, n)
+            cuts.append(at)
+            if at == n:
+                break
+    return cuts
+
+
+def assert_spectra_equal(a, b):
+    assert all(np.array_equal(u, v) for u, v in zip(a, b))
+
+
+class TestWelchAccumulator:
+    @given(
+        n=st.integers(40, 600),
+        segment_count=st.integers(1, 6),
+        overlap=st.sampled_from([0.0, 0.25, 0.5, 0.75, 0.9]),
+        window=st.sampled_from(list(Window)),
+        pad=st.sampled_from([None, 0, 37]),
+        sizes=st.lists(st.integers(1, 250), min_size=1, max_size=6),
+        seed=st.integers(0, 2**16),
+    )
+    @example(n=300, segment_count=3, overlap=0.5, window=Window.HAMMING, pad=None,
+             sizes=[1], seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_any_chunking_matches_whole_signals(
+        self, n, segment_count, overlap, window, pad, sizes, seed
+    ):
+        p = WelchParams(segment_count, overlap, window)
+        try:
+            seg_len = p.segment_length(n)
+        except ValueError:
+            return
+        if pad is not None:
+            p = WelchParams(segment_count, overlap, window, fft_length=seg_len + pad)
+        rng = np.random.default_rng(seed)
+        x, y = rng.normal(size=n), rng.normal(size=n)
+        whole = _welch_spectra(Signal(x, 8000.0), Signal(y, 8000.0), p)
+        assert_spectra_equal(whole[1:], welch_loop_oracle(x, y, 8000.0, p))
+
+        welch = WelchAccumulator(n, 8000.0, p)
+        cuts = cuts_of(n, sizes)
+        for start, stop in zip(cuts[:-1], cuts[1:]):
+            welch.feed(x[start:stop], y[start:stop])
+        assert_spectra_equal(welch.finish(), whole)
+
+    def test_pieces_that_split_every_segment(self):
+        # 2000 samples in 8 segments of 444 with a hop of 222: pieces of 1,
+        # 221 and 223 samples end before, inside and after each boundary
+        rng = np.random.default_rng(4)
+        x, y = rng.normal(size=2000), rng.normal(size=2000)
+        p = WelchParams()
+        welch = WelchAccumulator(2000, 8000.0, p)
+        cuts = cuts_of(2000, [1, 221, 223])
+        for start, stop in zip(cuts[:-1], cuts[1:]):
+            welch.feed(x[start:stop], y[start:stop])
+        whole = _welch_spectra(Signal(x, 8000.0), Signal(y, 8000.0), p)
+        assert_spectra_equal(welch.finish(), whole)
+
+    def test_rejects_what_does_not_fit_the_plan(self):
+        welch = WelchAccumulator(100, 8000.0, WelchParams())
+        with pytest.raises(ValueError, match="piece lengths differ"):
+            welch.feed(np.zeros(3), np.zeros(4))
+        welch.feed(np.ones(60), np.ones(60))
+        with pytest.raises(ValueError, match="only 60 of the 100"):
+            welch.finish()
+        with pytest.raises(ValueError, match="runs past the 100 samples"):
+            welch.feed(np.ones(41), np.ones(41))
+        welch.feed(np.ones(40), np.ones(40))
+        assert len(welch.finish()[0]) == 17  # segments of 22 samples, padded to 32
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (WelchParams(segment_count=1), "two Welch segments"),
+            (WelchParams(fft_length=1024), "shorter than the segment length 142222"),
+            (WelchParams(segment_count=10**9), "too short for 1000000000 segments"),
+        ],
+    )
+    def test_analysis_plan_rejects_params_before_any_sample(self, params, message):
+        with pytest.raises(ValueError, match=message):
+            analysis_welch(params)
+
+
+def white(n: int, seed: int) -> np.ndarray:
+    return np.clip(np.random.default_rng(seed).normal(scale=0.25, size=n), -1.0, 1.0)
+
+
+def delayed(x: np.ndarray, delay: int, length: int, seed: int) -> np.ndarray:
+    """``x`` delayed by ``delay`` samples in ``length`` samples, halved, with noise."""
+    out = np.zeros(length)
+    out[delay:] = 0.5 * x[: length - delay]
+    return out + np.random.default_rng(seed).normal(scale=0.01, size=length)
+
+
+def chunked(x: np.ndarray, rate: float, frames: int, target: float = 8000.0):
+    """``x`` resampled to ``target`` chunk by chunk, as the CLI streams a file."""
+    carry = ResampleCarry(len(x))
+    for start in range(0, len(x), frames):
+        yield resample(Signal(x[start : start + frames], rate), target, carry)
+
+
+def whole_signal_score(src: np.ndarray, rec: np.ndarray) -> tuple[int, np.ndarray, float]:
+    """The pipeline on whole 8 kHz arrays, as it ran before it streamed:
+    align on 10 s clips, cut 80 s spans, then coherence, envelope and mean."""
+    delay = find_delay(Signal(src[:80_000], 8000.0), Signal(rec[:80_000], 8000.0), 79_999)
+    estimate = magnitude_squared_coherence(
+        Signal(src[:640_000], 8000.0), Signal(rec[delay : delay + 640_000], 8000.0), WelchParams()
+    )
+    envelope = peak_envelope(estimate.values, 100)
+    return delay, estimate.values, float(min(max(np.mean(envelope), 0.0), 1.0))
+
+
+class TestScoreStreams:
+    def test_recording_ending_in_the_last_partial_block(self):
+        # 3 968 999 frames at 44.1 kHz resample to exactly 720 000 samples;
+        # a delay past 74 560 puts the span's end in the resampler's last,
+        # partial block of rows, which only the final chunk completes
+        source = white(3_969_000, seed=1)
+        recording = delayed(source, 430_000, 3_968_999, seed=2)
+        details = score_streams(
+            chunked(source, 44_100.0, 1 << 15), chunked(recording, 44_100.0, 1 << 15),
+            analysis_welch(),
+        )
+        whole = [resample(Signal(x, 44_100.0), 8000.0).samples for x in (source, recording)]
+        assert len(whole[1]) == 720_000
+        delay, values, score = whole_signal_score(*whole)
+        assert details.delay_samples == delay > 74_560
+        assert np.array_equal(details.estimate.values, values)
+        assert details.score == score
+
+    def test_recording_that_runs_out_is_unalignable(self):
+        source = white(720_000, seed=3)
+        recording = delayed(source, 5000, 644_000, seed=4)
+        with pytest.raises(AlignmentError) as caught:
+            score_streams(chunked(source, 8000.0, 7000), chunked(recording, 8000.0, 7000),
+                          analysis_welch())
+        assert str(caught.value) == (
+            "delay of 5000 samples leaves fewer than 640000 samples of recording to analyze"
+        )
+
+    def test_negative_delay_message(self):
+        source = white(720_000, seed=5)
+        with pytest.raises(AlignmentError) as caught:
+            score_streams(chunked(source, 8000.0, 9000), chunked(source[300:], 8000.0, 9000),
+                          analysis_welch())
+        assert str(caught.value) == (
+            "recording leads the source by 300 samples; no 80 s span starts at the delay point"
+        )
+
+    def test_silent_span_is_rejected(self):
+        source = white(720_000, seed=6)
+        recording = np.zeros(720_000)
+        recording[700_000:] = 0.5  # sound only after the analysed span
+        with pytest.raises(ValueError, match="all-zero"):
+            score_streams(chunked(source, 8000.0, 50_000), chunked(recording, 8000.0, 50_000),
+                          analysis_welch())
