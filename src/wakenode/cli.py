@@ -18,7 +18,15 @@ The two files are published together or not at all: each is written to a
 temp file in the output directory and renamed into place, and a run that
 fails (exit status 1) leaves no file it wrote. Every CSV goes through
 :func:`_csv_blocks`, its rows written to the temp file as they are
-formatted, not joined first.
+formatted, not joined first. A CSV of at least :data:`CSV_SPLIT_ROWS` rows
+(``coherence.csv``) is formatted on two cores when the process may fork
+(:func:`_can_fork`): one forked worker formats the second half of the rows
+into an unnamed in-memory spill file, not into this process's memory,
+while this process writes the header and the first half, then copies the
+spill file after them. Both halves are formatted by the same ``%`` format,
+so the bytes are those of one process. A worker that fails is an
+``E_OUTPUT`` error and leaves no file, and no worker outlives the run,
+whether it succeeds or fails.
 
 ``simulate --wav`` streams the recording through the analog chain in
 fixed-size chunks (:func:`wakenode.frontend.stream_chunk_samples`), each
@@ -95,6 +103,12 @@ from .wavio import WavFormatError, WavReader
 CONFIG_ENV_VAR = "WAKENODE_CONFIG"
 # rows per string of a streamed coherence or trace CSV
 CSV_BLOCK_ROWS = 4096
+# fewest rows of a CSV formatted by two processes: coherence.csv (131 073
+# rows at the default Welch settings) splits; a trace.csv of ~27k rows
+# gains no wall time from the fork and only pays its CPU and page faults
+CSV_SPLIT_ROWS = 1 << 16
+# characters per piece copied from a worker's spill file
+CSV_SPILL_PIECE = 1 << 20
 # frames per chunk of a recording streamed into coherence: 256 KiB as float64
 WAV_CHUNK_FRAMES = 1 << 15
 
@@ -157,9 +171,11 @@ def _publish(out_dir: Path, files: dict[str, Iterable[str]]) -> None:
     Each file's text chunks are written, as they are produced, to a hidden
     temp file that is then renamed into place. On any failure, including
     one raised while a chunk is produced, the temp files and the files
-    already renamed are removed, and an OSError becomes ``E_OUTPUT``. Mode
-    "x" creates the temp files with the permissions a plain write gives
-    (0644 under umask 022).
+    already renamed are removed, and an OSError becomes ``E_OUTPUT``. Every
+    chunk iterator that has a ``close`` is then closed, so a CSV worker
+    behind a generator that a failed write left suspended ends before this
+    call returns, not at garbage collection. Mode "x" creates the temp
+    files with the permissions a plain write gives (0644 under umask 022).
     """
     written: list[Path] = []  # what this call has put on disk
     try:
@@ -179,6 +195,9 @@ def _publish(out_dir: Path, files: dict[str, Iterable[str]]) -> None:
         for path in written:
             with contextlib.suppress(OSError):
                 path.unlink()
+        for chunks in files.values():
+            if hasattr(chunks, "close"):
+                chunks.close()
 
 
 def _finish(
@@ -216,14 +235,84 @@ def _finish(
     return report
 
 
+def _can_fork() -> bool:
+    """Whether this process may fork a CSV worker that runs beside it: it
+    has ``os.fork`` and ``os.memfd_create``, more than one usable CPU and a
+    single thread. Forking a threaded process is unsafe, and from Python
+    3.12 it raises a DeprecationWarning that :func:`main` would record into
+    the report."""
+    if not (hasattr(os, "fork") and hasattr(os, "memfd_create")):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
+
+
+def _csv_rows(
+    row_format: str, columns: Sequence[np.ndarray], start: int, stop: int
+) -> Iterator[str]:
+    """One ``row_format`` row per index in ``[start, stop)`` of ``columns``,
+    in strings of ``CSV_BLOCK_ROWS`` rows; ``%r`` of a Python float is its
+    repr(), which reads back to the same bits."""
+    for first in range(start, stop, CSV_BLOCK_ROWS):
+        end = min(first + CSV_BLOCK_ROWS, stop)
+        block = [column[first:end].tolist() for column in columns]
+        yield (row_format * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
+
+
 def _csv_blocks(header: str, row_format: str, *columns: np.ndarray) -> Iterator[str]:
     """``header``, then one ``row_format`` row per index of ``columns``, in
-    strings of ``CSV_BLOCK_ROWS`` rows; ``%r`` of a Python float is its
-    repr(), which reads back to the same bits."""
+    strings of ``CSV_BLOCK_ROWS`` rows (see :func:`_csv_rows`).
+
+    With at least ``CSV_SPLIT_ROWS`` rows and :func:`_can_fork`, the rows
+    are split at the middle. A forked worker formats the second half, block
+    by block, into an unnamed in-memory file (``os.memfd_create``) and
+    exits with status 0, or non-zero on any exception. Meanwhile this
+    process yields the first half; it then reaps the worker and yields the
+    spill file in pieces of ``CSV_SPILL_PIECE`` characters. The worker's
+    rows are held in the spill file, not in either process's memory, and
+    each process holds at most one block or piece of text at a time. A
+    worker that fails raises ``E_OUTPUT``. Closing the generator early, as
+    :func:`_publish` does when a write fails, kills and reaps the worker.
+    """
     yield header
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = [column[start : start + CSV_BLOCK_ROWS].tolist() for column in columns]
-        yield (row_format * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
+    rows = len(columns[0])
+    if rows < CSV_SPLIT_ROWS or not _can_fork():
+        yield from _csv_rows(row_format, columns, 0, rows)
+        return
+    mid = rows // 2
+    spill = os.memfd_create("wakenode-csv")
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                with open(spill, "w", encoding="utf-8", newline="", closefd=False) as fh:
+                    fh.writelines(_csv_rows(row_format, columns, mid, rows))
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            yield from _csv_rows(row_format, columns, 0, mid)
+            _, status = os.waitpid(pid, 0)
+        except BaseException:
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            raise
+        if status != 0:
+            raise CliError(
+                "E_OUTPUT",
+                f"CSV worker failed with exit status {os.waitstatus_to_exitcode(status)}",
+            )
+        # the worker shares this descriptor's file offset, left at the end
+        with open(spill, encoding="utf-8", newline="", closefd=False) as fh:
+            fh.seek(0)
+            yield from iter(lambda: fh.read(CSV_SPILL_PIECE), "")
+    finally:
+        os.close(spill)
 
 
 # ----------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import csv
+import inspect
 import io
 import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -26,7 +29,18 @@ from wakenode import (
     simulate_from_wake,
     threshold_out,
 )
-from wakenode.cli import CSV_BLOCK_ROWS, _csv_blocks, _finish, _trace_csv, data_path, main
+from wakenode.cli import (
+    CONFIG_ENV_VAR,
+    CSV_BLOCK_ROWS,
+    CSV_SPLIT_ROWS,
+    CliError,
+    _csv_blocks,
+    _finish,
+    _publish,
+    _trace_csv,
+    data_path,
+    main,
+)
 from wakenode.config import RunConfig, load_run_config, parse_run_config
 from wakenode.frontend import stream_chunk_samples
 
@@ -661,3 +675,240 @@ class TestCoherenceReadsWholeFiles:
         err = capsys.readouterr().err
         assert "[E_CONFIG]: welch: " in err and message in err
         assert not out.exists()
+
+
+# ----------------------------------------------------------------------
+# a large CSV's rows are formatted by this process and one forked worker
+#
+# conftest imports numpy before wakenode, so this process has an OpenBLAS
+# helper thread and _can_fork() is false here: the tests that fork patch it,
+# and only a fresh interpreter runs the fork path unpatched.
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def counting_forks(monkeypatch) -> list[int]:
+    """Allow the split at any row count; the pids of the workers forked."""
+    pids: list[int] = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(wakenode.cli, "CSV_SPLIT_ROWS", 1)
+    monkeypatch.setattr(wakenode.cli, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def mixed_columns(rows: int) -> tuple[np.ndarray, ...]:
+    """The cells of trace.csv and coherence.csv: floats, state names, ints."""
+    rng = np.random.default_rng(rows)
+    noise = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+    state = np.where(np.arange(rows) % 3 == 0, "transmit", "sleep")
+    return noise, state, np.arange(rows) - rows // 2, np.arange(rows, dtype=np.float64) / 7
+
+
+class TestCsvSplit:
+    @pytest.mark.parametrize(
+        "rows", [1, 3, 4097, CSV_SPLIT_ROWS - 1, CSV_SPLIT_ROWS, CSV_SPLIT_ROWS + 1]
+    )
+    def test_split_rows_are_the_serial_bytes(self, monkeypatch, rows):
+        columns = mixed_columns(rows)
+        args = ("f,state,i,g\n", "%r,%s,%d,%r\n", *columns)
+        serial = "".join(_csv_blocks(*args))
+        pids = counting_forks(monkeypatch)
+        assert "".join(_csv_blocks(*args)) == serial
+        assert len(pids) == 1
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("bad_row, code", [(3, "E_INTERNAL"), (7, "E_OUTPUT")])
+    def test_failed_half_leaves_no_file_and_no_child(
+        self, tmp_path, capsys, monkeypatch, bad_row, code
+    ):
+        # "%d" of a string raises in the half that holds it: rows [0, 5) are
+        # this process's, rows [5, 10) the worker's
+        column = np.arange(10).astype(object)
+        column[bad_row] = "x"
+
+        def cmd_calibrate(args, cfg):
+            return cfg, {}, {}, "residuals.csv", _csv_blocks("n\n", "%d\n", column)
+
+        pids = counting_forks(monkeypatch)
+        monkeypatch.setattr(wakenode.cli, "cmd_calibrate", cmd_calibrate)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "calibrate", "unused.csv"]) == 1
+        assert f"[{code}]" in capsys.readouterr().err
+        assert len(pids) == 1
+        assert list(out.iterdir()) == []
+        assert_no_child_left()
+
+    def test_failed_write_ends_the_worker(self, tmp_path, capsys, monkeypatch, pair_95s):
+        real_open = open
+        failed = []
+
+        class FullDisk:
+            """coherence.csv's temp file: the disk fills after two chunks."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def writelines(self, chunks):
+                for i, chunk in enumerate(chunks):
+                    if i == 2:
+                        failed.append(chunks)
+                        raise OSError(28, "No space left on device")
+                    self.fh.write(chunk)
+
+        def fake_open(file, *args, **kwargs):
+            fh = real_open(file, *args, **kwargs)
+            return FullDisk(fh) if Path(file).name.startswith(".coherence.csv.") else fh
+
+        pids = counting_forks(monkeypatch)
+        monkeypatch.setattr(wakenode.cli, "open", fake_open, raising=False)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "coherence", *pair_95s[1]]) == 1
+        assert "[E_OUTPUT]: cannot write output: [Errno 28]" in capsys.readouterr().err
+        assert len(pids) == 1
+        assert list(out.iterdir()) == []
+        assert_no_child_left()
+
+        # _publish itself closes the generator, while its caller still holds it
+        failed.clear()
+        rows = _csv_blocks("n\n", "%r\n", np.arange(3 * CSV_BLOCK_ROWS, dtype=np.float64))
+        with pytest.raises(CliError):
+            _publish(tmp_path / "direct", {"coherence.csv": rows})
+        assert failed == [rows] and len(pids) == 2
+        assert inspect.getgeneratorstate(rows) == inspect.GEN_CLOSED
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("command", ["simulate-wav", "calibrate", "rank-mics"])
+    def test_small_csv_commands_never_fork(self, tmp_path, capsys, monkeypatch, command):
+        def no_fork():
+            raise AssertionError("os.fork was called")
+
+        monkeypatch.setattr(wakenode.cli, "_can_fork", lambda: True)
+        monkeypatch.setattr(os, "fork", no_fork)
+        if command == "simulate-wav":
+            wav = tmp_path / "clicks.wav"
+            x = np.random.default_rng(5).normal(scale=0.002, size=60 * RATE)
+            x.reshape(2000, -1)[:, 8:16] += 0.8
+            write_int16(wav, x)
+            args = ["simulate", "--wav", str(wav)]
+        else:
+            args = command_args(command, tmp_path, Signal(np.zeros(8), 8000.0))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), *args]) == 0, capsys.readouterr().err
+        assert len(os.listdir(out)) == 2
+
+
+FALLBACK = r"""
+import json, os, threading
+import wakenode.cli as cli
+import numpy as np  # after wakenode, which pins OpenBLAS to one thread
+
+class Forked(Exception):
+    pass
+
+def fork():
+    raise Forked
+
+def forks(rows, cpus=(0, 1)):
+    os.sched_getaffinity = lambda pid: set(cpus)
+    try:
+        "".join(cli._csv_blocks("x\n", "%r\n", np.arange(rows, dtype=np.float64)))
+    except Forked:
+        return True
+    return False
+
+os.fork = fork
+runs = {
+    "threshold": forks(cli.CSV_SPLIT_ROWS),
+    "one cpu": forks(cli.CSV_SPLIT_ROWS, cpus=(1,)),
+    "fewer rows": forks(cli.CSV_SPLIT_ROWS - 1),
+}
+stop = threading.Event()
+thread = threading.Thread(target=stop.wait)
+thread.start()
+try:
+    runs["second thread"] = forks(cli.CSV_SPLIT_ROWS)
+finally:
+    stop.set()
+    thread.join()
+print(json.dumps(runs))
+"""
+
+FORK_COUNTING_CLI = r"""
+import os, runpy, sys
+
+forks, sys.argv = sys.argv[1], ["wakenode", *sys.argv[2:]]
+real_fork = os.fork
+
+def fork():
+    pid = real_fork()
+    if pid:
+        with open(forks, "a") as fh:
+            fh.write(f"{pid}\n")
+    return pid
+
+os.fork = fork
+runpy.run_module("wakenode.cli", run_name="__main__")
+"""
+
+
+def fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = {
+        k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", CONFIG_ENV_VAR)
+    }
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_fork_only_with_enough_rows_two_cpus_and_one_thread():
+    proc = fresh_interpreter(FALLBACK)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "threshold": True,
+        "one cpu": False,
+        "fewer rows": False,
+        "second thread": False,
+    }
+
+
+def test_forked_coherence_run_is_the_serial_run(tmp_path, capsys, monkeypatch, pair_95s):
+    forks = tmp_path / "forks"
+    forks.touch()
+    split_out = tmp_path / "split"
+    proc = fresh_interpreter(
+        FORK_COUNTING_CLI, str(forks), "--out-dir", str(split_out), "coherence", *pair_95s[0]
+    )
+    assert len(forks.read_text().split()) == (len(os.sched_getaffinity(0)) > 1)
+
+    monkeypatch.setattr(wakenode.cli, "_can_fork", lambda: False)
+    serial_out = tmp_path / "serial"
+    code = main(["--out-dir", str(serial_out), "coherence", *pair_95s[0]])
+    captured = capsys.readouterr()
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
+    assert code == 0
+    outputs = []
+    for out in (split_out, serial_out):
+        report = json.loads((out / "coherence_report.json").read_text())
+        del report["config"]["io"]["out_dir"]
+        outputs.append(((out / "coherence.csv").read_bytes(), report))
+    assert outputs[0] == outputs[1]
