@@ -17,6 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
+# records defined without numpy in .records, also importable from here
+from .records import ADC_MAX, CalibrationDomainError, CalPoint, FitError
+
 __all__ = [
     "CalibrationCurve",
     "CalPoint",
@@ -28,21 +31,11 @@ __all__ = [
     "r_squared",
 ]
 
-ADC_MAX = 1023  # 10-bit converter
-
 # Coarse exponent grid, ascending: 18 log-spaced magnitudes per sign.
 _B_GRID = np.sort(np.concatenate([-np.logspace(-3, 0.5, 18), np.logspace(-3, 0.5, 18)]))
 _B_GRID_STEP = _B_GRID[-1] / _B_GRID[-2]  # ratio of neighbouring magnitudes
 _B_TOL = 1e-10  # relative width at which the exponent search stops
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-class CalibrationDomainError(ValueError):
-    """Input lies outside the curve's domain of validity."""
-
-
-class FitError(RuntimeError):
-    """Fitting failed to produce a usable curve."""
 
 
 @dataclass(frozen=True)
@@ -53,20 +46,6 @@ class CalibrationCurve:
     b: float = -0.04258
     c: float = 350.0
     d: float = 314.7
-
-
-@dataclass(frozen=True)
-class CalPoint:
-    """One calibration measurement: ADC reading vs reference meter dB."""
-
-    adc_value: float
-    spl_db: float
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.adc_value <= ADC_MAX):
-            raise ValueError(
-                f"adc_value must be within [0, {ADC_MAX}], got {self.adc_value}"
-            )
 
 
 def adc_to_db(x: float, curve: CalibrationCurve = CalibrationCurve()) -> float:

@@ -28,6 +28,16 @@ so the bytes are those of one process. A worker that fails is an
 ``E_OUTPUT`` error and leaves no file, and no worker outlives the run,
 whether it succeeds or fails.
 
+Each command imports the numerics it computes with where it runs, not
+when this module loads: the records the commands parse, the microphone
+ranking and the error classes mapped to ``E_*`` codes come from the
+numpy-free :mod:`wakenode.records`. Importing this module therefore loads
+no numpy, ``rank-mics`` runs without it, and ``coherence``, ``simulate``
+and ``calibrate`` import it as they start. Such an import runs while
+:func:`main` records warnings, so a warning it raised would go into the
+report. ``simulate`` and ``WavReader``, which the commands import that
+way, can still be read as attributes of this module.
+
 ``simulate --wav`` streams the recording through the analog chain in
 fixed-size chunks (:func:`wakenode.frontend.stream_chunk_samples`), each
 stage carrying its state across chunk boundaries, so its memory does not
@@ -46,6 +56,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -55,20 +66,9 @@ from dataclasses import replace
 from importlib import resources
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
-from .calibrate import CalibrationDomainError, FitError, adc_to_db, fit_curve
-from .coherence import (
-    SCORE_RATE_HZ,
-    AlignmentError,
-    analysis_welch,
-    check_duration,
-    rank_microphones,
-    score_streams,
-)
 from .config import (
     ConfigError,
     RunConfig,
@@ -77,28 +77,25 @@ from .config import (
     load_run_config,
     load_scenario,
 )
-from .frontend import (
-    CircuitParams,
-    EnvelopeCarry,
-    amplify,
-    envelope_detect,
-    stream_chunk_samples,
-    threshold_out,
-)
-from .powersim import (
+from .records import (
     BUILTIN_PROFILES,
+    AlignmentError,
+    CalibrationDomainError,
+    CircuitParams,
+    FitError,
     NodeConfig,
     Scenario,
     ScenarioSegment,
-    SimTrace,
-    WakeRuns,
-    battery_lifetime_days,
+    WavFormatError,
     build_urban_scenario,
-    savings_percent,
-    simulate,
+    rank_microphones,
 )
-from .signals import ResampleCarry, Signal, resample
-from .wavio import WavFormatError, WavReader
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .powersim import SimTrace
+    from .signals import Signal
 
 CONFIG_ENV_VAR = "WAKENODE_CONFIG"
 # rows per string of a streamed coherence or trace CSV
@@ -250,20 +247,23 @@ def _can_fork() -> bool:
 
 
 def _csv_rows(
-    row_format: str, columns: Sequence[np.ndarray], start: int, stop: int
+    row_format: str, columns: Sequence[np.ndarray | list], start: int, stop: int
 ) -> Iterator[str]:
     """One ``row_format`` row per index in ``[start, stop)`` of ``columns``,
     in strings of ``CSV_BLOCK_ROWS`` rows; ``%r`` of a Python float is its
-    repr(), which reads back to the same bits."""
+    repr(), which reads back to the same bits. An array's slice is turned
+    into Python values with ``tolist()``: under numpy 2, ``%r`` of an
+    ``np.float64`` is ``np.float64(...)``. A list column is used as it is."""
     for first in range(start, stop, CSV_BLOCK_ROWS):
         end = min(first + CSV_BLOCK_ROWS, stop)
-        block = [column[first:end].tolist() for column in columns]
+        block = [c[first:end] if isinstance(c, list) else c[first:end].tolist() for c in columns]
         yield (row_format * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _csv_blocks(header: str, row_format: str, *columns: np.ndarray) -> Iterator[str]:
-    """``header``, then one ``row_format`` row per index of ``columns``, in
-    strings of ``CSV_BLOCK_ROWS`` rows (see :func:`_csv_rows`).
+def _csv_blocks(header: str, row_format: str, *columns: np.ndarray | list) -> Iterator[str]:
+    """``header``, then one ``row_format`` row per index of ``columns``
+    (arrays or lists of one length), in strings of ``CSV_BLOCK_ROWS`` rows
+    (see :func:`_csv_rows`).
 
     With at least ``CSV_SPLIT_ROWS`` rows and :func:`_can_fork`, the rows
     are split at the middle. A forked worker formats the second half, block
@@ -318,17 +318,25 @@ def _csv_blocks(header: str, row_format: str, *columns: np.ndarray) -> Iterator[
 # ----------------------------------------------------------------------
 # subcommands: each takes the parsed arguments and the run config and
 # returns (cfg, inputs, results, csv_name, csv_chunks), the arguments of
-# _finish between the command name and the recorded warnings; main runs it
+# _finish between the command name and the recorded warnings; main runs it.
+# Each imports the numerics it computes with where it runs, so a command
+# loads numpy only if it needs it.
 
 
 def _at_score_rate(chunks: Iterator[Signal], frames: int) -> Iterator[Signal]:
     """A recording's chunks, each resampled to the scoring rate as it is decoded."""
+    from .coherence import SCORE_RATE_HZ
+    from .signals import ResampleCarry, resample
+
     carry = ResampleCarry(frames)
     for chunk in chunks:
         yield resample(chunk, SCORE_RATE_HZ, carry)
 
 
 def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
+    from .coherence import analysis_welch, check_duration, score_streams
+    from .wavio import WavReader
+
     try:
         welch = analysis_welch(cfg.welch)
     except ValueError as exc:
@@ -391,6 +399,8 @@ BUILTIN_SCENARIOS: dict[str, Callable[[], Scenario]] = {
 
 
 def _trace_csv(trace: SimTrace, node: NodeConfig) -> Iterator[str]:
+    import numpy as np
+
     t_start, t_end, transmit = trace.timeline()
     state = np.where(transmit, "transmit", "sleep")
     power = np.where(transmit, node.profile.transmit_mw, node.profile.sleep_mw)
@@ -407,6 +417,17 @@ def _simulate_wav(
     that of the whole recording while only one chunk of each stage's
     samples is held.
     """
+    from .frontend import (
+        EnvelopeCarry,
+        amplify,
+        envelope_detect,
+        stream_chunk_samples,
+        threshold_out,
+    )
+    from .powersim import WakeRuns
+    from .signals import Signal
+    from .wavio import WavReader
+
     with WavReader(wav_path) as wav:
         rate = wav.sample_rate_hz
         envelope = EnvelopeCarry()
@@ -422,6 +443,8 @@ def _simulate_wav(
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
+    from .powersim import battery_lifetime_days, savings_percent, simulate
+
     node = cfg.node
     if args.profile is not None:
         if args.profile not in BUILTIN_PROFILES:
@@ -470,14 +493,17 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
 
 
 def cmd_calibrate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
+    from .calibrate import adc_to_db, fit_curve
+
     points = load_cal_points(args.points_csv)
     curve, r2 = fit_curve(points)
 
-    adc = np.array([p.adc_value for p in points])
-    spl = np.array([p.spl_db for p in points])
-    predicted = np.array([adc_to_db(p.adc_value, curve) for p in points])
+    adc = [p.adc_value for p in points]
+    spl = [p.spl_db for p in points]
+    predicted = [adc_to_db(x, curve) for x in adc]
+    residual = [s - p for s, p in zip(spl, predicted)]
     header = "adc_value,spl_db,predicted_db,residual_db\n"
-    rows = _csv_blocks(header, "%r,%r,%r,%r\n", adc, spl, predicted, spl - predicted)
+    rows = _csv_blocks(header, "%r,%r,%r,%r\n", adc, spl, predicted, residual)
     results = {
         "curve": {"a": curve.a, "b": curve.b, "c": curve.c, "d": curve.d},
         "r_squared": r2,
@@ -524,7 +550,7 @@ def cmd_rank_mics(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
     inputs = {"mic_csv": _input_entry(args.mic_csv)}
     # one column per entry key, so the CSV and the report share one field list
     fields = list(entries[0])
-    columns = [np.array([_csv_cell(entry[f]) for entry in entries]) for f in fields]
+    columns = [[_csv_cell(entry[f]) for entry in entries] for f in fields]
     rows = _csv_blocks(",".join(fields) + "\n", ",".join(["%s"] * len(fields)) + "\n", *columns)
     return cfg, inputs, results, "ranking.csv", rows
 
@@ -618,6 +644,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     print(_to_json(report["results"]))
     return 0
+
+
+# the commands import these where they run; a caller may still read them here
+_LAZY = {"simulate": "powersim", "WavReader": "wavio"}
+
+
+def __getattr__(name: str) -> Any:
+    if name in _LAZY:
+        return getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -23,14 +23,23 @@ All functions are pure; scoring many recordings concurrently is safe.
 from __future__ import annotations
 
 import bisect
-import enum
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
+# records defined without numpy in .records, also importable from here
+from .records import (
+    AlignmentError,
+    MicCandidate,
+    MicConfiguration,
+    RankedMic,
+    WelchParams,
+    Window,
+    rank_microphones,
+)
 from .signals import Signal, find_delay, resample
 
 __all__ = [
@@ -75,69 +84,12 @@ def check_duration(name: str, duration_s: float) -> None:
         )
 
 
-class AlignmentError(ValueError):
-    """The recording cannot be aligned to the source within its extent."""
-
-
-class Window(str, enum.Enum):
-    HAMMING = "hamming"
-    HANN = "hann"
-    RECTANGULAR = "rectangular"
-
-
 def _window_values(kind: Window, length: int) -> NDArray[np.float64]:
     if kind is Window.HAMMING:
         return np.hamming(length)
     if kind is Window.HANN:
         return np.hanning(length)
     return np.ones(length)
-
-
-@dataclass(frozen=True)
-class WelchParams:
-    """Segmenting and windowing choices for the Welch estimator.
-
-    Defaults (8 segments, 50% overlap, Hamming) mirror the conventional
-    spectral-analysis default so results are comparable across tools.
-    ``fft_length=None`` rounds the segment length up to the next power
-    of two.
-    """
-
-    segment_count: int = 8
-    overlap_fraction: float = 0.5
-    window: Window = Window.HAMMING
-    fft_length: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.segment_count < 1:
-            raise ValueError(f"segment_count must be >= 1, got {self.segment_count}")
-        if not (0.0 <= self.overlap_fraction < 1.0):
-            raise ValueError(
-                f"overlap_fraction must be in [0, 1), got {self.overlap_fraction}"
-            )
-        if self.fft_length is not None and self.fft_length < 2:
-            raise ValueError(f"fft_length must be >= 2, got {self.fft_length}")
-
-    def segment_length(self, n_samples: int) -> int:
-        """Segment length so ``segment_count`` overlapped segments cover the data."""
-        span = self.segment_count - self.overlap_fraction * (self.segment_count - 1)
-        length = int(n_samples / span)
-        if length < 2:
-            raise ValueError(
-                f"signal of {n_samples} samples is too short for "
-                f"{self.segment_count} segments"
-            )
-        return length
-
-    def resolve_fft_length(self, segment_length: int) -> int:
-        if self.fft_length is not None:
-            if self.fft_length < segment_length:
-                raise ValueError(
-                    f"fft_length {self.fft_length} is shorter than the "
-                    f"segment length {segment_length}"
-                )
-            return self.fft_length
-        return 1 << (segment_length - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -158,43 +110,6 @@ class CoherenceEstimate:
             arr.setflags(write=False)
         object.__setattr__(self, "frequencies_hz", freqs)
         object.__setattr__(self, "values", vals)
-
-
-class MicConfiguration(str, enum.Enum):
-    ANALOG = "analog"
-    DIGITAL = "digital"
-
-
-@dataclass(frozen=True)
-class MicCandidate:
-    """One microphone under evaluation: measured power, accuracy, supply range."""
-
-    name: str
-    power_mw: float
-    accuracy: float
-    configuration: MicConfiguration
-    supply_min_v: float
-    supply_max_v: float
-
-    def __post_init__(self) -> None:
-        if self.power_mw <= 0:
-            raise ValueError(f"power_mw must be positive, got {self.power_mw}")
-        if not (0.0 <= self.accuracy <= 1.0):
-            raise ValueError(f"accuracy must be in [0, 1], got {self.accuracy}")
-        if self.supply_min_v <= 0 or self.supply_max_v <= 0:
-            raise ValueError("supply voltages must be positive")
-        if self.supply_min_v > self.supply_max_v:
-            raise ValueError(
-                f"supply_min_v {self.supply_min_v} exceeds supply_max_v {self.supply_max_v}"
-            )
-
-
-@dataclass(frozen=True)
-class RankedMic:
-    candidate: MicCandidate
-    eligible: bool
-    reasons: tuple[str, ...] = ()
-    rank: int | None = None
 
 
 class WelchAccumulator:
@@ -604,43 +519,3 @@ def coherence_score(source: Signal, recording: Signal) -> float:
     return score_with_details(source, recording).score
 
 
-def rank_microphones(
-    candidates: Sequence[MicCandidate],
-    require_analog: bool,
-    supply_v: float | None,
-) -> list[RankedMic]:
-    """Order candidates by accuracy (descending), power breaking ties.
-
-    Candidates that are digital when an analog interface is required, or
-    whose supply range excludes ``supply_v`` (meaning an external regulator
-    would be needed), are flagged ineligible but kept in the output after
-    the eligible ones. ``supply_v=None`` skips the supply check.
-    """
-    if not candidates:
-        raise ValueError("candidate list is empty")
-    if supply_v is not None and supply_v <= 0:
-        raise ValueError(f"supply_v must be positive, got {supply_v}")
-
-    def sort_key(c: MicCandidate) -> tuple[float, float]:
-        return (-c.accuracy, c.power_mw)
-
-    flagged: list[tuple[MicCandidate, tuple[str, ...]]] = []
-    for cand in candidates:
-        reasons: list[str] = []
-        if require_analog and cand.configuration is not MicConfiguration.ANALOG:
-            reasons.append("digital output cannot drive the analog threshold chain")
-        if supply_v is not None and not (cand.supply_min_v <= supply_v <= cand.supply_max_v):
-            reasons.append(
-                f"supply {supply_v} V outside {cand.supply_min_v}-"
-                f"{cand.supply_max_v} V; would need a regulator"
-            )
-        flagged.append((cand, tuple(reasons)))
-
-    eligible = sorted((c for c, r in flagged if not r), key=sort_key)
-    ineligible = sorted(((c, r) for c, r in flagged if r), key=lambda cr: sort_key(cr[0]))
-
-    ranking = [
-        RankedMic(cand, eligible=True, rank=i + 1) for i, cand in enumerate(eligible)
-    ]
-    ranking.extend(RankedMic(cand, eligible=False, reasons=r) for cand, r in ineligible)
-    return ranking

@@ -16,15 +16,16 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, get_type_hints
 
-from .calibrate import CalPoint
-from .coherence import MicCandidate, WelchParams
-from .frontend import CircuitParams
-from .powersim import (
+from .records import (
     BUILTIN_PROFILES,
+    CalPoint,
+    CircuitParams,
+    MicCandidate,
     NodeConfig,
     PowerProfile,
     Scenario,
     ScenarioSegment,
+    WelchParams,
 )
 
 __all__ = [

@@ -9,11 +9,13 @@ ideal (zero drop) with a configurable constant drop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.typing import NDArray
 
+# records defined without numpy in .records, also importable from here
+from .records import CircuitParams
 from .signals import Signal
 
 __all__ = [
@@ -41,38 +43,6 @@ SCAN_MIN_BLOCK = 200
 # Samples per chunk of a recording streamed through the chain, before
 # rounding down to whole scan blocks: 1 MiB per float64 stage.
 STREAM_CHUNK_SAMPLES = 2 * SCAN_BLOCK
-
-
-@dataclass(frozen=True)
-class CircuitParams:
-    """Component values of the prototype's analog board that enter the
-    behavioral equations.
-
-    The gain path uses rf/r1, the envelope detector r5/c5/r6. The board's
-    bias and coupling parts (r2..r4, c1..c4) shape nothing these models
-    compute, so they are not parameters. rf_ohm may be zero (a wire),
-    collapsing the gain stage to a unity follower.
-    """
-
-    vdd_v: float = 3.3
-    rf_ohm: float = 1e5
-    r1_ohm: float = 1e3
-    r5_ohm: float = 1e7
-    r6_ohm: float = 1e5
-    c5_f: float = 9e-6
-    diode_drop_v: float = 0.0
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            if f.name in ("diode_drop_v", "rf_ohm"):
-                continue
-            value = getattr(self, f.name)
-            if not (value > 0):
-                raise ValueError(f"{f.name} must be positive, got {value}")
-        if self.rf_ohm < 0:
-            raise ValueError(f"rf_ohm must be non-negative, got {self.rf_ohm}")
-        if self.diode_drop_v < 0:
-            raise ValueError(f"diode_drop_v must be non-negative, got {self.diode_drop_v}")
 
 
 @dataclass(frozen=True)

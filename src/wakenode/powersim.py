@@ -17,6 +17,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .frontend import BinarySignal
+# records defined without numpy in .records, also importable from here
+from .records import (
+    BUILTIN_PROFILES,
+    NodeConfig,
+    PowerProfile,
+    Scenario,
+    ScenarioSegment,
+    build_urban_scenario,
+)
 
 __all__ = [
     "PowerProfile",
@@ -32,74 +41,6 @@ __all__ = [
     "build_urban_scenario",
     "BUILTIN_PROFILES",
 ]
-
-URBAN_SOUND_SECONDS = 20.0
-URBAN_SILENCE_SECONDS = 100.0
-URBAN_CATEGORIES = ("human", "nature", "music", "mechanical")
-
-
-@dataclass(frozen=True)
-class PowerProfile:
-    """Total node draw per state for one hardware permutation."""
-
-    name: str
-    transmit_mw: float
-    sleep_mw: float
-
-    def __post_init__(self) -> None:
-        if not (0 < self.transmit_mw < math.inf):
-            raise ValueError(f"{self.name}: transmit_mw must be finite and positive")
-        if not (0 <= self.sleep_mw < math.inf):
-            raise ValueError(f"{self.name}: sleep_mw must be finite and non-negative")
-        if self.sleep_mw >= self.transmit_mw:
-            raise ValueError(
-                f"{self.name}: sleep power {self.sleep_mw} mW must be below "
-                f"transmit power {self.transmit_mw} mW"
-            )
-
-
-@dataclass(frozen=True)
-class ScenarioSegment:
-    duration_s: float
-    sound_present: bool
-    label: str = ""
-
-    def __post_init__(self) -> None:
-        if not (0 < self.duration_s < math.inf):
-            raise ValueError(f"segment duration must be finite and positive, got {self.duration_s}")
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Ordered acoustic timeline the node is exposed to."""
-
-    segments: tuple[ScenarioSegment, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
-        if not self.segments:
-            raise ValueError("scenario has no segments")
-
-    @property
-    def duration_s(self) -> float:
-        return sum(seg.duration_s for seg in self.segments)
-
-
-@dataclass(frozen=True)
-class NodeConfig:
-    """Node hardware profile plus wake-hold and battery parameters."""
-
-    profile: PowerProfile
-    hold_time_s: float = 0.0
-    battery_mah: float = 2900.0
-    battery_v: float = 3.3
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.hold_time_s < math.inf):
-            raise ValueError(f"hold_time_s must be finite and non-negative, got {self.hold_time_s}")
-        if not (0 < self.battery_mah < math.inf and 0 < self.battery_v < math.inf):
-            raise ValueError("battery capacity and voltage must be finite and positive")
-
 
 @dataclass(frozen=True, eq=False)
 class SimTrace:
@@ -251,22 +192,3 @@ def battery_lifetime_days(avg_power_mw: float, battery_mah: float, battery_v: fl
     return energy_wh / power_w / 24.0 if power_w > 0 else math.inf
 
 
-def build_urban_scenario() -> Scenario:
-    """Four sound categories, each 20 s of audio then 100 s of silence (480 s)."""
-    segments: list[ScenarioSegment] = []
-    for label in URBAN_CATEGORIES:
-        segments.append(ScenarioSegment(URBAN_SOUND_SECONDS, True, label))
-        segments.append(ScenarioSegment(URBAN_SILENCE_SECONDS, False, f"{label}-silence"))
-    return Scenario(tuple(segments))
-
-
-# Whole-prototype measurements, bit-exact as recorded.
-BUILTIN_PROFILES: dict[str, PowerProfile] = {
-    p.name: p
-    for p in (
-        PowerProfile("wifi", transmit_mw=357.59, sleep_mw=16.76),
-        PowerProfile("ble", transmit_mw=140.86, sleep_mw=25.23),
-        PowerProfile("zigbee", transmit_mw=160.43, sleep_mw=16.83),
-        PowerProfile("zigbee-standalone", transmit_mw=34.30, sleep_mw=1.00),
-    )
-}

@@ -35,6 +35,8 @@ from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
+# records defined without numpy in .records, also importable from here
+from .records import WavFormatError
 from .signals import Signal
 
 __all__ = ["WavFormatError", "WavReader", "read_wav"]
@@ -48,10 +50,6 @@ _GUID_TAIL = {
     "<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
     ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71",
 }
-
-
-class WavFormatError(ValueError):
-    """The file is not a WAV variant this tool accepts."""
 
 
 class _Layout(NamedTuple):

@@ -140,6 +140,15 @@ class TestCsvBlocks:
             read_back = np.array([float(cell) for cell in cells])
             assert np.array_equal(read_back.view(np.uint64), column.view(np.uint64))
 
+    @pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS + 1])
+    def test_list_columns_give_the_bytes_of_array_columns(self, rows):
+        header, row_format = "f,state,i,g\n", "%r,%s,%d,%r\n"
+        columns = mixed_columns(rows)
+        as_arrays = "".join(_csv_blocks(header, row_format, *columns))
+        as_lists = "".join(_csv_blocks(header, row_format, *(c.tolist() for c in columns)))
+        assert as_lists == as_arrays
+        assert "np." not in as_arrays  # %r of an np.float64 would print np.float64(...)
+
 
 class TestAtomicOutput:
     def test_failed_report_leaves_no_csv(self, tmp_path, capsys):

@@ -1,16 +1,27 @@
 """Start-up guards: no command needs scipy, importing the CLI loads no YAML,
-and importing the package pins OpenBLAS to one thread.
+no numpy and no numerics module, ``rank-mics`` runs without numpy, and
+importing the package pins OpenBLAS to one thread.
 
 One fresh interpreter makes scipy unimportable (``sys.modules["scipy"] =
 None``) before it imports ``wakenode.cli``, then runs ``rank-mics``,
 ``simulate --scenario``, ``coherence``, ``simulate --wav`` and
-``calibrate`` in that order and records each exit status. A scipy import
-anywhere on a command's path makes that command fail. An eager PyYAML
-import at module level would load it for commands that read no config.
-Three more fresh interpreters import ``wakenode.cli`` with and without a
-preset ``OPENBLAS_NUM_THREADS`` and after numpy.
+``calibrate`` in that order and records each exit status and each
+report's warnings. A scipy import anywhere on a command's path makes that
+command fail. An eager PyYAML import at module level would load it for
+commands that read no config, and an eager numerics import would load
+numpy for every command. Each command imports its numerics while
+:func:`wakenode.cli.main` records warnings into the report, so a warning
+raised by an import would land in ``results.warnings``: on these clean
+inputs every report has none. A second fresh interpreter makes numpy
+unimportable and runs ``rank-mics``. Three more import ``wakenode.cli``
+with and without a preset ``OPENBLAS_NUM_THREADS`` and after numpy.
+
+The package resolves its public names lazily, from one name-to-module
+table; every name it exported when it imported its modules eagerly must
+still resolve, from the module that defined it then.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -21,6 +32,8 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+import wakenode
+import wakenode.cli
 from wakenode import adc_to_db
 
 from conftest import add_noise_at_snr, shift_right, urban_like_signal
@@ -34,9 +47,15 @@ sys.modules["scipy"] = None  # every scipy import now raises ImportError
 
 out_dir, points_csv, source_wav, recording_wav = sys.argv[1:]
 from wakenode.cli import data_path, main
+NUMERICS = ("calibrate", "coherence", "frontend", "powersim", "signals", "wavio")
 runs = {"import": sorted(
     m for m, mod in sys.modules.items() if mod and m.split(".")[0] in ("scipy", "yaml")
 )}
+runs["numerics"] = sorted(
+    m for m in sys.modules
+    if m.split(".")[0] == "numpy" or m.removeprefix("wakenode.") in NUMERICS
+)
+runs["warnings"] = {}
 for step, args in [
     ("rank-mics", ["rank-mics", str(data_path("microphones.csv")), "--analog", "--supply", "3.3"]),
     ("simulate", ["simulate", "--scenario", "urban"]),
@@ -47,8 +66,43 @@ for step, args in [
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         runs[step] = [main(["--out-dir", out_dir, *args]), err.getvalue()]
+    with open(f"{out_dir}/{args[0].replace('-', '_')}_report.json") as fh:
+        runs["warnings"][step] = json.load(fh)["results"]["warnings"]
 print(json.dumps(runs))
 """
+
+NO_NUMPY = r"""
+import contextlib, io, json, sys
+
+sys.modules["numpy"] = None  # every numpy import now raises ImportError
+
+from wakenode.cli import data_path, main
+runs = {}
+for step, flags in [("plain", []), ("analog", ["--analog", "--supply", "3.3"])]:
+    out_dir = f"{sys.argv[1]}/{step}"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["--out-dir", out_dir, "rank-mics", str(data_path("microphones.csv")), *flags])
+    runs[step] = [code, err.getvalue()]
+print(json.dumps(runs))
+"""
+
+# the public names of the package, by the module that defined each when
+# the package imported every module eagerly
+API = {
+    "calibrate": "CalibrationCurve CalibrationDomainError CalPoint FitError adc_to_db db_to_adc "
+    "fit_curve r_squared",
+    "coherence": "AlignmentError CoherenceEstimate MicCandidate MicConfiguration RankedMic "
+    "WelchParams Window coherence_score cross_spectral_density magnitude_squared_coherence "
+    "peak_envelope rank_microphones score_with_details",
+    "frontend": "BinarySignal CircuitParams amplifier_gain amplify common_mode envelope_detect "
+    "gain_db threshold_out",
+    "powersim": "BUILTIN_PROFILES NodeConfig PowerProfile Scenario ScenarioSegment SimTrace "
+    "battery_lifetime_days build_urban_scenario savings_percent simulate simulate_from_wake",
+    "signals": "Signal clip find_delay resample",
+    "wavio": "WavFormatError read_wav",
+}
+API_NAMES = [(module, name) for module, names in API.items() for name in names.split()]
 
 
 PIN = r"""
@@ -98,11 +152,12 @@ def runs(tmp_path_factory):
     points = tmp / "points.csv"
     adc = np.linspace(380.0, 1000.0, 12).tolist()
     points.write_text("adc_value,spl_db\n" + "".join(f"{x!r},{adc_to_db(x)!r}\n" for x in adc))
-    source = urban_like_signal(90.0, 8000.0, seed=5)
+    # 16 kHz: below it, coherence warns that the analysis band has no headroom
+    source = urban_like_signal(90.0, 16000.0, seed=5)
     recording = add_noise_at_snr(shift_right(source, 400), 20.0, seed=6)
     wavs = [tmp / "source.wav", tmp / "recording.wav"]
     for path, sig in zip(wavs, (source, recording)):
-        wavfile.write(path, 8000, sig.samples.astype(np.float32))
+        wavfile.write(path, 16000, sig.samples.astype(np.float32))
     proc = subprocess.run(
         [sys.executable, "-c", STEPS, str(tmp / "out"), str(points), *map(str, wavs)],
         capture_output=True,
@@ -130,3 +185,60 @@ def test_wav_commands_load_no_scipy(runs, step):
 
 def test_calibrate_loads_no_scipy(runs):
     assert runs["calibrate"] == [0, ""]
+
+
+def test_import_loads_no_numpy_and_no_numerics_module(runs):
+    assert runs["numerics"] == []
+
+
+@pytest.mark.parametrize(
+    "step", ["rank-mics", "simulate", "coherence", "simulate-wav", "calibrate"]
+)
+def test_imports_inside_a_command_warn_nothing_into_its_report(runs, step):
+    assert runs["warnings"][step] == []
+
+
+def test_rank_mics_runs_without_numpy(tmp_path, capsys):
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY, str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"plain": [0, ""], "analog": [0, ""]}
+    golden = Path(__file__).parent / "golden" / "ranking_analog_3v3.csv"
+    assert (tmp_path / "analog" / "ranking.csv").read_text() == golden.read_text()
+    # the plain ranking is the one this process, which has numpy, writes
+    mics = str(wakenode.cli.data_path("microphones.csv"))
+    assert wakenode.cli.main(["--out-dir", str(tmp_path / "here"), "rank-mics", mics]) == 0
+    capsys.readouterr()
+    for name in ("ranking.csv", "rank_mics_report.json"):
+        text = [(tmp_path / run / name).read_text() for run in ("plain", "here")]
+        assert text[0] == text[1].replace(str(tmp_path / "here"), str(tmp_path / "plain"))
+
+
+@pytest.mark.parametrize("module, name", API_NAMES)
+def test_every_public_name_resolves_from_the_package(module, name):
+    assert getattr(wakenode, name) is getattr(importlib.import_module(f"wakenode.{module}"), name)
+
+
+def test_star_import_gives_the_public_names():
+    namespace: dict = {}
+    exec("from wakenode import *", namespace)
+    assert set(namespace) - {"__builtins__"} == {name for _, name in API_NAMES}
+    assert set(namespace) - {"__builtins__"} <= set(dir(wakenode))
+
+
+def test_unknown_names_raise_attribute_error():
+    for module in (wakenode, wakenode.cli):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            module.no_such_name
+    # the modules that define the public names are reachable as attributes
+    assert wakenode.powersim is importlib.import_module("wakenode.powersim")
+
+
+def test_cli_still_reaches_the_names_its_commands_import():
+    assert wakenode.cli.simulate is wakenode.powersim.simulate
+    assert wakenode.cli.WavReader is wakenode.wavio.WavReader
