@@ -7,10 +7,11 @@ across threads.
 Downsampling between integer rates is polyphase (Crochiere & Rabiner,
 *Multirate Digital Signal Processing*, 1983, ch. 3): the anti-alias FIR
 and the linear interpolation onto the new grid are folded into one
-kernel per output phase, evaluated as a block of rows times a kernel
-matrix. Its results are within 1e-9 absolute of the whole-signal
-convolve-then-interpolate path, which other ratios still take. A
-recording can be resampled in chunks that share a :class:`ResampleCarry`.
+kernel per output phase, evaluated as blocks of rows times bands of a
+kernel matrix, so a recording streams through it in chunks that share a
+:class:`ResampleCarry`. Its results are within 1e-9 absolute of the
+whole-signal convolve-then-interpolate path, which only non-integer
+rates and upsampling take, and only on a whole recording.
 """
 
 from __future__ import annotations
@@ -29,12 +30,10 @@ __all__ = ["Signal", "ResampleCarry", "resample", "find_delay", "clip"]
 ANTIALIAS_TAPS = 64
 ANTIALIAS_CUTOFF_FRACTION = 0.45  # of the target rate
 
-# Largest polyphase kernel matrix, in elements (2 MiB); a ratio needing more
-# (44 101 -> 8000 Hz has 8000 phases: 353 M) takes the convolve path.
-POLYPHASE_MAX_KERNEL = 1 << 18
-# Multiply-adds per matrix product, which sets the rows in a block: 154 rows
-# at 44.1 -> 8 kHz. OpenBLAS's output bits depend on a product's row count,
-# so this value fixes the resampled samples' bits; changing it changes them.
+# Multiply-adds per matrix product and input samples per block of rows, which
+# set the rows in a block: 154 at 44.1 -> 8 kHz (bounded by the products), 11
+# at 44 101 -> 8000 Hz (by the 44 101-sample rows). OpenBLAS's output bits
+# depend on a product's row count, so changing this value changes them.
 RESAMPLE_BLOCK_MACS = 1 << 19
 
 # find_delay correlates directly while len(candidate) * len(reference), the
@@ -113,19 +112,26 @@ class _Polyphase(NamedTuple):
     phases: int
     parts: tuple[tuple[slice, slice, NDArray[np.float64]], ...]
 
+    @property
+    def block(self) -> int:
+        """Rows per product: at most :data:`RESAMPLE_BLOCK_MACS` multiply-adds
+        with any part, and at most that many input samples."""
+        largest = max(part.size for _, _, part in self.parts)
+        return max(RESAMPLE_BLOCK_MACS // max(self.row, largest), 1)
 
-@functools.lru_cache(maxsize=16)
+
+# The CLI resamples two rates at most. A plan to 8 kHz has at most 8000 phases,
+# whose parts take about 12 MiB at most (11.4 at 44 101 Hz): ~24 MiB cached.
+@functools.lru_cache(maxsize=2)
 def _polyphase(source_rate_hz: float, target_rate_hz: float) -> _Polyphase | None:
     """The polyphase plan from ``source_rate_hz`` down to ``target_rate_hz``,
-    or None when the rates are not both integers or the matrix is too large."""
+    or None when the rates are not both integers."""
     if not (source_rate_hz.is_integer() and target_rate_hz.is_integer()):
         return None
     gcd = math.gcd(int(source_rate_hz), int(target_rate_hz))
     up, down = int(target_rate_hz) // gcd, int(source_rate_hz) // gcd
     copies = -(-(ANTIALIAS_TAPS + 1) // down)
     row, phases = copies * down, copies * up
-    if (row + ANTIALIAS_TAPS) * phases > POLYPHASE_MAX_KERNEL:  # a bound on its size
-        return None
     # Output k = phases*q + r reads the filter output at source position
     # q*row + r*down/up + (TAPS-1)/2, between samples j and j+1 at fraction
     # f; 2*up times that position is an integer, so j and f are exact.
@@ -140,17 +146,16 @@ def _polyphase(source_rate_hz: float, target_rate_hz: float) -> _Polyphase | Non
     weights = np.zeros((phases, ANTIALIAS_TAPS + 1))
     weights[:, :-1] = frac[:, None] * taps
     weights[:, 1:] += (1.0 - frac)[:, None] * taps
-    reads = lead + j[:, None] + 1 - np.arange(ANTIALIAS_TAPS + 1)
-    kernel = np.zeros((width, phases))
-    kernel[reads, np.arange(phases)[:, None]] = weights
-    # Phases in groups reading about 2 * TAPS input samples each, so a
-    # product skips most of the matrix's zeros
+    window_reads = lead + j[:, None] + 1 - np.arange(ANTIALIAS_TAPS + 1)
+    # Phases in groups reading about 2 * TAPS input samples each; a group's part
+    # is the band of the (width x phases) kernel matrix they read, the rest zeros
     groups = -(-phases // max(2 * ANTIALIAS_TAPS * up // down, 1))
     parts = []
     for group in np.array_split(np.arange(phases), groups):
         first, last = int(group[0]), int(group[-1])
         reads = slice(lead + int(j[first]) - ANTIALIAS_TAPS + 1, lead + int(j[last]) + 2)
-        part = kernel[reads, first : last + 1].copy()
+        part = np.zeros((reads.stop - reads.start, len(group)))
+        part[window_reads[group] - reads.start, group[:, None] - first] = weights[group]
         part.setflags(write=False)
         parts.append((reads, slice(first, last + 1), part))
     return _Polyphase(row, lead, width, phases, tuple(parts))
@@ -162,14 +167,16 @@ class ResampleCarry:
 
     ``total`` is the length of the whole recording, so the call that brings
     its last sample knows to add the zero-padded tail. ``pending`` holds the
-    samples no finished block of rows has consumed (all of them on the
-    convolve path), from the window start of output row ``rows``.
+    samples no finished block of rows has consumed, from the window start
+    of output row ``rows``. ``rate_hz`` is the first chunk's sample rate,
+    which every later chunk must share.
     """
 
     total: int
     fed: int = 0
     rows: int = 0
     pending: list[NDArray[np.float64]] = field(default_factory=list)
+    rate_hz: float | None = None
 
 
 def resample(s: Signal, target_rate_hz: float, carry: ResampleCarry | None = None) -> Signal:
@@ -177,27 +184,26 @@ def resample(s: Signal, target_rate_hz: float, carry: ResampleCarry | None = Non
 
     Downsampling low-pass filters first (anti-aliasing) and then samples
     the filtered waveform on the new grid via linear interpolation. Between
-    integer rates whose reduced ratio ``up/down`` (44.1 -> 8 kHz is 80/441)
-    needs a kernel matrix of at most :data:`POLYPHASE_MAX_KERNEL` elements,
+    integer rates, with reduced ratio ``up/down`` (44.1 -> 8 kHz is 80/441),
     both steps are one 65-tap kernel per output phase, applied to rows of
     input as matrix products. For samples in [-1, 1] the result is within
     1e-9 absolute of filtering the whole signal with ``np.convolve`` and
-    interpolating with ``np.interp``, which is what other ratios
-    (non-integer rates, or 44 101 -> 8000 Hz) still do; the gap is mostly the
-    rounding of the interpolation positions, which the polyphase phases
-    hold exactly. Upsampling is plain linear interpolation. Equal rates
-    return the signal unchanged, so the operation is idempotent per rate.
-    The output has ``round(len * ratio)`` samples, at least one.
+    interpolating with ``np.interp``, which is what non-integer rates
+    still do; the gap is mostly the rounding of the interpolation
+    positions, which the polyphase phases hold exactly. Upsampling is
+    plain linear interpolation. Equal rates return the signal unchanged,
+    so the operation is idempotent per rate. The output has
+    ``round(len * ratio)`` samples, at least one.
 
-    A recording can be passed in consecutive chunks that share one
-    ``carry``, made with the recording's length. Each call returns the
+    A recording can be passed in consecutive chunks at one rate that share
+    one ``carry``, made with the recording's length. Each call returns the
     output samples it completes, possibly none, and the joined outputs are
     bit for bit those of one call on the whole recording: rows are
     multiplied in blocks of a fixed number of rows (set by
     :data:`RESAMPLE_BLOCK_MACS`) counted from the first, so no block
-    depends on the chunking. The convolve path keeps every chunk
-    and resamples on the last one. Without ``carry`` the call is a whole
-    recording.
+    depends on the chunking. Interpolation (non-integer rates, upsampling)
+    does not stream: there a chunk must be the whole recording. Without
+    ``carry`` the call is a whole recording.
     """
     if not (target_rate_hz > 0):
         raise ValueError(f"target_rate_hz must be positive, got {target_rate_hz}")
@@ -205,26 +211,27 @@ def resample(s: Signal, target_rate_hz: float, carry: ResampleCarry | None = Non
         raise ValueError("cannot resample an empty signal")
     if carry is None:
         carry = ResampleCarry(len(s))
+    if carry.rate_hz is None:
+        carry.rate_hz = s.sample_rate_hz
+    elif s.sample_rate_hz != carry.rate_hz:
+        raise ValueError(f"chunk sample rate {s.sample_rate_hz} is not {carry.rate_hz}")
     if carry.fed + len(s) > carry.total:
         raise ValueError(
             f"chunk of {len(s)} samples runs past the {carry.total} samples "
             f"of the recording ({carry.fed} already passed)"
         )
+    plan = None
+    if target_rate_hz < s.sample_rate_hz:
+        plan = _polyphase(float(s.sample_rate_hz), float(target_rate_hz))
+    if plan is None and target_rate_hz != s.sample_rate_hz and len(s) != carry.total:
+        raise ValueError(f"interpolation takes the whole recording of {carry.total} samples")
     carry.fed += len(s)
     if target_rate_hz == s.sample_rate_hz:
         return s
 
     n_out = max(int(round(carry.total * (target_rate_hz / s.sample_rate_hz))), 1)
-    plan = None
-    if target_rate_hz < s.sample_rate_hz:
-        plan = _polyphase(float(s.sample_rate_hz), float(target_rate_hz))
     if plan is None:
-        carry.pending.append(s.samples)
-        if carry.fed < carry.total:
-            return Signal(np.empty(0), target_rate_hz)
-        x = np.concatenate(carry.pending)
-        carry.pending.clear()
-        return Signal(_interp_resample(x, s.sample_rate_hz, target_rate_hz, n_out), target_rate_hz)
+        return Signal(_interp_resample(s, target_rate_hz, n_out), target_rate_hz)
     return Signal(_polyphase_rows(plan, s.samples, carry, n_out), target_rate_hz)
 
 
@@ -236,7 +243,7 @@ def _polyphase_rows(
     if carry.fed == len(samples):
         carry.pending.append(np.zeros(lead))  # before the first sample
     carry.pending.append(samples)
-    block = max(RESAMPLE_BLOCK_MACS // max(part.size for _, _, part in parts), 1)
+    block = plan.block
     left = -(-n_out // phases) - carry.rows
     held = carry.fed + lead - carry.rows * row
     if carry.fed == carry.total:
@@ -263,24 +270,15 @@ def _polyphase_rows(
     return out.reshape(-1)[: n_out - done]
 
 
-def _interp_resample(
-    x: NDArray[np.float64], source_rate_hz: float, target_rate_hz: float, n_out: int
-) -> NDArray[np.float64]:
+def _interp_resample(s: Signal, target_rate_hz: float, n_out: int) -> NDArray[np.float64]:
     """Filter the whole signal (when downsampling), then interpolate onto the new grid."""
-    ratio = target_rate_hz / source_rate_hz
     # Output sample k sits at time k / target; express it in source-sample units.
-    positions = np.arange(n_out, dtype=np.float64) / ratio
-
-    if target_rate_hz > source_rate_hz:
-        src = x
-        offset = 0.0
-    else:
-        kernel = _antialias_kernel(source_rate_hz, target_rate_hz)
-        src = np.convolve(x, kernel, mode="full")
+    positions = np.arange(n_out, dtype=np.float64) / (target_rate_hz / s.sample_rate_hz)
+    src, offset = s.samples, 0.0
+    if target_rate_hz < s.sample_rate_hz:
+        src = np.convolve(src, _antialias_kernel(s.sample_rate_hz, target_rate_hz), mode="full")
         offset = (ANTIALIAS_TAPS - 1) / 2.0  # group delay of the symmetric FIR
-
-    grid = np.arange(src.size, dtype=np.float64)
-    return np.interp(positions + offset, grid, src)
+    return np.interp(positions + offset, np.arange(src.size, dtype=np.float64), src)
 
 
 def _fft_length(n: int) -> int:

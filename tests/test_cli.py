@@ -512,9 +512,6 @@ class TestSimulateWavStreaming:
 # ----------------------------------------------------------------------
 # coherence streams each recording through the resampler in chunks
 
-SCORE_DELAY = 11_025  # 2000 samples at the 8 kHz scoring rate
-
-
 def write_pair(directory: Path, rate: int, source: np.ndarray, recording: np.ndarray) -> list[str]:
     paths = []
     for name, x in (("source", source), ("recording", recording)):
@@ -524,28 +521,39 @@ def write_pair(directory: Path, rate: int, source: np.ndarray, recording: np.nda
     return paths
 
 
-@pytest.fixture(scope="module")
-def pair_95s(tmp_path_factory) -> tuple[list[str], list[str]]:
-    """A 95 s 44.1 kHz source and its delayed, noisy recording, and the same
-    two files resampled to 8 kHz."""
-    directory = tmp_path_factory.mktemp("pair")
-    source = urban_like_signal(95.0, 44_100.0, seed=11)
-    recording = add_noise_at_snr(shift_right(source, SCORE_DELAY), 20.0, seed=12)
-    full = write_pair(directory, 44_100, source.samples, 0.5 * recording.samples)
+def write_pair_95s(directory: Path, rate: int) -> tuple[list[str], list[str]]:
+    """A 95 s source at ``rate`` and its recording, delayed by 2000 samples
+    at the 8 kHz scoring rate, with noise; and the same two files resampled
+    to 8 kHz."""
+    source = urban_like_signal(95.0, float(rate), seed=11)
+    recording = add_noise_at_snr(shift_right(source, rate // 4), 20.0, seed=12)
+    full = write_pair(directory, rate, source.samples, 0.5 * recording.samples)
     at_8k = [resample(read_wav(path), 8000.0).samples for path in full]
     return full, write_pair(directory, 8000, *at_8k)
 
 
+@pytest.fixture(scope="module")
+def pair_95s(tmp_path_factory) -> tuple[list[str], list[str]]:
+    """The 95 s pair at 44.1 kHz and at 8 kHz."""
+    return write_pair_95s(tmp_path_factory.mktemp("pair"), 44_100)
+
+
+def coherence_peaks(out: Path, pairs) -> list[int]:
+    """tracemalloc's peak while ``coherence`` scores each pair."""
+    peaks = []
+    for pair in pairs:
+        tracemalloc.start()
+        try:
+            assert main(["--out-dir", str(out), "coherence", *pair]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 class TestCoherenceStreaming:
     def test_peak_memory_is_that_of_8khz_input(self, tmp_path, capsys, pair_95s):
-        peaks = []
-        for pair in pair_95s:
-            tracemalloc.start()
-            try:
-                assert main(["--out-dir", str(tmp_path / "out"), "coherence", *pair]) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = coherence_peaks(tmp_path / "out", pair_95s)
         assert abs(peaks[0] - peaks[1]) < 4 * 2**20, peaks
 
     def test_score_is_that_of_whole_signals(self, tmp_path, capsys, pair_95s):
@@ -575,15 +583,18 @@ class TestCoherenceStreaming:
         # the 95 s 8 kHz pair and the same audio repeated to 380 s
         repeated = (np.tile(read_wav(path).samples, 4) for path in pair_95s[1])
         long_pair = write_pair(tmp_path, 8000, *repeated)
-        peaks = []
-        for pair in (pair_95s[1], long_pair):
-            tracemalloc.start()
-            try:
-                assert main(["--out-dir", str(tmp_path / "out"), "coherence", *pair]) == 0
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = coherence_peaks(tmp_path / "out", (pair_95s[1], long_pair))
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+    # 48 kHz pulled down by 1.001, and rates whose reduced ratios to 8 kHz
+    # have 1000 and 8000 phases
+    @pytest.mark.parametrize("rate", [47_952, 44_056, 44_101])
+    def test_odd_rate_peaks_near_8khz_input(self, tmp_path, capsys, rate):
+        full, at_8k = write_pair_95s(tmp_path, rate)
+        doubled = write_pair(tmp_path, rate, *(np.tile(read_wav(path).samples, 2) for path in full))
+        peaks = coherence_peaks(tmp_path / "out", (at_8k, full, doubled))
+        assert peaks[1] - peaks[0] < 12 * 2**20, peaks
+        assert abs(peaks[2] - peaks[1]) < 2**20, peaks
 
 
 def assert_cli_scores_whole_signals(out: Path, stdout: str, pair: list[str]) -> dict:

@@ -38,6 +38,38 @@ def resample_oracle(s: Signal, target_rate_hz: float) -> Signal:
     return Signal(np.interp(positions + offset, grid, src), target_rate_hz)
 
 
+def dense_plan_oracle(source_rate_hz: float, target_rate_hz: float) -> signals._Polyphase:
+    """``_polyphase`` before its parts were built directly: each part is a
+    slice of the dense ``(width, phases)`` kernel matrix. The matrix is
+    built one group of phase columns at a time, as 44 101 -> 8000 Hz would
+    need 353 M elements at once, and each slice is checked to hold every
+    weight of its columns."""
+    gcd = math.gcd(int(source_rate_hz), int(target_rate_hz))
+    up, down = int(target_rate_hz) // gcd, int(source_rate_hz) // gcd
+    copies = -(-(ANTIALIAS_TAPS + 1) // down)
+    row, phases = copies * down, copies * up
+    num = 2 * down * np.arange(phases) + (ANTIALIAS_TAPS - 1) * up
+    j, rem = np.divmod(num, 2 * up)
+    frac = rem / (2 * up)
+    lead = ANTIALIAS_TAPS - 1 - int(j[0])
+    width = lead + int(j[-1]) + 2
+    taps = _antialias_kernel(source_rate_hz, target_rate_hz)
+    weights = np.zeros((phases, ANTIALIAS_TAPS + 1))
+    weights[:, :-1] = frac[:, None] * taps
+    weights[:, 1:] += (1.0 - frac)[:, None] * taps
+    window_reads = lead + j[:, None] + 1 - np.arange(ANTIALIAS_TAPS + 1)
+    groups = -(-phases // max(2 * ANTIALIAS_TAPS * up // down, 1))
+    parts = []
+    for group in np.array_split(np.arange(phases), groups):
+        first, last = int(group[0]), int(group[-1])
+        kernel = np.zeros((width, last + 1 - first))
+        kernel[window_reads[first : last + 1], group[:, None] - first] = weights[first : last + 1]
+        reads = slice(lead + int(j[first]) - ANTIALIAS_TAPS + 1, lead + int(j[last]) + 2)
+        assert not kernel[: reads.start].any() and not kernel[reads.stop :].any()
+        parts.append((reads, slice(first, last + 1), kernel[reads].copy()))
+    return signals._Polyphase(row, lead, width, phases, tuple(parts))
+
+
 def dft_peak(sig: Signal) -> tuple[float, float]:
     """Independent oracle: dominant frequency and amplitude by DFT peak-pick."""
     spectrum = np.abs(np.fft.rfft(sig.samples))
@@ -131,10 +163,19 @@ class TestResample:
             resample(tone(100, 0.1, 8000), 0)
 
 
-POLYPHASE_RATES = [11_025, 16_000, 22_050, 32_000, 44_100, 48_000, 88_200, 96_000]
-# 44 101 Hz reduces to 8000/44101, too large a kernel matrix, and 44 100.5 Hz
-# is not an integer; both keep the convolve path, as upsampling does
-CONVOLVE_RATES = [44_101, 44_100.5]
+# the standard rates, then 48 kHz pulled down by 1.001 and two rates whose
+# reduced ratios have 1000 and 8000 phases (44 101 Hz: rows of 44 101 samples)
+POLYPHASE_RATES = [11_025, 16_000, 22_050, 32_000, 44_100, 48_000, 88_200, 96_000] + [
+    47_952, 44_056, 44_101
+]
+# rows per block of each plan; at the first eight rates these are the rows
+# the products' bound alone allows, so their resampled bits stay as they were
+BLOCK_ROWS = {
+    11_025: 37, 16_000: 123, 22_050: 75, 32_000: 239, 44_100: 154, 48_000: 381,
+    88_200: 319, 96_000: 699, 47_952: 134, 44_056: 95, 44_101: 11,
+}
+# 44 100.5 Hz is not an integer, so it takes the convolve path, as upsampling does
+CONVOLVE_RATES = [44_100.5]
 # odd lengths, and lengths shorter than the 64 taps
 LENGTHS = [1, 2, 7, 63, 64, 65, 441, 1001, 9999, 96_001]
 
@@ -171,15 +212,51 @@ class TestPolyphaseResample:
         s = Signal(full_scale_noise(n, seed=n), float(rate))
         assert np.array_equal(resample(s, target).samples, resample_oracle(s, target).samples)
 
-    @pytest.mark.parametrize("rate", POLYPHASE_RATES + CONVOLVE_RATES)
+    @pytest.mark.parametrize("rate", POLYPHASE_RATES)
+    def test_plan_is_the_dense_oracle_bit_for_bit(self, rate):
+        plan = signals._polyphase(float(rate), 8000.0)
+        want = dense_plan_oracle(float(rate), 8000.0)
+        assert plan[:4] == want[:4]
+        assert [(r, w, p.shape, p.tobytes()) for r, w, p in plan.parts] == [
+            (r, w, p.shape, p.tobytes()) for r, w, p in want.parts
+        ]
+        block = plan.block
+        assert block == BLOCK_ROWS[rate]
+        largest = max(part.size for *_, part in plan.parts)
+        assert block * max(plan.row, largest) <= signals.RESAMPLE_BLOCK_MACS
+
+    @pytest.mark.parametrize("rate", POLYPHASE_RATES)
     def test_chunks_join_to_one_call(self, rate, monkeypatch):
-        # blocks of 1 to 10 rows, so 7919 samples span at least four of them
+        # blocks of 1 to 10 rows, so 7919 samples span at least four of them;
+        # 44 056 and 44 101 Hz have one-row blocks, as their rows are longer
+        # than 8192 samples, and 7919 samples make two and one rows
         monkeypatch.setattr(signals, "RESAMPLE_BLOCK_MACS", 1 << 13)
         x = full_scale_noise(7919, seed=1)
         whole = resample(Signal(x, float(rate)), 8000.0).samples
-        down = round(rate) // math.gcd(round(rate), 8000)
+        down = rate // math.gcd(rate, 8000)
         for chunk in (1, down - 1, down, 3 * down + 7, WAV_CHUNK_FRAMES):
             assert np.array_equal(in_chunks(x, float(rate), chunk), whole), chunk
+
+    @pytest.mark.parametrize(
+        "rate, target", [(r, 8000.0) for r in CONVOLVE_RATES] + [(8000, 48_000.0)]
+    )
+    def test_partial_chunk_off_the_polyphase_path_rejected(self, rate, target):
+        x = full_scale_noise(7919, seed=1)
+        with pytest.raises(ValueError, match="whole recording of 7919 samples"):
+            resample(Signal(x[:1000], float(rate)), target, ResampleCarry(len(x)))
+        whole = resample(Signal(x, float(rate)), target, ResampleCarry(len(x)))
+        assert whole == resample(Signal(x, float(rate)), target)
+
+    @pytest.mark.parametrize(
+        "first, then",
+        [(44_100, 88_200), (44_100, 22_050), (16_000, 48_000), (44_100, 48_000), (8000, 16_000)],
+    )
+    def test_chunk_at_another_rate_rejected(self, first, then):
+        carry = ResampleCarry(20_000)
+        resample(Signal(np.zeros(10_000), float(first)), 8000.0, carry)
+        with pytest.raises(ValueError, match=f"chunk sample rate {then}.0 is not {first}.0"):
+            resample(Signal(np.zeros(10_000), float(then)), 8000.0, carry)
+        assert carry.fed == 10_000
 
     def test_cli_chunks_across_full_size_blocks(self):
         x = full_scale_noise(3 * WAV_CHUNK_FRAMES + 12_345, seed=2)
