@@ -38,15 +38,15 @@ and ``calibrate`` import it as they start. Such an import runs while
 report. ``simulate`` and ``WavReader``, which the commands import that
 way, can still be read as attributes of this module.
 
-``simulate --wav`` streams the recording through the analog chain in
-fixed-size chunks (:func:`wakenode.frontend.stream_chunk_samples`), each
-stage carrying its state across chunk boundaries, so its memory does not
-grow with the recording's length and its outputs are those of one pass
-over the whole recording. ``coherence`` streams each recording the same
-way, in chunks of :data:`WAV_CHUNK_FRAMES`, through the resampler to the
-8 kHz scoring rate and on into the scorer, which holds the first 10 s of
-each and then one Welch segment, so no whole recording is held at any
-rate. The Welch settings are checked against the 80 s analysis span, and
+Both commands that read audio stream it through stage objects whose
+``feed`` takes the next chunk and keeps the stage's state for the one
+after (``Resampler``, ``EnvelopeDetector``, ``WelchAccumulator`` and
+``WakeRuns``), so memory does not grow with a recording's length and the
+outputs are those of one pass over the whole recording. ``simulate
+--wav`` reads chunks of the detector's ``chunk_samples``. ``coherence``
+reads chunks of :data:`WAV_CHUNK_FRAMES` and resamples each to the 8 kHz
+scoring rate for the scorer, which holds the first 10 s of each recording
+and then one Welch segment, so no whole recording is held at any rate. The Welch settings are checked against the 80 s analysis span, and
 each recording's rate and length against its WAV header, before any
 decoding.
 """
@@ -95,7 +95,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .powersim import SimTrace
-    from .signals import Signal
 
 CONFIG_ENV_VAR = "WAKENODE_CONFIG"
 # rows per string of a streamed coherence or trace CSV
@@ -323,18 +322,9 @@ def _csv_blocks(header: str, row_format: str, *columns: np.ndarray | list) -> It
 # loads numpy only if it needs it.
 
 
-def _at_score_rate(chunks: Iterator[Signal], frames: int) -> Iterator[Signal]:
-    """A recording's chunks, each resampled to the scoring rate as it is decoded."""
-    from .coherence import SCORE_RATE_HZ
-    from .signals import ResampleCarry, resample
-
-    carry = ResampleCarry(frames)
-    for chunk in chunks:
-        yield resample(chunk, SCORE_RATE_HZ, carry)
-
-
 def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
-    from .coherence import analysis_welch, check_duration, score_streams
+    from .coherence import SCORE_RATE_HZ, analysis_welch, check_duration, score_streams
+    from .signals import Resampler
     from .wavio import WavReader
 
     try:
@@ -364,11 +354,12 @@ def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
             check_duration(label, wav.frames / wav.sample_rate_hz)
         source, recording = (wav.chunks(WAV_CHUNK_FRAMES) for _, wav in files)
         try:
-            details = score_streams(
-                _at_score_rate(source, source_file.frames),
-                _at_score_rate(recording, recording_file.frames),
-                welch,
+            # each chunk resampled to the scoring rate as it is decoded
+            source_8k, recording_8k = (
+                map(Resampler(wav.sample_rate_hz, SCORE_RATE_HZ, wav.frames).feed, chunks)
+                for (_, wav), chunks in zip(files, (source, recording))
             )
+            details = score_streams(source_8k, recording_8k, welch)
         finally:
             # decode what scoring left of both files, the source first, so a
             # bad sample anywhere fails the run as when each file was read
@@ -411,33 +402,23 @@ def _trace_csv(trace: SimTrace, node: NodeConfig) -> Iterator[str]:
 def _simulate_wav(
     wav_path: str, circuit: CircuitParams, node: NodeConfig, threshold_v: float, mic_scale_v: float
 ) -> SimTrace:
-    """Stream a recording through the analog chain, one chunk at a time.
-
-    Each stage carries its state across chunk boundaries, so the trace is
-    that of the whole recording while only one chunk of each stage's
-    samples is held.
-    """
-    from .frontend import (
-        EnvelopeCarry,
-        amplify,
-        envelope_detect,
-        stream_chunk_samples,
-        threshold_out,
-    )
+    """Stream a recording through the analog chain, one chunk at a time: the
+    trace is that of the whole recording, while each stage holds one chunk."""
+    from .frontend import EnvelopeDetector, amplify, threshold_out
     from .powersim import WakeRuns
     from .signals import Signal
     from .wavio import WavReader
 
     with WavReader(wav_path) as wav:
         rate = wav.sample_rate_hz
-        envelope = EnvelopeCarry()
+        detector = EnvelopeDetector(circuit, rate)
         runs = WakeRuns(rate)
         # one name for every stage: rebinding it frees each stage's input
         # as soon as the next stage's output exists
-        for chain in wav.chunks(stream_chunk_samples(circuit, rate)):
+        for chain in wav.chunks(detector.chunk_samples):
             chain = Signal(chain.samples * mic_scale_v, rate)
             chain = amplify(chain, circuit)
-            chain = envelope_detect(chain, circuit, envelope)
+            chain = detector.feed(chain)
             runs.feed(threshold_out(chain, threshold_v))
     return runs.trace(node)
 

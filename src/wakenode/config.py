@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -184,6 +185,26 @@ def parse_run_config(raw: Any, source: str = "<config>") -> RunConfig:
     return replace(defaults, **values)
 
 
+@functools.cache
+def _yaml_loader() -> type:
+    """``yaml.SafeLoader`` that reads a plain ``9e-6``, ``1e5`` or ``1.0e5``
+    as a float, as YAML 1.2 does; PyYAML's YAML 1.1 floats need a dot and a
+    signed exponent. Built on first use: importing this loads no yaml."""
+    import re
+
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    Loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+0123456789."),
+    )
+    return Loader
+
+
 def _load_yaml(path: Path) -> Any:
     import yaml
 
@@ -192,7 +213,7 @@ def _load_yaml(path: Path) -> Any:
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
-        return yaml.safe_load(text)
+        return yaml.load(text, Loader=_yaml_loader())
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: invalid YAML: {exc}") from exc
 

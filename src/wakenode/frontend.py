@@ -9,7 +9,7 @@ ideal (zero drop) with a configurable constant drop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
@@ -24,9 +24,8 @@ __all__ = [
     "amplifier_gain",
     "common_mode",
     "amplify",
-    "EnvelopeCarry",
+    "EnvelopeDetector",
     "envelope_detect",
-    "stream_chunk_samples",
     "threshold_out",
     "gain_db",
 ]
@@ -94,11 +93,6 @@ def amplify(s: Signal, p: CircuitParams) -> Signal:
     return Signal(out, s.sample_rate_hz)
 
 
-def _decay(p: CircuitParams, sample_rate_hz: float) -> float:
-    """Per-sample decay factor of the detector state: exp(-1 / (fs * r5 * c5))."""
-    return math.exp(-1.0 / (sample_rate_hz * p.r5_ohm * p.c5_f))
-
-
 def _scan_block(decay: float) -> int:
     """Block length of the block prefix-max scan, or 0 where it does not run."""
     if decay in (0.0, 1.0):
@@ -109,33 +103,86 @@ def _scan_block(decay: float) -> int:
     return min(SCAN_BLOCK, int(SCAN_MAX_EXPONENT / k))
 
 
-def stream_chunk_samples(p: CircuitParams, sample_rate_hz: float) -> int:
-    """Samples per chunk when a recording is streamed through :func:`envelope_detect`.
+class EnvelopeDetector:
+    """:func:`envelope_detect` for one recording, fed in consecutive chunks.
 
-    :data:`STREAM_CHUNK_SAMPLES` rounded down to whole scan blocks, so the
-    block boundaries, and with them the output's bits, are those of one
-    call on the whole recording.
-    """
-    block = _scan_block(_decay(p, sample_rate_hz))
-    return STREAM_CHUNK_SAMPLES // block * block if block else STREAM_CHUNK_SAMPLES
-
-
-@dataclass
-class EnvelopeCarry:
-    """Detector state :func:`envelope_detect` carries from one chunk of a
-    recording to the next.
-
-    ``level`` is the last level of the block scan, or the running maximum
-    when ``decay`` rounds to 1. ``tail`` holds the log-step scan's last
-    ``2**passes - 1`` input samples, every lag a pass reads back across the
-    chunk boundary.
+    From one chunk to the next it keeps the last level of the block scan
+    (the running maximum when ``decay`` rounds to 1), or the log-step
+    scan's last ``2**passes - 1`` inputs, every lag a pass reads back. With
+    chunks of ``chunk_samples`` (:data:`STREAM_CHUNK_SAMPLES` rounded down
+    to whole scan blocks; the last may be shorter) the outputs joined are
+    bit for bit those of one call on the whole recording.
     """
 
-    level: float = 0.0
-    tail: NDArray[np.float64] = field(default_factory=lambda: np.empty(0))
+    def __init__(self, circuit: CircuitParams, sample_rate_hz: float) -> None:
+        self.circuit = circuit
+        self.sample_rate_hz = sample_rate_hz
+        # per-sample decay of the detector state: exp(-1 / (fs * r5 * c5))
+        self.decay = math.exp(-1.0 / (sample_rate_hz * circuit.r5_ohm * circuit.c5_f))
+        self._block = _scan_block(self.decay)
+        self.chunk_samples = STREAM_CHUNK_SAMPLES
+        if self._block:
+            self.chunk_samples -= STREAM_CHUNK_SAMPLES % self._block
+        self._level = 0.0
+        self._tail: NDArray[np.float64] = np.empty(0)
+
+    def feed(self, s: Signal) -> Signal:
+        """Take the next chunk of the detector's input; return its output."""
+        if len(s) == 0:
+            raise ValueError("cannot detect the envelope of an empty signal")
+        if s.sample_rate_hz != self.sample_rate_hz:
+            raise ValueError(
+                f"chunk sample rate {s.sample_rate_hz} is not {self.sample_rate_hz}"
+            )
+        p, decay, block = self.circuit, self.decay, self._block
+        # the scan runs in place in the output buffer, behind the carried tail
+        # of the log-step scan (empty for the other scans)
+        carried = len(self._tail)
+        state = np.empty(carried + len(s))
+        state[:carried] = self._tail
+        np.subtract(s.samples, p.diode_drop_v, out=state[carried:])
+
+        # level[-1] = 0 is folded into the first sample of the scans that carry
+        # a level: a level below zero gives the same clamped output as zero
+        if decay == 1.0:
+            # fs * tau so large that decay rounds to 1: a plain running max
+            state[0] = max(state[0], self._level)
+            np.maximum.accumulate(state, out=state)
+            self._level = state[-1]
+        elif block:
+            ramp = np.exp(-math.log(decay) * np.arange(block))
+            level = self._level
+            for start in range(0, len(state), block):
+                chunk = state[start : start + block]
+                scale = ramp[: len(chunk)]
+                chunk *= scale
+                chunk[0] = max(chunk[0], level * decay)
+                np.maximum.accumulate(chunk, out=chunk)
+                chunk /= scale
+                level = chunk[-1]
+            self._level = level
+        else:
+            # short time constant: after the pass at lag d every sample holds
+            # the max over lags 0..2d-1, so the last 2d-1 inputs are carried;
+            # decay == 0.0 (exp underflows) holds nothing from one sample to
+            # the next, so the level is the drive
+            lags, lag = [], 1
+            while decay**lag != 0.0:
+                lags.append(lag)
+                lag *= 2
+            keep = 2 * lags[-1] - 1 if lags else 0
+            self._tail = state[max(len(state) - keep, 0) :].copy()
+            for lag in lags:
+                np.maximum(state[lag:], state[:-lag] * decay**lag, out=state[lag:])
+            state = state[carried:]
+
+        state -= p.diode_drop_v
+        np.maximum(state, 0.0, out=state)
+        state *= p.r6_ohm / (p.r5_ohm + p.r6_ohm)
+        return Signal(state, s.sample_rate_hz)
 
 
-def envelope_detect(s: Signal, p: CircuitParams, carry: EnvelopeCarry | None = None) -> Signal:
+def envelope_detect(s: Signal, p: CircuitParams) -> Signal:
     """Peak detector with exponential decay, followed by the output divider.
 
     The internal state charges instantly to (input - diode drop) when that
@@ -158,63 +205,9 @@ def envelope_detect(s: Signal, p: CircuitParams, carry: EnvelopeCarry | None = N
     matches the per-sample recurrence to a relative 1e-9 of the detector
     state wherever that is a normal float (above ~2.2e-308).
 
-    A recording can be passed in consecutive chunks that share one
-    ``carry``; with chunks of :func:`stream_chunk_samples` samples (the last
-    may be shorter) the outputs joined are bit for bit the output of one
-    call on the whole recording. Without ``carry`` the call is a whole
-    recording.
+    This is an :class:`EnvelopeDetector` fed the whole recording as one chunk.
     """
-    if len(s) == 0:
-        raise ValueError("cannot detect the envelope of an empty signal")
-    if carry is None:
-        carry = EnvelopeCarry()
-    decay = _decay(p, s.sample_rate_hz)
-    block = _scan_block(decay)
-    # the scan runs in place in the output buffer, behind the carried tail
-    # of the log-step scan (empty for the other scans)
-    carried = len(carry.tail)
-    state = np.empty(carried + len(s))
-    state[:carried] = carry.tail
-    np.subtract(s.samples, p.diode_drop_v, out=state[carried:])
-
-    # level[-1] = 0 is folded into the first sample of the scans that carry
-    # a level: a level below zero gives the same clamped output as zero
-    if decay == 1.0:
-        # fs * tau so large that decay rounds to 1: a plain running max
-        state[0] = max(state[0], carry.level)
-        np.maximum.accumulate(state, out=state)
-        carry.level = state[-1]
-    elif block:
-        ramp = np.exp(-math.log(decay) * np.arange(block))
-        level = carry.level
-        for start in range(0, len(state), block):
-            chunk = state[start : start + block]
-            scale = ramp[: len(chunk)]
-            chunk *= scale
-            chunk[0] = max(chunk[0], level * decay)
-            np.maximum.accumulate(chunk, out=chunk)
-            chunk /= scale
-            level = chunk[-1]
-        carry.level = level
-    else:
-        # short time constant: after the pass at lag d every sample holds
-        # the max over lags 0..2d-1, so the last 2d-1 inputs are carried;
-        # decay == 0.0 (exp underflows) holds nothing from one sample to
-        # the next, so the level is the drive
-        lags, lag = [], 1
-        while decay**lag != 0.0:
-            lags.append(lag)
-            lag *= 2
-        keep = 2 * lags[-1] - 1 if lags else 0
-        carry.tail = state[max(len(state) - keep, 0) :].copy()
-        for lag in lags:
-            np.maximum(state[lag:], state[:-lag] * decay**lag, out=state[lag:])
-        state = state[carried:]
-
-    state -= p.diode_drop_v
-    np.maximum(state, 0.0, out=state)
-    state *= p.r6_ohm / (p.r5_ohm + p.r6_ohm)
-    return Signal(state, s.sample_rate_hz)
+    return EnvelopeDetector(p, s.sample_rate_hz).feed(s)
 
 
 def threshold_out(envelope: Signal, v_threshold: float) -> BinarySignal:

@@ -241,6 +241,13 @@ class CircuitParams:
             raise ValueError(f"rf_ohm must be non-negative, got {self.rf_ohm}")
         if self.diode_drop_v < 0:
             raise ValueError(f"diode_drop_v must be non-negative, got {self.diode_drop_v}")
+        # a product that underflows to 0 or a ratio that overflows fails here
+        tau = self.r5_ohm * self.c5_f
+        if not (0 < tau < math.inf):
+            raise ValueError(f"r5_ohm * c5_f must be positive and finite, got {tau}")
+        gain = 1.0 + self.rf_ohm / self.r1_ohm
+        if not math.isfinite(gain):
+            raise ValueError(f"1 + rf_ohm / r1_ohm must be finite, got {gain}")
 
 
 @dataclass(frozen=True)

@@ -2,14 +2,15 @@
 
 Signals are immutable value objects: every operation returns a new
 ``Signal`` and never mutates its inputs, so they are safe to share
-across threads.
+across threads. A stage object such as :class:`Resampler` is not: it
+holds one recording's state from one ``feed`` to the next.
 
 Downsampling between integer rates is polyphase (Crochiere & Rabiner,
 *Multirate Digital Signal Processing*, 1983, ch. 3): the anti-alias FIR
 and the linear interpolation onto the new grid are folded into one
 kernel per output phase, evaluated as blocks of rows times bands of a
-kernel matrix, so a recording streams through it in chunks that share a
-:class:`ResampleCarry`. Its results are within 1e-9 absolute of the
+kernel matrix, so a recording streams through one :class:`Resampler`
+in chunks. Its results are within 1e-9 absolute of the
 whole-signal convolve-then-interpolate path, which only non-integer
 rates and upsampling take, and only on a whole recording.
 """
@@ -18,13 +19,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-__all__ = ["Signal", "ResampleCarry", "resample", "find_delay", "clip"]
+__all__ = ["Signal", "Resampler", "resample", "find_delay", "clip"]
 
 # Anti-alias FIR used before decimation: windowed sinc, Hamming window.
 ANTIALIAS_TAPS = 64
@@ -161,25 +162,88 @@ def _polyphase(source_rate_hz: float, target_rate_hz: float) -> _Polyphase | Non
     return _Polyphase(row, lead, width, phases, tuple(parts))
 
 
-@dataclass
-class ResampleCarry:
-    """Input :func:`resample` carries from one chunk of a recording to the next.
+class Resampler:
+    """:func:`resample` for one recording of ``total`` samples, fed in
+    consecutive chunks at ``source_rate_hz``.
 
-    ``total`` is the length of the whole recording, so the call that brings
-    its last sample knows to add the zero-padded tail. ``pending`` holds the
-    samples no finished block of rows has consumed, from the window start
-    of output row ``rows``. ``rate_hz`` is the first chunk's sample rate,
-    which every later chunk must share.
+    Each :meth:`feed` returns the output its chunk completes, possibly none.
+    Joined, the outputs are bit for bit those of one call on the whole
+    recording: rows are multiplied in blocks of a fixed number of rows (set
+    by :data:`RESAMPLE_BLOCK_MACS`) counted from the first, so no block
+    depends on the chunking. Interpolation (non-integer rates, upsampling)
+    does not stream: there the one chunk is the whole recording.
     """
 
-    total: int
-    fed: int = 0
-    rows: int = 0
-    pending: list[NDArray[np.float64]] = field(default_factory=list)
-    rate_hz: float | None = None
+    def __init__(self, source_rate_hz: float, target_rate_hz: float, total: int) -> None:
+        if not (target_rate_hz > 0):
+            raise ValueError(f"target_rate_hz must be positive, got {target_rate_hz}")
+        if total < 1:
+            raise ValueError("cannot resample an empty signal")
+        self.source_rate_hz = source_rate_hz
+        self.target_rate_hz = target_rate_hz
+        self.total = total
+        self.fed = 0
+        self._n_out = max(int(round(total * (target_rate_hz / source_rate_hz))), 1)
+        self._plan = None
+        if target_rate_hz < source_rate_hz:
+            self._plan = _polyphase(float(source_rate_hz), float(target_rate_hz))
+        # output rows done, and the samples no finished block of rows has
+        # consumed, from the window start of output row ``_rows``
+        self._rows = 0
+        self._pending = [np.zeros(self._plan.lead)] if self._plan else []
+
+    def feed(self, chunk: Signal) -> Signal:
+        """Take the next chunk of the recording; return the output it completes."""
+        if len(chunk) == 0:
+            raise ValueError("cannot resample an empty signal")
+        if chunk.sample_rate_hz != self.source_rate_hz:
+            raise ValueError(
+                f"chunk sample rate {chunk.sample_rate_hz} is not {self.source_rate_hz}"
+            )
+        if self.fed + len(chunk) > self.total:
+            raise ValueError(
+                f"chunk of {len(chunk)} samples runs past the {self.total} samples "
+                f"of the recording ({self.fed} already passed)"
+            )
+        plan, target = self._plan, self.target_rate_hz
+        if plan is None and target != self.source_rate_hz and len(chunk) != self.total:
+            raise ValueError(f"interpolation takes the whole recording of {self.total} samples")
+        self.fed += len(chunk)
+        if target == self.source_rate_hz:
+            return chunk
+        if plan is None:
+            return Signal(_interp_resample(chunk, target, self._n_out), target)
+
+        row, lead, width, phases, parts = plan
+        self._pending.append(chunk.samples)
+        block = plan.block
+        left = -(-self._n_out // phases) - self._rows
+        held = self.fed + lead - self._rows * row
+        if self.fed == self.total:
+            ready = left  # the tail of the last windows is zeros
+            self._pending.append(np.zeros(max((left - 1) * row + width - held, 0)))
+        else:
+            # whole blocks only; the last, partial one waits for the last chunk
+            fit = (held - width) // row + 1 if held >= width else 0
+            ready = min(fit, left) // block * block
+        if ready <= 0:
+            return Signal(np.empty(0), target)
+
+        held_samples = np.concatenate(self._pending)
+        windows = np.lib.stride_tricks.sliding_window_view(held_samples, width)[::row]
+        out = np.empty((ready, phases))
+        for start in range(0, ready, block):
+            stop = min(start + block, ready)
+            block_windows = np.ascontiguousarray(windows[start:stop])
+            for reads, writes, part in parts:
+                np.matmul(block_windows[:, reads], part, out=out[start:stop, writes])
+        self._pending = [held_samples[ready * row :].copy()]
+        done = self._rows * phases
+        self._rows += ready
+        return Signal(out.reshape(-1)[: self._n_out - done], target)
 
 
-def resample(s: Signal, target_rate_hz: float, carry: ResampleCarry | None = None) -> Signal:
+def resample(s: Signal, target_rate_hz: float) -> Signal:
     """Convert ``s`` to ``target_rate_hz``.
 
     Downsampling low-pass filters first (anti-aliasing) and then samples
@@ -195,79 +259,9 @@ def resample(s: Signal, target_rate_hz: float, carry: ResampleCarry | None = Non
     so the operation is idempotent per rate. The output has
     ``round(len * ratio)`` samples, at least one.
 
-    A recording can be passed in consecutive chunks at one rate that share
-    one ``carry``, made with the recording's length. Each call returns the
-    output samples it completes, possibly none, and the joined outputs are
-    bit for bit those of one call on the whole recording: rows are
-    multiplied in blocks of a fixed number of rows (set by
-    :data:`RESAMPLE_BLOCK_MACS`) counted from the first, so no block
-    depends on the chunking. Interpolation (non-integer rates, upsampling)
-    does not stream: there a chunk must be the whole recording. Without
-    ``carry`` the call is a whole recording.
+    This is a :class:`Resampler` fed the whole recording as one chunk.
     """
-    if not (target_rate_hz > 0):
-        raise ValueError(f"target_rate_hz must be positive, got {target_rate_hz}")
-    if len(s) == 0:
-        raise ValueError("cannot resample an empty signal")
-    if carry is None:
-        carry = ResampleCarry(len(s))
-    if carry.rate_hz is None:
-        carry.rate_hz = s.sample_rate_hz
-    elif s.sample_rate_hz != carry.rate_hz:
-        raise ValueError(f"chunk sample rate {s.sample_rate_hz} is not {carry.rate_hz}")
-    if carry.fed + len(s) > carry.total:
-        raise ValueError(
-            f"chunk of {len(s)} samples runs past the {carry.total} samples "
-            f"of the recording ({carry.fed} already passed)"
-        )
-    plan = None
-    if target_rate_hz < s.sample_rate_hz:
-        plan = _polyphase(float(s.sample_rate_hz), float(target_rate_hz))
-    if plan is None and target_rate_hz != s.sample_rate_hz and len(s) != carry.total:
-        raise ValueError(f"interpolation takes the whole recording of {carry.total} samples")
-    carry.fed += len(s)
-    if target_rate_hz == s.sample_rate_hz:
-        return s
-
-    n_out = max(int(round(carry.total * (target_rate_hz / s.sample_rate_hz))), 1)
-    if plan is None:
-        return Signal(_interp_resample(s, target_rate_hz, n_out), target_rate_hz)
-    return Signal(_polyphase_rows(plan, s.samples, carry, n_out), target_rate_hz)
-
-
-def _polyphase_rows(
-    plan: _Polyphase, samples: NDArray[np.float64], carry: ResampleCarry, n_out: int
-) -> NDArray[np.float64]:
-    """The output rows whose input windows ``carry`` now holds in full."""
-    row, lead, width, phases, parts = plan
-    if carry.fed == len(samples):
-        carry.pending.append(np.zeros(lead))  # before the first sample
-    carry.pending.append(samples)
-    block = plan.block
-    left = -(-n_out // phases) - carry.rows
-    held = carry.fed + lead - carry.rows * row
-    if carry.fed == carry.total:
-        ready = left  # the tail of the last windows is zeros
-        carry.pending.append(np.zeros(max((left - 1) * row + width - held, 0)))
-    else:
-        # whole blocks only; the last, partial one waits for the last call
-        fit = (held - width) // row + 1 if held >= width else 0
-        ready = min(fit, left) // block * block
-    if ready <= 0:
-        return np.empty(0)
-
-    held_samples = np.concatenate(carry.pending)
-    windows = np.lib.stride_tricks.sliding_window_view(held_samples, width)[::row]
-    out = np.empty((ready, phases))
-    for start in range(0, ready, block):
-        stop = min(start + block, ready)
-        block_windows = np.ascontiguousarray(windows[start:stop])
-        for reads, writes, part in parts:
-            np.matmul(block_windows[:, reads], part, out=out[start:stop, writes])
-    carry.pending = [held_samples[ready * row :].copy()]
-    done = carry.rows * phases
-    carry.rows += ready
-    return out.reshape(-1)[: n_out - done]
+    return Resampler(s.sample_rate_hz, target_rate_hz, len(s)).feed(s)
 
 
 def _interp_resample(s: Signal, target_rate_hz: float, n_out: int) -> NDArray[np.float64]:

@@ -33,6 +33,7 @@ from wakenode.cli import (
     CONFIG_ENV_VAR,
     CSV_BLOCK_ROWS,
     CSV_SPLIT_ROWS,
+    WAV_CHUNK_FRAMES,
     CliError,
     _csv_blocks,
     _finish,
@@ -41,8 +42,11 @@ from wakenode.cli import (
     data_path,
     main,
 )
+from wakenode.coherence import SCORE_RATE_HZ, analysis_welch, score_streams
 from wakenode.config import RunConfig, load_run_config, parse_run_config
-from wakenode.frontend import stream_chunk_samples
+from wakenode.frontend import EnvelopeDetector
+from wakenode.signals import Resampler
+from wakenode.wavio import WavReader
 
 from conftest import add_noise_at_snr, shift_right, urban_like_signal
 
@@ -419,6 +423,45 @@ def whole_array_outputs(wav: Path, config: str) -> tuple[str, float, np.ndarray]
     return "".join(_trace_csv(trace, cfg.node)), trace.duty_cycle, wake.samples
 
 
+class TestCircuitConfig:
+    # the product underflows to 0 and the ratio overflows, while every value
+    # is positive and finite
+    @pytest.mark.parametrize(
+        "circuit, message",
+        [
+            ("{r5_ohm: 1.0e-320, c5_f: 1.0e-12}", "r5_ohm * c5_f must be positive and finite"),
+            ("{rf_ohm: 1.7e+308, r1_ohm: 1.0e-300}", "1 + rf_ohm / r1_ohm must be finite"),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["--wav", "--scenario"])
+    def test_derived_values_rejected_before_any_output(
+        self, tmp_path, capsys, circuit, message, source
+    ):
+        wav = tmp_path / "a.wav"
+        write_int16(wav, bursty(1000, seed=1))
+        config = write_config(tmp_path, f"circuit: {circuit}\n")
+        out = tmp_path / "out"
+        args = ["--config", config, "--out-dir", str(out), "simulate", source]
+        assert main([*args, str(wav) if source == "--wav" else "urban"]) == 1
+        assert f"[E_CONFIG]: circuit: {message}, got" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_exponent_without_dot_reads_as_with_dot(self, tmp_path, capsys):
+        wav = tmp_path / "a.wav"
+        write_int16(wav, bursty(20_000, seed=2))
+        outputs = []
+        for c5_f in ("9e-6", "9.0e-6"):
+            config = write_config(tmp_path, f"circuit:\n  c5_f: {c5_f}\n")
+            out = tmp_path / c5_f
+            args = ["--config", config, "--out-dir", str(out), "simulate", "--wav", str(wav)]
+            assert main(args) == 0
+            report = json.loads((out / "simulate_report.json").read_text())
+            del report["config"]["io"]
+            outputs.append((capsys.readouterr().out, (out / "trace.csv").read_text(), report))
+        assert outputs[0] == outputs[1]
+        assert outputs[0][2]["config"]["circuit"]["c5_f"] == 9e-6
+
+
 class TestSimulateWavStreaming:
     # fs * tau: 1.44e6 (the default board) and 1440 take 65536-sample scan
     # blocks, 1 takes 600-sample blocks (130800-sample chunks), 0.3 to 0.002
@@ -435,7 +478,7 @@ class TestSimulateWavStreaming:
         assert (out / "trace.csv").read_text() == trace_csv
         assert json.loads(capsys.readouterr().out)["duty_cycle"] == duty
         assert not wake[-1]  # a run still low at the last sample
-        chunk = stream_chunk_samples(load_run_config(config).circuit, RATE)
+        chunk = EnvelopeDetector(load_run_config(config).circuit, RATE).chunk_samples
         if samples > chunk:  # a low run across the first chunk boundary
             assert not wake[chunk - 1] and not wake[chunk]
 
@@ -551,6 +594,31 @@ def coherence_peaks(out: Path, pairs) -> list[int]:
     return peaks
 
 
+def scoring_peaks(pairs) -> list[int]:
+    """tracemalloc's peak while each pair is scored as ``coherence`` streams
+    it: decoded in chunks of ``WAV_CHUNK_FRAMES``, each resampled to the
+    scoring rate and fed to ``score_streams``, without the CSV and report."""
+    peaks = []
+    for pair in pairs:
+        tracemalloc.start()
+        try:
+            with WavReader(pair[0]) as source, WavReader(pair[1]) as recording:
+                score_streams(
+                    *(
+                        map(
+                            Resampler(wav.sample_rate_hz, SCORE_RATE_HZ, wav.frames).feed,
+                            wav.chunks(WAV_CHUNK_FRAMES),
+                        )
+                        for wav in (source, recording)
+                    ),
+                    analysis_welch(),
+                )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
 class TestCoherenceStreaming:
     def test_peak_memory_is_that_of_8khz_input(self, tmp_path, capsys, pair_95s):
         peaks = coherence_peaks(tmp_path / "out", pair_95s)
@@ -587,12 +655,13 @@ class TestCoherenceStreaming:
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
     # 48 kHz pulled down by 1.001, and rates whose reduced ratios to 8 kHz
-    # have 1000 and 8000 phases
+    # have 1000 and 8000 phases; the scoring alone, as the two tests above
+    # measure the whole command
     @pytest.mark.parametrize("rate", [47_952, 44_056, 44_101])
     def test_odd_rate_peaks_near_8khz_input(self, tmp_path, capsys, rate):
         full, at_8k = write_pair_95s(tmp_path, rate)
         doubled = write_pair(tmp_path, rate, *(np.tile(read_wav(path).samples, 2) for path in full))
-        peaks = coherence_peaks(tmp_path / "out", (at_8k, full, doubled))
+        peaks = scoring_peaks((at_8k, full, doubled))
         assert peaks[1] - peaks[0] < 12 * 2**20, peaks
         assert abs(peaks[2] - peaks[1]) < 2**20, peaks
 

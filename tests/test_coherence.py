@@ -23,7 +23,7 @@ from wakenode.coherence import (
     analysis_welch,
     score_streams,
 )
-from wakenode.signals import ResampleCarry, find_delay, resample
+from wakenode.signals import Resampler, find_delay, resample
 
 from conftest import add_noise_at_snr, shift_right, tone, urban_like_signal
 
@@ -462,9 +462,9 @@ def delayed(x: np.ndarray, delay: int, length: int, seed: int) -> np.ndarray:
 
 def chunked(x: np.ndarray, rate: float, frames: int, target: float = 8000.0):
     """``x`` resampled to ``target`` chunk by chunk, as the CLI streams a file."""
-    carry = ResampleCarry(len(x))
+    resampler = Resampler(rate, target, len(x))
     for start in range(0, len(x), frames):
-        yield resample(Signal(x[start : start + frames], rate), target, carry)
+        yield resampler.feed(Signal(x[start : start + frames], rate))
 
 
 def whole_signal_score(src: np.ndarray, rec: np.ndarray) -> tuple[int, np.ndarray, float]:

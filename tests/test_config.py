@@ -1,6 +1,7 @@
 import pytest
+import yaml
 
-from wakenode import BUILTIN_PROFILES, Window
+from wakenode import BUILTIN_PROFILES, CircuitParams, Window
 from wakenode.cli import data_path
 from wakenode.config import (
     ConfigError,
@@ -86,6 +87,48 @@ class TestRunConfig:
     def test_segment_count_must_be_an_integer(self, value):
         with pytest.raises(ConfigError, match=r"welch\.segment_count: expected an integer"):
             parse_run_config({"welch": {"segment_count": value}})
+
+    @pytest.mark.parametrize("text", ["9e-6", "9E-6", "9.0e-6", "9e-06", "+9e-6", ".9e-5"])
+    def test_exponent_without_dot_or_sign_is_a_float(self, tmp_path, text):
+        # YAML 1.2 floats: PyYAML's YAML 1.1 resolver keeps these as strings
+        path = tmp_path / "cfg.yaml"
+        path.write_text(f"circuit:\n  c5_f: {text}\n")
+        assert load_run_config(path).circuit == CircuitParams(c5_f=9e-6)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('circuit:\n  c5_f: "9e-6"\n', r"circuit\.c5_f: expected a number, got '9e-6'"),
+            ("circuit:\n  c5_f: '9e-6'\n", r"circuit\.c5_f: expected a number, got '9e-6'"),
+            ('welch:\n  segment_count: "8"\n', r"welch\.segment_count: expected an integer"),
+            ("welch:\n  segment_count: 8e0\n", r"welch\.segment_count: expected an integer"),
+        ],
+    )
+    def test_quoted_numbers_and_float_counts_rejected(self, tmp_path, text, message):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=message):
+            load_run_config(path)
+
+    def test_plain_yaml_loader_is_unchanged(self, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text("circuit:\n  c5_f: 9e-6\n")
+        load_run_config(path)
+        assert yaml.safe_load("c5_f: 9e-6") == {"c5_f": "9e-6"}
+
+    @pytest.mark.parametrize(
+        "circuit, message",
+        [
+            # the product underflows to 0, or overflows
+            ({"r5_ohm": 1.0e-320, "c5_f": 1.0e-12}, r"r5_ohm \* c5_f must be positive and finite"),
+            ({"r5_ohm": 1.0e200, "c5_f": 1.0e200}, r"r5_ohm \* c5_f must be positive and finite"),
+            # the ratio overflows
+            ({"rf_ohm": 1.7e308, "r1_ohm": 1.0e-300}, r"1 \+ rf_ohm / r1_ohm must be finite"),
+        ],
+    )
+    def test_derived_circuit_values_must_be_finite(self, circuit, message):
+        with pytest.raises(ConfigError, match=f"^circuit: {message}, got"):
+            parse_run_config({"circuit": circuit})
 
     def test_invariant_violation_reported_with_section(self):
         with pytest.raises(ConfigError, match="circuit"):

@@ -18,7 +18,7 @@ from wakenode import (
 )
 
 from wakenode import frontend
-from wakenode.frontend import EnvelopeCarry, stream_chunk_samples
+from wakenode.frontend import EnvelopeDetector
 
 from conftest import tone
 
@@ -223,11 +223,10 @@ class TestEnvelopeMatchesLoop:
 
 
 def envelope_in_chunks(x: np.ndarray, fs: float, p: CircuitParams, chunk: int) -> np.ndarray:
-    """envelope_detect over consecutive chunks of x that share one carry."""
-    carry = EnvelopeCarry()
+    """One EnvelopeDetector fed consecutive chunks of x."""
+    detector = EnvelopeDetector(p, fs)
     return np.concatenate(
-        [envelope_detect(Signal(x[i : i + chunk], fs), p, carry).samples
-         for i in range(0, len(x), chunk)]
+        [detector.feed(Signal(x[i : i + chunk], fs)).samples for i in range(0, len(x), chunk)]
     )
 
 
@@ -245,7 +244,7 @@ class TestEnvelopeInChunks:
     def test_stream_chunks_are_bit_identical(self, monkeypatch, fs_tau):
         monkeypatch.setattr(frontend, "STREAM_CHUNK_SAMPLES", 2500)
         p = CircuitParams(c5_f=fs_tau / (FS_HZ * 1e7), diode_drop_v=0.05)
-        chunk = stream_chunk_samples(p, FS_HZ)
+        chunk = EnvelopeDetector(p, FS_HZ).chunk_samples
         assert chunk == (2400 if fs_tau == 1.0 else 2500)
         x = sparse_drive(10_001, seed=int(fs_tau * 1000) % 97)
         whole = envelope_detect(Signal(x, FS_HZ), p).samples
@@ -255,11 +254,26 @@ class TestEnvelopeInChunks:
         # tau 90 ms at 16 kHz: 65536-sample blocks, two to a chunk
         fs = 16_000.0
         p = CircuitParams(c5_f=9e-9, diode_drop_v=0.05)
-        chunk = stream_chunk_samples(p, fs)
+        chunk = EnvelopeDetector(p, fs).chunk_samples
         assert chunk == 2 * frontend.SCAN_BLOCK
         x = amplify(Signal(clicks_like(20.0, fs, 600, seed=6) * 0.01, fs), p).samples
         whole = envelope_detect(Signal(x, fs), p).samples
         np.testing.assert_array_equal(envelope_in_chunks(x, fs, p, chunk), whole)
+
+    @given(log_fs_tau=st.floats(-4.0, 20.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_any_time_constant_streams_at_its_chunk_samples(self, log_fs_tau, seed):
+        p = CircuitParams(c5_f=10.0**log_fs_tau / (FS_HZ * 1e7), diode_drop_v=0.05)
+        x = sparse_drive(7001, seed)
+        # blocks of at most 1000 samples, so each chunk holds two or more
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(frontend, "SCAN_BLOCK", 1000)
+            patch.setattr(frontend, "STREAM_CHUNK_SAMPLES", 2500)
+            chunk = EnvelopeDetector(p, FS_HZ).chunk_samples
+            assert 1500 < chunk <= 2500
+            streamed = envelope_in_chunks(x, FS_HZ, p, chunk)
+            whole = envelope_detect(Signal(x, FS_HZ), p).samples
+        np.testing.assert_array_equal(streamed, whole)
 
     @pytest.mark.parametrize("chunk", [1, 7, 255, 256, 1000])
     @pytest.mark.parametrize("fs_tau", [0.002, 0.05, 0.3])
@@ -268,6 +282,13 @@ class TestEnvelopeInChunks:
         x = sparse_drive(3000, seed=chunk)
         whole = envelope_detect(Signal(x, FS_HZ), p).samples
         np.testing.assert_array_equal(envelope_in_chunks(x, FS_HZ, p, chunk), whole)
+
+    @pytest.mark.parametrize("first, then", [(1000.0, 2000.0), (16_000.0, 8000.0)])
+    def test_chunk_at_another_rate_rejected(self, first, then):
+        detector = EnvelopeDetector(CircuitParams(), first)
+        detector.feed(Signal(np.ones(10), first))
+        with pytest.raises(ValueError, match=f"chunk sample rate {then} is not {first}"):
+            detector.feed(Signal(np.ones(10), then))
 
 
 class TestThresholdOut:

@@ -11,7 +11,7 @@ from wakenode.cli import WAV_CHUNK_FRAMES
 from wakenode.signals import (
     ANTIALIAS_TAPS,
     DIRECT_CORRELATE_COST_RATIO,
-    ResampleCarry,
+    Resampler,
     _antialias_kernel,
     _fft_length,
 )
@@ -185,12 +185,11 @@ def full_scale_noise(n: int, seed: int) -> np.ndarray:
 
 
 def in_chunks(x: np.ndarray, rate: float, chunk: int, target: float = 8000.0) -> np.ndarray:
-    carry = ResampleCarry(len(x))
+    resampler = Resampler(rate, target, len(x))
     parts = [
-        resample(Signal(x[i : i + chunk], rate), target, carry).samples
-        for i in range(0, len(x), chunk)
+        resampler.feed(Signal(x[i : i + chunk], rate)).samples for i in range(0, len(x), chunk)
     ]
-    assert carry.fed == len(x)
+    assert resampler.fed == len(x)
     return np.concatenate(parts)
 
 
@@ -243,8 +242,8 @@ class TestPolyphaseResample:
     def test_partial_chunk_off_the_polyphase_path_rejected(self, rate, target):
         x = full_scale_noise(7919, seed=1)
         with pytest.raises(ValueError, match="whole recording of 7919 samples"):
-            resample(Signal(x[:1000], float(rate)), target, ResampleCarry(len(x)))
-        whole = resample(Signal(x, float(rate)), target, ResampleCarry(len(x)))
+            Resampler(float(rate), target, len(x)).feed(Signal(x[:1000], float(rate)))
+        whole = Resampler(float(rate), target, len(x)).feed(Signal(x, float(rate)))
         assert whole == resample(Signal(x, float(rate)), target)
 
     @pytest.mark.parametrize(
@@ -252,11 +251,11 @@ class TestPolyphaseResample:
         [(44_100, 88_200), (44_100, 22_050), (16_000, 48_000), (44_100, 48_000), (8000, 16_000)],
     )
     def test_chunk_at_another_rate_rejected(self, first, then):
-        carry = ResampleCarry(20_000)
-        resample(Signal(np.zeros(10_000), float(first)), 8000.0, carry)
+        resampler = Resampler(float(first), 8000.0, 20_000)
+        resampler.feed(Signal(np.zeros(10_000), float(first)))
         with pytest.raises(ValueError, match=f"chunk sample rate {then}.0 is not {first}.0"):
-            resample(Signal(np.zeros(10_000), float(then)), 8000.0, carry)
-        assert carry.fed == 10_000
+            resampler.feed(Signal(np.zeros(10_000), float(then)))
+        assert resampler.fed == 10_000
 
     def test_cli_chunks_across_full_size_blocks(self):
         x = full_scale_noise(3 * WAV_CHUNK_FRAMES + 12_345, seed=2)
@@ -269,10 +268,10 @@ class TestPolyphaseResample:
         assert np.array_equal(in_chunks(x, 8000.0, 300), x)
 
     def test_chunk_past_the_total_rejected(self):
-        carry = ResampleCarry(100)
-        resample(Signal(np.zeros(60), 44_100.0), 8000.0, carry)
+        resampler = Resampler(44_100.0, 8000.0, 100)
+        resampler.feed(Signal(np.zeros(60), 44_100.0))
         with pytest.raises(ValueError, match="runs past"):
-            resample(Signal(np.zeros(60), 44_100.0), 8000.0, carry)
+            resampler.feed(Signal(np.zeros(60), 44_100.0))
 
 
 class TestFindDelay:
