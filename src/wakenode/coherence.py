@@ -499,7 +499,9 @@ def score_with_details(
 ) -> ScoreBreakdown:
     """Run the full scoring pipeline and keep the per-frequency products.
 
-    Both inputs must be at least 90 seconds long: the first 10 seconds
+    Both inputs must be at least 90 seconds long, at an integer rate of at
+    least 8 kHz; any other rate raises ValueError, as 8 kHz is reached
+    only by integer downsampling or at that rate. The first 10 seconds
     (after resampling to 8 kHz) are used to find the recording's delay,
     then exactly 80 seconds of each waveform are compared. Each resampled
     waveform goes to :func:`score_streams` as one chunk.
@@ -515,7 +517,9 @@ def score_with_details(
 def coherence_score(source: Signal, recording: Signal) -> float:
     """Scalar similarity of a recording to its source, in [0, 1].
 
-    Public as the paper's score in one call, without the spectra the CLI needs."""
+    Both inputs last at least 90 seconds at an integer rate of at least
+    8 kHz, as for :func:`score_with_details`. Public as the paper's score in
+    one call, without the spectra the CLI needs."""
     return score_with_details(source, recording).score
 
 

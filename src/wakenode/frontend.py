@@ -95,8 +95,10 @@ def amplify(s: Signal, p: CircuitParams) -> Signal:
 
 def _scan_block(decay: float) -> int:
     """Block length of the block prefix-max scan, or 0 where it does not run."""
-    if decay in (0.0, 1.0):
+    if decay == 0.0:
         return 0
+    if decay == 1.0:
+        return SCAN_BLOCK  # k = 0: a ramp of ones, so a plain running max
     k = -math.log(decay)
     if k * SCAN_MIN_BLOCK > SCAN_MAX_EXPONENT:
         return 0
@@ -106,12 +108,11 @@ def _scan_block(decay: float) -> int:
 class EnvelopeDetector:
     """:func:`envelope_detect` for one recording, fed in consecutive chunks.
 
-    From one chunk to the next it keeps the last level of the block scan
-    (the running maximum when ``decay`` rounds to 1), or the log-step
-    scan's last ``2**passes - 1`` inputs, every lag a pass reads back. With
-    chunks of ``chunk_samples`` (:data:`STREAM_CHUNK_SAMPLES` rounded down
-    to whole scan blocks; the last may be shorter) the outputs joined are
-    bit for bit those of one call on the whole recording.
+    From one chunk to the next it keeps the last level of the block scan,
+    or the log-step scan's last ``2**passes - 1`` inputs, every lag a pass
+    reads back. With chunks of ``chunk_samples`` (:data:`STREAM_CHUNK_SAMPLES`
+    rounded down to whole scan blocks; the last may be shorter) the outputs
+    joined are bit for bit those of one call on the whole recording.
     """
 
     def __init__(self, circuit: CircuitParams, sample_rate_hz: float) -> None:
@@ -136,20 +137,15 @@ class EnvelopeDetector:
             )
         p, decay, block = self.circuit, self.decay, self._block
         # the scan runs in place in the output buffer, behind the carried tail
-        # of the log-step scan (empty for the other scans)
+        # of the log-step scan (empty for the block scan)
         carried = len(self._tail)
         state = np.empty(carried + len(s))
         state[:carried] = self._tail
         np.subtract(s.samples, p.diode_drop_v, out=state[carried:])
 
-        # level[-1] = 0 is folded into the first sample of the scans that carry
-        # a level: a level below zero gives the same clamped output as zero
-        if decay == 1.0:
-            # fs * tau so large that decay rounds to 1: a plain running max
-            state[0] = max(state[0], self._level)
-            np.maximum.accumulate(state, out=state)
-            self._level = state[-1]
-        elif block:
+        # level[-1] = 0 is folded into the first sample of the block scan: a
+        # level below zero gives the same clamped output as zero
+        if block:
             ramp = np.exp(-math.log(decay) * np.arange(block))
             level = self._level
             for start in range(0, len(state), block):
@@ -198,7 +194,8 @@ def envelope_detect(s: Signal, p: CircuitParams) -> Signal:
     :data:`SCAN_BLOCK` samples (and at most ``SCAN_MAX_EXPONENT / k``, so
     the scaled values stay far inside float64 range) is scaled, scanned
     with ``np.maximum.accumulate`` and scaled back, carrying the last level
-    into the next block; ``decay`` rounding to 1 needs no scan. When that
+    into the next block; where ``decay`` rounds to 1 the scaling is by ones,
+    exactly, and the scan is a plain running maximum. When that
     block would be shorter than :data:`SCAN_MIN_BLOCK` samples, a log-step
     scan takes its place: whole-array passes at lags 1, 2, 4, ... until
     ``decay**lag`` underflows, after about ``745 / k`` lags. The output

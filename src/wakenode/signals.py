@@ -5,14 +5,15 @@ Signals are immutable value objects: every operation returns a new
 across threads. A stage object such as :class:`Resampler` is not: it
 holds one recording's state from one ``feed`` to the next.
 
-Downsampling between integer rates is polyphase (Crochiere & Rabiner,
-*Multirate Digital Signal Processing*, 1983, ch. 3): the anti-alias FIR
-and the linear interpolation onto the new grid are folded into one
-kernel per output phase, evaluated as blocks of rows times bands of a
-kernel matrix, so a recording streams through one :class:`Resampler`
-in chunks. Its results are within 1e-9 absolute of the
-whole-signal convolve-then-interpolate path, which only non-integer
-rates and upsampling take, and only on a whole recording.
+Resampling takes two regimes: equal rates pass through, and integer
+downsampling is polyphase (Crochiere & Rabiner, *Multirate Digital
+Signal Processing*, 1983, ch. 3). The anti-alias FIR and the linear
+interpolation onto the new grid are folded into one kernel per output
+phase, evaluated as blocks of rows times bands of a kernel matrix, so a
+recording streams through one :class:`Resampler` in chunks. A WAV header
+stores its rate as an integer and scoring runs at 8 kHz from at least
+8 kHz, so these are the only regimes a command needs; any other pair of
+rates is rejected.
 """
 
 from __future__ import annotations
@@ -124,11 +125,9 @@ class _Polyphase(NamedTuple):
 # The CLI resamples two rates at most. A plan to 8 kHz has at most 8000 phases,
 # whose parts take about 12 MiB at most (11.4 at 44 101 Hz): ~24 MiB cached.
 @functools.lru_cache(maxsize=2)
-def _polyphase(source_rate_hz: float, target_rate_hz: float) -> _Polyphase | None:
+def _polyphase(source_rate_hz: float, target_rate_hz: float) -> _Polyphase:
     """The polyphase plan from ``source_rate_hz`` down to ``target_rate_hz``,
-    or None when the rates are not both integers."""
-    if not (source_rate_hz.is_integer() and target_rate_hz.is_integer()):
-        return None
+    both integers."""
     gcd = math.gcd(int(source_rate_hz), int(target_rate_hz))
     up, down = int(target_rate_hz) // gcd, int(source_rate_hz) // gcd
     copies = -(-(ANTIALIAS_TAPS + 1) // down)
@@ -166,26 +165,38 @@ class Resampler:
     """:func:`resample` for one recording of ``total`` samples, fed in
     consecutive chunks at ``source_rate_hz``.
 
-    Each :meth:`feed` returns the output its chunk completes, possibly none.
+    The rates are equal (chunks pass through) or both integers with
+    ``0 < target_rate_hz < source_rate_hz`` (polyphase downsampling); any
+    other pair raises ValueError here, before a chunk is read. Each
+    :meth:`feed` returns the output its chunk completes, possibly none.
     Joined, the outputs are bit for bit those of one call on the whole
     recording: rows are multiplied in blocks of a fixed number of rows (set
     by :data:`RESAMPLE_BLOCK_MACS`) counted from the first, so no block
-    depends on the chunking. Interpolation (non-integer rates, upsampling)
-    does not stream: there the one chunk is the whole recording.
+    depends on the chunking.
     """
 
     def __init__(self, source_rate_hz: float, target_rate_hz: float, total: int) -> None:
-        if not (target_rate_hz > 0):
-            raise ValueError(f"target_rate_hz must be positive, got {target_rate_hz}")
+        downsampling = (
+            0 < target_rate_hz < source_rate_hz
+            and float(source_rate_hz).is_integer()
+            and float(target_rate_hz).is_integer()
+        )
+        if not (downsampling or target_rate_hz == source_rate_hz):
+            raise ValueError(
+                f"cannot resample from {source_rate_hz} Hz to target_rate_hz "
+                f"{target_rate_hz}: the rates must be equal, or integers with "
+                "0 < target < source"
+            )
         if total < 1:
             raise ValueError("cannot resample an empty signal")
         self.source_rate_hz = source_rate_hz
         self.target_rate_hz = target_rate_hz
         self.total = total
         self.fed = 0
-        self._n_out = max(int(round(total * (target_rate_hz / source_rate_hz))), 1)
+        self._n_out = total
         self._plan = None
-        if target_rate_hz < source_rate_hz:
+        if downsampling:
+            self._n_out = max(int(round(total * (target_rate_hz / source_rate_hz))), 1)
             self._plan = _polyphase(float(source_rate_hz), float(target_rate_hz))
         # output rows done, and the samples no finished block of rows has
         # consumed, from the window start of output row ``_rows``
@@ -205,14 +216,10 @@ class Resampler:
                 f"chunk of {len(chunk)} samples runs past the {self.total} samples "
                 f"of the recording ({self.fed} already passed)"
             )
-        plan, target = self._plan, self.target_rate_hz
-        if plan is None and target != self.source_rate_hz and len(chunk) != self.total:
-            raise ValueError(f"interpolation takes the whole recording of {self.total} samples")
         self.fed += len(chunk)
-        if target == self.source_rate_hz:
-            return chunk
+        plan, target = self._plan, self.target_rate_hz
         if plan is None:
-            return Signal(_interp_resample(chunk, target, self._n_out), target)
+            return chunk
 
         row, lead, width, phases, parts = plan
         self._pending.append(chunk.samples)
@@ -244,35 +251,25 @@ class Resampler:
 
 
 def resample(s: Signal, target_rate_hz: float) -> Signal:
-    """Convert ``s`` to ``target_rate_hz``.
+    """Convert ``s`` to ``target_rate_hz``: equal rates return ``s``
+    unchanged, so the operation is idempotent per rate, and a lower integer
+    rate from an integer one is a polyphase downsampling. Any other rate
+    raises ValueError.
 
-    Downsampling low-pass filters first (anti-aliasing) and then samples
-    the filtered waveform on the new grid via linear interpolation. Between
-    integer rates, with reduced ratio ``up/down`` (44.1 -> 8 kHz is 80/441),
-    both steps are one 65-tap kernel per output phase, applied to rows of
-    input as matrix products. For samples in [-1, 1] the result is within
-    1e-9 absolute of filtering the whole signal with ``np.convolve`` and
-    interpolating with ``np.interp``, which is what non-integer rates
-    still do; the gap is mostly the rounding of the interpolation
-    positions, which the polyphase phases hold exactly. Upsampling is
-    plain linear interpolation. Equal rates return the signal unchanged,
-    so the operation is idempotent per rate. The output has
-    ``round(len * ratio)`` samples, at least one.
+    Downsampling low-pass filters (anti-aliasing, cutoff at 0.45x the new
+    rate) and samples the filtered waveform on the new grid by linear
+    interpolation. With reduced ratio ``up/down`` (44.1 -> 8 kHz is
+    80/441), both steps are one 65-tap kernel per output phase, applied to
+    rows of input as matrix products. For samples in [-1, 1] the result is
+    within 1e-9 absolute of the tests' ``resample_oracle``, which convolves
+    the whole signal with the FIR and then interpolates it linearly at the
+    new sample times; the gap is mostly the rounding of those times, which
+    the polyphase phases hold exactly. The output has ``round(len * ratio)``
+    samples, at least one.
 
     This is a :class:`Resampler` fed the whole recording as one chunk.
     """
     return Resampler(s.sample_rate_hz, target_rate_hz, len(s)).feed(s)
-
-
-def _interp_resample(s: Signal, target_rate_hz: float, n_out: int) -> NDArray[np.float64]:
-    """Filter the whole signal (when downsampling), then interpolate onto the new grid."""
-    # Output sample k sits at time k / target; express it in source-sample units.
-    positions = np.arange(n_out, dtype=np.float64) / (target_rate_hz / s.sample_rate_hz)
-    src, offset = s.samples, 0.0
-    if target_rate_hz < s.sample_rate_hz:
-        src = np.convolve(src, _antialias_kernel(s.sample_rate_hz, target_rate_hz), mode="full")
-        offset = (ANTIALIAS_TAPS - 1) / 2.0  # group delay of the symmetric FIR
-    return np.interp(positions + offset, np.arange(src.size, dtype=np.float64), src)
 
 
 def _fft_length(n: int) -> int:

@@ -81,6 +81,8 @@ def _read_fmt(body: bytes, size: int, order: str) -> tuple[int, int, int, int, i
             (tag,) = struct.unpack_from(order + "I", guid)
     if tag not in (WAVE_FORMAT_PCM, WAVE_FORMAT_IEEE_FLOAT):
         raise ValueError(f"unknown format tag {tag:#06x}; expected PCM or IEEE float")
+    if rate == 0:
+        raise ValueError("sample rate is 0 Hz")
     if tag == WAVE_FORMAT_PCM and byte_rate != rate * block_align:
         raise ValueError(
             f"byte rate {byte_rate} is not the sample rate {rate} times "

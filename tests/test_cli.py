@@ -1,18 +1,24 @@
+import contextlib
 import csv
 import inspect
 import io
 import json
 import math
 import os
+import re
 import stat
+import struct
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import wakenode.cli
@@ -550,6 +556,97 @@ class TestSimulateWavStreaming:
             rows.append(len((out / "trace.csv").read_text().splitlines()) - 1)
         assert rows == [9, 40_001]
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+
+
+def header_wav(rate: int, tag: int = 1, bits: int = 16, frames: int = 4000) -> bytes:
+    """A 44-byte-header mono WAV: 16-bit PCM (tag 1) or 32-bit float (tag 3)
+    noise, with byte rate ``rate * block_align`` and every size consistent."""
+    x = np.random.default_rng(frames).normal(scale=0.2, size=frames)
+    data = (np.round(x * 32767).astype("<i2") if tag == 1 else x.astype("<f4")).tobytes()
+    align = bits // 8
+    return b"".join([
+        b"RIFF", struct.pack("<I", 36 + len(data)), b"WAVEfmt ",
+        struct.pack("<IHHIIHH", 16, tag, 1, rate, rate * align, align, bits),
+        b"data", struct.pack("<I", len(data)), data,
+    ])
+
+
+# 0.5 s at 8 kHz, and the (offset, format) of each field of its header
+VALID_WAV = header_wav(8000)
+HEADER_FIELDS = {
+    "riff_size": (4, "<I"), "fmt_size": (16, "<I"), "tag": (20, "<H"),
+    "channels": (22, "<H"), "rate": (24, "<I"), "byte_rate": (28, "<I"),
+    "block_align": (32, "<H"), "bits": (34, "<H"), "data_size": (40, "<I"),
+}
+
+
+@st.composite
+def mutated_wavs(draw) -> bytes:
+    """VALID_WAV with one header field set to any value (0 and the field's
+    maximum among them), or its rate and byte rate changed together, or the
+    file cut at any offset."""
+    wav = bytearray(VALID_WAV)
+    mutation = draw(st.sampled_from(["field", "rate", "truncate"]))
+    if mutation == "truncate":
+        return bytes(wav[: draw(st.integers(0, len(wav) - 1))])
+    if mutation == "rate":
+        rate = draw(st.one_of(st.sampled_from([0, 1, 2**31 - 1]), st.integers(0, 2**31 - 1)))
+        struct.pack_into("<II", wav, 24, rate, 2 * rate)
+        return bytes(wav)
+    offset, fmt = HEADER_FIELDS[draw(st.sampled_from(sorted(HEADER_FIELDS)))]
+    top = 2 ** (8 * struct.calcsize(fmt)) - 1
+    struct.pack_into(fmt, wav, offset, draw(st.one_of(st.sampled_from([0, top]), st.integers(0, top))))
+    return bytes(wav)
+
+
+def run_in_process(argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one ``main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not strict JSON")
+
+
+class TestWavHeaders:
+    @pytest.mark.parametrize("tag, bits", [(1, 16), (3, 32)])
+    def test_zero_hz_header_is_a_wav_error(self, tmp_path, capsys, tag, bits):
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(header_wav(0, tag, bits))
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "simulate", "--wav", str(wav)]) == 1
+        assert "[E_WAV]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_valid_wav_simulates(self, tmp_path, capsys):
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(VALID_WAV)
+        assert main(["--out-dir", str(tmp_path / "out"), "simulate", "--wav", str(wav)]) == 0
+        assert json.loads(capsys.readouterr().out)["warnings"] == []
+
+    @given(wav_bytes=mutated_wavs())
+    @settings(max_examples=150, deadline=None)
+    def test_any_header_gives_a_whole_run_or_one_coded_error(self, wav_bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            wav, out = Path(tmp) / "a.wav", Path(tmp) / "out"
+            wav.write_bytes(wav_bytes)
+            code, stdout, stderr = run_in_process(
+                ["--out-dir", str(out), "simulate", "--wav", str(wav)]
+            )
+            if code == 0:
+                results = json.loads(stdout, parse_constant=reject_constant)
+                report = json.loads((out / "simulate_report.json").read_text())
+                assert report["results"] == results
+                assert (out / "trace.csv").is_file()
+            else:
+                assert code == 1, stderr
+                codes = re.findall(r"\[(E_[A-Z_]+)\]", stderr)
+                assert len(codes) == 1 and codes[0] != "E_INTERNAL", stderr
+                assert not out.exists()
 
 
 # ----------------------------------------------------------------------

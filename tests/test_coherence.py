@@ -15,6 +15,7 @@ from wakenode import (
     magnitude_squared_coherence,
     peak_envelope,
     rank_microphones,
+    score_with_details,
 )
 from wakenode.coherence import (
     WelchAccumulator,
@@ -151,6 +152,32 @@ class TestMagnitudeSquaredCoherence:
             )
             oracle = msc_direct_dft_oracle(x, y, 256)
             np.testing.assert_allclose(est.values, np.clip(oracle, 0, 1), atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            WelchParams(8, 0.5, Window.HAMMING),
+            WelchParams(5, 0.75, Window.HAMMING),
+            WelchParams(3, 0.0, Window.RECTANGULAR, fft_length=40_000),
+            WelchParams(6, 0.5, Window.HANN),
+        ],
+    )
+    def test_matches_scipy_coherence(self, params):
+        from scipy.signal import coherence
+
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=30_000)
+        y = rng.normal(size=30_000) + 0.5 * x
+        est = magnitude_squared_coherence(Signal(x, 8000.0), Signal(y, 8000.0), params)
+        seg_len = params.segment_length(len(x))
+        window = {Window.HAMMING: np.hamming, Window.HANN: np.hanning, Window.RECTANGULAR: np.ones}
+        freqs, want = coherence(
+            x, y, 8000.0, window=window[params.window](seg_len), nperseg=seg_len,
+            noverlap=int(params.overlap_fraction * seg_len),
+            nfft=params.resolve_fft_length(seg_len), detrend=False,
+        )
+        np.testing.assert_array_equal(est.frequencies_hz, freqs)
+        np.testing.assert_allclose(est.values, want, rtol=0.0, atol=1e-13)
 
     def test_symmetric(self):
         rng = np.random.default_rng(4)
@@ -290,6 +317,12 @@ class TestCoherenceScore:
         short = tone(100, 5.0, 8000)
         with pytest.raises(ValueError, match="at least 90"):
             coherence_score(short, short)
+
+    def test_rate_below_8khz_rejected(self):
+        # scoring would upsample 4 kHz, which no resampling path does
+        low = urban_like_signal(95.0, 4000.0, seed=9)
+        with pytest.raises(ValueError, match="from 4000.0 Hz to target_rate_hz 8000.0"):
+            score_with_details(low, low)
 
     def test_unalignable_recording_rejected(self):
         src = urban_like_signal(91.0, 8000.0, seed=8)

@@ -239,13 +239,14 @@ def sparse_drive(n: int, seed: int) -> np.ndarray:
 class TestEnvelopeInChunks:
     # fs * tau = 1 gives 600-sample blocks, four to a 2400-sample chunk;
     # 0.002 to 0.3 take the log-step scan, 1e-4 underflows decay to 0.0
-    # and 1e20 rounds it to 1.0
+    # and 1e20 rounds it to 1.0, which takes whole 1000-sample blocks
     @pytest.mark.parametrize("fs_tau", [1.0, 0.002, 0.05, 0.3, 1e-4, 1e20])
     def test_stream_chunks_are_bit_identical(self, monkeypatch, fs_tau):
+        monkeypatch.setattr(frontend, "SCAN_BLOCK", 1000)
         monkeypatch.setattr(frontend, "STREAM_CHUNK_SAMPLES", 2500)
         p = CircuitParams(c5_f=fs_tau / (FS_HZ * 1e7), diode_drop_v=0.05)
         chunk = EnvelopeDetector(p, FS_HZ).chunk_samples
-        assert chunk == (2400 if fs_tau == 1.0 else 2500)
+        assert chunk == {1.0: 2400, 1e20: 2000}.get(fs_tau, 2500)
         x = sparse_drive(10_001, seed=int(fs_tau * 1000) % 97)
         whole = envelope_detect(Signal(x, FS_HZ), p).samples
         np.testing.assert_array_equal(envelope_in_chunks(x, FS_HZ, p, chunk), whole)

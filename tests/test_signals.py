@@ -20,20 +20,14 @@ from conftest import shift_right, tone
 
 
 def resample_oracle(s: Signal, target_rate_hz: float) -> Signal:
-    """``resample`` before polyphase: filter the whole signal with
-    ``np.convolve``, then interpolate the new grid with ``np.interp``."""
-    if target_rate_hz == s.sample_rate_hz:
-        return s
+    """Downsampling as ``resample`` did it before polyphase: filter the whole
+    signal with ``np.convolve``, then interpolate the new grid with ``np.interp``."""
     ratio = target_rate_hz / s.sample_rate_hz
     n_out = max(int(round(len(s) * ratio)), 1)
     positions = np.arange(n_out, dtype=np.float64) / ratio
-    if target_rate_hz > s.sample_rate_hz:
-        src = s.samples
-        offset = 0.0
-    else:
-        kernel = _antialias_kernel(s.sample_rate_hz, target_rate_hz)
-        src = np.convolve(s.samples, kernel, mode="full")
-        offset = (ANTIALIAS_TAPS - 1) / 2.0
+    kernel = _antialias_kernel(s.sample_rate_hz, target_rate_hz)
+    src = np.convolve(s.samples, kernel, mode="full")
+    offset = (ANTIALIAS_TAPS - 1) / 2.0  # group delay of the symmetric FIR
     grid = np.arange(src.size, dtype=np.float64)
     return Signal(np.interp(positions + offset, grid, src), target_rate_hz)
 
@@ -142,11 +136,6 @@ class TestResample:
         freq, _ = dft_peak(out)
         assert freq == pytest.approx(500, abs=2 * 8000 / len(out))
 
-    def test_upsampling_preserves_duration(self):
-        s = tone(100, 0.25, 8000)
-        out = resample(s, 48000)
-        assert abs(out.duration_s - s.duration_s) <= 1.0 / 48000
-
     @pytest.mark.parametrize("freq", [200, 950, 1700, 3000])
     def test_tone_frequency_preserved_within_one_bin(self, freq):
         s = tone(freq, 1.0, 48000)
@@ -174,8 +163,6 @@ BLOCK_ROWS = {
     11_025: 37, 16_000: 123, 22_050: 75, 32_000: 239, 44_100: 154, 48_000: 381,
     88_200: 319, 96_000: 699, 47_952: 134, 44_056: 95, 44_101: 11,
 }
-# 44 100.5 Hz is not an integer, so it takes the convolve path, as upsampling does
-CONVOLVE_RATES = [44_100.5]
 # odd lengths, and lengths shorter than the 64 taps
 LENGTHS = [1, 2, 7, 63, 64, 65, 441, 1001, 9999, 96_001]
 
@@ -203,14 +190,6 @@ class TestPolyphaseResample:
         assert len(got) == len(want) == max(round(n * 8000 / rate), 1)
         assert np.max(np.abs(got.samples - want.samples)) <= 1e-9
 
-    @pytest.mark.parametrize(
-        "rate, target", [(r, 8000.0) for r in CONVOLVE_RATES] + [(8000, 48_000.0)]
-    )
-    @pytest.mark.parametrize("n", LENGTHS)
-    def test_other_ratios_equal_the_oracle(self, rate, target, n):
-        s = Signal(full_scale_noise(n, seed=n), float(rate))
-        assert np.array_equal(resample(s, target).samples, resample_oracle(s, target).samples)
-
     @pytest.mark.parametrize("rate", POLYPHASE_RATES)
     def test_plan_is_the_dense_oracle_bit_for_bit(self, rate):
         plan = signals._polyphase(float(rate), 8000.0)
@@ -236,15 +215,16 @@ class TestPolyphaseResample:
         for chunk in (1, down - 1, down, 3 * down + 7, WAV_CHUNK_FRAMES):
             assert np.array_equal(in_chunks(x, float(rate), chunk), whole), chunk
 
+    # a non-integer source or target rate, upsampling, and a target of 0 Hz
     @pytest.mark.parametrize(
-        "rate, target", [(r, 8000.0) for r in CONVOLVE_RATES] + [(8000, 48_000.0)]
+        "rate, target", [(44_100.5, 8000.0), (8000.0, 48_000.0), (44_100.0, 8000.5), (44_100.0, 0.0)]
     )
-    def test_partial_chunk_off_the_polyphase_path_rejected(self, rate, target):
-        x = full_scale_noise(7919, seed=1)
-        with pytest.raises(ValueError, match="whole recording of 7919 samples"):
-            Resampler(float(rate), target, len(x)).feed(Signal(x[:1000], float(rate)))
-        whole = Resampler(float(rate), target, len(x)).feed(Signal(x, float(rate)))
-        assert whole == resample(Signal(x, float(rate)), target)
+    def test_rates_off_the_polyphase_path_rejected(self, rate, target):
+        both = f"from {rate} Hz to target_rate_hz {target}"
+        with pytest.raises(ValueError, match=both):
+            Resampler(rate, target, 7919)
+        with pytest.raises(ValueError, match=both):
+            resample(Signal(full_scale_noise(7919, seed=1), rate), target)
 
     @pytest.mark.parametrize(
         "first, then",
