@@ -17,14 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-# records defined without numpy in .records, also importable from here
-from .records import ADC_MAX, CalibrationDomainError, CalPoint, FitError
+from .records import CalibrationDomainError, CalPoint, FitError
 
 __all__ = [
     "CalibrationCurve",
-    "CalPoint",
-    "CalibrationDomainError",
-    "FitError",
     "adc_to_db",
     "db_to_adc",
     "fit_curve",

@@ -62,7 +62,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from importlib import resources
 from itertools import chain
 from pathlib import Path
@@ -108,7 +108,6 @@ CSV_SPILL_PIECE = 1 << 20
 # frames per chunk of a recording streamed into coherence: 256 KiB as float64
 WAV_CHUNK_FRAMES = 1 << 15
 
-MIN_SOURCE_RATE_HZ = 8_000.0
 PREFERRED_SOURCE_RATE_HZ = 16_000.0
 
 # what a cmd_* returns: cfg, inputs, results, CSV name and CSV text chunks
@@ -336,11 +335,11 @@ def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
         files = (("source", source_file), ("recording", recording_file))
         for label, wav in files:
             rate = wav.sample_rate_hz
-            if rate < MIN_SOURCE_RATE_HZ:
+            if rate < SCORE_RATE_HZ:
                 raise CliError(
                     "E_WAV",
                     f"{label} sample rate {rate:.0f} Hz is below the "
-                    f"{MIN_SOURCE_RATE_HZ:.0f} Hz analysis rate",
+                    f"{SCORE_RATE_HZ:.0f} Hz analysis rate",
                 )
             if rate < PREFERRED_SOURCE_RATE_HZ:
                 rate_warnings.append(
@@ -486,7 +485,7 @@ def cmd_calibrate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
     header = "adc_value,spl_db,predicted_db,residual_db\n"
     rows = _csv_blocks(header, "%r,%r,%r,%r\n", adc, spl, predicted, residual)
     results = {
-        "curve": {"a": curve.a, "b": curve.b, "c": curve.c, "d": curve.d},
+        "curve": asdict(curve),
         "r_squared": r2,
         "points": len(points),
     }
@@ -511,8 +510,6 @@ def _csv_cell(value: Any) -> str:
 
 
 def cmd_rank_mics(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
-    if args.no_constraints and (args.analog or args.supply is not None):
-        raise CliError("E_INPUT", "--no-constraints cannot be combined with --analog/--supply")
     candidates = load_mic_table(args.mic_csv)
     ranking = rank_microphones(candidates, require_analog=args.analog, supply_v=args.supply)
 
@@ -583,11 +580,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("mic_csv")
     p.add_argument("--analog", action="store_true", help="require an analog microphone")
     p.add_argument("--supply", type=float, help="supply voltage candidates must accept")
-    p.add_argument(
-        "--no-constraints",
-        action="store_true",
-        help="rank purely by accuracy and power",
-    )
     return parser
 
 

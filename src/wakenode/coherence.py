@@ -30,33 +30,18 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-# records defined without numpy in .records, also importable from here
-from .records import (
-    AlignmentError,
-    MicCandidate,
-    MicConfiguration,
-    RankedMic,
-    WelchParams,
-    Window,
-    rank_microphones,
-)
+from .records import AlignmentError, WelchParams, Window
 from .signals import Signal, find_delay, resample
 
 __all__ = [
-    "Window",
-    "WelchParams",
     "CoherenceEstimate",
-    "MicCandidate",
-    "RankedMic",
     "ScoreBreakdown",
-    "AlignmentError",
     "check_duration",
     "cross_spectral_density",
     "magnitude_squared_coherence",
     "peak_envelope",
     "coherence_score",
     "score_with_details",
-    "rank_microphones",
 ]
 
 SCORE_RATE_HZ = 8_000.0
@@ -321,7 +306,7 @@ def _pchip_slopes(h: NDArray[np.float64], m: NDArray[np.float64]) -> NDArray[np.
     flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
     w1 = 2 * h[1:] + h[:-1]
     w2 = h[1:] + 2 * h[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         whmean = (w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)
     d[1:-1][~flat] = 1.0 / whmean[~flat]
 

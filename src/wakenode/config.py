@@ -275,6 +275,8 @@ def _load_table(path: str | Path, cls: type) -> list[Any]:
             rows = [(reader.line_num, row) for row in reader if row]
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
     if not rows:
         raise ConfigError(f"{path}: no data rows")
     records = []

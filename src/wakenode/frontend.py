@@ -14,12 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-# records defined without numpy in .records, also importable from here
 from .records import CircuitParams
 from .signals import Signal
 
 __all__ = [
-    "CircuitParams",
     "BinarySignal",
     "amplifier_gain",
     "common_mode",

@@ -17,29 +17,15 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .frontend import BinarySignal
-# records defined without numpy in .records, also importable from here
-from .records import (
-    BUILTIN_PROFILES,
-    NodeConfig,
-    PowerProfile,
-    Scenario,
-    ScenarioSegment,
-    build_urban_scenario,
-)
+from .records import NodeConfig, PowerProfile, Scenario
 
 __all__ = [
-    "PowerProfile",
-    "ScenarioSegment",
-    "Scenario",
-    "NodeConfig",
     "SimTrace",
     "simulate",
     "simulate_from_wake",
     "WakeRuns",
     "savings_percent",
     "battery_lifetime_days",
-    "build_urban_scenario",
-    "BUILTIN_PROFILES",
 ]
 
 @dataclass(frozen=True, eq=False)

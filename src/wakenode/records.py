@@ -4,13 +4,9 @@ A run config's sections, a scenario's segments and a CSV table's rows are
 built as these dataclasses (see :mod:`wakenode.config`), and the CLI maps
 the error classes here to its diagnostic codes. None of them needs an
 array, so parsing the inputs, ranking microphones (:func:`rank_microphones`)
-and building the urban scenario load no numpy. The modules that compute
-with these records import them from here, and re-export them under their
-old paths: :class:`CalPoint` from :mod:`wakenode.calibrate`,
-:class:`WelchParams`, :class:`MicCandidate` and the ranking from
-:mod:`wakenode.coherence`, :class:`CircuitParams` from
-:mod:`wakenode.frontend`, the power and scenario records from
-:mod:`wakenode.powersim`, :class:`WavFormatError` from :mod:`wakenode.wavio`.
+and building the urban scenario load no numpy. This module is their one
+home: read each as ``wakenode.X`` or ``wakenode.records.X``. The modules
+that compute with a record import it from here, but do not export it.
 """
 
 from __future__ import annotations

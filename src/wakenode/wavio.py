@@ -35,11 +35,10 @@ from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
 
-# records defined without numpy in .records, also importable from here
 from .records import WavFormatError
 from .signals import Signal
 
-__all__ = ["WavFormatError", "WavReader", "read_wav"]
+__all__ = ["WavReader", "read_wav"]
 
 WAVE_FORMAT_PCM = 0x0001
 WAVE_FORMAT_IEEE_FLOAT = 0x0003

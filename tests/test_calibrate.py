@@ -14,8 +14,9 @@ from wakenode import (
     fit_curve,
     r_squared,
 )
-from wakenode.calibrate import _B_GRID, ADC_MAX, _project
+from wakenode.calibrate import _B_GRID, _project
 from wakenode.cli import main
+from wakenode.records import ADC_MAX
 
 DEFAULTS = CalibrationCurve()
 

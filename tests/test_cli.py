@@ -326,23 +326,6 @@ class TestCommands:
             expected.append(",".join(repr(float(v)) for v in (x, y, predicted, y - predicted)))
         assert (out / "residuals.csv").read_text().splitlines()[1:] == expected
 
-    def test_rank_mics_without_constraints_is_the_plain_ranking(self, tmp_path, capsys):
-        mics = str(data_path("microphones.csv"))
-        runs = []
-        for name, flags in (("plain", []), ("free", ["--no-constraints"])):
-            out = tmp_path / name
-            assert main(["--out-dir", str(out), "rank-mics", mics, *flags]) == 0
-            runs.append(((out / "ranking.csv").read_text(), json.loads(capsys.readouterr().out)))
-        assert runs[0] == runs[1]
-
-    @pytest.mark.parametrize("flags", [["--analog"], ["--supply", "3.3"]])
-    def test_rank_mics_no_constraints_with_a_constraint_is_rejected(self, tmp_path, capsys, flags):
-        out = tmp_path / "out"
-        mics = str(data_path("microphones.csv"))
-        assert main(["--out-dir", str(out), "rank-mics", mics, "--no-constraints", *flags]) == 1
-        assert "[E_INPUT]" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_empty_out_dir_is_rejected_before_any_output(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["--out-dir", "", "simulate", "--scenario", "urban"]) == 1
@@ -647,6 +630,94 @@ class TestWavHeaders:
                 codes = re.findall(r"\[(E_[A-Z_]+)\]", stderr)
                 assert len(codes) == 1 and codes[0] != "E_INTERNAL", stderr
                 assert not out.exists()
+
+
+# ----------------------------------------------------------------------
+# CSV tables: any damage to a valid table is one coded error or a whole run
+
+# one character over the csv module's default field_size_limit()
+OVERSIZED_CELL = "1" * (csv.field_size_limit() + 1)
+MIC_TABLE = list(csv.reader(io.StringIO(data_path("microphones.csv").read_text())))
+CAL_TABLE = [["adc_value", "spl_db"]] + [
+    [repr(x), repr(adc_to_db(x))] for x in np.linspace(380.0, 1000.0, 10).tolist()
+]
+TABLE_COMMANDS = {"rank-mics": MIC_TABLE, "calibrate": CAL_TABLE}
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+
+
+@st.composite
+def mutated_tables(draw, table: list[list[str]]) -> str:
+    """``table`` (header first) as CSV text, with or without a byte-order
+    mark, CRLF line ends and every cell quoted, and with at most one damage:
+    a row missing its last cell or given an extra one, a header cell
+    replaced, or a data cell set to a non-finite, overflowing, empty,
+    non-numeric or oversized value."""
+    rows = [list(row) for row in table]
+    damage = draw(st.sampled_from(["none", "missing", "extra", "header", "cell"]))
+    if damage in ("missing", "extra"):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        if damage == "missing":
+            row.pop()
+        else:
+            row.append(draw(st.sampled_from(["", "1.0", "x"])))
+    elif damage == "header":
+        rows[0][draw(st.integers(0, len(rows[0]) - 1))] = draw(TEXT)
+    elif damage == "cell":
+        cells = ["inf", "nan", "1e400", "", OVERSIZED_CELL]
+        rows[draw(st.integers(1, len(rows) - 1))][draw(st.integers(0, len(rows[0]) - 1))] = draw(
+            st.one_of(st.sampled_from(cells), TEXT)
+        )
+    text = io.StringIO()
+    crlf = draw(st.booleans())
+    quoting = csv.QUOTE_ALL if draw(st.booleans()) else csv.QUOTE_MINIMAL
+    csv.writer(text, lineterminator="\r\n" if crlf else "\n", quoting=quoting).writerows(rows)
+    return ("\ufeff" if draw(st.booleans()) else "") + text.getvalue()
+
+
+def assert_whole_run_or_one_coded_error(command: str, table: str) -> None:
+    """Run ``command`` on ``table`` through ``main``: either exit 0 with
+    strict-JSON stdout, its report and CSV, or exit 1 with one ``[E_*]``
+    code that is not ``E_INTERNAL`` and no output directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "table.csv", Path(tmp) / "out"
+        path.write_text(table, encoding="utf-8", newline="")
+        code, stdout, stderr = run_in_process(["--out-dir", str(out), command, str(path)])
+        if code == 0:
+            results = json.loads(stdout, parse_constant=reject_constant)
+            report = json.loads((out / f"{command.replace('-', '_')}_report.json").read_text())
+            assert report["results"] == results
+            csv_name = "ranking.csv" if command == "rank-mics" else "residuals.csv"
+            assert (out / csv_name).is_file()
+        else:
+            assert code == 1, stderr
+            codes = re.findall(r"\[(E_[A-Z_]+)\]", stderr)
+            assert len(codes) == 1 and codes[0] != "E_INTERNAL", stderr
+            assert not out.exists()
+
+
+class TestCsvTables:
+    @pytest.mark.parametrize("command", sorted(TABLE_COMMANDS))
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_oversized_cell_is_a_config_error(self, tmp_path, capsys, command, row):
+        rows = [list(r) for r in TABLE_COMMANDS[command]]
+        rows[row][0] = OVERSIZED_CELL
+        path, out = tmp_path / "table.csv", tmp_path / "out"
+        path.write_text("".join(",".join(r) + "\n" for r in rows))
+        assert main(["--out-dir", str(out), command, str(path)]) == 1
+        expected = f"[E_CONFIG]: {path}:{row + 1}: field larger than field limit"
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    @given(table=mutated_tables(MIC_TABLE))
+    @settings(max_examples=100, deadline=None)
+    def test_any_mic_table_gives_a_whole_run_or_one_coded_error(self, table):
+        assert_whole_run_or_one_coded_error("rank-mics", table)
+
+    # a fit that succeeds costs ~60 ms, and about one example in five is one
+    @given(table=mutated_tables(CAL_TABLE))
+    @settings(max_examples=40, deadline=None)
+    def test_any_calibration_table_gives_a_whole_run_or_one_coded_error(self, table):
+        assert_whole_run_or_one_coded_error("calibrate", table)
 
 
 # ----------------------------------------------------------------------

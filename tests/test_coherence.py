@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -283,6 +285,17 @@ class TestPeakEnvelope:
         assert np.array_equal(
             peak_envelope(series, distance), self.scipy_envelope(series, distance)
         )
+
+    def test_tiny_peaks_warn_nothing(self):
+        # slopes near the smallest normal float overflow the weighted
+        # harmonic mean's divisions; the envelope is still scipy's, bit for bit
+        series = np.zeros(400)
+        series[[50, 150, 250, 350]] = [3e-306, 1e-306, 4e-306, 2e-306]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            envelope = peak_envelope(series, 100)
+        with np.errstate(all="ignore"):
+            assert np.array_equal(envelope, self.scipy_envelope(series, 100))
 
     def test_bit_identical_on_a_coherence_spectrum(self, urban_90s_8k):
         rec = add_noise_at_snr(urban_90s_8k, 10.0, seed=3)

@@ -18,9 +18,13 @@ with and without a preset ``OPENBLAS_NUM_THREADS`` and after numpy.
 
 The package resolves its public names lazily, from one name-to-module
 table; every name it exported when it imported its modules eagerly must
-still resolve, from the module that defined it then.
+still resolve, from the module that defined it then or, for a record, from
+:mod:`wakenode.records`. Each name has one home: a module's ``__all__``
+lists only names that its own source defines, and the package's table
+points each name at a module that exports it.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -88,7 +92,8 @@ print(json.dumps(runs))
 """
 
 # the public names of the package, by the module that defined each when
-# the package imported every module eagerly
+# the package imported every module eagerly; the records among them now
+# live in wakenode.records alone
 API = {
     "calibrate": "CalibrationCurve CalibrationDomainError CalPoint FitError adc_to_db db_to_adc "
     "fit_curve r_squared",
@@ -221,7 +226,37 @@ def test_rank_mics_runs_without_numpy(tmp_path, capsys):
 
 @pytest.mark.parametrize("module, name", API_NAMES)
 def test_every_public_name_resolves_from_the_package(module, name):
-    assert getattr(wakenode, name) is getattr(importlib.import_module(f"wakenode.{module}"), name)
+    home = wakenode._SOURCE[name]
+    assert home in (module, "records")
+    assert getattr(wakenode, name) is getattr(importlib.import_module(f"wakenode.{home}"), name)
+
+
+def top_level_names(path: str) -> set[str]:
+    """The names a module's source binds at top level by ``def``, ``class``
+    or assignment, not by import."""
+    names = set()
+    for node in ast.parse(Path(path).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("module", sorted({*wakenode._SOURCE.values(), "config"}))
+def test_a_module_exports_only_what_it_defines(module):
+    mod = importlib.import_module(f"wakenode.{module}")
+    assert set(mod.__all__) - top_level_names(mod.__file__) == set()
+
+
+def test_every_package_name_is_exported_by_its_home():
+    missing = [
+        (module, name)
+        for name, module in wakenode._SOURCE.items()
+        if name not in importlib.import_module(f"wakenode.{module}").__all__
+    ]
+    assert missing == []
 
 
 def test_star_import_gives_the_public_names():
