@@ -43,12 +43,17 @@ Both commands that read audio stream it through stage objects whose
 after (``Resampler``, ``EnvelopeDetector``, ``WelchAccumulator`` and
 ``WakeRuns``), so memory does not grow with a recording's length and the
 outputs are those of one pass over the whole recording. ``simulate
---wav`` reads chunks of the detector's ``chunk_samples``. ``coherence``
+--wav`` reads chunks of the detector's ``chunk_samples`` and runs every
+step of its chain in place, through the stages' ``feed_into``, in one set
+of buffers made once per recording (see :func:`_wake_runs`). Arrays made
+afresh for each chunk are handed back to the system between chunks and
+faulted in again: on 480 s of 16 kHz clicks the kept buffers take the run
+from about 8 000 minor page faults to 6 400. ``coherence``
 reads chunks of :data:`WAV_CHUNK_FRAMES` and resamples each to the 8 kHz
 scoring rate for the scorer, which holds the first 10 s of each recording
-and then one Welch segment, so no whole recording is held at any rate. The Welch settings are checked against the 80 s analysis span, and
-each recording's rate and length against its WAV header, before any
-decoding.
+and then one Welch segment, so no whole recording is held at any rate.
+The Welch settings are checked against the 80 s analysis span, and each
+recording's rate and length against its WAV header, before any decoding.
 """
 
 from __future__ import annotations
@@ -94,7 +99,7 @@ from .records import (
 if TYPE_CHECKING:
     import numpy as np
 
-    from .powersim import SimTrace
+    from .powersim import SimTrace, WakeRuns
 
 CONFIG_ENV_VAR = "WAKENODE_CONFIG"
 # rows per string of a streamed coherence or trace CSV
@@ -392,34 +397,60 @@ def _trace_csv(trace: SimTrace, node: NodeConfig) -> Iterator[str]:
     import numpy as np
 
     t_start, t_end, transmit = trace.timeline()
-    state = np.where(transmit, "transmit", "sleep")
-    power = np.where(transmit, node.profile.transmit_mw, node.profile.sleep_mw)
+    # a row's state and power cells depend on its state alone: each row
+    # refers to one of two strings, indexed by its state as 0 or 1
+    profile = node.profile
+    cells = np.array(
+        [f"sleep,{float(profile.sleep_mw)!r}", f"transmit,{float(profile.transmit_mw)!r}"],
+        dtype=object,
+    )
     header = "t_start_s,t_end_s,state,power_mw\n"
-    return _csv_blocks(header, "%r,%r,%s,%r\n", t_start, t_end, state, power)
+    return _csv_blocks(header, "%r,%r,%s\n", t_start, t_end, cells[transmit.view(np.uint8)])
 
 
-def _simulate_wav(
-    wav_path: str, circuit: CircuitParams, node: NodeConfig, threshold_v: float, mic_scale_v: float
-) -> SimTrace:
-    """Stream a recording through the analog chain, one chunk at a time: the
-    trace is that of the whole recording, while each stage holds one chunk."""
-    from .frontend import EnvelopeDetector, amplify, threshold_out
+def _wake_runs(
+    wav_path: str, circuit: CircuitParams, threshold_v: float, mic_scale_v: float
+) -> WakeRuns:
+    """Stream a recording through the analog chain, one chunk at a time, into
+    the comparator output's low runs: their trace is that of the whole
+    recording, while the chain holds one chunk.
+
+    Every stage runs in place in buffers made once per recording, so the
+    loop allocates nothing as long as a chunk: ``state``, the detector's
+    input and output behind the inputs its log-step scan carries, into
+    which each chunk is decoded and then scaled and amplified; ``high``, the
+    comparator output behind the level that ended the chunk before, whose
+    front also takes the mask of each finiteness check; the reader's byte
+    buffer and the stages' own scratch. Each stage's check of its samples is
+    the one a :class:`~wakenode.signals.Signal` makes of them, in the same
+    order. The buffers are freed when this returns, before the trace, whose
+    arrays grow with its rows, is built.
+    """
+    import numpy as np
+
+    from .frontend import EnvelopeDetector, amplify_into, threshold_into
     from .powersim import WakeRuns
-    from .signals import Signal
+    from .signals import require_finite
     from .wavio import WavReader
 
     with WavReader(wav_path) as wav:
-        rate = wav.sample_rate_hz
-        detector = EnvelopeDetector(circuit, rate)
-        runs = WakeRuns(rate)
-        # one name for every stage: rebinding it frees each stage's input
-        # as soon as the next stage's output exists
-        for chain in wav.chunks(detector.chunk_samples):
-            chain = Signal(chain.samples * mic_scale_v, rate)
-            chain = amplify(chain, circuit)
-            chain = detector.feed(chain)
-            runs.feed(threshold_out(chain, threshold_v))
-    return runs.trace(node)
+        detector = EnvelopeDetector(circuit, wav.sample_rate_hz)
+        runs = WakeRuns(wav.sample_rate_hz)
+        lead = detector.lead
+        state = np.empty(lead + detector.chunk_samples)
+        high = np.empty(detector.chunk_samples + 1, dtype=bool)
+        for samples in wav.chunks_into(state[lead:]):
+            count = len(samples)
+            mask = high[1 : count + 1]
+            require_finite(samples, mask)
+            samples *= mic_scale_v
+            require_finite(samples, mask)
+            require_finite(amplify_into(samples, circuit, samples), mask)
+            envelope = detector.feed_into(state[: lead + count])
+            require_finite(envelope, mask)
+            threshold_into(envelope, threshold_v, mask)
+            runs.feed_into(high[: count + 1])
+    return runs
 
 
 def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
@@ -436,7 +467,8 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
 
     inputs: dict[str, Any] = {}
     if args.wav is not None:
-        trace = _simulate_wav(args.wav, cfg.circuit, node, args.threshold_v, args.mic_scale_v)
+        runs = _wake_runs(args.wav, cfg.circuit, args.threshold_v, args.mic_scale_v)
+        trace = runs.trace(node)
         inputs["wav"] = _input_entry(args.wav)
         source_desc = {
             "kind": "wav",
@@ -600,6 +632,11 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise CliError(
                     "E_INPUT", f"--{flag.replace('_', '-')}: expected a finite number, got {value}"
                 )
+        threshold_v = getattr(args, "threshold_v", None)
+        if threshold_v is not None and threshold_v <= 0:
+            raise CliError(
+                "E_INPUT", f"--threshold-v: expected a positive number, got {threshold_v}"
+            )
         if args.out_dir == "":
             raise CliError("E_INPUT", "--out-dir: expected a directory, got an empty string")
         # every Python warning raised while the command runs goes into its

@@ -104,17 +104,26 @@ def simulate(scenario: Scenario, config: NodeConfig) -> SimTrace:
 class WakeRuns:
     """Low runs of a comparator output that arrives in consecutive chunks.
 
-    Edge detection carries two things across a chunk boundary: whether the
-    previous chunk ended low, and the sample offset of the next chunk.
+    Edge detection carries two things across a chunk boundary: the level at
+    the end of the previous chunk, and the sample offset of the next chunk.
+
+    :meth:`feed_into` finds a chunk's edges in the caller's buffer, behind
+    one slot for that carried level, and compares neighbours into one mask
+    kept from chunk to chunk; :meth:`feed` is the same on a fresh copy of a
+    :class:`BinarySignal`. So a stream of chunks no longer than the first
+    allocates only each chunk's edge indices after it, like the rest of the
+    ``simulate --wav`` chain, which keeps one set of buffers per recording
+    because arrays made afresh each chunk are faulted in afresh each chunk.
     """
 
     def __init__(self, sample_rate_hz: float) -> None:
         self.sample_rate_hz = sample_rate_hz
         self._samples = 0
-        self._ended_low = False
+        self._ended_high = True  # quiet before the first sample
         # indices where the level changes, alternating: run start, run end
         # (one past its last low sample), run start, ...
         self._edges: list[np.ndarray] = []
+        self._changes = np.empty(0, dtype=bool)
 
     def feed(self, wake: BinarySignal) -> None:
         """Take the next chunk of the comparator output."""
@@ -122,14 +131,25 @@ class WakeRuns:
             raise ValueError(
                 f"chunk sample rate {wake.sample_rate_hz} is not {self.sample_rate_hz}"
             )
+        high = np.empty(len(wake) + 1, dtype=bool)
+        high[1:] = wake.samples
+        self.feed_into(high)
+
+    def feed_into(self, high: NDArray[np.bool_]) -> None:
+        """:meth:`feed`, in place: ``high[1:]`` holds the next chunk of the
+        comparator output (True for high), and ``high[0]`` is overwritten."""
+        samples = len(high) - 1
         # with the previous chunk's last level in front, change index i is
         # the chunk's first sample at the new level
-        low = np.empty(len(wake) + 1, dtype=bool)
-        low[0] = self._ended_low
-        np.invert(wake.samples, out=low[1:])
-        self._edges.append(np.flatnonzero(np.diff(low.view(np.int8))) + self._samples)
-        self._ended_low = bool(low[-1])
-        self._samples += len(wake)
+        high[0] = self._ended_high
+        if len(self._changes) < samples:
+            self._changes = np.empty(samples, dtype=bool)
+        changes = np.not_equal(high[1:], high[:-1], out=self._changes[:samples])
+        edges = np.flatnonzero(changes)
+        edges += self._samples
+        self._edges.append(edges)
+        self._ended_high = bool(high[-1])
+        self._samples += samples
 
     def trace(self, config: NodeConfig) -> SimTrace:
         """Run the node over every chunk fed so far, as :func:`simulate_from_wake`."""
@@ -138,7 +158,7 @@ class WakeRuns:
         dt = 1.0 / self.sample_rate_hz
         total_s = self._samples * dt
         # a run still low at the last sample ends one past it
-        closing = [np.array([self._samples])] if self._ended_low else []
+        closing = [] if self._ended_high else [np.array([self._samples])]
         edges = np.concatenate(self._edges + closing)
         starts = edges[0::2] * dt
         # the hold runs from the first high sample; a run still low at the

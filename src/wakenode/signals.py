@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-__all__ = ["Signal", "Resampler", "resample", "find_delay", "clip"]
+__all__ = ["Signal", "Resampler", "resample", "find_delay", "clip", "require_finite"]
 
 # Anti-alias FIR used before decimation: windowed sinc, Hamming window.
 ANTIALIAS_TAPS = 64
@@ -56,6 +56,16 @@ def _as_readonly_f64(samples: ArrayLike) -> NDArray[np.float64]:
     return arr
 
 
+def require_finite(samples: NDArray[np.float64], scratch: NDArray[np.bool_] | None = None) -> None:
+    """Raise a :class:`Signal`'s ValueError unless every sample is finite.
+
+    ``scratch``, a bool array as long as ``samples``, takes the mask, so a
+    stream checking each chunk allocates nothing for it.
+    """
+    if not np.isfinite(samples, out=scratch).all():
+        raise ValueError("samples must all be finite (no NaN or infinity)")
+
+
 @dataclass(frozen=True)
 class Signal:
     """A uniformly sampled real-valued waveform.
@@ -71,8 +81,7 @@ class Signal:
         object.__setattr__(self, "samples", _as_readonly_f64(self.samples))
         if not (self.sample_rate_hz > 0):
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
-            raise ValueError("samples must all be finite (no NaN or infinity)")
+        require_finite(self.samples)
 
     def __len__(self) -> int:
         return int(self.samples.size)

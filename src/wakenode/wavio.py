@@ -18,11 +18,13 @@ input is averaged to mono.
 
 :class:`WavReader` walks the chunk headers with reads and seeks and then
 reads the ``data`` chunk in whole frames, a chunk of frames at a time, so
-a recording of any length is decoded in bounded memory. :func:`read_wav`
-is the same reader taking every frame as one chunk. A ``data`` chunk cut
-short by the end of the file, or declaring a size that is not a whole
-number of frames, is read up to its last whole frame, with one warning
-when the header is parsed.
+a recording of any length is decoded in bounded memory. ``chunks`` gives
+each chunk as a fresh :class:`Signal`; ``chunks_into`` decodes every chunk
+into the front of one caller's buffer, through one byte buffer, with the
+same arithmetic. :func:`read_wav` is the same reader taking every frame as
+one chunk. A ``data`` chunk cut short by the end of the file, or declaring
+a size that is not a whole number of frames, is read up to its last whole
+frame, with one warning when the header is parsed.
 """
 
 from __future__ import annotations
@@ -30,10 +32,12 @@ from __future__ import annotations
 import os
 import struct
 import warnings
+from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Iterator, NamedTuple
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .records import WavFormatError
 from .signals import Signal
@@ -164,12 +168,21 @@ def _read_header(fh: BinaryIO) -> _Layout:
                    start, frames)
 
 
-def _decode(raw: bytes, layout: _Layout) -> np.ndarray:
-    """Samples of whole frames in their container dtype, frames by channels."""
+def _decode(
+    raw: bytes | memoryview, layout: _Layout, padded: np.ndarray | None = None
+) -> np.ndarray:
+    """Samples of whole frames in their container dtype, frames by channels.
+
+    24-bit samples are widened in ``padded``, a zeroed uint8 array of at
+    least one row of 4 per sample, whose pad bytes stay zero from one call
+    to the next, or in a fresh one.
+    """
     if layout.width == 3:
         # 24-bit samples go to the high bytes of an int32, as left-justified PCM
         triples = np.frombuffer(raw, np.uint8).reshape(-1, 3)
-        padded = np.zeros((triples.shape[0], 4), np.uint8)
+        if padded is None:
+            padded = np.zeros((triples.shape[0], 4), np.uint8)
+        padded = padded[: triples.shape[0]]
         (padded[:, 1:] if layout.order == "<" else padded[:, :3])[...] = triples
         data = padded.view(layout.dtype)[:, 0]
     else:
@@ -177,18 +190,30 @@ def _decode(raw: bytes, layout: _Layout) -> np.ndarray:
     return data.reshape(-1, layout.channels) if layout.channels > 1 else data
 
 
-def _to_mono(data: np.ndarray) -> np.ndarray:
-    """Container samples scaled to full scale [-1, 1) and averaged to mono."""
-    samples = data.astype(np.float64)
+def _to_mono(data: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Container samples scaled to full scale [-1, 1) and averaged to mono,
+    written into ``out``, which is returned.
+
+    The channels are added before integer samples are scaled: every partial
+    sum of integers is exact in float64, so this is the mean of the scaled
+    samples bit for bit, and a float container's channels are added in the
+    order ``mean(axis=1)`` adds them.
+    """
+    channels = data.shape[1] if data.ndim == 2 else 1
+    if channels > 1:
+        np.add.reduce(data, axis=1, dtype=np.float64, out=out)
+    else:
+        np.copyto(out, data)
+    # a power of two scales exactly, so multiplying by its inverse is dividing
     if data.dtype.kind == "u":
-        samples -= 128.0
-        samples /= 128.0
+        out -= 128.0 * channels
+        out *= 2.0**-7
     elif data.dtype.kind == "i":
         # 24-bit PCM arrives left-justified in int32, so one scale fits both
-        samples /= 2.0 ** (8 * data.dtype.itemsize - 1)
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
-    return samples
+        out *= 2.0 ** -(8 * data.dtype.itemsize - 1)
+    if channels > 1:
+        out /= channels
+    return out
 
 
 class WavReader:
@@ -222,16 +247,48 @@ class WavReader:
 
     def chunks(self, frames: int) -> Iterator[Signal]:
         """Consecutive mono Signals of ``frames`` frames each; the last may be shorter."""
+        # map drops each decoded array as soon as its Signal has copied it
+        return map(partial(Signal, sample_rate_hz=self.sample_rate_hz), self._decoded(frames, None))
+
+    def chunks_into(self, out: NDArray[np.float64]) -> Iterator[NDArray[np.float64]]:
+        """Consecutive chunks of ``len(out)`` frames, the last maybe shorter,
+        each decoded into the front of ``out`` and yielded as that view.
+
+        The frames are read into one byte buffer, so after the first chunk
+        nothing is allocated. Each chunk overwrites the one before, and its
+        samples are not checked for finiteness.
+        """
+        return self._decoded(len(out), out)
+
+    def _decoded(
+        self, frames: int, out: NDArray[np.float64] | None
+    ) -> Iterator[NDArray[np.float64]]:
+        """Chunks of ``frames`` mono samples: given ``out``, in its front, read
+        into one byte buffer; otherwise each in a fresh array, read as fresh
+        bytes, which only the caller refers to once it is yielded."""
         if frames < 1:
             raise ValueError(f"frames per chunk must be positive, got {frames}")
         layout = self._layout
         self._fh.seek(layout.start)
+        buffer = padded = None
+        if out is not None:
+            buffer = memoryview(bytearray(frames * layout.block_align))
+            if layout.width == 3:
+                padded = np.zeros((frames * layout.channels, 4), np.uint8)
         for first in range(0, layout.frames, frames):
-            size = min(frames, layout.frames - first) * layout.block_align
-            raw = self._fh.read(size)
-            if len(raw) != size:
+            count = min(frames, layout.frames - first)
+            size = count * layout.block_align
+            if buffer is None:
+                raw = self._fh.read(size)
+                got = len(raw)
+            else:
+                raw = buffer[:size]
+                got = self._fh.readinto(raw)
+            if got != size:
                 raise WavFormatError(f"{self.path}: file ended inside the data chunk")
-            yield Signal(_to_mono(_decode(raw, layout)), self.sample_rate_hz)
+            yield _to_mono(
+                _decode(raw, layout, padded), np.empty(count) if out is None else out[:count]
+            )
 
     def close(self) -> None:
         self._fh.close()

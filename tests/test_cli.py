@@ -118,6 +118,26 @@ class TestNonFiniteInputs:
         assert "[E_INPUT]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    @pytest.mark.parametrize("source", ["--wav", "--scenario"])
+    def test_non_positive_threshold_rejected_before_any_decoding(
+        self, tmp_path, capsys, source, value
+    ):
+        # the WAV's first sample is NaN, which its decoding would report first
+        wav = tmp_path / "a.wav"
+        x = np.zeros(1000, dtype=np.float32)
+        x[0] = np.nan
+        wavfile.write(wav, RATE, x)
+        out = tmp_path / "out"
+        args = ["--out-dir", str(out), "simulate", source]
+        args += [str(wav) if source == "--wav" else "urban", "--threshold-v", value]
+        assert main(args) == 1
+        assert capsys.readouterr().err == (
+            "wakenode: error [E_INPUT]: --threshold-v: expected a positive number, "
+            f"got {float(value)}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_report_writer_refuses_non_json_numbers(self, tmp_path, value):
         cfg = RunConfig(out_dir=str(tmp_path))
@@ -402,6 +422,54 @@ def bursty(n: int, seed: int) -> np.ndarray:
     return x
 
 
+def write_24bit(path: Path, x: np.ndarray) -> None:
+    """24-bit PCM, mono or with one column per channel (scipy cannot write it)."""
+    channels = x.shape[1] if x.ndim == 2 else 1
+    values = np.round(np.clip(x, -1.0, 1.0) * (2**23 - 1)).astype("<i4")
+    raw = values.view(np.uint8).reshape(-1, 4)[:, :3].tobytes()
+    block = 3 * channels
+    fmt = struct.pack("<HHIIHH", 1, channels, RATE, RATE * block, block, 24)
+    body = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", len(raw))
+    path.write_bytes(b"RIFF" + struct.pack("<I", len(body) + len(raw)) + body + raw)
+
+
+def stereo(x: np.ndarray) -> np.ndarray:
+    """x on the left and a quieter, different signal on the right."""
+    return np.column_stack([x, 0.5 * bursty(len(x), seed=5)])
+
+
+# every sample format the reader decodes, and two channel layouts
+FORMATS = {
+    "uint8": lambda path, x: wavfile.write(
+        path, RATE, np.round(np.clip(x, -1.0, 1.0) * 127 + 128).astype(np.uint8)
+    ),
+    "int16": write_int16,
+    "int24": write_24bit,
+    "int32": lambda path, x: wavfile.write(
+        path, RATE, np.round(np.clip(x, -1.0, 1.0) * (2**31 - 1)).astype(np.int32)
+    ),
+    "float32": lambda path, x: wavfile.write(path, RATE, x.astype(np.float32)),
+    "float64": lambda path, x: wavfile.write(path, RATE, x),
+    "stereo-int16": lambda path, x: write_int16(path, stereo(x)),
+    "stereo-int24": lambda path, x: write_24bit(path, stereo(x)),
+    "stereo-float32": lambda path, x: wavfile.write(path, RATE, stereo(x).astype(np.float32)),
+}
+
+
+def assert_later_chunk_rejected(tmp_path: Path, capsys, value: float) -> None:
+    """A non-finite sample in the second chunk fails the run and leaves no output."""
+    wav = tmp_path / "a.wav"
+    x = np.random.default_rng(2).normal(scale=0.002, size=300_000).astype(np.float32)
+    x[200_000] = value  # in the second chunk
+    wavfile.write(wav, RATE, x)
+    out = tmp_path / "out"
+    assert main(["--out-dir", str(out), "simulate", "--wav", str(wav)]) == 1
+    assert capsys.readouterr().err == (
+        "wakenode: error [E_INPUT]: samples must all be finite (no NaN or infinity)\n"
+    )
+    assert not out.exists()
+
+
 def whole_array_outputs(wav: Path, config: str) -> tuple[str, float, np.ndarray]:
     """trace.csv text, duty cycle and wake samples from whole-array calls."""
     cfg = load_run_config(config)
@@ -471,6 +539,21 @@ class TestSimulateWavStreaming:
         if samples > chunk:  # a low run across the first chunk boundary
             assert not wake[chunk - 1] and not wake[chunk]
 
+    @pytest.mark.parametrize("fs_tau", [1440.0, 0.05])
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_every_format_streams_as_the_whole_array_chain(self, tmp_path, capsys, fmt, fs_tau):
+        # each file is longer than one chunk, so every decoder fills the
+        # reader's buffers more than once
+        wav = tmp_path / f"{fmt}.wav"
+        FORMATS[fmt](wav, bursty(300_000, seed=4))
+        config = write_config(tmp_path, f"circuit:\n  c5_f: {fs_tau / (RATE * 1e7):.17e}\n")
+        out = tmp_path / "out"
+        assert main(["--config", config, "--out-dir", str(out), "simulate", "--wav", str(wav)]) == 0
+        trace_csv, duty, wake = whole_array_outputs(wav, config)
+        assert (out / "trace.csv").read_text() == trace_csv
+        assert json.loads(capsys.readouterr().out)["duty_cycle"] == duty
+        assert 0 < np.count_nonzero(~wake) < len(wake)
+
     def test_truncated_data_warns_once(self, tmp_path, capsys):
         wav = tmp_path / "a.wav"
         write_int16(wav, bursty(300_000, seed=1))
@@ -488,14 +571,10 @@ class TestSimulateWavStreaming:
         assert "file holds" in results["warnings"][0]
 
     def test_nan_in_a_later_chunk_leaves_no_output(self, tmp_path, capsys):
-        wav = tmp_path / "a.wav"
-        x = np.random.default_rng(2).normal(scale=0.002, size=300_000).astype(np.float32)
-        x[200_000] = np.nan  # in the second chunk
-        wavfile.write(wav, RATE, x)
-        out = tmp_path / "out"
-        assert main(["--out-dir", str(out), "simulate", "--wav", str(wav)]) == 1
-        assert "[E_INPUT]" in capsys.readouterr().err
-        assert not out.exists()
+        assert_later_chunk_rejected(tmp_path, capsys, np.nan)
+
+    def test_inf_in_a_later_chunk_leaves_no_output(self, tmp_path, capsys):
+        assert_later_chunk_rejected(tmp_path, capsys, np.inf)
 
     def test_peak_memory_does_not_grow_with_length(self, tmp_path, capsys):
         # the same four clicks in 60 s and in 240 s of quiet noise: the
@@ -515,6 +594,11 @@ class TestSimulateWavStreaming:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2 * 2**20, peaks
+        # the chain's buffers for one 131 072-sample chunk (1 MiB of float64,
+        # the bytes, the comparator's masks, the detector's ramp) and the
+        # rest of the run: 2.0-2.2 MiB, where fresh arrays per chunk took
+        # 3.9-4.1 MiB
+        assert max(peaks) < 3 * 2**20, peaks
 
     def test_peak_memory_does_not_grow_with_trace_rows(self, tmp_path, capsys):
         # 240 s with 4 clicks and with 20 000, one every 12 ms: at tau = 90 ms
@@ -540,6 +624,83 @@ class TestSimulateWavStreaming:
         assert rows == [9, 40_001]
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
+
+
+# the closed-form bursts: tau = r5 c5 = 0.25 s, 0.3 V diodes, 0.02 V per unit
+# of full scale into the default board (gain 1 + rf/r1 = 101, divider
+# r6 / (r5 + r6) = 1/101, rails 0 and 3.3 V); the second burst's run
+# crosses the first chunk boundary
+FS_TAU = 4000.0
+DROP_V = 0.3
+MIC_V = 0.02
+THRESHOLD_V = 0.022
+BURSTS = ((1_000, 0.75), (130_900, 0.95))  # (first sample, plateau amplitude)
+
+
+def tone_burst(x: np.ndarray, start: int, plateau: float) -> int:
+    """Write an fs/4 tone (samples 0, +a, 0, -a per period) from ``start``,
+    its amplitude a fading in from 0.40 by 0.01 a period and then held at
+    ``plateau`` for 100 periods; return the index of its last crest."""
+    amplitudes = np.concatenate([np.arange(40, round(plateau * 100)) / 100, np.full(100, plateau)])
+    end = start + 4 * len(amplitudes)
+    x[start + 1 : end : 4] = amplitudes
+    x[start + 3 : end : 4] = -amplitudes
+    return end - 3
+
+
+class TestWakeChainClosedForm:
+    """The wake chain against closed forms of its physics, not against a
+    second implementation.
+
+    The detector level is the amplifier output less one diode drop, and the
+    comparator output is low while that level, less a second drop and
+    divided by (r5 + r6) / r6, exceeds the threshold. So the node wakes at
+    the first sample whose amplified value exceeds
+    ``threshold * (r5 + r6) / r6 + 2 drop``. After a burst's last crest the
+    level ``V_crest`` decays as ``exp(-n / (fs tau))``, so the node sleeps
+    again ``ceil(fs tau ln(V_crest / V_wake))`` samples after it, where
+    ``V_wake = threshold * (r5 + r6) / r6 + drop`` is the level that holds
+    it awake.
+    """
+
+    def test_wake_and_sleep_samples(self, tmp_path, capsys):
+        x = np.zeros(140_000)
+        last_crests = [tone_burst(x, start, plateau) for start, plateau in BURSTS]
+        wav = tmp_path / "bursts.wav"
+        wavfile.write(wav, RATE, x)
+        config = write_config(
+            tmp_path,
+            f"circuit:\n  c5_f: {FS_TAU / (RATE * 1e7):.17e}\n  diode_drop_v: {DROP_V}\n",
+        )
+        out = tmp_path / "out"
+        args = ["--config", config, "--out-dir", str(out), "simulate", "--wav", str(wav)]
+        args += ["--threshold-v", str(THRESHOLD_V), "--mic-scale-v", str(MIC_V)]
+        assert main(args) == 0, capsys.readouterr().err
+        rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:]]
+        transmit = [r for r in rows if r[2] == "transmit"]
+        runs = [(round(float(r[0]) * RATE), round(float(r[1]) * RATE)) for r in transmit]
+
+        def amplified(a: float) -> float:
+            return min(3.3 / 2 + 101 * MIC_V * a, 3.3)
+
+        wake_v = THRESHOLD_V * 101 + 2 * DROP_V  # 2.822 V
+        v_wake = wake_v - DROP_V
+        # the 19th crest (0.58: 2.8216 V) stays under it, the 20th (0.59:
+        # 2.8418 V) wakes the node, and its level stays above V_wake until
+        # the next, higher crest
+        assert amplified(0.58) < wake_v < amplified(0.59)
+        assert (amplified(0.59) - DROP_V) * math.exp(-3 / FS_TAU) > v_wake
+        # the first burst stays under the rail, the second clips at it
+        assert amplified(0.75) < 3.3 < 3.3 / 2 + 101 * MIC_V * 0.95
+        delays = [FS_TAU * math.log((amplified(p) - DROP_V) / v_wake) for _, p in BURSTS]
+        # 510.06 and 694.24: no rounding error near a whole sample decides them
+        assert all(0.05 < d % 1 < 0.95 for d in delays)
+        assert [math.ceil(d) for d in delays] == [511, 695]
+        expected = [
+            (start + 4 * 19 + 1, crest + math.ceil(delay))
+            for (start, _), crest, delay in zip(BURSTS, last_crests, delays)
+        ]
+        assert runs == expected
 
 
 def header_wav(rate: int, tag: int = 1, bits: int = 16, frames: int = 4000) -> bytes:
