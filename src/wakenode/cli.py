@@ -39,21 +39,20 @@ report. ``simulate`` and ``WavReader``, which the commands import that
 way, can still be read as attributes of this module.
 
 Both commands that read audio stream it through stage objects whose
-``feed`` takes the next chunk and keeps the stage's state for the one
-after (``Resampler``, ``EnvelopeDetector``, ``WelchAccumulator`` and
-``WakeRuns``), so memory does not grow with a recording's length and the
-outputs are those of one pass over the whole recording. ``simulate
+``feed`` takes the next chunk as a plain array and keeps the stage's state
+for the one after (``Resampler``, ``EnvelopeDetector``, ``WelchAccumulator``
+and ``WakeRuns``), so memory does not grow with a recording's length and
+the outputs are those of one pass over the whole recording. Each decodes a
+recording through :func:`_decoded`, into a buffer made once per recording,
+and checks every chunk as a ``Signal`` checks its samples. ``simulate
 --wav`` reads chunks of the detector's ``chunk_samples`` and runs every
-step of its chain in place, through the stages' ``feed_into``, in one set
-of buffers made once per recording (see :func:`_wake_runs`). Arrays made
-afresh for each chunk are handed back to the system between chunks and
-faulted in again: on 480 s of 16 kHz clicks the kept buffers take the run
-from about 8 000 minor page faults to 6 400. ``coherence``
-reads chunks of :data:`WAV_CHUNK_FRAMES` and resamples each to the 8 kHz
-scoring rate for the scorer, which holds the first 10 s of each recording
-and then one Welch segment, so no whole recording is held at any rate.
-The Welch settings are checked against the 80 s analysis span, and each
-recording's rate and length against its WAV header, before any decoding.
+step of its chain in place (see :func:`_wake_runs`). ``coherence`` reads
+chunks of :data:`WAV_CHUNK_FRAMES` and resamples each to the 8 kHz scoring
+rate for the scorer (see :func:`_score_wavs`), which holds the first 10 s
+of each recording and then one Welch segment, so no whole recording is
+held at any rate. The Welch settings are checked against the 80 s analysis
+span, and each recording's rate and length against its WAV header, before
+any decoding.
 """
 
 from __future__ import annotations
@@ -99,7 +98,9 @@ from .records import (
 if TYPE_CHECKING:
     import numpy as np
 
+    from .coherence import ScoreBreakdown, WelchAccumulator
     from .powersim import SimTrace, WakeRuns
+    from .wavio import WavReader
 
 CONFIG_ENV_VAR = "WAKENODE_CONFIG"
 # rows per string of a streamed coherence or trace CSV
@@ -326,9 +327,47 @@ def _csv_blocks(header: str, row_format: str, *columns: np.ndarray | list) -> It
 # loads numpy only if it needs it.
 
 
+def _decoded(wav: WavReader, out: np.ndarray, mask: np.ndarray) -> Iterator[np.ndarray]:
+    """The recording's chunks, each decoded into the front of ``out`` (see
+    :meth:`~wakenode.wavio.WavReader.chunks_into`) and checked as a
+    :class:`~wakenode.signals.Signal` checks its samples, with the front of
+    ``mask``, a bool array at least as long as ``out``, as scratch."""
+    from .signals import require_finite
+
+    return (require_finite(samples, mask[: len(samples)]) for samples in wav.chunks_into(out))
+
+
+def _score_wavs(
+    source: WavReader, recording: WavReader, welch: WelchAccumulator
+) -> ScoreBreakdown:
+    """Score ``recording`` against ``source`` with ``welch``, each decoded in
+    chunks of :data:`WAV_CHUNK_FRAMES` into a buffer made once per recording
+    and resampled to the scoring rate as it is decoded; each decoded and
+    each resampled chunk is checked as a :class:`~wakenode.signals.Signal`
+    checks its samples, in that order. What scoring leaves of both files is
+    then decoded, the source first, so a bad sample anywhere fails the run
+    as when each file was read whole before scoring."""
+    import numpy as np
+
+    from .coherence import SCORE_RATE_HZ, score_streams
+    from .signals import Resampler, require_finite
+
+    files = (source, recording)
+    decoded = [
+        _decoded(wav, np.empty(WAV_CHUNK_FRAMES), np.empty(WAV_CHUNK_FRAMES, dtype=bool))
+        for wav in files
+    ]
+    resamplers = [Resampler(wav.sample_rate_hz, SCORE_RATE_HZ, wav.frames) for wav in files]
+    resampled = [map(require_finite, map(r.feed, chunks)) for r, chunks in zip(resamplers, decoded)]
+    try:
+        return score_streams(*resampled, welch)
+    finally:
+        for _ in chain(*decoded):
+            pass
+
+
 def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
-    from .coherence import SCORE_RATE_HZ, analysis_welch, check_duration, score_streams
-    from .signals import Resampler
+    from .coherence import SCORE_RATE_HZ, analysis_welch, check_duration
     from .wavio import WavReader
 
     try:
@@ -356,20 +395,7 @@ def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
         # 90 s but resample to exactly 720 000 samples at 8 kHz
         for label, wav in files:
             check_duration(label, wav.frames / wav.sample_rate_hz)
-        source, recording = (wav.chunks(WAV_CHUNK_FRAMES) for _, wav in files)
-        try:
-            # each chunk resampled to the scoring rate as it is decoded
-            source_8k, recording_8k = (
-                map(Resampler(wav.sample_rate_hz, SCORE_RATE_HZ, wav.frames).feed, chunks)
-                for (_, wav), chunks in zip(files, (source, recording))
-            )
-            details = score_streams(source_8k, recording_8k, welch)
-        finally:
-            # decode what scoring left of both files, the source first, so a
-            # bad sample anywhere fails the run as when each file was read
-            # whole before scoring
-            for _ in chain(source, recording):
-                pass
+        details = _score_wavs(source_file, recording_file, welch)
 
     inputs = {
         "source_wav": _input_entry(args.source_wav),
@@ -423,8 +449,11 @@ def _wake_runs(
     front also takes the mask of each finiteness check; the reader's byte
     buffer and the stages' own scratch. Each stage's check of its samples is
     the one a :class:`~wakenode.signals.Signal` makes of them, in the same
-    order. The buffers are freed when this returns, before the trace, whose
-    arrays grow with its rows, is built.
+    order. Arrays made afresh for each chunk are handed back to the system
+    between chunks and faulted in again: on 480 s of 16 kHz clicks a chain
+    of fresh arrays took about 8 000 minor page faults a run, these kept
+    buffers 6 400. The buffers are freed when this returns, before the
+    trace, whose arrays grow with its rows, is built.
     """
     import numpy as np
 
@@ -439,17 +468,16 @@ def _wake_runs(
         lead = detector.lead
         state = np.empty(lead + detector.chunk_samples)
         high = np.empty(detector.chunk_samples + 1, dtype=bool)
-        for samples in wav.chunks_into(state[lead:]):
+        for samples in _decoded(wav, state[lead:], high[1:]):
             count = len(samples)
             mask = high[1 : count + 1]
-            require_finite(samples, mask)
             samples *= mic_scale_v
             require_finite(samples, mask)
             require_finite(amplify_into(samples, circuit, samples), mask)
-            envelope = detector.feed_into(state[: lead + count])
+            envelope = detector.feed(state[: lead + count])
             require_finite(envelope, mask)
             threshold_into(envelope, threshold_v, mask)
-            runs.feed_into(high[: count + 1])
+            runs.feed(high[: count + 1])
     return runs
 
 

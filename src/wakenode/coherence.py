@@ -436,21 +436,26 @@ def _in_step(
 
 
 def score_streams(
-    source: Iterable[Signal], recording: Iterable[Signal], welch: WelchAccumulator
+    source: Iterable[NDArray[np.float64]],
+    recording: Iterable[NDArray[np.float64]],
+    welch: WelchAccumulator,
 ) -> ScoreBreakdown:
-    """The scoring pipeline on two waveforms at 8 kHz, each given as its
-    consecutive chunks, with ``welch`` from :func:`analysis_welch`.
+    """The scoring pipeline on two waveforms at 8 kHz, each given as the
+    arrays of its consecutive chunks, with ``welch`` from
+    :func:`analysis_welch`.
 
     The first 10 seconds of each are held to find the recording's delay;
     then the source from its first sample and the recording from the delay
     are fed to ``welch`` as their chunks arrive, so no whole waveform is
-    held. The source must hold the 80 s span, as any waveform that passes
+    held. A chunk is copied from before the next chunk of its stream is
+    drawn, so a stream may yield one buffer that each chunk overwrites. The
+    source must hold the 80 s span, as any waveform that passes
     :func:`check_duration` does; a recording that ends before its span
     raises AlignmentError. Chunks past the spans are not read.
     """
     align_len = int(SCORE_RATE_HZ * ALIGN_SECONDS)
-    src_head, src_rest = _split((c.samples for c in source), align_len)
-    rec_head, rec_rest = _split((c.samples for c in recording), align_len)
+    src_head, src_rest = _split(iter(source), align_len)
+    rec_head, rec_rest = _split(iter(recording), align_len)
     delay = find_delay(
         Signal(src_head, SCORE_RATE_HZ), Signal(rec_head, SCORE_RATE_HZ), align_len - 1
     )
@@ -496,7 +501,7 @@ def score_with_details(
     welch = analysis_welch(params)
     src = resample(source, SCORE_RATE_HZ)
     rec = resample(recording, SCORE_RATE_HZ)
-    return score_streams((src,), (rec,), welch)
+    return score_streams((src.samples,), (rec.samples,), welch)
 
 
 def coherence_score(source: Signal, recording: Signal) -> float:
@@ -506,5 +511,3 @@ def coherence_score(source: Signal, recording: Signal) -> float:
     8 kHz, as for :func:`score_with_details`. Public as the paper's score in
     one call, without the spectra the CLI needs."""
     return score_with_details(source, recording).score
-
-

@@ -122,22 +122,15 @@ class EnvelopeDetector:
     may be shorter) the outputs joined are bit for bit those of one call on
     the whole recording.
 
-    :meth:`feed_into` runs the scan in place in the caller's buffer, behind
-    ``lead`` samples of room for the carried inputs; :meth:`feed` is the
-    same on a fresh copy of a :class:`Signal`. The block scan's
+    :meth:`feed` runs the scan in place in the caller's buffer, behind
+    ``lead`` samples of room for the carried inputs. The block scan's
     ``exp(k m)`` ramp is built once, here, and the log-step scan's lagged
     products go to one scratch array kept from chunk to chunk, so a stream
-    of chunks no longer than the first allocates nothing after it. That is
-    how ``simulate --wav`` runs its chain: one set of buffers per recording.
-    Arrays made afresh for each chunk are handed back to the system between
-    chunks and faulted in again: on 480 s of 16 kHz clicks the chain made of
-    fresh arrays took about 8 000 minor page faults a run, the one made of
-    kept buffers 6 400.
+    of chunks no longer than the first allocates nothing after it.
     """
 
     def __init__(self, circuit: CircuitParams, sample_rate_hz: float) -> None:
         self.circuit = circuit
-        self.sample_rate_hz = sample_rate_hz
         # per-sample decay of the detector state: exp(-1 / (fs * r5 * c5))
         self.decay = math.exp(-1.0 / (sample_rate_hz * circuit.r5_ohm * circuit.c5_f))
         self._block = _scan_block(self.decay)
@@ -162,22 +155,11 @@ class EnvelopeDetector:
         self._carried = 0
         self._lagged = np.empty(0)
 
-    def feed(self, s: Signal) -> Signal:
-        """Take the next chunk of the detector's input; return its output."""
-        if len(s) == 0:
-            raise ValueError("cannot detect the envelope of an empty signal")
-        if s.sample_rate_hz != self.sample_rate_hz:
-            raise ValueError(
-                f"chunk sample rate {s.sample_rate_hz} is not {self.sample_rate_hz}"
-            )
-        state = np.empty(self.lead + len(s))
-        state[self.lead :] = s.samples
-        return Signal(self.feed_into(state), s.sample_rate_hz)
-
-    def feed_into(self, state: NDArray[np.float64]) -> NDArray[np.float64]:
-        """:meth:`feed`, in place: ``state[lead:]`` holds the next chunk's
-        input and is overwritten with its output, which is returned.
-        ``state[:lead]`` is overwritten with the carried inputs."""
+    def feed(self, state: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Take the next chunk of the detector's input, in place:
+        ``state[lead:]`` holds the chunk and is overwritten with its output,
+        which is returned. ``state[:lead]`` is overwritten with the carried
+        inputs."""
         p, decay = self.circuit, self.decay
         out = state[self.lead :]
         out -= p.diode_drop_v
@@ -242,7 +224,12 @@ def envelope_detect(s: Signal, p: CircuitParams) -> Signal:
 
     This is an :class:`EnvelopeDetector` fed the whole recording as one chunk.
     """
-    return EnvelopeDetector(p, s.sample_rate_hz).feed(s)
+    if len(s) == 0:
+        raise ValueError("cannot detect the envelope of an empty signal")
+    detector = EnvelopeDetector(p, s.sample_rate_hz)
+    state = np.empty(detector.lead + len(s))
+    state[detector.lead :] = s.samples
+    return Signal(detector.feed(state), s.sample_rate_hz)
 
 
 def threshold_into(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
 import numpy as np
 from numpy.typing import NDArray
 
@@ -27,6 +28,7 @@ __all__ = [
     "savings_percent",
     "battery_lifetime_days",
 ]
+
 
 @dataclass(frozen=True, eq=False)
 class SimTrace:
@@ -107,13 +109,10 @@ class WakeRuns:
     Edge detection carries two things across a chunk boundary: the level at
     the end of the previous chunk, and the sample offset of the next chunk.
 
-    :meth:`feed_into` finds a chunk's edges in the caller's buffer, behind
-    one slot for that carried level, and compares neighbours into one mask
-    kept from chunk to chunk; :meth:`feed` is the same on a fresh copy of a
-    :class:`BinarySignal`. So a stream of chunks no longer than the first
-    allocates only each chunk's edge indices after it, like the rest of the
-    ``simulate --wav`` chain, which keeps one set of buffers per recording
-    because arrays made afresh each chunk are faulted in afresh each chunk.
+    :meth:`feed` finds a chunk's edges in the caller's buffer, behind one
+    slot for that carried level, and compares neighbours into one mask kept
+    from chunk to chunk, so a stream of chunks no longer than the first
+    allocates only each chunk's edge indices after it.
     """
 
     def __init__(self, sample_rate_hz: float) -> None:
@@ -125,19 +124,10 @@ class WakeRuns:
         self._edges: list[np.ndarray] = []
         self._changes = np.empty(0, dtype=bool)
 
-    def feed(self, wake: BinarySignal) -> None:
-        """Take the next chunk of the comparator output."""
-        if wake.sample_rate_hz != self.sample_rate_hz:
-            raise ValueError(
-                f"chunk sample rate {wake.sample_rate_hz} is not {self.sample_rate_hz}"
-            )
-        high = np.empty(len(wake) + 1, dtype=bool)
-        high[1:] = wake.samples
-        self.feed_into(high)
-
-    def feed_into(self, high: NDArray[np.bool_]) -> None:
-        """:meth:`feed`, in place: ``high[1:]`` holds the next chunk of the
-        comparator output (True for high), and ``high[0]`` is overwritten."""
+    def feed(self, high: NDArray[np.bool_]) -> None:
+        """Take the next chunk of the comparator output, in place:
+        ``high[1:]`` holds the chunk (True for high), and ``high[0]`` is
+        overwritten."""
         samples = len(high) - 1
         # with the previous chunk's last level in front, change index i is
         # the chunk's first sample at the new level
@@ -175,8 +165,10 @@ def simulate_from_wake(wake: BinarySignal, config: NodeConfig) -> SimTrace:
     is identical to :func:`simulate`. This is :class:`WakeRuns` fed the
     whole signal as one chunk.
     """
+    high = np.empty(len(wake) + 1, dtype=bool)
+    high[1:] = wake.samples
     runs = WakeRuns(wake.sample_rate_hz)
-    runs.feed(wake)
+    runs.feed(high)
     return runs.trace(config)
 
 
@@ -196,5 +188,3 @@ def battery_lifetime_days(avg_power_mw: float, battery_mah: float, battery_v: fl
     energy_wh = battery_mah / 1000.0 * battery_v
     power_w = avg_power_mw / 1000.0  # underflows to 0 below ~2.5e-321 mW
     return energy_wh / power_w / 24.0 if power_w > 0 else math.inf
-
-

@@ -1,9 +1,11 @@
 """Core waveform type plus resampling, delay alignment, and slicing.
 
-Signals are immutable value objects: every operation returns a new
-``Signal`` and never mutates its inputs, so they are safe to share
-across threads. A stage object such as :class:`Resampler` is not: it
-holds one recording's state from one ``feed`` to the next.
+Signals are immutable value objects: every function here that takes a
+``Signal`` returns a new one, or the same one resampled to its own rate,
+and never mutates its inputs, so they are safe to share across threads.
+A stage object such as :class:`Resampler` is not: it holds one
+recording's state from one ``feed`` to the next, and takes and returns
+plain arrays.
 
 Resampling takes two regimes: equal rates pass through, and integer
 downsampling is polyphase (Crochiere & Rabiner, *Multirate Digital
@@ -56,14 +58,18 @@ def _as_readonly_f64(samples: ArrayLike) -> NDArray[np.float64]:
     return arr
 
 
-def require_finite(samples: NDArray[np.float64], scratch: NDArray[np.bool_] | None = None) -> None:
-    """Raise a :class:`Signal`'s ValueError unless every sample is finite.
+def require_finite(
+    samples: NDArray[np.float64], scratch: NDArray[np.bool_] | None = None
+) -> NDArray[np.float64]:
+    """``samples``, once every one is found finite; otherwise a
+    :class:`Signal`'s ValueError.
 
     ``scratch``, a bool array as long as ``samples``, takes the mask, so a
     stream checking each chunk allocates nothing for it.
     """
     if not np.isfinite(samples, out=scratch).all():
         raise ValueError("samples must all be finite (no NaN or infinity)")
+    return samples
 
 
 @dataclass(frozen=True)
@@ -182,6 +188,10 @@ class Resampler:
     recording: rows are multiplied in blocks of a fixed number of rows (set
     by :data:`RESAMPLE_BLOCK_MACS`) counted from the first, so no block
     depends on the chunking.
+
+    What a block of rows reads is copied into one buffer the resampler
+    owns, of ``(block - 1) * row + width`` samples at most, so it keeps no
+    reference to a chunk once :meth:`feed` returns.
     """
 
     def __init__(self, source_rate_hz: float, target_rate_hz: float, total: int) -> None:
@@ -198,65 +208,70 @@ class Resampler:
             )
         if total < 1:
             raise ValueError("cannot resample an empty signal")
-        self.source_rate_hz = source_rate_hz
-        self.target_rate_hz = target_rate_hz
         self.total = total
         self.fed = 0
-        self._n_out = total
-        self._plan = None
-        if downsampling:
+        self._plan = plan = (
+            _polyphase(float(source_rate_hz), float(target_rate_hz)) if downsampling else None
+        )
+        if plan:
             self._n_out = max(int(round(total * (target_rate_hz / source_rate_hz))), 1)
-            self._plan = _polyphase(float(source_rate_hz), float(target_rate_hz))
-        # output rows done, and the samples no finished block of rows has
-        # consumed, from the window start of output row ``_rows``
-        self._rows = 0
-        self._pending = [np.zeros(self._plan.lead)] if self._plan else []
+            # output rows done; the buffer holds the window of row ``_rows``
+            # from its start, whose first ``_held`` samples have arrived (the
+            # first window starts with ``lead`` zeros)
+            self._rows = 0
+            rows = min(plan.block, -(-self._n_out // plan.phases))
+            self._buffer = np.zeros((rows - 1) * plan.row + plan.width)
+            self._held = plan.lead
 
-    def feed(self, chunk: Signal) -> Signal:
+    def feed(self, chunk: NDArray[np.float64]) -> NDArray[np.float64]:
         """Take the next chunk of the recording; return the output it completes."""
-        if len(chunk) == 0:
-            raise ValueError("cannot resample an empty signal")
-        if chunk.sample_rate_hz != self.source_rate_hz:
-            raise ValueError(
-                f"chunk sample rate {chunk.sample_rate_hz} is not {self.source_rate_hz}"
-            )
         if self.fed + len(chunk) > self.total:
             raise ValueError(
                 f"chunk of {len(chunk)} samples runs past the {self.total} samples "
                 f"of the recording ({self.fed} already passed)"
             )
+        first = self.fed
         self.fed += len(chunk)
-        plan, target = self._plan, self.target_rate_hz
+        plan = self._plan
         if plan is None:
             return chunk
 
         row, lead, width, phases, parts = plan
-        self._pending.append(chunk.samples)
         block = plan.block
         left = -(-self._n_out // phases) - self._rows
-        held = self.fed + lead - self._rows * row
+        arrived = self.fed + lead - self._rows * row
         if self.fed == self.total:
             ready = left  # the tail of the last windows is zeros
-            self._pending.append(np.zeros(max((left - 1) * row + width - held, 0)))
         else:
             # whole blocks only; the last, partial one waits for the last chunk
-            fit = (held - width) // row + 1 if held >= width else 0
+            fit = (arrived - width) // row + 1 if arrived >= width else 0
             ready = min(fit, left) // block * block
-        if ready <= 0:
-            return Signal(np.empty(0), target)
-
-        held_samples = np.concatenate(self._pending)
-        windows = np.lib.stride_tricks.sliding_window_view(held_samples, width)[::row]
         out = np.empty((ready, phases))
-        for start in range(0, ready, block):
-            stop = min(start + block, ready)
-            block_windows = np.ascontiguousarray(windows[start:stop])
+        buffer = self._buffer
+        done = 0
+        while True:
+            # the chunk's samples from the buffer's end up to its capacity;
+            # chunk index i is window position i + lead + first - _rows * row
+            start = self._held - (lead + first - self._rows * row)
+            take = max(min(len(chunk) - start, len(buffer) - self._held), 0)
+            buffer[self._held : self._held + take] = chunk[start : start + take]
+            self._held += take
+            if done == ready:
+                break
+            rows = min(block, ready - done)
+            span = (rows - 1) * row + width
+            buffer[self._held : span] = 0.0  # past the recording's last sample
+            windows = np.lib.stride_tricks.sliding_window_view(buffer[:span], width)[::row]
+            block_windows = np.ascontiguousarray(windows)
             for reads, writes, part in parts:
-                np.matmul(block_windows[:, reads], part, out=out[start:stop, writes])
-        self._pending = [held_samples[ready * row :].copy()]
-        done = self._rows * phases
-        self._rows += ready
-        return Signal(out.reshape(-1)[: self._n_out - done], target)
+                np.matmul(block_windows[:, reads], part, out=out[done : done + rows, writes])
+            # the next window starts ``rows * row`` samples on, maybe past what has arrived
+            kept = max(self._held - rows * row, 0)
+            buffer[:kept] = buffer[rows * row : rows * row + kept]
+            self._held = kept
+            self._rows += rows
+            done += rows
+        return out.reshape(-1)[: self._n_out - (self._rows - ready) * phases]
 
 
 def resample(s: Signal, target_rate_hz: float) -> Signal:
@@ -278,7 +293,8 @@ def resample(s: Signal, target_rate_hz: float) -> Signal:
 
     This is a :class:`Resampler` fed the whole recording as one chunk.
     """
-    return Resampler(s.sample_rate_hz, target_rate_hz, len(s)).feed(s)
+    samples = Resampler(s.sample_rate_hz, target_rate_hz, len(s)).feed(s.samples)
+    return s if samples is s.samples else Signal(samples, target_rate_hz)
 
 
 def _fft_length(n: int) -> int:

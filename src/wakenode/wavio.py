@@ -18,13 +18,13 @@ input is averaged to mono.
 
 :class:`WavReader` walks the chunk headers with reads and seeks and then
 reads the ``data`` chunk in whole frames, a chunk of frames at a time, so
-a recording of any length is decoded in bounded memory. ``chunks`` gives
-each chunk as a fresh :class:`Signal`; ``chunks_into`` decodes every chunk
-into the front of one caller's buffer, through one byte buffer, with the
-same arithmetic. :func:`read_wav` is the same reader taking every frame as
-one chunk. A ``data`` chunk cut short by the end of the file, or declaring
-a size that is not a whole number of frames, is read up to its last whole
-frame, with one warning when the header is parsed.
+a recording of any length is decoded in bounded memory: ``chunks_into``
+decodes every chunk into the front of one caller's buffer, through one
+byte buffer. :func:`read_wav` is the same reader taking every frame as one
+chunk, wrapped in a :class:`Signal`. A ``data`` chunk cut short by the end
+of the file, or declaring a size that is not a whole number of frames, is
+read up to its last whole frame, with one warning when the header is
+parsed.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from __future__ import annotations
 import os
 import struct
 import warnings
-from functools import partial
 from pathlib import Path
 from typing import BinaryIO, Iterator, NamedTuple
 
@@ -168,20 +167,16 @@ def _read_header(fh: BinaryIO) -> _Layout:
                    start, frames)
 
 
-def _decode(
-    raw: bytes | memoryview, layout: _Layout, padded: np.ndarray | None = None
-) -> np.ndarray:
+def _decode(raw: bytes | memoryview, layout: _Layout, padded: np.ndarray | None) -> np.ndarray:
     """Samples of whole frames in their container dtype, frames by channels.
 
     24-bit samples are widened in ``padded``, a zeroed uint8 array of at
     least one row of 4 per sample, whose pad bytes stay zero from one call
-    to the next, or in a fresh one.
+    to the next.
     """
     if layout.width == 3:
         # 24-bit samples go to the high bytes of an int32, as left-justified PCM
         triples = np.frombuffer(raw, np.uint8).reshape(-1, 3)
-        if padded is None:
-            padded = np.zeros((triples.shape[0], 4), np.uint8)
         padded = padded[: triples.shape[0]]
         (padded[:, 1:] if layout.order == "<" else padded[:, :3])[...] = triples
         data = padded.view(layout.dtype)[:, 0]
@@ -245,11 +240,6 @@ class WavReader:
         """Whole frames in the ``data`` chunk, one mono sample each once decoded."""
         return self._layout.frames
 
-    def chunks(self, frames: int) -> Iterator[Signal]:
-        """Consecutive mono Signals of ``frames`` frames each; the last may be shorter."""
-        # map drops each decoded array as soon as its Signal has copied it
-        return map(partial(Signal, sample_rate_hz=self.sample_rate_hz), self._decoded(frames, None))
-
     def chunks_into(self, out: NDArray[np.float64]) -> Iterator[NDArray[np.float64]]:
         """Consecutive chunks of ``len(out)`` frames, the last maybe shorter,
         each decoded into the front of ``out`` and yielded as that view.
@@ -258,37 +248,19 @@ class WavReader:
         nothing is allocated. Each chunk overwrites the one before, and its
         samples are not checked for finiteness.
         """
-        return self._decoded(len(out), out)
-
-    def _decoded(
-        self, frames: int, out: NDArray[np.float64] | None
-    ) -> Iterator[NDArray[np.float64]]:
-        """Chunks of ``frames`` mono samples: given ``out``, in its front, read
-        into one byte buffer; otherwise each in a fresh array, read as fresh
-        bytes, which only the caller refers to once it is yielded."""
+        frames = len(out)
         if frames < 1:
             raise ValueError(f"frames per chunk must be positive, got {frames}")
         layout = self._layout
         self._fh.seek(layout.start)
-        buffer = padded = None
-        if out is not None:
-            buffer = memoryview(bytearray(frames * layout.block_align))
-            if layout.width == 3:
-                padded = np.zeros((frames * layout.channels, 4), np.uint8)
+        buffer = memoryview(bytearray(frames * layout.block_align))
+        padded = np.zeros((frames * layout.channels, 4), np.uint8) if layout.width == 3 else None
         for first in range(0, layout.frames, frames):
             count = min(frames, layout.frames - first)
-            size = count * layout.block_align
-            if buffer is None:
-                raw = self._fh.read(size)
-                got = len(raw)
-            else:
-                raw = buffer[:size]
-                got = self._fh.readinto(raw)
-            if got != size:
+            raw = buffer[: count * layout.block_align]
+            if self._fh.readinto(raw) != len(raw):
                 raise WavFormatError(f"{self.path}: file ended inside the data chunk")
-            yield _to_mono(
-                _decode(raw, layout, padded), np.empty(count) if out is None else out[:count]
-            )
+            yield _to_mono(_decode(raw, layout, padded), out[:count])
 
     def close(self) -> None:
         self._fh.close()
@@ -303,4 +275,4 @@ class WavReader:
 def read_wav(path: str | Path) -> Signal:
     """Decode a WAV file to a mono, full-scale-normalized Signal."""
     with WavReader(path) as wav:
-        return next(wav.chunks(wav.frames))
+        return Signal(next(wav.chunks_into(np.empty(wav.frames))), wav.sample_rate_hz)

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -14,6 +15,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 import pytest
@@ -39,19 +41,18 @@ from wakenode.cli import (
     CONFIG_ENV_VAR,
     CSV_BLOCK_ROWS,
     CSV_SPLIT_ROWS,
-    WAV_CHUNK_FRAMES,
     CliError,
     _csv_blocks,
     _finish,
     _publish,
+    _score_wavs,
     _trace_csv,
     data_path,
     main,
 )
-from wakenode.coherence import SCORE_RATE_HZ, analysis_welch, score_streams
-from wakenode.config import RunConfig, load_run_config, parse_run_config
+from wakenode.coherence import analysis_welch
+from wakenode.config import RunConfig, _settable, load_run_config, parse_run_config
 from wakenode.frontend import EnvelopeDetector
-from wakenode.signals import Resampler
 from wakenode.wavio import WavReader
 
 from conftest import add_noise_at_snr, shift_right, urban_like_signal
@@ -702,6 +703,55 @@ class TestWakeChainClosedForm:
         ]
         assert runs == expected
 
+    def test_wav_route_matches_the_scenario_route(self, tmp_path, capsys):
+        # a scenario, and a WAV of it at 16 kHz: an fs/4 tone of amplitude
+        # 0.75 during each sound segment (crests at the segment's second
+        # sample and 3 samples before its end), zeros elsewhere; fs tau = 420,
+        # long enough for the level to hold between crests 4 samples apart
+        segments = [(0.3, False), (0.2, True), (0.4, False), (0.15, True), (0.25, False)]
+        fs_tau, amplitude = 420.0, 0.75
+        bounds = np.cumsum([0] + [round(d * RATE) for d, _ in segments])
+        x = np.zeros(bounds[-1])
+        for (_, sound), start, end in zip(segments, bounds, bounds[1:]):
+            if sound:
+                x[start + 1 : end : 4] = amplitude
+                x[start + 3 : end : 4] = -amplitude
+        wav, scenario = tmp_path / "scenario.wav", tmp_path / "scenario.yaml"
+        wavfile.write(wav, RATE, x)
+        scenario.write_text("segments:\n" + "".join(
+            f"  - {{duration_s: {d}, sound: {str(sound).lower()}}}\n" for d, sound in segments
+        ))
+        config = write_config(
+            tmp_path,
+            f"circuit:\n  c5_f: {fs_tau / (RATE * 1e7):.17e}\n  diode_drop_v: {DROP_V}\n"
+            "node:\n  hold_time_s: 0.05\n",
+        )
+        routes = []
+        for source in (["--scenario", str(scenario)], ["--wav", str(wav)]):
+            out = tmp_path / source[0].strip("-")
+            args = ["--config", config, "--out-dir", str(out), "simulate", *source]
+            args += ["--threshold-v", str(THRESHOLD_V), "--mic-scale-v", str(MIC_V)]
+            assert main(args) == 0, capsys.readouterr().err
+            rows = [line.split(",") for line in (out / "trace.csv").read_text().splitlines()[1:]]
+            transmit = [(float(r[0]), float(r[1])) for r in rows if r[2] == "transmit"]
+            routes.append((np.array(transmit), json.loads(capsys.readouterr().out)["duty_cycle"]))
+        (scenario_runs, scenario_duty), (wav_runs, wav_duty) = routes
+
+        # the closed forms of the class docstring: the first crest wakes the
+        # node, one sample into the segment; the last crest's level decays
+        # to V_wake in ceil(fs tau ln(V_crest / V_wake)) samples
+        crest_v = 3.3 / 2 + 101 * MIC_V * amplitude
+        assert crest_v < 3.3 and crest_v > THRESHOLD_V * 101 + 2 * DROP_V
+        v_wake = THRESHOLD_V * 101 + DROP_V
+        assert (crest_v - DROP_V) * math.exp(-4 / fs_tau) > v_wake
+        decay = fs_tau * math.log((crest_v - DROP_V) / v_wake)
+        assert 0.05 < decay % 1 < 0.95  # 53.56: no rounding near a whole sample decides it
+        to_wake, to_sleep = 1 / RATE, (math.ceil(decay) - 3) / RATE
+        assert wav_runs.shape == scenario_runs.shape == (2, 2)
+        np.testing.assert_allclose(wav_runs - scenario_runs, [[to_wake, to_sleep]] * 2, atol=1e-9)
+        total_s = bounds[-1] / RATE
+        assert wav_duty - scenario_duty == pytest.approx(2 * (to_sleep - to_wake) / total_s, abs=1e-12)
+
 
 def header_wav(rate: int, tag: int = 1, bits: int = 16, frames: int = 4000) -> bytes:
     """A 44-byte-header mono WAV: 16-bit PCM (tag 1) or 32-bit float (tag 3)
@@ -756,6 +806,25 @@ def reject_constant(name: str) -> None:
     raise ValueError(f"{name} is not strict JSON")
 
 
+def assert_whole_run_or_one_coded_error(argv: list[str], out: Path) -> None:
+    """Run ``main`` on ``argv`` with ``--out-dir out``: either exit 0 with
+    strict-JSON stdout, the same results in its report and its CSV beside
+    it, or exit 1 with one ``[E_*]`` code that is not ``E_INTERNAL`` and no
+    output directory."""
+    code, stdout, stderr = run_in_process(["--out-dir", str(out), *argv])
+    if code == 0:
+        results = json.loads(stdout, parse_constant=reject_constant)
+        (report,) = out.glob("*_report.json")
+        assert json.loads(report.read_text(), parse_constant=reject_constant)["results"] == results
+        (csv_name,) = [name for key, name in results.items() if key.endswith("_csv")]
+        assert (out / csv_name).is_file()
+    else:
+        assert code == 1, stderr
+        codes = re.findall(r"\[(E_[A-Z_]+)\]", stderr)
+        assert len(codes) == 1 and codes[0] != "E_INTERNAL", stderr
+        assert not out.exists()
+
+
 class TestWavHeaders:
     @pytest.mark.parametrize("tag, bits", [(1, 16), (3, 32)])
     def test_zero_hz_header_is_a_wav_error(self, tmp_path, capsys, tag, bits):
@@ -776,21 +845,9 @@ class TestWavHeaders:
     @settings(max_examples=150, deadline=None)
     def test_any_header_gives_a_whole_run_or_one_coded_error(self, wav_bytes):
         with tempfile.TemporaryDirectory() as tmp:
-            wav, out = Path(tmp) / "a.wav", Path(tmp) / "out"
+            wav = Path(tmp) / "a.wav"
             wav.write_bytes(wav_bytes)
-            code, stdout, stderr = run_in_process(
-                ["--out-dir", str(out), "simulate", "--wav", str(wav)]
-            )
-            if code == 0:
-                results = json.loads(stdout, parse_constant=reject_constant)
-                report = json.loads((out / "simulate_report.json").read_text())
-                assert report["results"] == results
-                assert (out / "trace.csv").is_file()
-            else:
-                assert code == 1, stderr
-                codes = re.findall(r"\[(E_[A-Z_]+)\]", stderr)
-                assert len(codes) == 1 and codes[0] != "E_INTERNAL", stderr
-                assert not out.exists()
+            assert_whole_run_or_one_coded_error(["simulate", "--wav", str(wav)], Path(tmp) / "out")
 
 
 # ----------------------------------------------------------------------
@@ -835,25 +892,12 @@ def mutated_tables(draw, table: list[list[str]]) -> str:
     return ("\ufeff" if draw(st.booleans()) else "") + text.getvalue()
 
 
-def assert_whole_run_or_one_coded_error(command: str, table: str) -> None:
-    """Run ``command`` on ``table`` through ``main``: either exit 0 with
-    strict-JSON stdout, its report and CSV, or exit 1 with one ``[E_*]``
-    code that is not ``E_INTERNAL`` and no output directory."""
+def assert_table_run_or_one_coded_error(command: str, table: str) -> None:
+    """``command`` on ``table``, as :func:`assert_whole_run_or_one_coded_error` checks it."""
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = Path(tmp) / "table.csv", Path(tmp) / "out"
+        path = Path(tmp) / "table.csv"
         path.write_text(table, encoding="utf-8", newline="")
-        code, stdout, stderr = run_in_process(["--out-dir", str(out), command, str(path)])
-        if code == 0:
-            results = json.loads(stdout, parse_constant=reject_constant)
-            report = json.loads((out / f"{command.replace('-', '_')}_report.json").read_text())
-            assert report["results"] == results
-            csv_name = "ranking.csv" if command == "rank-mics" else "residuals.csv"
-            assert (out / csv_name).is_file()
-        else:
-            assert code == 1, stderr
-            codes = re.findall(r"\[(E_[A-Z_]+)\]", stderr)
-            assert len(codes) == 1 and codes[0] != "E_INTERNAL", stderr
-            assert not out.exists()
+        assert_whole_run_or_one_coded_error([command, str(path)], Path(tmp) / "out")
 
 
 class TestCsvTables:
@@ -872,13 +916,128 @@ class TestCsvTables:
     @given(table=mutated_tables(MIC_TABLE))
     @settings(max_examples=100, deadline=None)
     def test_any_mic_table_gives_a_whole_run_or_one_coded_error(self, table):
-        assert_whole_run_or_one_coded_error("rank-mics", table)
+        assert_table_run_or_one_coded_error("rank-mics", table)
 
     # a fit that succeeds costs ~60 ms, and about one example in five is one
     @given(table=mutated_tables(CAL_TABLE))
     @settings(max_examples=40, deadline=None)
     def test_any_calibration_table_gives_a_whole_run_or_one_coded_error(self, table):
-        assert_whole_run_or_one_coded_error("calibrate", table)
+        assert_table_run_or_one_coded_error("calibrate", table)
+
+
+# ----------------------------------------------------------------------
+# config trees and numeric flags: every settable field and every numeric
+# flag, at any extreme of its type, is one coded error or a whole run
+
+# the ends of float64 (the smallest subnormal and the largest finite), zero,
+# a negative number, an infinity and NaN
+FLOAT_EXTREMES = [5e-324, 1.7976931348623157e308, 0.0, -1.0, math.inf, math.nan]
+INT_EXTREMES = [-1, 0, 1, 2, 2**63]
+
+
+def config_leaves(cls: type, path: tuple[str, ...] = ()) -> list[tuple[tuple[str, ...], Any]]:
+    """(YAML path, type) of every settable field under ``cls``, found as
+    the config loader finds them; ``out_dir`` is read from ``io``."""
+    leaves = []
+    for name, kind in _settable(cls).items():
+        if dataclasses.is_dataclass(kind):
+            leaves += config_leaves(kind, (*path, name))
+        else:
+            leaves.append(((*path, name) if name != "out_dir" else ("io", name), kind))
+    return leaves
+
+
+CONFIG_LEAVES = config_leaves(RunConfig)
+
+
+def typed_extremes(kind: Any) -> list[Any]:
+    """Values of a field of type ``kind`` at the extremes of its type: for
+    text, empty and non-ASCII; for an enum, each member and no member."""
+    if kind is float:
+        return FLOAT_EXTREMES
+    if kind is int:
+        return INT_EXTREMES
+    if kind == int | None:
+        return [None, *INT_EXTREMES]
+    if kind is str:
+        return ["", "\u00e9\u4e2d"]
+    return [*(member.value for member in kind), "none"]
+
+
+@st.composite
+def config_trees(draw) -> dict[str, Any]:
+    """One section of the default run config, as a config file sets it
+    (``snapshot``), with one settable field set to an extreme of its type.
+    The space is finite, so hypothesis draws each field at each extreme
+    before it stops."""
+    (*keys, name), kind = draw(st.sampled_from(CONFIG_LEAVES))
+    tree = {keys[0]: RunConfig().snapshot()[keys[0]]}
+    section = tree
+    for key in keys:
+        section = section[key]
+    section[name] = draw(st.sampled_from(typed_extremes(kind)))
+    return tree
+
+
+def yaml_text(tree: dict[str, Any], indent: str = "") -> str:
+    """``tree`` as block YAML, much faster than ``yaml.safe_dump``: each
+    scalar is its JSON, which YAML reads as the same scalar, or ``.nan``
+    or ``.inf``."""
+    lines = []
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            lines.append(f"{indent}{key}:\n{yaml_text(value, indent + '  ')}")
+            continue
+        if isinstance(value, float) and not math.isfinite(value):
+            text = ".nan" if math.isnan(value) else ("-.inf" if value < 0 else ".inf")
+        else:
+            text = json.dumps(value)
+        lines.append(f"{indent}{key}: {text}\n")
+    return "".join(lines)
+
+
+# a value of each numeric flag: an extreme, or any float
+FLAG_VALUES = st.one_of(st.sampled_from(FLOAT_EXTREMES), st.floats())
+
+
+@st.composite
+def flagged_commands(draw) -> list[str]:
+    """``simulate`` of a WAV (``{wav}``) or of the urban scenario, or
+    ``rank-mics``, each with or without each of its numeric flags."""
+    command = draw(st.sampled_from(["--wav", "--scenario", "rank-mics"]))
+    if command == "rank-mics":
+        argv, flags = ["rank-mics", str(data_path("microphones.csv"))], ["--supply"]
+    else:
+        source = "{wav}" if command == "--wav" else "urban"
+        argv, flags = ["simulate", command, source], ["--threshold-v", "--mic-scale-v"]
+    for flag in flags:
+        if draw(st.booleans()):
+            argv.append(f"{flag}={draw(FLAG_VALUES)!r}")
+    return argv
+
+
+def assert_config_run_or_one_coded_error(tree: dict[str, Any], argv: list[str]) -> None:
+    """``argv`` with ``tree`` as its config file and a 0.5 s WAV for
+    ``{wav}``, as :func:`assert_whole_run_or_one_coded_error` checks it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        wav, path = Path(tmp) / "a.wav", Path(tmp) / "config.yaml"
+        wav.write_bytes(VALID_WAV)
+        path.write_text(yaml_text(tree))
+        argv = ["--config", str(path), *(arg.format(wav=wav) for arg in argv)]
+        assert_whole_run_or_one_coded_error(argv, Path(tmp) / "out")
+
+
+class TestConfigTrees:
+    # simulate --wav builds every record and every stage of the chain
+    @given(tree=config_trees())
+    @settings(max_examples=200, deadline=None)
+    def test_any_field_at_any_extreme_gives_a_whole_run_or_one_coded_error(self, tree):
+        assert_config_run_or_one_coded_error(tree, ["simulate", "--wav", "{wav}"])
+
+    @given(argv=flagged_commands())
+    @settings(max_examples=40, deadline=None)
+    def test_any_numeric_flags_give_a_whole_run_or_one_coded_error(self, argv):
+        assert_config_run_or_one_coded_error({}, argv)
 
 
 # ----------------------------------------------------------------------
@@ -925,23 +1084,13 @@ def coherence_peaks(out: Path, pairs) -> list[int]:
 
 def scoring_peaks(pairs) -> list[int]:
     """tracemalloc's peak while each pair is scored as ``coherence`` streams
-    it: decoded in chunks of ``WAV_CHUNK_FRAMES``, each resampled to the
-    scoring rate and fed to ``score_streams``, without the CSV and report."""
+    it (``_score_wavs``), without the CSV and report."""
     peaks = []
     for pair in pairs:
         tracemalloc.start()
         try:
             with WavReader(pair[0]) as source, WavReader(pair[1]) as recording:
-                score_streams(
-                    *(
-                        map(
-                            Resampler(wav.sample_rate_hz, SCORE_RATE_HZ, wav.frames).feed,
-                            wav.chunks(WAV_CHUNK_FRAMES),
-                        )
-                        for wav in (source, recording)
-                    ),
-                    analysis_welch(),
-                )
+                _score_wavs(source, recording, analysis_welch())
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -982,6 +1131,16 @@ class TestCoherenceStreaming:
         long_pair = write_pair(tmp_path, 8000, *repeated)
         peaks = coherence_peaks(tmp_path / "out", (pair_95s[1], long_pair))
         assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+    def test_8khz_pair_scores_from_the_reader_buffers(self, pair_95s):
+        # at 8 kHz the resampler passes each chunk through, so the scorer is
+        # given each reader's buffer, which the reader's next chunk overwrites
+        with WavReader(pair_95s[1][0]) as source, WavReader(pair_95s[1][1]) as recording:
+            details = _score_wavs(source, recording, analysis_welch())
+        whole = score_with_details(*(read_wav(path) for path in pair_95s[1]))
+        assert details.delay_samples == whole.delay_samples == 2000
+        assert np.array_equal(details.estimate.values, whole.estimate.values)
+        assert details.score == whole.score
 
     # 48 kHz pulled down by 1.001, and rates whose reduced ratios to 8 kHz
     # have 1000 and 8000 phases; the scoring alone, as the two tests above
@@ -1086,7 +1245,7 @@ class TestCoherenceReadsWholeFiles:
         def no_decoding(*args):
             raise AssertionError("a WAV was decoded")
 
-        monkeypatch.setattr(wakenode.cli.WavReader, "chunks", no_decoding)
+        monkeypatch.setattr(wakenode.cli.WavReader, "chunks_into", no_decoding)
         config = write_config(tmp_path, f"welch:\n  {welch}\n")
         out = tmp_path / "out"
         assert main(["--config", config, "--out-dir", str(out), "coherence", *pair_95s[0]]) == 1

@@ -510,7 +510,7 @@ def chunked(x: np.ndarray, rate: float, frames: int, target: float = 8000.0):
     """``x`` resampled to ``target`` chunk by chunk, as the CLI streams a file."""
     resampler = Resampler(rate, target, len(x))
     for start in range(0, len(x), frames):
-        yield resampler.feed(Signal(x[start : start + frames], rate))
+        yield resampler.feed(x[start : start + frames])
 
 
 def whole_signal_score(src: np.ndarray, rec: np.ndarray) -> tuple[int, np.ndarray, float]:
