@@ -10,8 +10,10 @@ imported from the module that defines it on first use. ``import
 wakenode``, and ``import wakenode.cli``, load no numpy: the records that
 the commands parse and the microphone ranking live in
 :mod:`wakenode.records`, which is plain Python. Each command imports its
-numerics where it runs, so ``rank-mics`` never imports numpy, while
-``coherence``, ``simulate`` and ``calibrate`` import it once they start.
+numerics where it runs, so ``rank-mics`` never imports numpy, nor does
+``simulate --scenario``, whose power model is plain Python, while
+``coherence``, ``simulate --wav`` and ``calibrate`` import it once they
+start.
 
 Importing the package pins OpenBLAS to one thread, unless the caller set
 ``OPENBLAS_NUM_THREADS`` or numpy was already imported. When numpy loads,

@@ -32,8 +32,9 @@ Each command imports the numerics it computes with where it runs, not
 when this module loads: the records the commands parse, the microphone
 ranking and the error classes mapped to ``E_*`` codes come from the
 numpy-free :mod:`wakenode.records`. Importing this module therefore loads
-no numpy, ``rank-mics`` runs without it, and ``coherence``, ``simulate``
-and ``calibrate`` import it as they start. Such an import runs while
+no numpy. ``rank-mics`` and ``simulate --scenario``, whose power model is
+plain Python, run without it; ``coherence``, ``simulate --wav`` and
+``calibrate`` import it as they start. Such an import runs while
 :func:`main` records warnings, so a warning it raised would go into the
 report. ``simulate`` and ``WavReader``, which the commands import that
 way, can still be read as attributes of this module.
@@ -395,7 +396,12 @@ def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
         # 90 s but resample to exactly 720 000 samples at 8 kHz
         for label, wav in files:
             check_duration(label, wav.frames / wav.sample_rate_hz)
-        details = _score_wavs(source_file, recording_file, welch)
+        try:
+            details = _score_wavs(source_file, recording_file, welch)
+        except OverflowError as exc:
+            raise CliError(
+                "E_INPUT", f"cannot score {args.recording_wav} against {args.source_wav}: {exc}"
+            ) from exc
 
     inputs = {
         "source_wav": _input_entry(args.source_wav),
@@ -420,18 +426,21 @@ BUILTIN_SCENARIOS: dict[str, Callable[[], Scenario]] = {
 
 
 def _trace_csv(trace: SimTrace, node: NodeConfig) -> Iterator[str]:
-    import numpy as np
-
+    """``trace.csv`` of either route: the timeline's columns are lists for a
+    scenario, so that route loads no numpy, and arrays for a WAV."""
     t_start, t_end, transmit = trace.timeline()
     # a row's state and power cells depend on its state alone: each row
     # refers to one of two strings, indexed by its state as 0 or 1
     profile = node.profile
-    cells = np.array(
-        [f"sleep,{float(profile.sleep_mw)!r}", f"transmit,{float(profile.transmit_mw)!r}"],
-        dtype=object,
-    )
+    cells = [f"sleep,{float(profile.sleep_mw)!r}", f"transmit,{float(profile.transmit_mw)!r}"]
+    if isinstance(transmit, list):
+        states: list | np.ndarray = [cells[state] for state in transmit]
+    else:
+        import numpy as np
+
+        states = np.array(cells, dtype=object)[transmit.view(np.uint8)]
     header = "t_start_s,t_end_s,state,power_mw\n"
-    return _csv_blocks(header, "%r,%r,%s\n", t_start, t_end, cells[transmit.view(np.uint8)])
+    return _csv_blocks(header, "%r,%r,%s\n", t_start, t_end, states)
 
 
 def _wake_runs(

@@ -170,21 +170,23 @@ class WelchAccumulator:
     def _add_segment(self) -> None:
         # fx * conj(fx), conj(fx) * fy and fy * conj(fy), each computed in
         # ``product``; fx is dropped before fy is transformed, so only one
-        # transform is held at a time
-        window, buffers, windowed, product = self._work
-        gxy, gxx, gyy = self._sums
-        np.multiply(window, buffers[0], out=windowed)
-        fx = np.fft.rfft(windowed, self._nfft)
-        np.multiply(fx, np.conjugate(fx, out=product), out=product)
-        gxx += product.real
-        np.conjugate(fx, out=product)
-        del fx
-        np.multiply(window, buffers[1], out=windowed)
-        fy = np.fft.rfft(windowed, self._nfft)
-        np.multiply(product, fy, out=product)
-        gxy += product
-        np.multiply(fy, np.conjugate(fy, out=product), out=product)
-        gyy += product.real
+        # transform is held at a time. Finite samples overflow only near the
+        # float limit, and _coherence then rejects the sums.
+        with np.errstate(over="ignore", invalid="ignore"):
+            window, buffers, windowed, product = self._work
+            gxy, gxx, gyy = self._sums
+            np.multiply(window, buffers[0], out=windowed)
+            fx = np.fft.rfft(windowed, self._nfft)
+            np.multiply(fx, np.conjugate(fx, out=product), out=product)
+            gxx += product.real
+            np.conjugate(fx, out=product)
+            del fx
+            np.multiply(window, buffers[1], out=windowed)
+            fy = np.fft.rfft(windowed, self._nfft)
+            np.multiply(product, fy, out=product)
+            gxy += product
+            np.multiply(fy, np.conjugate(fy, out=product), out=product)
+            gyy += product.real
         self._left -= 1
 
     def finish(self) -> _Spectra:
@@ -235,9 +237,15 @@ def _require_two_segments(p: WelchParams) -> None:
 
 
 def _coherence(spectra: _Spectra, p: WelchParams, sample_rate_hz: float) -> CoherenceEstimate:
-    """|G_xy|^2 / (G_xx G_yy) of Welch spectra, clamped to [0, 1]."""
+    """|G_xy|^2 / (G_xx G_yy) of Welch spectra, clamped to [0, 1]; spectra
+    whose product overflows raise OverflowError."""
     freqs, gxy, gxx, gyy = spectra
-    denom = gxx * gyy
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = gxx * gyy
+    # the max is NaN or inf if any bin is; with G_xx G_yy finite, |G_xy|^2,
+    # which never exceeds it, is finite too
+    if not np.isfinite(denom.max()):
+        raise OverflowError("the Welch spectra overflowed: the samples are too large to score")
     with np.errstate(divide="ignore", invalid="ignore"):
         values = np.abs(gxy) ** 2 / denom
     values = np.where(denom < POWER_FLOOR, 0.0, values)

@@ -3,22 +3,29 @@ duty-cycle and savings computation, and battery-lifetime projection.
 
 :func:`simulate` takes wake intervals from a scenario's sound segments,
 :class:`WakeRuns` from a comparator output's low runs, found chunk by
-chunk with array edge detection. Both merge them with array operations and
-integrate energy exactly; the trace holds the transmit intervals as one
-array and the sleep/transmit timeline is derived from it. All inputs are
-immutable, so independent scenario/profile sweeps can run concurrently.
+chunk with array edge detection. A scenario is a handful of segments:
+:func:`simulate` merges their intervals in one plain-Python pass, so
+``simulate --scenario`` loads no numpy. A wake signal gives thousands of
+runs, merged with array operations. Both integrate energy exactly with one
+formula; the trace holds the transmit intervals, and the sleep/transmit
+timeline is derived from them. All inputs are immutable, so independent
+scenario/profile sweeps can run concurrently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
+from typing import TYPE_CHECKING
 
-import numpy as np
-from numpy.typing import NDArray
-
-from .frontend import BinarySignal
 from .records import NodeConfig, PowerProfile, Scenario
+
+if TYPE_CHECKING:
+    import numpy as np
+    from numpy.typing import NDArray
+
+    from .frontend import BinarySignal
 
 __all__ = [
     "SimTrace",
@@ -34,28 +41,61 @@ __all__ = [
 class SimTrace:
     """Transmit intervals over ``[0, total_s]`` with their integrated energy figures.
 
-    ``wake_s`` is a read-only ``(n, 2)`` array of sorted, disjoint
-    ``[start, end)`` transmit intervals in seconds; the node sleeps between.
+    ``wake_s`` holds sorted, disjoint ``[start, end)`` transmit intervals in
+    seconds; the node sleeps between. From :func:`simulate` it is a tuple of
+    ``(start, end)`` float pairs, from a wake signal a read-only ``(n, 2)``
+    array.
     """
 
-    wake_s: NDArray[np.float64]
+    wake_s: tuple[tuple[float, float], ...] | NDArray[np.float64]
     total_s: float
     energy_mwh: float
     duty_cycle: float
     avg_power_mw: float
 
-    def timeline(self) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.bool_]]:
-        """The contiguous state timeline as ``(t_start, t_end, transmit)`` rows.
+    def timeline(self) -> tuple[list, list, list] | tuple[NDArray, NDArray, NDArray]:
+        """The contiguous state timeline as ``(t_start, t_end, transmit)`` columns:
+        lists of Python floats and bools for a tuple ``wake_s``, arrays for an
+        array one.
 
         The sleep gaps go around the transmit rows. A sleep gap of zero length
         is dropped, a transmit row never is; no wake interval gives the one
         sleep row ``[0, total_s)``.
         """
+        if isinstance(self.wake_s, tuple):
+            bounds = [0.0, *chain.from_iterable(self.wake_s), self.total_s]
+            rows = [
+                (start, end, i % 2 == 1)
+                for i, (start, end) in enumerate(zip(bounds, bounds[1:]))
+                if i % 2 or end > start
+            ]
+            return tuple(map(list, zip(*rows)))
+        import numpy as np
+
         bounds = np.concatenate(([0.0], self.wake_s.ravel(), [self.total_s]))
         transmit = np.zeros(len(bounds) - 1, dtype=bool)
         transmit[1::2] = True
         keep = transmit | (bounds[1:] > bounds[:-1])
         return bounds[:-1][keep], bounds[1:][keep], transmit[keep]
+
+
+def _integrated(
+    wake_s: tuple[tuple[float, float], ...] | NDArray[np.float64],
+    transmit: list[float],
+    total_s: float,
+    config: NodeConfig,
+) -> SimTrace:
+    """The trace of ``wake_s``, whose interval lengths are ``transmit``, with
+    its energy integrated exactly: the builtin sum adds the Python floats in
+    order, as a loop over the intervals does."""
+    profile = config.profile
+    transmit_s = sum(transmit)
+    sleep_s = total_s - transmit_s
+    energy_mws = transmit_s * profile.transmit_mw + sleep_s * profile.sleep_mw
+    energy_mwh = energy_mws / 3600.0
+    duty = transmit_s / total_s
+    avg_power_mw = energy_mwh / (total_s / 3600.0)
+    return SimTrace(wake_s, total_s, energy_mwh, duty, avg_power_mw)
 
 
 def _trace(
@@ -67,22 +107,15 @@ def _trace(
     ``ends`` is how far the intervals so far reach, and interval i opens a
     merged one where it starts past that reach (equal starts always merge).
     """
+    import numpy as np
+
     reach = np.maximum.accumulate(ends)
     opens = np.ones(len(starts), dtype=bool)
     opens[1:] = starts[1:] > reach[:-1]
     # a merged interval ends where the next one opens, or at the last interval
     wake_s = np.column_stack((starts[opens], reach[np.roll(opens, -1)]))
     wake_s.flags.writeable = False
-
-    profile = config.profile
-    # builtin sum over Python floats, in order, as a loop over the intervals adds
-    transmit_s = sum((wake_s[:, 1] - wake_s[:, 0]).tolist())
-    sleep_s = total_s - transmit_s
-    energy_mws = transmit_s * profile.transmit_mw + sleep_s * profile.sleep_mw
-    energy_mwh = energy_mws / 3600.0
-    duty = transmit_s / total_s
-    avg_power_mw = energy_mwh / (total_s / 3600.0)
-    return SimTrace(wake_s, total_s, energy_mwh, duty, avg_power_mw)
+    return _integrated(wake_s, (wake_s[:, 1] - wake_s[:, 0]).tolist(), total_s, config)
 
 
 def simulate(scenario: Scenario, config: NodeConfig) -> SimTrace:
@@ -92,15 +125,27 @@ def simulate(scenario: Scenario, config: NodeConfig) -> SimTrace:
     ``config.hold_time_s`` after it ends (capped at scenario end, merged
     with any wake interval it runs into); it sleeps otherwise. Energy is
     integrated exactly per interval.
+
+    The segments are contiguous and in order, so one pass over them merges
+    as it goes: a sound segment that starts within the open interval's
+    reach (an equal start included) extends it, any other closes it and
+    opens the next. Segment ends are running totals, added one segment at
+    a time, left to right.
     """
-    total_s = scenario.duration_s
-    durations = np.array([seg.duration_s for seg in scenario.segments])
-    sound = np.array([seg.sound_present for seg in scenario.segments], dtype=bool)
-    # cumsum adds one segment at a time, left to right, as a running total would
-    seg_end = np.cumsum(durations)
-    seg_start = np.concatenate(([0.0], seg_end[:-1]))
-    ends = np.minimum(seg_end[sound] + config.hold_time_s, total_s)
-    return _trace(seg_start[sound], ends, total_s, config)
+    total_s = float(scenario.duration_s)
+    wake: list[tuple[float, float]] = []
+    t = 0.0
+    for seg in scenario.segments:
+        start, t = t, t + seg.duration_s
+        if not seg.sound_present:
+            continue
+        # t never decreases, so neither does end: it is the reach so far
+        end = min(t + config.hold_time_s, total_s)
+        if wake and start <= wake[-1][1]:
+            wake[-1] = (wake[-1][0], end)
+        else:
+            wake.append((start, end))
+    return _integrated(tuple(wake), [end - start for start, end in wake], total_s, config)
 
 
 class WakeRuns:
@@ -116,6 +161,8 @@ class WakeRuns:
     """
 
     def __init__(self, sample_rate_hz: float) -> None:
+        import numpy as np
+
         self.sample_rate_hz = sample_rate_hz
         self._samples = 0
         self._ended_high = True  # quiet before the first sample
@@ -128,6 +175,8 @@ class WakeRuns:
         """Take the next chunk of the comparator output, in place:
         ``high[1:]`` holds the chunk (True for high), and ``high[0]`` is
         overwritten."""
+        import numpy as np
+
         samples = len(high) - 1
         # with the previous chunk's last level in front, change index i is
         # the chunk's first sample at the new level
@@ -143,6 +192,8 @@ class WakeRuns:
 
     def trace(self, config: NodeConfig) -> SimTrace:
         """Run the node over every chunk fed so far, as :func:`simulate_from_wake`."""
+        import numpy as np
+
         if self._samples == 0:
             raise ValueError("wake signal is empty")
         dt = 1.0 / self.sample_rate_hz
@@ -165,6 +216,8 @@ def simulate_from_wake(wake: BinarySignal, config: NodeConfig) -> SimTrace:
     is identical to :func:`simulate`. This is :class:`WakeRuns` fed the
     whole signal as one chunk.
     """
+    import numpy as np
+
     high = np.empty(len(wake) + 1, dtype=bool)
     high[1:] = wake.samples
     runs = WakeRuns(wake.sample_rate_hz)

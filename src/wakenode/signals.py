@@ -324,6 +324,9 @@ def find_delay(reference: Signal, candidate: Signal, search_window_samples: int)
     product zero-padded to the next 5-smooth length (160 000 points for two
     80 000-sample inputs), whose rounding decides between lags that tie or
     nearly tie.
+
+    Finite samples near the float limit can overflow the correlation; no lag
+    is chosen from it, and OverflowError is raised instead.
     """
     if reference.sample_rate_hz != candidate.sample_rate_hz:
         raise ValueError(
@@ -343,17 +346,23 @@ def find_delay(reference: Signal, candidate: Signal, search_window_samples: int)
 
     n, m, w = len(candidate), len(reference), search_window_samples
     nfft = _fft_length(n + m - 1)  # no circular wrap
-    if n * m <= DIRECT_CORRELATE_COST_RATIO * nfft * (nfft.bit_length() - 1):
-        # full cross-correlation; index i corresponds to lag i - (m - 1)
-        corr = np.correlate(candidate.samples, reference.samples, "full")[m - 1 - w : m + w]
-    else:
-        spectrum = np.fft.rfft(candidate.samples, nfft)
-        spectrum *= np.conj(np.fft.rfft(reference.samples, nfft))
-        circular = np.fft.irfft(spectrum, nfft)  # lag d at index d mod nfft
-        corr = np.concatenate((circular[nfft - w :], circular[: w + 1]))
+    # finite samples overflow only near the float limit, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n * m <= DIRECT_CORRELATE_COST_RATIO * nfft * (nfft.bit_length() - 1):
+            # full cross-correlation; index i corresponds to lag i - (m - 1)
+            corr = np.correlate(candidate.samples, reference.samples, "full")[m - 1 - w : m + w]
+        else:
+            spectrum = np.fft.rfft(candidate.samples, nfft)
+            spectrum *= np.conj(np.fft.rfft(reference.samples, nfft))
+            circular = np.fft.irfft(spectrum, nfft)  # lag d at index d mod nfft
+            corr = np.concatenate((circular[nfft - w :], circular[: w + 1]))
     lags = np.arange(-w, w + 1)
 
     best = np.max(corr)
+    if not np.isfinite(best):
+        raise OverflowError(
+            "the alignment cross-correlation overflowed: the samples are too large to align"
+        )
     tied = lags[corr == best]
     return int(min(tied, key=lambda d: (abs(d), d >= 0)))
 

@@ -1232,6 +1232,32 @@ class TestCoherenceReadsWholeFiles:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "kept, cause",
+        [
+            (0, "the alignment cross-correlation overflowed"),
+            # the first 10 s, all that the alignment reads, keep their scale
+            (80_000, "the Welch spectra overflowed"),
+        ],
+        ids=["alignment", "welch"],
+    )
+    def test_huge_finite_samples_fail_naming_the_cause(
+        self, tmp_path, capsys, pair_95s, kept, cause
+    ):
+        # float64 samples scaled to 1e308 are finite, so no finiteness check
+        # rejects them, but their products overflow
+        paths = []
+        for path in pair_95s[1]:
+            x = read_wav(path).samples.copy()
+            x[kept:] *= 1e308
+            paths.append(str(tmp_path / Path(path).name))
+            wavfile.write(paths[-1], 8000, x)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "coherence", *paths]) == 1
+        err = capsys.readouterr().err
+        assert f"[E_INPUT]: cannot score {paths[1]} against {paths[0]}: {cause}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "welch, message",
         [
             ("segment_count: 1", "two Welch segments"),

@@ -337,6 +337,20 @@ class TestCoherenceScore:
         with pytest.raises(ValueError, match="from 4000.0 Hz to target_rate_hz 8000.0"):
             score_with_details(low, low)
 
+    @pytest.mark.parametrize(
+        "kept, cause",
+        [(0, "alignment cross-correlation overflowed"), (80_000, "Welch spectra overflowed")],
+        ids=["alignment", "welch"],
+    )
+    def test_huge_finite_samples_rejected(self, urban_90s_8k, kept, cause):
+        # finite samples whose products overflow, from the first sample or
+        # after the 10 s the alignment reads; the overflow warns nothing
+        x = urban_90s_8k.samples.copy()
+        x[kept:] *= 1e308
+        huge = Signal(x, 8000.0)
+        with pytest.raises(OverflowError, match=cause):
+            score_with_details(huge, huge)
+
     def test_unalignable_recording_rejected(self):
         src = urban_like_signal(91.0, 8000.0, seed=8)
         # recording leads the source: content starts before the source's

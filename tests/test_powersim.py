@@ -23,6 +23,7 @@ from wakenode import (
     simulate_from_wake,
     threshold_out,
 )
+from wakenode.cli import _trace_csv
 from wakenode.powersim import SimTrace, WakeRuns, _trace
 
 ZIGBEE_STANDALONE = BUILTIN_PROFILES["zigbee-standalone"]
@@ -36,8 +37,10 @@ TraceRows = tuple[list[tuple[float, float, bool]], float, float, float]
 
 
 def trace_rows(trace: SimTrace) -> TraceRows:
-    """A trace's timeline rows and energy figures, to compare traces bit for bit."""
-    rows = list(zip(*(column.tolist() for column in trace.timeline())))
+    """A trace's timeline rows and energy figures, to compare traces bit for
+    bit; a scenario's timeline columns are lists, a wake signal's arrays."""
+    columns = trace.timeline()
+    rows = list(zip(*(c if isinstance(c, list) else c.tolist() for c in columns)))
     return rows, trace.energy_mwh, trace.duty_cycle, trace.avg_power_mw
 
 
@@ -97,6 +100,33 @@ def simulate_from_wake_oracle(wake: BinarySignal, config: NodeConfig) -> TraceRo
     if run_start is not None:
         intervals.append((run_start * dt, total_s))
     return trace_oracle(intervals, total_s, config)
+
+
+def simulate_by_arrays(scenario: Scenario, config: NodeConfig) -> SimTrace:
+    """Per-segment ``(start, end)`` arrays from a cumulative sum, merged by
+    the array ``_trace``: the reference for the one-pass merge of simulate."""
+    durations = np.array([seg.duration_s for seg in scenario.segments])
+    sound = np.array([seg.sound_present for seg in scenario.segments], dtype=bool)
+    # cumsum adds one segment at a time, left to right, as a running total would
+    seg_end = np.cumsum(durations)
+    seg_start = np.concatenate(([0.0], seg_end[:-1]))
+    total_s = scenario.duration_s
+    ends = np.minimum(seg_end[sound] + config.hold_time_s, total_s)
+    return _trace(seg_start[sound], ends, total_s, config)
+
+
+@st.composite
+def scenarios(draw: st.DrawFn) -> Scenario:
+    """Scenarios with 1e-18 s segments (each starts where the next does),
+    integer durations throughout or mixed in, and all-silent or all-sound
+    segments."""
+    integers = draw(st.booleans())
+    durations = st.integers(1, 300) if integers else st.one_of(
+        st.just(1e-18), st.floats(1e-3, 300.0), st.integers(1, 300)
+    )
+    sound = draw(st.sampled_from([st.booleans(), st.just(False), st.just(True)]))
+    segments = draw(st.lists(st.tuples(durations, sound), min_size=1, max_size=30))
+    return Scenario(tuple(ScenarioSegment(d, s) for d, s in segments))
 
 
 def random_scenario(rng: np.random.Generator) -> Scenario:
@@ -162,7 +192,7 @@ class TestSimulate:
         trace = simulate(scenario, NodeConfig(ZIGBEE_STANDALONE))
         assert trace.duty_cycle == 0.0
         assert trace.avg_power_mw == pytest.approx(ZIGBEE_STANDALONE.sleep_mw)
-        assert trace.wake_s.shape == (0, 2)
+        assert trace.wake_s == ()
         assert trace_rows(trace)[0] == [(0.0, 100.0, False)]
 
     def test_urban_scenario_closed_form(self):
@@ -193,9 +223,9 @@ class TestSimulate:
             )
         )
         trace = simulate(scenario, NodeConfig(ZIGBEE_STANDALONE, hold_time_s=5.0))
-        assert trace.wake_s.tolist() == [[0.0, pytest.approx(28.0)]]
-        assert not trace.wake_s.flags.writeable
-        assert trace.timeline()[2].tolist() == [True, False]
+        # a tuple of tuples: read-only, as a wake signal's array is
+        assert trace.wake_s == ((0.0, pytest.approx(28.0)),)
+        assert trace.timeline()[2] == [True, False]
 
     def test_hold_capped_at_scenario_end(self):
         scenario = Scenario((ScenarioSegment(50.0, False), ScenarioSegment(10.0, True)))
@@ -212,8 +242,8 @@ class TestSimulate:
             t_start, t_end, transmit = trace.timeline()
             assert t_start[0] == 0.0
             assert t_end[-1] == pytest.approx(scenario.duration_s)
-            assert np.array_equal(t_end[:-1], t_start[1:])
-            assert np.all(transmit[:-1] != transmit[1:])
+            assert t_end[:-1] == t_start[1:]
+            assert all(a != b for a, b in zip(transmit, transmit[1:]))
 
     @pytest.mark.parametrize("hold_time_s", [0.0, 0.5, 3.0])
     def test_equal_starts_match_loop_oracle(self, hold_time_s):
@@ -249,6 +279,40 @@ class TestSimulate:
             sound = sum(seg.sound_present for seg in scenario.segments)
             merged += len(trace.wake_s) < sound
         assert merged > 100  # most scenarios merge some wakes
+
+    @pytest.mark.parametrize(
+        "durations,sound,hold_time_s",
+        [
+            ([1.0, 1e-18, 2.0, 1e-18, 1.0, 1e-18], [0, 1, 1, 1, 0, 1], 0.0),
+            ([5.0, 1.0, 2.0], [0, 1, 0], 100.0),  # a hold past the end
+            ([100.0, 20.0], [0, 0], 3.0),  # all silent
+            ([60.0, 1e-18, 30.0], [1, 1, 1], 0.0),  # all sound
+            ([20, 100, 20, 100], [1, 0, 1, 0], 0.0),  # integer durations: 0.0 and 240.0
+            ([20, 1e-18, 100.5], [1, 1, 0], 7),
+        ],
+    )
+    def test_one_pass_merge_equals_the_array_merge(self, durations, sound, hold_time_s):
+        scenario = Scenario(
+            tuple(ScenarioSegment(d, bool(s)) for d, s in zip(durations, sound))
+        )
+        self.check_against_arrays(scenario, NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_time_s))
+
+    @given(scenario=scenarios(), hold_time_s=st.one_of(st.just(0.0), st.floats(0.0, 2000.0)))
+    @settings(max_examples=200, deadline=None)
+    def test_random_one_pass_merge_equals_the_array_merge(self, scenario, hold_time_s):
+        self.check_against_arrays(scenario, NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_time_s))
+
+    @staticmethod
+    def check_against_arrays(scenario: Scenario, config: NodeConfig) -> None:
+        """Bit-identical figures, rows and trace.csv bytes, with every
+        boundary a Python float, as ``%r`` prints the arrays' floats."""
+        plain, arrays = simulate(scenario, config), simulate_by_arrays(scenario, config)
+        assert trace_rows(plain) == trace_rows(arrays)
+        assert len(plain.wake_s) == len(arrays.wake_s)
+        t_start, t_end, transmit = plain.timeline()
+        assert {type(t) for t in t_start + t_end} == {float}
+        assert {type(t) for t in transmit} <= {bool}
+        assert "".join(_trace_csv(plain, config)) == "".join(_trace_csv(arrays, config))
 
     def test_nested_intervals_merge_as_the_loop_oracle(self):
         # neither caller passes an end below an earlier one; _trace takes it

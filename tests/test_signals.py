@@ -275,6 +275,14 @@ class TestFindDelay:
         for k in (-450, -7, 0, 3, 89, 450):
             assert find_delay(x, shift_right(x, k), 500) == k
 
+    @pytest.mark.parametrize("n", [6, 80_000], ids=["direct", "fft"])
+    def test_overflowing_correlation_is_rejected(self, n):
+        # finite samples whose products overflow: no lag can be read off, and
+        # the overflow warns nothing
+        x = Signal(np.random.default_rng(n).uniform(-1.0, 1.0, n) * 1e308, 8000.0)
+        with pytest.raises(OverflowError, match="alignment cross-correlation overflowed"):
+            find_delay(x, x, n // 2)
+
     def test_tie_prefers_smaller_magnitude(self):
         # symmetric triple peak: lags -2, 0, +2 all tie; want 0
         base = np.zeros(64)

@@ -13,8 +13,13 @@ numpy for every command. Each command imports its numerics while
 :func:`wakenode.cli.main` records warnings into the report, so a warning
 raised by an import would land in ``results.warnings``: on these clean
 inputs every report has none. A second fresh interpreter makes numpy
-unimportable and runs ``rank-mics``. Three more import ``wakenode.cli``
-with and without a preset ``OPENBLAS_NUM_THREADS`` and after numpy.
+unimportable and runs ``rank-mics`` and ``simulate --scenario`` (both
+built-in scenarios, a profile and a scenario file); each run's CSV and
+report must have the bytes this process, which has numpy, writes. An AST
+check keeps numpy and :mod:`wakenode.frontend` out of what
+:mod:`wakenode.powersim` imports as it loads, which that route needs.
+Three more interpreters import ``wakenode.cli`` with and without a preset
+``OPENBLAS_NUM_THREADS`` and after numpy.
 
 The package resolves its public names lazily, from one name-to-module
 table; every name it exported when it imported its modules eagerly must
@@ -31,6 +36,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -80,15 +86,25 @@ import contextlib, io, json, sys
 
 sys.modules["numpy"] = None  # every numpy import now raises ImportError
 
-from wakenode.cli import data_path, main
+from wakenode.cli import main
 runs = {}
-for step, flags in [("plain", []), ("analog", ["--analog", "--supply", "3.3"])]:
-    out_dir = f"{sys.argv[1]}/{step}"
+for step, args in json.loads(sys.argv[2]).items():
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(["--out-dir", out_dir, "rank-mics", str(data_path("microphones.csv")), *flags])
+        code = main(["--out-dir", f"{sys.argv[1]}/{step}", *args])
     runs[step] = [code, err.getvalue()]
 print(json.dumps(runs))
+"""
+
+# a scenario file whose wakes merge under a hold and whose sums are inexact
+SCENARIO_YAML = """segments:
+  - {duration_s: 0.1, sound: true}
+  - {duration_s: 0.2, sound: false}
+  - {duration_s: 1.0e-18, sound: true}
+  - {duration_s: 30.7, sound: true}
+  - {duration_s: 2.9, sound: false}
+  - {duration_s: 0.3, sound: true}
+  - {duration_s: 100, sound: false}
 """
 
 # the public names of the package, by the module that defined each when
@@ -203,25 +219,61 @@ def test_imports_inside_a_command_warn_nothing_into_its_report(runs, step):
     assert runs["warnings"][step] == []
 
 
-def test_rank_mics_runs_without_numpy(tmp_path, capsys):
+@pytest.fixture(scope="module")
+def numpy_free(tmp_path_factory):
+    """Each command that needs no numpy, run once in a fresh interpreter
+    where numpy is unimportable: ``(runs, tmp, steps)``. ``runs`` maps each
+    step to its ``[exit status, stderr]``, ``steps`` to its arguments, and
+    a step's out dir is ``tmp / "child" / step``."""
+    tmp = tmp_path_factory.mktemp("no-numpy")
+    (tmp / "scenario.yaml").write_text(SCENARIO_YAML)
+    config = tmp / "hold.yaml"
+    config.write_text("node:\n  hold_time_s: 2.5\n")
+    mics = str(wakenode.cli.data_path("microphones.csv"))
+    steps = {
+        "plain": ["rank-mics", mics],
+        "analog": ["rank-mics", mics, "--analog", "--supply", "3.3"],
+        "urban": ["simulate", "--scenario", "urban"],
+        "urban-ble": ["simulate", "--scenario", "urban", "--profile", "ble"],
+        "silence": ["simulate", "--scenario", "silence"],
+        "yaml": ["--config", str(config), "simulate", "--scenario", str(tmp / "scenario.yaml")],
+    }
     proc = subprocess.run(
-        [sys.executable, "-c", NO_NUMPY, str(tmp_path)],
+        [sys.executable, "-c", NO_NUMPY, str(tmp / "child"), json.dumps(steps)],
         capture_output=True,
         text=True,
         env=_child_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"plain": [0, ""], "analog": [0, ""]}
-    golden = Path(__file__).parent / "golden" / "ranking_analog_3v3.csv"
-    assert (tmp_path / "analog" / "ranking.csv").read_text() == golden.read_text()
-    # the plain ranking is the one this process, which has numpy, writes
-    mics = str(wakenode.cli.data_path("microphones.csv"))
-    assert wakenode.cli.main(["--out-dir", str(tmp_path / "here"), "rank-mics", mics]) == 0
+    return json.loads(proc.stdout), tmp, steps
+
+
+def same_outputs_as_here(numpy_free, step, names, capsys):
+    """Run ``step`` in this process, which has numpy, and check that each
+    file in ``names`` has the bytes of the numpy-free run, out dir aside."""
+    _, tmp, steps = numpy_free
+    here = tmp / "here" / step
+    assert wakenode.cli.main(["--out-dir", str(here), *steps[step]]) == 0
     capsys.readouterr()
-    for name in ("ranking.csv", "rank_mics_report.json"):
-        text = [(tmp_path / run / name).read_text() for run in ("plain", "here")]
-        assert text[0] == text[1].replace(str(tmp_path / "here"), str(tmp_path / "plain"))
+    for name in names:
+        child = (tmp / "child" / step / name).read_text()
+        assert child == (here / name).read_text().replace(str(here), str(tmp / "child" / step))
+
+
+def test_rank_mics_runs_without_numpy(numpy_free, capsys):
+    runs, tmp, _ = numpy_free
+    assert runs["plain"] == runs["analog"] == [0, ""]
+    golden = Path(__file__).parent / "golden" / "ranking_analog_3v3.csv"
+    assert (tmp / "child" / "analog" / "ranking.csv").read_text() == golden.read_text()
+    # the plain ranking is the one this process, which has numpy, writes
+    same_outputs_as_here(numpy_free, "plain", ["ranking.csv", "rank_mics_report.json"], capsys)
+
+
+@pytest.mark.parametrize("step", ["urban", "urban-ble", "silence", "yaml"])
+def test_simulate_scenario_runs_without_numpy(numpy_free, capsys, step):
+    assert numpy_free[0][step] == [0, ""]
+    same_outputs_as_here(numpy_free, step, ["trace.csv", "simulate_report.json"], capsys)
 
 
 @pytest.mark.parametrize("module, name", API_NAMES)
@@ -248,6 +300,37 @@ def top_level_names(path: str) -> set[str]:
 def test_a_module_exports_only_what_it_defines(module):
     mod = importlib.import_module(f"wakenode.{module}")
     assert set(mod.__all__) - top_level_names(mod.__file__) == set()
+
+
+def load_time_imports(path: str) -> list[str]:
+    """The modules a source imports as it loads: every import outside a
+    function body and outside an ``if TYPE_CHECKING:`` block, relative ones
+    with their leading dots."""
+    found: list[str] = []
+
+    def visit(nodes: Iterable[ast.AST]) -> None:
+        for node in nodes:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                found.extend(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                base = "." * node.level + (node.module or "")
+                found.extend([base] if node.module else (base + a.name for a in node.names))
+            visit(ast.iter_child_nodes(node))
+
+    visit(ast.parse(Path(path).read_text()).body)
+    return found
+
+
+def test_powersim_loads_no_numpy_and_no_frontend():
+    # simulate --scenario runs without numpy only while this holds
+    imports = load_time_imports(wakenode.powersim.__file__)
+    assert ".records" in imports
+    assert [m for m in imports if m.split(".")[0] == "numpy" or m == ".frontend"] == []
 
 
 def test_every_package_name_is_exported_by_its_home():
