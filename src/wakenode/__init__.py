@@ -1,9 +1,10 @@
 """Threshold-wake acoustic sensor node: behavioral simulation and analysis.
 
-The package covers four concerns: waveform primitives and the coherence
-scoring pipeline used to compare microphones, behavioral models of the
-analog wake-up chain, a sleep/transmit power simulator with battery
-projection, and the ADC-to-decibel calibration model.
+The package covers four concerns: the coherence scoring pipeline used to
+compare microphones, behavioral models of the analog wake-up chain, a
+sleep/transmit power simulator with battery projection, and the
+ADC-to-decibel calibration model. The names over whole ``Signal`` values
+are kept while the benchmark's tracer wraps them; no command runs them.
 
 The package resolves its public names lazily (PEP 562): a name is
 imported from the module that defines it on first use. ``import
@@ -46,14 +47,14 @@ _SOURCE = {
          "CircuitParams FitError MicCandidate MicConfiguration NodeConfig PowerProfile "
          "RankedMic Scenario ScenarioSegment WavFormatError WelchParams Window "
          "build_urban_scenario rank_microphones"),
-        ("calibrate", "CalibrationCurve adc_to_db db_to_adc fit_curve r_squared"),
-        ("coherence", "CoherenceEstimate coherence_score cross_spectral_density "
-         "magnitude_squared_coherence peak_envelope score_with_details"),
+        ("calibrate", "CalibrationCurve adc_to_db fit_curve r_squared"),
+        ("coherence", "CoherenceEstimate magnitude_squared_coherence peak_envelope "
+         "score_with_details"),
         ("frontend", "BinarySignal amplifier_gain amplify common_mode envelope_detect "
-         "gain_db threshold_out"),
+         "threshold_out"),
         ("powersim", "SimTrace battery_lifetime_days savings_percent simulate "
          "simulate_from_wake"),
-        ("signals", "Signal clip find_delay resample"),
+        ("signals", "Signal find_delay resample"),
         ("wavio", "read_wav"),
     )
     for name in names.split()

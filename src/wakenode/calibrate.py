@@ -22,7 +22,6 @@ from .records import CalibrationDomainError, CalPoint, FitError
 __all__ = [
     "CalibrationCurve",
     "adc_to_db",
-    "db_to_adc",
     "fit_curve",
     "r_squared",
 ]
@@ -52,19 +51,6 @@ def adc_to_db(x: float, curve: CalibrationCurve = CalibrationCurve()) -> float:
             "the reading is unmeasurably quiet"
         )
     return curve.a * (x - curve.c) ** curve.b + curve.d
-
-
-def db_to_adc(spl: float, curve: CalibrationCurve = CalibrationCurve()) -> float:
-    """Invert the calibration model: the ADC reading producing ``spl``.
-
-    Public as the way to set a wake level given in dB as an ADC count."""
-    ratio = (spl - curve.d) / curve.a
-    if ratio <= 0:
-        raise CalibrationDomainError(
-            f"{spl} dB is outside the curve's reachable range "
-            f"(asymptote at {curve.d} dB)"
-        )
-    return curve.c + ratio ** (1.0 / curve.b)
 
 
 def _project(

@@ -36,8 +36,8 @@ no numpy. ``rank-mics`` and ``simulate --scenario``, whose power model is
 plain Python, run without it; ``coherence``, ``simulate --wav`` and
 ``calibrate`` import it as they start. Such an import runs while
 :func:`main` records warnings, so a warning it raised would go into the
-report. ``simulate`` and ``WavReader``, which the commands import that
-way, can still be read as attributes of this module.
+report. ``simulate``, which ``cmd_simulate`` imports that way, can still be
+read as an attribute of this module.
 
 Both commands that read audio stream it through stage objects whose
 ``feed`` takes the next chunk as a plain array and keeps the stage's state
@@ -45,7 +45,7 @@ for the one after (``Resampler``, ``EnvelopeDetector``, ``WelchAccumulator``
 and ``WakeRuns``), so memory does not grow with a recording's length and
 the outputs are those of one pass over the whole recording. Each decodes a
 recording through :func:`_decoded`, into a buffer made once per recording,
-and checks every chunk as a ``Signal`` checks its samples. ``simulate
+and checks every chunk with ``require_finite``. ``simulate
 --wav`` reads chunks of the detector's ``chunk_samples`` and runs every
 step of its chain in place (see :func:`_wake_runs`). ``coherence`` reads
 chunks of :data:`WAV_CHUNK_FRAMES` and resamples each to the 8 kHz scoring
@@ -330,9 +330,9 @@ def _csv_blocks(header: str, row_format: str, *columns: np.ndarray | list) -> It
 
 def _decoded(wav: WavReader, out: np.ndarray, mask: np.ndarray) -> Iterator[np.ndarray]:
     """The recording's chunks, each decoded into the front of ``out`` (see
-    :meth:`~wakenode.wavio.WavReader.chunks_into`) and checked as a
-    :class:`~wakenode.signals.Signal` checks its samples, with the front of
-    ``mask``, a bool array at least as long as ``out``, as scratch."""
+    :meth:`~wakenode.wavio.WavReader.chunks_into`) and checked by
+    :func:`~wakenode.signals.require_finite`, with the front of ``mask``, a
+    bool array at least as long as ``out``, as scratch."""
     from .signals import require_finite
 
     return (require_finite(samples, mask[: len(samples)]) for samples in wav.chunks_into(out))
@@ -344,10 +344,11 @@ def _score_wavs(
     """Score ``recording`` against ``source`` with ``welch``, each decoded in
     chunks of :data:`WAV_CHUNK_FRAMES` into a buffer made once per recording
     and resampled to the scoring rate as it is decoded; each decoded and
-    each resampled chunk is checked as a :class:`~wakenode.signals.Signal`
-    checks its samples, in that order. What scoring leaves of both files is
-    then decoded, the source first, so a bad sample anywhere fails the run
-    as when each file was read whole before scoring."""
+    each resampled chunk is checked by
+    :func:`~wakenode.signals.require_finite`, in that order. What scoring
+    leaves of both files is then decoded, the source first, so a bad sample
+    anywhere fails the run as when each file was read whole before
+    scoring."""
     import numpy as np
 
     from .coherence import SCORE_RATE_HZ, score_streams
@@ -456,13 +457,13 @@ def _wake_runs(
     which each chunk is decoded and then scaled and amplified; ``high``, the
     comparator output behind the level that ended the chunk before, whose
     front also takes the mask of each finiteness check; the reader's byte
-    buffer and the stages' own scratch. Each stage's check of its samples is
-    the one a :class:`~wakenode.signals.Signal` makes of them, in the same
-    order. Arrays made afresh for each chunk are handed back to the system
-    between chunks and faulted in again: on 480 s of 16 kHz clicks a chain
-    of fresh arrays took about 8 000 minor page faults a run, these kept
-    buffers 6 400. The buffers are freed when this returns, before the
-    trace, whose arrays grow with its rows, is built.
+    buffer and the stages' own scratch. Each stage's samples are checked by
+    :func:`~wakenode.signals.require_finite`, in the chain's order. Arrays
+    made afresh for each chunk are handed back to the system between chunks
+    and faulted in again: on 480 s of 16 kHz clicks a chain of fresh arrays
+    took about 8 000 minor page faults a run, these kept buffers 6 400. The
+    buffers are freed when this returns, before the trace, whose arrays grow
+    with its rows, is built.
     """
     import numpy as np
 
@@ -693,8 +694,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     return 0
 
 
-# the commands import these where they run; a caller may still read them here
-_LAZY = {"simulate": "powersim", "WavReader": "wavio"}
+# cmd_simulate imports this where it runs; a caller may still read it here
+_LAZY = {"simulate": "powersim"}
 
 
 def __getattr__(name: str) -> Any:

@@ -3,7 +3,7 @@ microphone accuracy score built on them.
 
 The scoring pipeline: check that both waveforms last at least 90 seconds,
 resample them to 8 kHz (polyphase between integer rates, see
-:func:`wakenode.signals.resample`), align them by cross-correlating their
+:class:`wakenode.signals.Resampler`), align them by cross-correlating their
 first 10 seconds, feed exactly 80 seconds of each waveform from the
 alignment point into a Welch accumulator, take the magnitude-squared
 coherence of its spectra, take the peak envelope of the per-frequency
@@ -13,9 +13,10 @@ The pipeline reads each waveform at 8 kHz as a stream of chunks
 (:func:`score_streams`), holding the first 10 seconds for the alignment
 and then one Welch segment, so a caller can decode and resample a
 recording chunk by chunk and check its length with :func:`check_duration`
-at the input's own rate. Whole signals are one chunk:
-:func:`score_with_details` and the spectral functions run the same code,
-and every chunking gives the same bits.
+at the input's own rate. Every chunking gives the same bits.
+:func:`score_with_details` and :func:`magnitude_squared_coherence`, which
+take whole :class:`~wakenode.signals.Signal` values as one chunk, are kept
+while the benchmark's tracer wraps them; no command runs them.
 
 All functions are pure; scoring many recordings concurrently is safe.
 """
@@ -37,10 +38,8 @@ __all__ = [
     "CoherenceEstimate",
     "ScoreBreakdown",
     "check_duration",
-    "cross_spectral_density",
     "magnitude_squared_coherence",
     "peak_envelope",
-    "coherence_score",
     "score_with_details",
 ]
 
@@ -204,33 +203,6 @@ class WelchAccumulator:
         return np.fft.rfftfreq(self._nfft, 1.0 / self.sample_rate_hz), gxy, gxx, gyy
 
 
-def _welch_spectra(x: Signal, y: Signal, p: WelchParams) -> _Spectra:
-    """Shared Welch machinery: (frequencies, G_xy, G_xx, G_yy), the whole
-    signals fed to a :class:`WelchAccumulator` as one piece."""
-    if x.sample_rate_hz != y.sample_rate_hz:
-        raise ValueError(
-            f"sample rates differ: {x.sample_rate_hz} vs {y.sample_rate_hz}"
-        )
-    if len(x) != len(y):
-        raise ValueError(f"signal lengths differ: {len(x)} vs {len(y)}")
-    welch = WelchAccumulator(len(x), x.sample_rate_hz, p)
-    welch.feed(x.samples, y.samples)
-    return welch.finish()
-
-
-def cross_spectral_density(
-    x: Signal, y: Signal, p: WelchParams
-) -> tuple[NDArray[np.float64], NDArray[np.complex128]]:
-    """Welch-averaged cross-spectral density of ``x`` and ``y``.
-
-    Returns (frequencies_hz, complex values) over [0, Nyquist]. With
-    ``x is y`` the result is the auto-spectrum: real and non-negative.
-    Public as the only way to read the phase of G_xy, which coherence drops.
-    """
-    freqs, gxy, _, _ = _welch_spectra(x, y, p)
-    return freqs, gxy
-
-
 def _require_two_segments(p: WelchParams) -> None:
     if p.segment_count < 2:
         raise ValueError("coherence needs at least two Welch segments; one is degenerate")
@@ -254,7 +226,9 @@ def _coherence(spectra: _Spectra, p: WelchParams, sample_rate_hz: float) -> Cohe
 
 
 def magnitude_squared_coherence(x: Signal, y: Signal, p: WelchParams) -> CoherenceEstimate:
-    """|G_xy|^2 / (G_xx G_yy) per frequency bin, clamped to [0, 1].
+    """|G_xy|^2 / (G_xx G_yy) per frequency bin, clamped to [0, 1], of two
+    signals of one rate and length fed to a :class:`WelchAccumulator` as
+    one piece; kept while the benchmark's tracer wraps it.
 
     Requires at least two averaged segments; a single segment makes the
     ratio identically one and carries no information. Bins where the
@@ -263,7 +237,13 @@ def magnitude_squared_coherence(x: Signal, y: Signal, p: WelchParams) -> Coheren
     _require_two_segments(p)
     if not np.any(x.samples) or not np.any(y.samples):
         raise ValueError("coherence of an all-zero signal is undefined")
-    return _coherence(_welch_spectra(x, y, p), p, x.sample_rate_hz)
+    if x.sample_rate_hz != y.sample_rate_hz:
+        raise ValueError(f"sample rates differ: {x.sample_rate_hz} vs {y.sample_rate_hz}")
+    if len(x) != len(y):
+        raise ValueError(f"signal lengths differ: {len(x)} vs {len(y)}")
+    welch = WelchAccumulator(len(x), x.sample_rate_hz, p)
+    welch.feed(x.samples, y.samples)
+    return _coherence(welch.finish(), p, x.sample_rate_hz)
 
 
 def _local_maxima(values: NDArray[np.float64]) -> NDArray[np.intp]:
@@ -464,9 +444,7 @@ def score_streams(
     align_len = int(SCORE_RATE_HZ * ALIGN_SECONDS)
     src_head, src_rest = _split(iter(source), align_len)
     rec_head, rec_rest = _split(iter(recording), align_len)
-    delay = find_delay(
-        Signal(src_head, SCORE_RATE_HZ), Signal(rec_head, SCORE_RATE_HZ), align_len - 1
-    )
+    delay = find_delay(src_head, rec_head, align_len - 1)
     if delay < 0:
         raise AlignmentError(
             f"recording leads the source by {-delay} samples; no 80 s span "
@@ -502,20 +480,12 @@ def score_with_details(
     only by integer downsampling or at that rate. The first 10 seconds
     (after resampling to 8 kHz) are used to find the recording's delay,
     then exactly 80 seconds of each waveform are compared. Each resampled
-    waveform goes to :func:`score_streams` as one chunk.
+    waveform goes to :func:`score_streams` as one chunk. Kept while the
+    benchmark's tracer wraps it.
     """
     for name, sig in (("source", source), ("recording", recording)):
-        check_duration(name, sig.duration_s)
+        check_duration(name, len(sig) / sig.sample_rate_hz)
     welch = analysis_welch(params)
     src = resample(source, SCORE_RATE_HZ)
     rec = resample(recording, SCORE_RATE_HZ)
     return score_streams((src.samples,), (rec.samples,), welch)
-
-
-def coherence_score(source: Signal, recording: Signal) -> float:
-    """Scalar similarity of a recording to its source, in [0, 1].
-
-    Both inputs last at least 90 seconds at an integer rate of at least
-    8 kHz, as for :func:`score_with_details`. Public as the paper's score in
-    one call, without the spectra the CLI needs."""
-    return score_with_details(source, recording).score

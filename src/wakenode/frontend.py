@@ -4,6 +4,10 @@ peak-hold envelope detector, and the active-low wake comparator.
 The models are input/output behavioral, not device-level: the comparator
 transistors are reduced to a pointwise threshold, and diodes default to
 ideal (zero drop) with a configurable constant drop.
+
+The commands run the stages on plain arrays in their own buffers. The
+functions over whole signals, and :class:`BinarySignal`, are kept while
+the benchmark's tracer wraps them.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ __all__ = [
     "envelope_detect",
     "threshold_out",
     "threshold_into",
-    "gain_db",
 ]
 
 # Block prefix-max scan of the envelope recurrence: samples per block, and
@@ -63,10 +66,6 @@ class BinarySignal:
     def __len__(self) -> int:
         return int(self.samples.size)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate_hz
-
 
 def amplifier_gain(p: CircuitParams) -> float:
     """Voltage gain of the non-inverting stage: 1 + rf/r1."""
@@ -81,7 +80,12 @@ def common_mode(p: CircuitParams) -> float:
 def amplify_into(
     x: NDArray[np.float64], p: CircuitParams, out: NDArray[np.float64]
 ) -> NDArray[np.float64]:
-    """:func:`amplify` of the samples ``x`` into ``out``, which may be ``x``; returns ``out``."""
+    """Amplify the zero-mean microphone samples ``x`` around the common
+    mode into ``out``, which may be ``x``; returns ``out``.
+
+    Output clamps to the supply rails [0, vdd], which models clipping of
+    large inputs.
+    """
     # gain, offset and clip in one buffer
     np.multiply(x, amplifier_gain(p), out=out)
     out += common_mode(p)
@@ -90,11 +94,7 @@ def amplify_into(
 
 
 def amplify(s: Signal, p: CircuitParams) -> Signal:
-    """Amplify a zero-mean microphone waveform around the common mode.
-
-    Output clamps to the supply rails [0, vdd], which models clipping of
-    large inputs.
-    """
+    """:func:`amplify_into` of one whole signal, kept while the benchmark's tracer wraps it."""
     if len(s) == 0:
         raise ValueError("cannot amplify an empty signal")
     return Signal(amplify_into(s.samples, p, np.empty(len(s))), s.sample_rate_hz)
@@ -113,13 +113,36 @@ def _scan_block(decay: float) -> int:
 
 
 class EnvelopeDetector:
-    """:func:`envelope_detect` for one recording, fed in consecutive chunks.
+    """Peak detector with exponential decay, followed by the output
+    divider, for one recording at ``sample_rate_hz`` fed in consecutive
+    chunks.
+
+    The internal state charges instantly to (input - diode drop) when that
+    exceeds it and otherwise decays with time constant tau = r5 * c5, i.e.
+    ``level[n] = max(x[n], level[n-1] * decay)`` from ``level[-1] = 0`` with
+    ``decay = exp(-1 / (fs * tau))``. The output stage drops a second diode
+    and divides by r6/(r5 + r6), which puts the quiescent level well under a
+    1.2 V ADC reference. Output is clamped non-negative.
+
+    The recurrence is evaluated as a block prefix-max scan rather than per
+    sample: with ``k = -ln(decay)``, ``level[n] * exp(k n)`` is a running
+    maximum of ``x[n] * exp(k n)``. Each block of at most
+    :data:`SCAN_BLOCK` samples (and at most ``SCAN_MAX_EXPONENT / k``, so
+    the scaled values stay far inside float64 range) is scaled, scanned
+    with ``np.fmax.accumulate`` and scaled back, carrying the last level
+    into the next block; where ``decay`` rounds to 1 the scaling is by ones,
+    exactly, and the scan is a plain running maximum. When that
+    block would be shorter than :data:`SCAN_MIN_BLOCK` samples, a log-step
+    scan takes its place: whole-array passes at lags 1, 2, 4, ... until
+    ``decay**lag`` underflows, after about ``745 / k`` lags. The output
+    matches the per-sample recurrence to a relative 1e-9 of the detector
+    state wherever that is a normal float (above ~2.2e-308).
 
     From one chunk to the next it keeps the last level of the block scan,
     or the log-step scan's last ``lead = 2**passes - 1`` inputs, every lag a
     pass reads back. With chunks of ``chunk_samples``
     (:data:`STREAM_CHUNK_SAMPLES` rounded down to whole scan blocks; the last
-    may be shorter) the outputs joined are bit for bit those of one call on
+    may be shorter) the outputs joined are bit for bit those of one feed of
     the whole recording.
 
     :meth:`feed` runs the scan in place in the caller's buffer, behind
@@ -199,31 +222,8 @@ class EnvelopeDetector:
 
 
 def envelope_detect(s: Signal, p: CircuitParams) -> Signal:
-    """Peak detector with exponential decay, followed by the output divider.
-
-    The internal state charges instantly to (input - diode drop) when that
-    exceeds it and otherwise decays with time constant tau = r5 * c5, i.e.
-    ``level[n] = max(x[n], level[n-1] * decay)`` from ``level[-1] = 0`` with
-    ``decay = exp(-1 / (fs * tau))``. The output stage drops a second diode
-    and divides by r6/(r5 + r6), which puts the quiescent level well under a
-    1.2 V ADC reference. Output is clamped non-negative.
-
-    The recurrence is evaluated as a block prefix-max scan rather than per
-    sample: with ``k = -ln(decay)``, ``level[n] * exp(k n)`` is a running
-    maximum of ``x[n] * exp(k n)``. Each block of at most
-    :data:`SCAN_BLOCK` samples (and at most ``SCAN_MAX_EXPONENT / k``, so
-    the scaled values stay far inside float64 range) is scaled, scanned
-    with ``np.fmax.accumulate`` and scaled back, carrying the last level
-    into the next block; where ``decay`` rounds to 1 the scaling is by ones,
-    exactly, and the scan is a plain running maximum. When that
-    block would be shorter than :data:`SCAN_MIN_BLOCK` samples, a log-step
-    scan takes its place: whole-array passes at lags 1, 2, 4, ... until
-    ``decay**lag`` underflows, after about ``745 / k`` lags. The output
-    matches the per-sample recurrence to a relative 1e-9 of the detector
-    state wherever that is a normal float (above ~2.2e-308).
-
-    This is an :class:`EnvelopeDetector` fed the whole recording as one chunk.
-    """
+    """An :class:`EnvelopeDetector` fed one whole signal, kept while the
+    benchmark's tracer wraps it."""
     if len(s) == 0:
         raise ValueError("cannot detect the envelope of an empty signal")
     detector = EnvelopeDetector(p, s.sample_rate_hz)
@@ -235,27 +235,17 @@ def envelope_detect(s: Signal, p: CircuitParams) -> Signal:
 def threshold_into(
     envelope: NDArray[np.float64], v_threshold: float, out: NDArray[np.bool_]
 ) -> NDArray[np.bool_]:
-    """:func:`threshold_out`'s levels of the samples ``envelope`` into ``out``,
-    True (high) where the envelope is at or below the threshold; returns ``out``."""
+    """Active-low wake output of the samples ``envelope`` into ``out``: True
+    (high, V_dd, quiet) where the envelope is at or below the threshold,
+    False (grounded: the microcontroller interrupt fires) where it exceeds
+    it. No hysteresis is modeled. Returns ``out``."""
     return np.less_equal(envelope, v_threshold, out=out)
 
 
 def threshold_out(envelope: Signal, v_threshold: float) -> BinarySignal:
-    """Active-low wake output: grounded while the envelope exceeds the threshold.
-
-    High (V_dd) means quiet; low means the microcontroller interrupt fires.
-    No hysteresis is modeled.
-    """
+    """:func:`threshold_into` of one whole signal, for a positive threshold;
+    kept while the benchmark's tracer wraps it."""
     if not (v_threshold > 0):
         raise ValueError(f"v_threshold must be positive, got {v_threshold}")
     high = threshold_into(envelope.samples, v_threshold, np.empty(len(envelope), dtype=bool))
     return BinarySignal(high, envelope.sample_rate_hz)
-
-
-def gain_db(gain_vv: float) -> float:
-    """Voltage gain expressed in decibels: 20 log10(gain).
-
-    Public because the paper states gains in dB (the default 101 V/V is 40.1 dB)."""
-    if not (gain_vv > 0):
-        raise ValueError(f"gain must be positive, got {gain_vv}")
-    return 20.0 * math.log10(gain_vv)

@@ -191,7 +191,9 @@ class WakeRuns:
         self._samples += samples
 
     def trace(self, config: NodeConfig) -> SimTrace:
-        """Run the node over every chunk fed so far, as :func:`simulate_from_wake`."""
+        """Run the node over every chunk fed so far: low samples (active-low
+        interrupt) mark transmit, each low run extended by the hold time
+        after its release edge, with :func:`simulate`'s energy accounting."""
         import numpy as np
 
         if self._samples == 0:
@@ -209,13 +211,8 @@ class WakeRuns:
 
 
 def simulate_from_wake(wake: BinarySignal, config: NodeConfig) -> SimTrace:
-    """Run the node from a comparator output signal.
-
-    Low samples (active-low interrupt) mark transmit; each low run is
-    extended by the hold time after its release edge. Energy accounting
-    is identical to :func:`simulate`. This is :class:`WakeRuns` fed the
-    whole signal as one chunk.
-    """
+    """:class:`WakeRuns` fed one whole comparator output, kept while the
+    benchmark's tracer wraps it."""
     import numpy as np
 
     high = np.empty(len(wake) + 1, dtype=bool)

@@ -1,11 +1,12 @@
-"""Core waveform type plus resampling, delay alignment, and slicing.
+"""Resampling and delay alignment on plain arrays, and the whole-recording
+waveform type.
 
-Signals are immutable value objects: every function here that takes a
-``Signal`` returns a new one, or the same one resampled to its own rate,
-and never mutates its inputs, so they are safe to share across threads.
-A stage object such as :class:`Resampler` is not: it holds one
-recording's state from one ``feed`` to the next, and takes and returns
-plain arrays.
+:class:`Resampler` is a stage object: it holds one recording's state from
+one ``feed`` to the next, and takes and returns plain arrays, as
+:func:`find_delay` takes them. :class:`Signal`, an immutable waveform
+with its rate, and :func:`resample`, a resampler fed one whole
+``Signal``, are kept while the benchmark's tracer wraps the
+whole-recording functions; no command runs them.
 
 Resampling takes two regimes: equal rates pass through, and integer
 downsampling is polyphase (Crochiere & Rabiner, *Multirate Digital
@@ -28,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-__all__ = ["Signal", "Resampler", "resample", "find_delay", "clip", "require_finite"]
+__all__ = ["Signal", "Resampler", "resample", "find_delay", "require_finite"]
 
 # Anti-alias FIR used before decimation: windowed sinc, Hamming window.
 ANTIALIAS_TAPS = 64
@@ -61,8 +62,7 @@ def _as_readonly_f64(samples: ArrayLike) -> NDArray[np.float64]:
 def require_finite(
     samples: NDArray[np.float64], scratch: NDArray[np.bool_] | None = None
 ) -> NDArray[np.float64]:
-    """``samples``, once every one is found finite; otherwise a
-    :class:`Signal`'s ValueError.
+    """``samples``, once every one is found finite; otherwise ValueError.
 
     ``scratch``, a bool array as long as ``samples``, takes the mask, so a
     stream checking each chunk allocates nothing for it.
@@ -72,7 +72,7 @@ def require_finite(
     return samples
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
     """A uniformly sampled real-valued waveform.
 
@@ -91,19 +91,6 @@ class Signal:
 
     def __len__(self) -> int:
         return int(self.samples.size)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate_hz
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Signal):
-            return NotImplemented
-        return (
-            self.sample_rate_hz == other.sample_rate_hz
-            and self.samples.shape == other.samples.shape
-            and bool(np.array_equal(self.samples, other.samples))
-        )
 
 
 def _antialias_kernel(source_rate_hz: float, target_rate_hz: float) -> NDArray[np.float64]:
@@ -177,17 +164,27 @@ def _polyphase(source_rate_hz: float, target_rate_hz: float) -> _Polyphase:
 
 
 class Resampler:
-    """:func:`resample` for one recording of ``total`` samples, fed in
-    consecutive chunks at ``source_rate_hz``.
+    """One recording of ``total`` samples at ``source_rate_hz``, fed in
+    consecutive chunks and converted to ``target_rate_hz``.
 
-    The rates are equal (chunks pass through) or both integers with
-    ``0 < target_rate_hz < source_rate_hz`` (polyphase downsampling); any
-    other pair raises ValueError here, before a chunk is read. Each
-    :meth:`feed` returns the output its chunk completes, possibly none.
-    Joined, the outputs are bit for bit those of one call on the whole
-    recording: rows are multiplied in blocks of a fixed number of rows (set
-    by :data:`RESAMPLE_BLOCK_MACS`) counted from the first, so no block
-    depends on the chunking.
+    The rates are equal (chunks pass through unchanged) or both integers
+    with ``0 < target_rate_hz < source_rate_hz``; any other pair raises
+    ValueError here, before a chunk is read. Downsampling low-pass filters
+    (anti-aliasing, cutoff at 0.45x the new rate) and samples the filtered
+    waveform on the new grid by linear interpolation. With reduced ratio
+    ``up/down`` (44.1 -> 8 kHz is 80/441), both steps are one 65-tap kernel
+    per output phase, applied to rows of input as matrix products. For
+    samples in [-1, 1] the result is within 1e-9 absolute of the tests'
+    ``resample_oracle``, which convolves the whole recording with the FIR
+    and then interpolates it linearly at the new sample times; the gap is
+    mostly the rounding of those times, which the polyphase phases hold
+    exactly. The output has ``round(total * ratio)`` samples, at least one.
+
+    Each :meth:`feed` returns the output its chunk completes, possibly
+    none. Joined, the outputs are bit for bit those of one feed of the
+    whole recording: rows are multiplied in blocks of a fixed number of
+    rows (set by :data:`RESAMPLE_BLOCK_MACS`) counted from the first, so no
+    block depends on the chunking.
 
     What a block of rows reads is copied into one buffer the resampler
     owns, of ``(block - 1) * row + width`` samples at most, so it keeps no
@@ -275,24 +272,8 @@ class Resampler:
 
 
 def resample(s: Signal, target_rate_hz: float) -> Signal:
-    """Convert ``s`` to ``target_rate_hz``: equal rates return ``s``
-    unchanged, so the operation is idempotent per rate, and a lower integer
-    rate from an integer one is a polyphase downsampling. Any other rate
-    raises ValueError.
-
-    Downsampling low-pass filters (anti-aliasing, cutoff at 0.45x the new
-    rate) and samples the filtered waveform on the new grid by linear
-    interpolation. With reduced ratio ``up/down`` (44.1 -> 8 kHz is
-    80/441), both steps are one 65-tap kernel per output phase, applied to
-    rows of input as matrix products. For samples in [-1, 1] the result is
-    within 1e-9 absolute of the tests' ``resample_oracle``, which convolves
-    the whole signal with the FIR and then interpolates it linearly at the
-    new sample times; the gap is mostly the rounding of those times, which
-    the polyphase phases hold exactly. The output has ``round(len * ratio)``
-    samples, at least one.
-
-    This is a :class:`Resampler` fed the whole recording as one chunk.
-    """
+    """A :class:`Resampler` fed ``s`` as one chunk (``s`` itself at its own
+    rate), kept while the benchmark's tracer wraps it."""
     samples = Resampler(s.sample_rate_hz, target_rate_hz, len(s)).feed(s.samples)
     return s if samples is s.samples else Signal(samples, target_rate_hz)
 
@@ -312,8 +293,12 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def find_delay(reference: Signal, candidate: Signal, search_window_samples: int) -> int:
-    """Lag of ``candidate`` relative to ``reference`` by cross-correlation.
+def find_delay(
+    reference: NDArray[np.float64], candidate: NDArray[np.float64], search_window_samples: int
+) -> int:
+    """Lag of ``candidate`` relative to ``reference``, two one-dimensional
+    float arrays at one rate, by cross-correlation. A non-finite sample
+    raises :func:`require_finite`'s ValueError.
 
     Returns the integer lag d with |d| <= ``search_window_samples`` that
     maximizes the cross-correlation; positive d means the candidate lags
@@ -328,11 +313,8 @@ def find_delay(reference: Signal, candidate: Signal, search_window_samples: int)
     Finite samples near the float limit can overflow the correlation; no lag
     is chosen from it, and OverflowError is raised instead.
     """
-    if reference.sample_rate_hz != candidate.sample_rate_hz:
-        raise ValueError(
-            "sample rates differ: "
-            f"{reference.sample_rate_hz} vs {candidate.sample_rate_hz}"
-        )
+    require_finite(reference)
+    require_finite(candidate)
     if len(reference) == 0 or len(candidate) == 0:
         raise ValueError("cannot correlate empty signals")
     if search_window_samples < 1:
@@ -350,10 +332,10 @@ def find_delay(reference: Signal, candidate: Signal, search_window_samples: int)
     with np.errstate(over="ignore", invalid="ignore"):
         if n * m <= DIRECT_CORRELATE_COST_RATIO * nfft * (nfft.bit_length() - 1):
             # full cross-correlation; index i corresponds to lag i - (m - 1)
-            corr = np.correlate(candidate.samples, reference.samples, "full")[m - 1 - w : m + w]
+            corr = np.correlate(candidate, reference, "full")[m - 1 - w : m + w]
         else:
-            spectrum = np.fft.rfft(candidate.samples, nfft)
-            spectrum *= np.conj(np.fft.rfft(reference.samples, nfft))
+            spectrum = np.fft.rfft(candidate, nfft)
+            spectrum *= np.conj(np.fft.rfft(reference, nfft))
             circular = np.fft.irfft(spectrum, nfft)  # lag d at index d mod nfft
             corr = np.concatenate((circular[nfft - w :], circular[: w + 1]))
     lags = np.arange(-w, w + 1)
@@ -365,17 +347,3 @@ def find_delay(reference: Signal, candidate: Signal, search_window_samples: int)
         )
     tied = lags[corr == best]
     return int(min(tied, key=lambda d: (abs(d), d >= 0)))
-
-
-def clip(s: Signal, start_sample: int, length_samples: int) -> Signal:
-    """Exact contiguous slice of ``length_samples`` starting at ``start_sample``."""
-    if start_sample < 0:
-        raise ValueError(f"start_sample must be non-negative, got {start_sample}")
-    if length_samples < 1:
-        raise ValueError(f"length_samples must be positive, got {length_samples}")
-    if start_sample + length_samples > len(s):
-        raise ValueError(
-            f"slice [{start_sample}, {start_sample + length_samples}) is out of "
-            f"range for a signal of {len(s)} samples"
-        )
-    return Signal(s.samples[start_sample : start_sample + length_samples], s.sample_rate_hz)

@@ -1,4 +1,4 @@
-"""WAV decoding into normalized mono signals, whole or in chunks.
+"""WAV decoding into normalized mono samples, in chunks.
 
 Accepted containers: ``RIFF`` (little-endian), ``RIFX`` (big-endian) and
 ``RF64`` (64-bit sizes in a ``ds64`` chunk). Chunks other than ``fmt ``
@@ -20,11 +20,13 @@ input is averaged to mono.
 reads the ``data`` chunk in whole frames, a chunk of frames at a time, so
 a recording of any length is decoded in bounded memory: ``chunks_into``
 decodes every chunk into the front of one caller's buffer, through one
-byte buffer. :func:`read_wav` is the same reader taking every frame as one
-chunk, wrapped in a :class:`Signal`. A ``data`` chunk cut short by the end
-of the file, or declaring a size that is not a whole number of frames, is
-read up to its last whole frame, with one warning when the header is
-parsed.
+byte buffer. A ``data`` chunk cut short by the end of the file, or
+declaring a size that is not a whole number of frames, is read up to its
+last whole frame, with one warning when the header is parsed.
+
+:func:`read_wav`, the same reader taking every frame as one chunk wrapped
+in a :class:`~wakenode.signals.Signal`, is kept while the benchmark's
+tracer wraps it; no command runs it.
 """
 
 from __future__ import annotations

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from scipy.signal import lfilter
@@ -22,15 +24,20 @@ def tone(freq_hz: float, duration_s: float, rate_hz: float, amplitude: float = 1
     return Signal(amplitude * np.sin(2 * np.pi * freq_hz * t), rate_hz)
 
 
-def shift_right(sig: Signal, k: int) -> Signal:
+def shift_samples(x: np.ndarray, k: int) -> np.ndarray:
     """Delay by k samples, zero-padded, same length. Negative k advances."""
-    out = np.zeros(len(sig))
+    out = np.zeros(len(x))
     if k >= 0:
-        if k < len(sig):
-            out[k:] = sig.samples[: len(sig) - k]
+        if k < len(x):
+            out[k:] = x[: len(x) - k]
     else:
-        out[: len(sig) + k] = sig.samples[-k:]
-    return Signal(out, sig.sample_rate_hz)
+        out[: len(x) + k] = x[-k:]
+    return out
+
+
+def shift_right(sig: Signal, k: int) -> Signal:
+    """``sig`` delayed by k samples, as :func:`shift_samples` delays an array."""
+    return Signal(shift_samples(sig.samples, k), sig.sample_rate_hz)
 
 
 def add_noise_at_snr(sig: Signal, snr_db: float, seed: int) -> Signal:
@@ -44,3 +51,37 @@ def add_noise_at_snr(sig: Signal, snr_db: float, seed: int) -> Signal:
 @pytest.fixture(scope="session")
 def urban_90s_8k() -> Signal:
     return urban_like_signal(96.0, 8000.0, seed=7)
+
+
+# WAV containers, built chunk by chunk
+
+GUID_TAIL = {
+    "<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
+    ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71",
+}
+
+
+def chunk(cid: bytes, body: bytes, order: str = "<") -> bytes:
+    return cid + struct.pack(order + "I", len(body)) + body + b"\0" * (len(body) % 2)
+
+
+def fmt_chunk(tag, channels, rate, bits, width, order="<", subformat=None) -> bytes:
+    block = channels * width
+    body = struct.pack(order + "HHIIHH", tag, channels, rate, rate * block, block, bits)
+    if subformat is not None:
+        guid = struct.pack(order + "I", subformat) + GUID_TAIL[order]
+        body += struct.pack(order + "HHI", 22, bits, 0) + guid
+    return chunk(b"fmt ", body, order)
+
+
+def riff(*chunks: bytes, order: str = "<") -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return (b"RIFF" if order == "<" else b"RIFX") + struct.pack(order + "I", len(body)) + body
+
+
+def rf64(fmt: bytes, samples: bytes) -> bytes:
+    data = b"data" + struct.pack("<I", 0xFFFFFFFF) + samples
+    ds64 = chunk(b"ds64", struct.pack("<QQQI", 0, len(samples), 0, 0))
+    riff_size = 4 + len(ds64) + len(fmt) + len(data)
+    ds64 = chunk(b"ds64", struct.pack("<QQQI", riff_size, len(samples), 0, 0))
+    return b"RF64" + struct.pack("<I", 0xFFFFFFFF) + b"WAVE" + ds64 + fmt + data

@@ -10,7 +10,6 @@ from wakenode import (
     CalPoint,
     FitError,
     adc_to_db,
-    db_to_adc,
     fit_curve,
     r_squared,
 )
@@ -126,23 +125,6 @@ class TestAdcToDb:
             return
         lo, hi = sorted((x1, x2))
         assert adc_to_db(lo) < adc_to_db(hi)
-
-
-class TestDbToAdc:
-    def test_round_trip_at_500(self):
-        assert db_to_adc(adc_to_db(500.0)) == pytest.approx(500.0, abs=1e-6)
-
-    def test_inverse_of_unit_offset(self):
-        assert db_to_adc(-290.5 + 314.7) == pytest.approx(351.0, abs=1e-9)
-
-    def test_asymptote_rejected(self):
-        with pytest.raises(CalibrationDomainError, match="asymptote|range"):
-            db_to_adc(DEFAULTS.d)
-
-    @given(x=st.floats(351.001, 1023.0))
-    @settings(max_examples=100, deadline=None)
-    def test_round_trip_identity(self, x):
-        assert db_to_adc(adc_to_db(x)) == pytest.approx(x, abs=1e-6)
 
 
 class TestFitCurve:

@@ -1,6 +1,8 @@
+import ast
 import contextlib
 import csv
 import dataclasses
+import importlib
 import inspect
 import io
 import json
@@ -15,7 +17,7 @@ import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 import pytest
@@ -55,7 +57,7 @@ from wakenode.config import RunConfig, _settable, load_run_config, parse_run_con
 from wakenode.frontend import EnvelopeDetector
 from wakenode.wavio import WavReader
 
-from conftest import add_noise_at_snr, shift_right, urban_like_signal
+from conftest import add_noise_at_snr, chunk, fmt_chunk, rf64, riff, shift_right, urban_like_signal
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -219,6 +221,106 @@ class TestAtomicOutput:
         with pytest.raises(RuntimeError, match="row formatting"):
             _finish("simulate", cfg, {}, {}, "trace.csv", rows(), [])
         assert list(tmp_path.iterdir()) == []
+
+
+def run_failing_at(argv: list[str], out: Path, patch: Callable) -> tuple[int, str]:
+    """Exit code and stderr of ``main`` on ``argv`` with ``--out-dir out``,
+    under ``patch(monkeypatch)``; the run must leave no file in ``out``."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        patch(monkeypatch)
+        code, _, stderr = run_in_process(["--out-dir", str(out), *argv])
+    assert not out.exists() or list(out.iterdir()) == []
+    return code, stderr
+
+
+def csv_failing_at(row: int, error: BaseException) -> Callable:
+    """A patch under which ``rank-mics`` hands ``_publish`` its CSV one row
+    per chunk, raising ``error`` in place of row ``row``."""
+
+    def patch(monkeypatch):
+        command = wakenode.cli.cmd_rank_mics
+
+        def failing(args, cfg):
+            *head, chunks = command(args, cfg)
+            rows = "".join(chunks).splitlines(keepends=True)
+
+            def chunks_then_error():
+                yield from rows[:row]
+                raise error
+
+            return (*head, chunks_then_error())
+
+        monkeypatch.setattr(wakenode.cli, "cmd_rank_mics", failing)
+
+    return patch
+
+
+def failing_on_second(
+    target: Any, name: str, real: Callable, applies: Callable = lambda *a, **k: True
+) -> Callable:
+    """A patch that sets ``target.name`` to ``real``, except that its second
+    call that ``applies`` raises OSError."""
+
+    def patch(monkeypatch):
+        calls = []
+
+        def second_fails(*args, **kwargs):
+            if applies(*args, **kwargs):
+                calls.append(args)
+                if len(calls) == 2:
+                    raise OSError(28, "No space left on device", str(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(target, name, second_fails, raising=False)
+
+    return patch
+
+
+RANK_MICS = ["rank-mics", str(data_path("microphones.csv"))]
+# lines of the ranking CSV: a header and one row per candidate, as in the table
+RANK_MICS_LINES = len(data_path("microphones.csv").read_text().splitlines())
+# (exception raised by a CSV chunk iterator, the code it exits with)
+CHUNK_ERRORS = [
+    (lambda: CliError("E_OUTPUT", "CSV worker failed"), "E_OUTPUT"),
+    (lambda: OSError(5, "Input/output error"), "E_OUTPUT"),
+    (lambda: ValueError("cell out of range"), "E_INPUT"),
+    (lambda: RuntimeError("formatter bug"), "E_INTERNAL"),
+]
+
+
+class TestPublishFailures:
+    """Failures injected into _publish after it made the output directory:
+    each exits with one code and leaves no file that the run wrote."""
+
+    @given(
+        row=st.integers(0, RANK_MICS_LINES),
+        error=st.sampled_from(CHUNK_ERRORS),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_csv_chunk_iterator_failing_at_any_row(self, row, error):
+        make, want = error
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stderr = run_failing_at(RANK_MICS, Path(tmp) / "out", csv_failing_at(row, make()))
+        assert code == 1
+        assert re.findall(r"\[(E_[A-Z_]+)\]", stderr) == [want], stderr
+
+    @pytest.mark.parametrize(
+        "argv", [RANK_MICS, ["simulate", "--scenario", "urban"]], ids=["rank-mics", "simulate"]
+    )
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            # _publish creates each temp file with open(path, "x")
+            failing_on_second(wakenode.cli, "open", open, lambda _, mode="r", *a, **k: mode == "x"),
+            failing_on_second(os, "replace", os.replace),
+        ],
+        ids=["open-second-file", "replace-after-first-rename"],
+    )
+    def test_second_file_failing(self, tmp_path, argv, patch):
+        code, stderr = run_failing_at(argv, tmp_path / "out", patch)
+        assert code == 1
+        assert re.findall(r"\[(E_[A-Z_]+)\]", stderr) == ["E_OUTPUT"], stderr
+        assert "No space left on device" in stderr
 
 
 class TestGoldens:
@@ -775,22 +877,53 @@ HEADER_FIELDS = {
 }
 
 
+# VALID_WAV's samples in the big-endian RIFX and in the RF64 container,
+# whose 28-byte ds64 chunk (EBU Tech 3306) after the form type holds the
+# sizes that the RIFF and data headers give as 0xFFFFFFFF
+VALID_SAMPLES = VALID_WAV[44:]
+RIFX_WAV = riff(
+    fmt_chunk(1, 1, 8000, 16, 2, ">"),
+    chunk(b"data", np.frombuffer(VALID_SAMPLES, "<i2").astype(">i2").tobytes(), ">"),
+    order=">",
+)
+RF64_WAV = rf64(fmt_chunk(1, 1, 8000, 16, 2), VALID_SAMPLES)
+DS64_BYTES = 36
+
+
+# each container's VALID_WAV and the (offset, format) of its header fields
+CONTAINERS = {
+    "RIFF": (VALID_WAV, HEADER_FIELDS),
+    "RIFX": (RIFX_WAV, {k: (o, ">" + f[1:]) for k, (o, f) in HEADER_FIELDS.items()}),
+    "RF64": (RF64_WAV, {
+        **{k: (o + DS64_BYTES * (o >= 12), f) for k, (o, f) in HEADER_FIELDS.items()},
+        "ds64_size": (16, "<I"), "riff_size64": (20, "<Q"), "data_size64": (28, "<Q"),
+    }),
+}
+
+
 @st.composite
 def mutated_wavs(draw) -> bytes:
-    """VALID_WAV with one header field set to any value (0 and the field's
-    maximum among them), or its rate and byte rate changed together, or the
-    file cut at any offset."""
-    wav = bytearray(VALID_WAV)
-    mutation = draw(st.sampled_from(["field", "rate", "truncate"]))
+    """VALID_WAV in a RIFF, RIFX or RF64 container with one header field
+    (for RF64, the ds64 sizes among them) set to any value, 0 and the
+    field's maximum among them, or moved by up to 9 from its own; or its
+    rate and byte rate changed together; or the file cut at any offset."""
+    valid, fields = CONTAINERS[draw(st.sampled_from(sorted(CONTAINERS)))]
+    wav = bytearray(valid)
+    mutation = draw(st.sampled_from(["field", "near", "rate", "truncate"]))
     if mutation == "truncate":
         return bytes(wav[: draw(st.integers(0, len(wav) - 1))])
     if mutation == "rate":
         rate = draw(st.one_of(st.sampled_from([0, 1, 2**31 - 1]), st.integers(0, 2**31 - 1)))
-        struct.pack_into("<II", wav, 24, rate, 2 * rate)
+        offset, fmt = fields["rate"]
+        struct.pack_into(fmt[0] + "II", wav, offset, rate, 2 * rate)
         return bytes(wav)
-    offset, fmt = HEADER_FIELDS[draw(st.sampled_from(sorted(HEADER_FIELDS)))]
+    offset, fmt = fields[draw(st.sampled_from(sorted(fields)))]
     top = 2 ** (8 * struct.calcsize(fmt)) - 1
-    struct.pack_into(fmt, wav, offset, draw(st.one_of(st.sampled_from([0, top]), st.integers(0, top))))
+    if mutation == "near":
+        value = struct.unpack_from(fmt, wav, offset)[0] + draw(st.integers(-9, 9))
+    else:
+        value = draw(st.one_of(st.sampled_from([0, top]), st.integers(0, top)))
+    struct.pack_into(fmt, wav, offset, min(max(value, 0), top))
     return bytes(wav)
 
 
@@ -841,8 +974,19 @@ class TestWavHeaders:
         assert main(["--out-dir", str(tmp_path / "out"), "simulate", "--wav", str(wav)]) == 0
         assert json.loads(capsys.readouterr().out)["warnings"] == []
 
+    @pytest.mark.parametrize("container", ["RIFX", "RF64"])
+    def test_every_container_simulates_as_riff(self, tmp_path, capsys, container):
+        traces = []
+        for name, wav_bytes in (("RIFF", VALID_WAV), (container, CONTAINERS[container][0])):
+            wav = tmp_path / f"{name}.wav"
+            wav.write_bytes(wav_bytes)
+            assert main(["--out-dir", str(tmp_path / name), "simulate", "--wav", str(wav)]) == 0
+            assert json.loads(capsys.readouterr().out)["warnings"] == []
+            traces.append((tmp_path / name / "trace.csv").read_bytes())
+        assert traces[0] == traces[1]
+
     @given(wav_bytes=mutated_wavs())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_any_header_gives_a_whole_run_or_one_coded_error(self, wav_bytes):
         with tempfile.TemporaryDirectory() as tmp:
             wav = Path(tmp) / "a.wav"
@@ -1271,7 +1415,7 @@ class TestCoherenceReadsWholeFiles:
         def no_decoding(*args):
             raise AssertionError("a WAV was decoded")
 
-        monkeypatch.setattr(wakenode.cli.WavReader, "chunks_into", no_decoding)
+        monkeypatch.setattr(WavReader, "chunks_into", no_decoding)
         config = write_config(tmp_path, f"welch:\n  {welch}\n")
         out = tmp_path / "out"
         assert main(["--config", config, "--out-dir", str(out), "coherence", *pair_95s[0]]) == 1
@@ -1515,3 +1659,111 @@ def test_forked_coherence_run_is_the_serial_run(tmp_path, capsys, monkeypatch, p
         del report["config"]["io"]["out_dir"]
         outputs.append(((out / "coherence.csv").read_bytes(), report))
     assert outputs[0] == outputs[1]
+
+
+# ----------------------------------------------------------------------
+# the package's API is what the commands run: every function and
+# hand-written method named in a numerics module's __all__ is reached by
+# one run of each command, unless the allowlist below says why not
+
+GUARDED_MODULES = ("signals", "wavio", "frontend", "powersim", "coherence", "calibrate")
+BENCH_TRACE = Path(__file__).resolve().parents[1] / "benchmarks" / "bench_trace.py"
+
+# The allowlist: each public name that no command reaches, with the entries
+# of benchmarks/bench_trace.py's LAYERS it is kept for. That benchmark's
+# patched() looks every (module, function) of LAYERS up with no default, so
+# a function stays while LAYERS wraps it, and Signal and BinarySignal stay
+# while LAYERS wraps a function that takes or returns them.
+WRAPPED = [
+    ("wavio", "read_wav"), ("signals", "resample"), ("coherence", "score_with_details"),
+    ("coherence", "magnitude_squared_coherence"), ("frontend", "amplify"),
+    ("frontend", "envelope_detect"), ("frontend", "threshold_out"),
+    ("powersim", "simulate_from_wake"),
+]
+UNREACHED = {
+    **{key: [key] for key in WRAPPED},
+    ("signals", "Signal"): WRAPPED[:-1],
+    ("frontend", "BinarySignal"): WRAPPED[-2:],
+}
+
+
+def layers_functions() -> set[tuple[str, str]]:
+    """The (module, function) pairs that bench_trace.LAYERS wraps, read from
+    its source with ast, without importing the benchmark."""
+    for node in ast.parse(BENCH_TRACE.read_text()).body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        if any(getattr(t, "id", None) == "LAYERS" for t in targets):
+            return {(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts}
+    raise AssertionError(f"no LAYERS in {BENCH_TRACE}")
+
+
+def hand_written_code(module: Any, value: Any) -> dict[str, Any]:
+    """The code objects of a public function, or of each method, property
+    and static or class method a class's body in ``module`` defines, by
+    name; methods that dataclass or NamedTuple generate are not counted."""
+    if not isinstance(value, type):
+        return {value.__name__: inspect.unwrap(value).__code__}
+    code = {}
+    for name, attr in vars(value).items():
+        func = attr.fget if isinstance(attr, property) else getattr(attr, "__func__", attr)
+        func_code = getattr(func, "__code__", None)
+        if func_code is not None and func_code.co_filename == module.__file__:
+            code[f"{value.__name__}.{name}"] = func_code
+    return code
+
+
+def reached_code(argvs: list[list[str]]) -> set[Any]:
+    """The code objects of every Python call made while ``main`` runs each
+    argument list, which must exit 0."""
+    reached: set[Any] = set()
+
+    def record(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    for argv in argvs:
+        sys.setprofile(record)
+        try:
+            code, _, stderr = run_in_process(argv)
+        finally:
+            sys.setprofile(None)
+        assert code == 0, (argv, stderr)
+    return reached
+
+
+class TestApiIsWhatTheCommandsRun:
+    def test_commands_reach_every_public_function_and_method(self, tmp_path, pair_95s):
+        wav = tmp_path / "a.wav"
+        wav.write_bytes(VALID_WAV)
+        config = write_config(tmp_path, "node:\n  hold_time_s: 1.5\n")
+        points = tmp_path / "points.csv"
+        points.write_text("adc_value,spl_db\n" + "".join(
+            f"{x!r},{adc_to_db(x)!r}\n" for x in np.linspace(380.0, 1000.0, 8).tolist()
+        ))
+        out = ["--out-dir", str(tmp_path / "out")]
+        reached = reached_code([
+            [*out, "coherence", *pair_95s[1]],
+            [*out, "simulate", "--wav", str(wav)],
+            [*out, "--config", config, "simulate", "--scenario", "urban"],
+            [*out, "calibrate", str(points)],
+            [*out, "rank-mics", str(data_path("microphones.csv")), "--analog", "--supply", "3.3"],
+        ])
+        unreached = {}
+        for module_name in GUARDED_MODULES:
+            module = importlib.import_module(f"wakenode.{module_name}")
+            for name in module.__all__:
+                missed = [
+                    qualname
+                    for qualname, code in hand_written_code(module, getattr(module, name)).items()
+                    if code not in reached
+                ]
+                if missed:
+                    unreached[(module_name, name)] = missed
+        assert {key: missed for key, missed in unreached.items() if key not in UNREACHED} == {}
+        # an allowlisted name that a command reaches is taken off the list
+        assert [key for key in UNREACHED if key not in unreached] == []
+
+    def test_allowlisted_names_are_still_wrapped_by_the_benchmark(self):
+        # a name whose LAYERS entries are gone is deleted, with its tests
+        wrapped = layers_functions()
+        assert [key for key, kept_for in UNREACHED.items() if not wrapped & set(kept_for)] == []

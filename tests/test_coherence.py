@@ -12,8 +12,6 @@ from wakenode import (
     Signal,
     WelchParams,
     Window,
-    coherence_score,
-    cross_spectral_density,
     magnitude_squared_coherence,
     peak_envelope,
     rank_microphones,
@@ -21,7 +19,6 @@ from wakenode import (
 )
 from wakenode.coherence import (
     WelchAccumulator,
-    _welch_spectra,
     _window_values,
     analysis_welch,
     score_streams,
@@ -54,6 +51,14 @@ def msc_direct_dft_oracle(
 TWO_SEGMENT_RECT = WelchParams(
     segment_count=2, overlap_fraction=0.0, window=Window.RECTANGULAR
 )
+
+
+def welch_spectra(x: np.ndarray, y: np.ndarray, p: WelchParams, fs: float = 8000.0):
+    """(frequencies, G_xy, G_xx, G_yy) of two arrays fed to one
+    :class:`WelchAccumulator` as one piece."""
+    welch = WelchAccumulator(len(x), fs, p)
+    welch.feed(x, y)
+    return welch.finish()
 
 
 # paper's measured microphone table; physical values shipped as fixture data
@@ -93,37 +98,41 @@ class TestWelchParams:
 
 
 class TestCrossSpectralDensity:
+    """G_xy, as the Welch accumulator finishes it."""
+
     def test_auto_spectrum_is_real(self):
         rng = np.random.default_rng(0)
-        x = Signal(rng.normal(size=4096), 8000.0)
-        _, gxx = cross_spectral_density(x, x, WelchParams())
+        x = rng.normal(size=4096)
+        _, gxx, _, _ = welch_spectra(x, x, WelchParams())
         scale = np.max(np.abs(gxx.real))
         assert np.max(np.abs(gxx.imag)) <= 1e-12 * scale
         assert np.all(gxx.real >= 0)
 
     def test_sine_peaks_at_nearest_bin(self):
         # oracle: direct DFT of one full-length segment puts the peak at 100 Hz
-        x = tone(100, 2.0, 8000)
-        full = np.abs(np.fft.rfft(x.samples))
+        x = tone(100, 2.0, 8000).samples
+        full = np.abs(np.fft.rfft(x))
         oracle_freq = np.fft.rfftfreq(len(x), 1 / 8000)[np.argmax(full[1:]) + 1]
-        freqs, gxx = cross_spectral_density(x, x, WelchParams())
+        freqs, gxx, _, _ = welch_spectra(x, x, WelchParams())
         resolution = freqs[1] - freqs[0]
         assert abs(freqs[np.argmax(gxx.real)] - oracle_freq) <= resolution
 
     def test_linearity(self):
         rng = np.random.default_rng(1)
-        x = Signal(rng.normal(size=4096), 8000.0)
-        y = Signal(2.0 * x.samples, 8000.0)
-        _, gxy = cross_spectral_density(x, y, WelchParams())
-        _, gxx = cross_spectral_density(x, x, WelchParams())
+        x = rng.normal(size=4096)
+        _, gxy, _, _ = welch_spectra(x, 2.0 * x, WelchParams())
+        _, gxx, _, _ = welch_spectra(x, x, WelchParams())
         np.testing.assert_allclose(gxy, 2.0 * gxx, rtol=1e-9)
 
     def test_mismatched_inputs_rejected(self):
         a = tone(100, 1.0, 8000)
-        with pytest.raises(ValueError, match="rates differ"):
-            cross_spectral_density(a, tone(100, 1.0, 16000), WelchParams())
-        with pytest.raises(ValueError, match="lengths differ"):
-            cross_spectral_density(a, tone(100, 0.5, 8000), WelchParams())
+        with pytest.raises(ValueError, match="rates differ: 8000 vs 16000"):
+            magnitude_squared_coherence(a, tone(100, 1.0, 16000), WelchParams())
+        with pytest.raises(ValueError, match="signal lengths differ: 8000 vs 4000"):
+            magnitude_squared_coherence(a, tone(100, 0.5, 8000), WelchParams())
+        welch = WelchAccumulator(len(a), 8000.0, WelchParams())
+        with pytest.raises(ValueError, match="piece lengths differ: 8000 vs 4000"):
+            welch.feed(a.samples, a.samples[:4000])
 
 
 class TestMagnitudeSquaredCoherence:
@@ -305,13 +314,14 @@ class TestPeakEnvelope:
 
 class TestCoherenceScore:
     def test_identical_signal_scores_one(self, urban_90s_8k):
-        assert coherence_score(urban_90s_8k, urban_90s_8k) == pytest.approx(1.0, abs=1e-6)
+        score = score_with_details(urban_90s_8k, urban_90s_8k).score
+        assert score == pytest.approx(1.0, abs=1e-6)
 
     def test_invariant_to_recording_delay(self, urban_90s_8k):
-        base = coherence_score(urban_90s_8k, urban_90s_8k)
+        base = score_with_details(urban_90s_8k, urban_90s_8k).score
         for delay_s in (0.25, 2.0):
             delayed = shift_right(urban_90s_8k, int(delay_s * 8000))
-            score = coherence_score(urban_90s_8k, delayed)
+            score = score_with_details(urban_90s_8k, delayed).score
             assert abs(score - base) <= 1e-3
 
     def test_score_decreases_with_noise(self, urban_90s_8k):
@@ -320,7 +330,7 @@ class TestCoherenceScore:
         averages = []
         for snr in snrs:
             scores = [
-                coherence_score(urban_90s_8k, add_noise_at_snr(urban_90s_8k, snr, seed))
+                score_with_details(urban_90s_8k, add_noise_at_snr(urban_90s_8k, snr, seed)).score
                 for seed in range(10)
             ]
             averages.append(np.mean(scores))
@@ -329,7 +339,7 @@ class TestCoherenceScore:
     def test_short_input_rejected(self):
         short = tone(100, 5.0, 8000)
         with pytest.raises(ValueError, match="at least 90"):
-            coherence_score(short, short)
+            score_with_details(short, short)
 
     def test_rate_below_8khz_rejected(self):
         # scoring would upsample 4 kHz, which no resampling path does
@@ -356,7 +366,7 @@ class TestCoherenceScore:
         # recording leads the source: content starts before the source's
         leading = shift_right(src, -4000)
         with pytest.raises(AlignmentError):
-            coherence_score(src, leading)
+            score_with_details(src, leading)
 
 
 class TestRankMicrophones:
@@ -462,7 +472,7 @@ class TestWelchAccumulator:
             p = WelchParams(segment_count, overlap, window, fft_length=seg_len + pad)
         rng = np.random.default_rng(seed)
         x, y = rng.normal(size=n), rng.normal(size=n)
-        whole = _welch_spectra(Signal(x, 8000.0), Signal(y, 8000.0), p)
+        whole = welch_spectra(x, y, p)
         assert_spectra_equal(whole[1:], welch_loop_oracle(x, y, 8000.0, p))
 
         welch = WelchAccumulator(n, 8000.0, p)
@@ -481,7 +491,7 @@ class TestWelchAccumulator:
         cuts = cuts_of(2000, [1, 221, 223])
         for start, stop in zip(cuts[:-1], cuts[1:]):
             welch.feed(x[start:stop], y[start:stop])
-        whole = _welch_spectra(Signal(x, 8000.0), Signal(y, 8000.0), p)
+        whole = welch_spectra(x, y, p)
         assert_spectra_equal(welch.finish(), whole)
 
     def test_rejects_what_does_not_fit_the_plan(self):
@@ -530,7 +540,7 @@ def chunked(x: np.ndarray, rate: float, frames: int, target: float = 8000.0):
 def whole_signal_score(src: np.ndarray, rec: np.ndarray) -> tuple[int, np.ndarray, float]:
     """The pipeline on whole 8 kHz arrays, as it ran before it streamed:
     align on 10 s clips, cut 80 s spans, then coherence, envelope and mean."""
-    delay = find_delay(Signal(src[:80_000], 8000.0), Signal(rec[:80_000], 8000.0), 79_999)
+    delay = find_delay(src[:80_000], rec[:80_000], 79_999)
     estimate = magnitude_squared_coherence(
         Signal(src[:640_000], 8000.0), Signal(rec[delay : delay + 640_000], 8000.0), WelchParams()
     )

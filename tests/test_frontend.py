@@ -13,7 +13,6 @@ from wakenode import (
     amplify,
     common_mode,
     envelope_detect,
-    gain_db,
     threshold_out,
 )
 
@@ -317,26 +316,10 @@ class TestThresholdOut:
             threshold_out(Signal(np.zeros(5), 1000.0), 0.0)
 
 
-class TestGainDb:
-    def test_default_gain_in_db(self):
-        assert gain_db(101.0) == pytest.approx(40.0864, abs=1e-3)
-
-    def test_unity_is_zero_db(self):
-        assert gain_db(1.0) == 0.0
-
-    def test_ten_is_twenty_db(self):
-        assert gain_db(10.0) == pytest.approx(20.0)
-
-    def test_non_positive_rejected(self):
-        with pytest.raises(ValueError, match="gain"):
-            gain_db(0.0)
-
-
 class TestBinarySignal:
-    def test_length_and_duration(self):
+    def test_length(self):
         b = BinarySignal(np.array([True, False, True]), 3.0)
         assert len(b) == 3
-        assert b.duration_s == 1.0
 
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError, match="sample_rate_hz"):

@@ -22,9 +22,9 @@ Three more interpreters import ``wakenode.cli`` with and without a preset
 ``OPENBLAS_NUM_THREADS`` and after numpy.
 
 The package resolves its public names lazily, from one name-to-module
-table; every name it exported when it imported its modules eagerly must
-still resolve, from the module that defined it then or, for a record, from
-:mod:`wakenode.records`. Each name has one home: a module's ``__all__``
+table; every name it exported when it imported its modules eagerly, and
+still exports, must resolve from the module that defined it then or, for
+a record, from :mod:`wakenode.records`. Each name has one home: a module's ``__all__``
 lists only names that its own source defines, and the package's table
 points each name at a module that exports it.
 """
@@ -108,19 +108,20 @@ SCENARIO_YAML = """segments:
 """
 
 # the public names of the package, by the module that defined each when
-# the package imported every module eagerly; the records among them now
-# live in wakenode.records alone
+# the package imported every module eagerly, less those deleted since
+# because no command ran them; the records among them now live in
+# wakenode.records alone
 API = {
-    "calibrate": "CalibrationCurve CalibrationDomainError CalPoint FitError adc_to_db db_to_adc "
+    "calibrate": "CalibrationCurve CalibrationDomainError CalPoint FitError adc_to_db "
     "fit_curve r_squared",
     "coherence": "AlignmentError CoherenceEstimate MicCandidate MicConfiguration RankedMic "
-    "WelchParams Window coherence_score cross_spectral_density magnitude_squared_coherence "
-    "peak_envelope rank_microphones score_with_details",
+    "WelchParams Window magnitude_squared_coherence peak_envelope rank_microphones "
+    "score_with_details",
     "frontend": "BinarySignal CircuitParams amplifier_gain amplify common_mode envelope_detect "
-    "gain_db threshold_out",
+    "threshold_out",
     "powersim": "BUILTIN_PROFILES NodeConfig PowerProfile Scenario ScenarioSegment SimTrace "
     "battery_lifetime_days build_urban_scenario savings_percent simulate simulate_from_wake",
-    "signals": "Signal clip find_delay resample",
+    "signals": "Signal find_delay resample",
     "wavio": "WavFormatError read_wav",
 }
 API_NAMES = [(module, name) for module, names in API.items() for name in names.split()]
@@ -359,4 +360,3 @@ def test_unknown_names_raise_attribute_error():
 
 def test_cli_still_reaches_the_names_its_commands_import():
     assert wakenode.cli.simulate is wakenode.powersim.simulate
-    assert wakenode.cli.WavReader is wakenode.wavio.WavReader

@@ -8,6 +8,8 @@ from scipy.io import wavfile
 from wakenode import WavFormatError, read_wav, wavio
 from wakenode.wavio import WavReader
 
+from conftest import chunk, fmt_chunk, rf64, riff
+
 
 def write_24bit_wav(path, rate: int, values: np.ndarray) -> None:
     """Hand-rolled 24-bit PCM writer (scipy cannot write 24-bit)."""
@@ -86,38 +88,6 @@ def test_missing_file_raises(tmp_path):
 
 # ----------------------------------------------------------------------
 # parity with scipy.io.wavfile.read, the decoder read_wav used to call
-
-GUID_TAIL = {
-    "<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
-    ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71",
-}
-
-
-def chunk(cid: bytes, body: bytes, order: str = "<") -> bytes:
-    return cid + struct.pack(order + "I", len(body)) + body + b"\0" * (len(body) % 2)
-
-
-def fmt_chunk(tag, channels, rate, bits, width, order="<", subformat=None) -> bytes:
-    block = channels * width
-    body = struct.pack(order + "HHIIHH", tag, channels, rate, rate * block, block, bits)
-    if subformat is not None:
-        guid = struct.pack(order + "I", subformat) + GUID_TAIL[order]
-        body += struct.pack(order + "HHI", 22, bits, 0) + guid
-    return chunk(b"fmt ", body, order)
-
-
-def riff(*chunks: bytes, order: str = "<") -> bytes:
-    body = b"WAVE" + b"".join(chunks)
-    return (b"RIFF" if order == "<" else b"RIFX") + struct.pack(order + "I", len(body)) + body
-
-
-def rf64(fmt: bytes, samples: bytes) -> bytes:
-    data = b"data" + struct.pack("<I", 0xFFFFFFFF) + samples
-    ds64 = chunk(b"ds64", struct.pack("<QQQI", 0, len(samples), 0, 0))
-    riff_size = 4 + len(ds64) + len(fmt) + len(data)
-    ds64 = chunk(b"ds64", struct.pack("<QQQI", riff_size, len(samples), 0, 0))
-    return b"RF64" + struct.pack("<I", 0xFFFFFFFF) + b"WAVE" + ds64 + fmt + data
-
 
 def container_samples(path):
     """Rate and the samples in their container dtype, as the reader decodes them."""
