@@ -65,6 +65,7 @@ import importlib
 import json
 import math
 import os
+import shutil
 import sys
 import warnings
 from dataclasses import asdict, replace
@@ -171,32 +172,56 @@ def _publish(out_dir: Path, files: dict[str, Iterable[str]]) -> None:
     """Write every file into ``out_dir``, in order, or none of them.
 
     Each file's text chunks are written, as they are produced, to a hidden
-    temp file that is then renamed into place. On any failure, including
-    one raised while a chunk is produced, the temp files and the files
-    already renamed are removed, and an OSError becomes ``E_OUTPUT``. Every
-    chunk iterator that has a ``close`` is then closed, so a CSV worker
-    behind a generator that a failed write left suspended ends before this
-    call returns, not at garbage collection. Mode "x" creates the temp
-    files with the permissions a plain write gives (0644 under umask 022).
+    temp file that is then renamed into place, once the file it replaces is
+    kept as a hidden backup (a hard link, or a copy without hard links). On
+    any failure, including one raised while a chunk is produced, the files
+    already renamed are put back or removed, and so is ``out_dir`` if this
+    call made it; an OSError becomes ``E_OUTPUT``. No temp file or backup
+    is left. Every chunk iterator that has a ``close`` is then closed, so a
+    CSV worker behind a generator that a failed write left suspended ends
+    before this call returns, not at garbage collection. Mode "x" creates
+    the temp files with the permissions a plain write gives (0644 under
+    umask 022).
     """
-    written: list[Path] = []  # what this call has put on disk
+    hidden: list[Path] = []  # temp files, then backups
+    placed: list[tuple[Path, Path | None]] = []  # renamed into place, and the backup
+    created = False
     try:
+        created = not out_dir.exists()
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, chunks in files.items():
             tmp = out_dir / f".{name}.{os.urandom(4).hex()}.tmp"
             with open(tmp, "x") as fh:
-                written.append(tmp)
+                hidden.append(tmp)
                 fh.writelines(chunks)
-        for i, name in enumerate(files):
-            os.replace(written[i], out_dir / name)
-            written[i] = out_dir / name
-        written.clear()
+        for tmp, name in zip(list(hidden), files):
+            target, backup = out_dir / name, tmp.with_suffix(".bak")
+            hidden.append(backup)
+            try:
+                os.link(target, backup)
+            except FileNotFoundError:
+                backup = None
+            except OSError:
+                shutil.copyfile(target, backup)
+            os.replace(tmp, target)
+            placed.append((target, backup))
+        placed, created = [], False  # done: nothing to undo
     except OSError as exc:
         raise CliError("E_OUTPUT", f"cannot write output: {exc}") from exc
     finally:
-        for path in written:
+        for target, backup in placed:
+            with contextlib.suppress(OSError):
+                if backup is None:
+                    target.unlink()
+                else:
+                    os.replace(backup, target)
+        # a temp file renamed into place, or a backup put back, is missing
+        for path in hidden:
             with contextlib.suppress(OSError):
                 path.unlink()
+        if created:
+            with contextlib.suppress(OSError):
+                out_dir.rmdir()
         for chunks in files.values():
             if hasattr(chunks, "close"):
                 chunks.close()
@@ -252,20 +277,21 @@ def _can_fork() -> bool:
 
 
 def _csv_rows(
-    row_format: str, columns: Sequence[np.ndarray | list], start: int, stop: int
+    row_format: str, columns: Sequence[np.ndarray | Sequence], start: int, stop: int
 ) -> Iterator[str]:
     """One ``row_format`` row per index in ``[start, stop)`` of ``columns``,
     in strings of ``CSV_BLOCK_ROWS`` rows; ``%r`` of a Python float is its
-    repr(), which reads back to the same bits. An array's slice is turned
-    into Python values with ``tolist()``: under numpy 2, ``%r`` of an
-    ``np.float64`` is ``np.float64(...)``. A list column is used as it is."""
+    repr(), which reads back to the same bits. A column is a list, used as
+    it is, or a numpy or stdlib array, whose slice is turned into Python
+    values with ``tolist()``: under numpy 2, ``%r`` of an ``np.float64`` is
+    ``np.float64(...)``."""
     for first in range(start, stop, CSV_BLOCK_ROWS):
         end = min(first + CSV_BLOCK_ROWS, stop)
         block = [c[first:end] if isinstance(c, list) else c[first:end].tolist() for c in columns]
         yield (row_format * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
 
 
-def _csv_blocks(header: str, row_format: str, *columns: np.ndarray | list) -> Iterator[str]:
+def _csv_blocks(header: str, row_format: str, *columns: np.ndarray | Sequence) -> Iterator[str]:
     """``header``, then one ``row_format`` row per index of ``columns``
     (arrays or lists of one length), in strings of ``CSV_BLOCK_ROWS`` rows
     (see :func:`_csv_rows`).
@@ -427,19 +453,13 @@ BUILTIN_SCENARIOS: dict[str, Callable[[], Scenario]] = {
 
 
 def _trace_csv(trace: SimTrace, node: NodeConfig) -> Iterator[str]:
-    """``trace.csv`` of either route: the timeline's columns are lists for a
-    scenario, so that route loads no numpy, and arrays for a WAV."""
+    """``trace.csv``: one row per row of the trace's timeline."""
     t_start, t_end, transmit = trace.timeline()
     # a row's state and power cells depend on its state alone: each row
     # refers to one of two strings, indexed by its state as 0 or 1
     profile = node.profile
     cells = [f"sleep,{float(profile.sleep_mw)!r}", f"transmit,{float(profile.transmit_mw)!r}"]
-    if isinstance(transmit, list):
-        states: list | np.ndarray = [cells[state] for state in transmit]
-    else:
-        import numpy as np
-
-        states = np.array(cells, dtype=object)[transmit.view(np.uint8)]
+    states = [cells[state] for state in transmit]
     header = "t_start_s,t_end_s,state,power_mw\n"
     return _csv_blocks(header, "%r,%r,%s\n", t_start, t_end, states)
 

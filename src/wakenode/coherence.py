@@ -82,18 +82,6 @@ class CoherenceEstimate:
 
     frequencies_hz: NDArray[np.float64]
     values: NDArray[np.float64]
-    params: WelchParams
-    sample_rate_hz: float
-
-    def __post_init__(self) -> None:
-        freqs = np.asarray(self.frequencies_hz, dtype=np.float64).copy()
-        vals = np.asarray(self.values, dtype=np.float64).copy()
-        if freqs.shape != vals.shape:
-            raise ValueError("frequencies and values must have the same length")
-        for arr in (freqs, vals):
-            arr.setflags(write=False)
-        object.__setattr__(self, "frequencies_hz", freqs)
-        object.__setattr__(self, "values", vals)
 
 
 class WelchAccumulator:
@@ -115,7 +103,6 @@ class WelchAccumulator:
         self._nfft = params.resolve_fft_length(seg_len)
         self.length = length
         self.sample_rate_hz = sample_rate_hz
-        self.params = params
         self.fed = 0
         self._seg_len = seg_len
         self._hop = seg_len - int(params.overlap_fraction * seg_len)
@@ -208,7 +195,7 @@ def _require_two_segments(p: WelchParams) -> None:
         raise ValueError("coherence needs at least two Welch segments; one is degenerate")
 
 
-def _coherence(spectra: _Spectra, p: WelchParams, sample_rate_hz: float) -> CoherenceEstimate:
+def _coherence(spectra: _Spectra) -> CoherenceEstimate:
     """|G_xy|^2 / (G_xx G_yy) of Welch spectra, clamped to [0, 1]; spectra
     whose product overflows raise OverflowError."""
     freqs, gxy, gxx, gyy = spectra
@@ -222,7 +209,7 @@ def _coherence(spectra: _Spectra, p: WelchParams, sample_rate_hz: float) -> Cohe
         values = np.abs(gxy) ** 2 / denom
     values = np.where(denom < POWER_FLOOR, 0.0, values)
     values = np.clip(values, 0.0, 1.0)
-    return CoherenceEstimate(freqs, values, p, sample_rate_hz)
+    return CoherenceEstimate(freqs, values)
 
 
 def magnitude_squared_coherence(x: Signal, y: Signal, p: WelchParams) -> CoherenceEstimate:
@@ -243,7 +230,7 @@ def magnitude_squared_coherence(x: Signal, y: Signal, p: WelchParams) -> Coheren
         raise ValueError(f"signal lengths differ: {len(x)} vs {len(y)}")
     welch = WelchAccumulator(len(x), x.sample_rate_hz, p)
     welch.feed(x.samples, y.samples)
-    return _coherence(welch.finish(), p, x.sample_rate_hz)
+    return _coherence(welch.finish())
 
 
 def _local_maxima(values: NDArray[np.float64]) -> NDArray[np.intp]:
@@ -464,7 +451,7 @@ def score_streams(
         )
     if not (src_sound and rec_sound):
         raise ValueError("coherence of an all-zero signal is undefined")
-    estimate = _coherence(welch.finish(), welch.params, welch.sample_rate_hz)
+    estimate = _coherence(welch.finish())
     envelope = peak_envelope(estimate.values, ENVELOPE_PEAK_SEPARATION)
     score = float(min(max(np.mean(envelope), 0.0), 1.0))
     return ScoreBreakdown(score, delay, estimate, envelope)

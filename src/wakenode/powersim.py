@@ -3,21 +3,21 @@ duty-cycle and savings computation, and battery-lifetime projection.
 
 :func:`simulate` takes wake intervals from a scenario's sound segments,
 :class:`WakeRuns` from a comparator output's low runs, found chunk by
-chunk with array edge detection. A scenario is a handful of segments:
-:func:`simulate` merges their intervals in one plain-Python pass, so
-``simulate --scenario`` loads no numpy. A wake signal gives thousands of
-runs, merged with array operations. Both integrate energy exactly with one
-formula; the trace holds the transmit intervals, and the sleep/transmit
-timeline is derived from them. All inputs are immutable, so independent
+chunk with array edge detection. Both merge their intervals in one
+plain-Python pass into a flat array of floats, and integrate energy
+exactly with one formula, so ``simulate --scenario`` loads no numpy; the
+trace holds the transmit intervals, and the sleep/transmit timeline is
+derived from them. All inputs are immutable, so independent
 scenario/profile sweeps can run concurrently.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import chain
-from typing import TYPE_CHECKING
+from itertools import accumulate, pairwise, zip_longest
+from typing import TYPE_CHECKING, Iterable
 
 from .records import NodeConfig, PowerProfile, Scenario
 
@@ -41,81 +41,62 @@ __all__ = [
 class SimTrace:
     """Transmit intervals over ``[0, total_s]`` with their integrated energy figures.
 
-    ``wake_s`` holds sorted, disjoint ``[start, end)`` transmit intervals in
-    seconds; the node sleeps between. From :func:`simulate` it is a tuple of
-    ``(start, end)`` float pairs, from a wake signal a read-only ``(n, 2)``
-    array.
+    ``wake_s`` holds sorted ``[start, end)`` transmit intervals in seconds,
+    each ending before the next starts, flat (``start, end, start, end,
+    ...``) in a read-only memoryview of doubles; the node sleeps between.
     """
 
-    wake_s: tuple[tuple[float, float], ...] | NDArray[np.float64]
+    wake_s: memoryview
     total_s: float
     energy_mwh: float
     duty_cycle: float
     avg_power_mw: float
 
-    def timeline(self) -> tuple[list, list, list] | tuple[NDArray, NDArray, NDArray]:
-        """The contiguous state timeline as ``(t_start, t_end, transmit)`` columns:
-        lists of Python floats and bools for a tuple ``wake_s``, arrays for an
-        array one.
+    def timeline(self) -> tuple[array, array, bytearray]:
+        """The contiguous state timeline as ``(t_start, t_end, transmit)``
+        columns: two ``array("d")`` of the row bounds, and one byte per row,
+        1 for transmit and 0 for sleep.
 
         The sleep gaps go around the transmit rows. A sleep gap of zero length
         is dropped, a transmit row never is; no wake interval gives the one
         sleep row ``[0, total_s)``.
         """
-        if isinstance(self.wake_s, tuple):
-            bounds = [0.0, *chain.from_iterable(self.wake_s), self.total_s]
-            rows = [
-                (start, end, i % 2 == 1)
-                for i, (start, end) in enumerate(zip(bounds, bounds[1:]))
-                if i % 2 or end > start
-            ]
-            return tuple(map(list, zip(*rows)))
-        import numpy as np
-
-        bounds = np.concatenate(([0.0], self.wake_s.ravel(), [self.total_s]))
-        transmit = np.zeros(len(bounds) - 1, dtype=bool)
-        transmit[1::2] = True
-        keep = transmit | (bounds[1:] > bounds[:-1])
-        return bounds[:-1][keep], bounds[1:][keep], transmit[keep]
+        bounds = array("d", [0.0])
+        bounds.frombytes(self.wake_s.cast("B"))
+        bounds.append(self.total_s)
+        transmit = bytearray(b"\0\1") * (len(self.wake_s) // 2) + b"\0"
+        # row i runs from bound i to bound i + 1; the merge leaves a gap
+        # between any two intervals, so only the first and last sleep rows
+        # can be empty
+        lo = int(bounds[1] <= 0.0)
+        hi = len(bounds) - 1 - int(bounds[-1] <= bounds[-2])
+        return bounds[lo:hi], bounds[lo + 1 : hi + 1], transmit[lo:hi]
 
 
-def _integrated(
-    wake_s: tuple[tuple[float, float], ...] | NDArray[np.float64],
-    transmit: list[float],
-    total_s: float,
-    config: NodeConfig,
-) -> SimTrace:
-    """The trace of ``wake_s``, whose interval lengths are ``transmit``, with
-    its energy integrated exactly: the builtin sum adds the Python floats in
-    order, as a loop over the intervals does."""
-    profile = config.profile
-    transmit_s = sum(transmit)
-    sleep_s = total_s - transmit_s
-    energy_mws = transmit_s * profile.transmit_mw + sleep_s * profile.sleep_mw
-    energy_mwh = energy_mws / 3600.0
-    duty = transmit_s / total_s
-    avg_power_mw = energy_mwh / (total_s / 3600.0)
-    return SimTrace(wake_s, total_s, energy_mwh, duty, avg_power_mw)
+def _merged(runs: Iterable[tuple[float, float]], total_s: float, config: NodeConfig) -> SimTrace:
+    """The trace of wake runs given as ``(start, release)`` pairs in order
+    of start, each held ``config.hold_time_s`` past its release (capped at
+    ``total_s``), with its energy integrated exactly.
 
-
-def _trace(
-    starts: NDArray[np.float64], ends: NDArray[np.float64], total_s: float, config: NodeConfig
-) -> SimTrace:
-    """Merge wake intervals and integrate energy over them exactly.
-
-    ``starts`` never decrease, so no sort is needed: the running max of
-    ``ends`` is how far the intervals so far reach, and interval i opens a
-    merged one where it starts past that reach (equal starts always merge).
+    One pass merges as it goes: a run that starts within the open
+    interval's reach (an equal start included) extends it, any other closes
+    it and opens the next. The builtin sum adds the interval lengths in
+    order, as a loop over the intervals does.
     """
-    import numpy as np
-
-    reach = np.maximum.accumulate(ends)
-    opens = np.ones(len(starts), dtype=bool)
-    opens[1:] = starts[1:] > reach[:-1]
-    # a merged interval ends where the next one opens, or at the last interval
-    wake_s = np.column_stack((starts[opens], reach[np.roll(opens, -1)]))
-    wake_s.flags.writeable = False
-    return _integrated(wake_s, (wake_s[:, 1] - wake_s[:, 0]).tolist(), total_s, config)
+    wake = array("d")
+    for start, release in runs:
+        end = min(release + config.hold_time_s, total_s)
+        if wake and start <= wake[-1]:
+            wake[-1] = max(wake[-1], end)
+        else:
+            wake.extend((start, end))
+    profile = config.profile
+    transmit_s = sum(end - start for start, end in zip(wake[0::2], wake[1::2]))
+    sleep_s = total_s - transmit_s
+    energy_mwh = (transmit_s * profile.transmit_mw + sleep_s * profile.sleep_mw) / 3600.0
+    avg_power_mw = energy_mwh / (total_s / 3600.0)
+    wake_s = memoryview(wake).toreadonly()
+    return SimTrace(wake_s, total_s, energy_mwh, transmit_s / total_s, avg_power_mw)
 
 
 def simulate(scenario: Scenario, config: NodeConfig) -> SimTrace:
@@ -126,26 +107,13 @@ def simulate(scenario: Scenario, config: NodeConfig) -> SimTrace:
     with any wake interval it runs into); it sleeps otherwise. Energy is
     integrated exactly per interval.
 
-    The segments are contiguous and in order, so one pass over them merges
-    as it goes: a sound segment that starts within the open interval's
-    reach (an equal start included) extends it, any other closes it and
-    opens the next. Segment ends are running totals, added one segment at
-    a time, left to right.
+    The segments are contiguous and in order, so :func:`_merged` takes
+    each sound segment as it comes. Segment ends are running totals, added
+    one segment at a time, left to right.
     """
-    total_s = float(scenario.duration_s)
-    wake: list[tuple[float, float]] = []
-    t = 0.0
-    for seg in scenario.segments:
-        start, t = t, t + seg.duration_s
-        if not seg.sound_present:
-            continue
-        # t never decreases, so neither does end: it is the reach so far
-        end = min(t + config.hold_time_s, total_s)
-        if wake and start <= wake[-1][1]:
-            wake[-1] = (wake[-1][0], end)
-        else:
-            wake.append((start, end))
-    return _integrated(tuple(wake), [end - start for start, end in wake], total_s, config)
+    bounds = pairwise(accumulate((seg.duration_s for seg in scenario.segments), initial=0.0))
+    sound = (run for seg, run in zip(scenario.segments, bounds) if seg.sound_present)
+    return _merged(sound, float(scenario.duration_s), config)
 
 
 class WakeRuns:
@@ -200,14 +168,10 @@ class WakeRuns:
             raise ValueError("wake signal is empty")
         dt = 1.0 / self.sample_rate_hz
         total_s = self._samples * dt
-        # a run still low at the last sample ends one past it
-        closing = [] if self._ended_high else [np.array([self._samples])]
-        edges = np.concatenate(self._edges + closing)
-        starts = edges[0::2] * dt
-        # the hold runs from the first high sample; a run still low at the
-        # last sample ends at total_s (len * dt + hold is never below total_s)
-        ends = np.minimum(edges[1::2] * dt + config.hold_time_s, total_s)
-        return _trace(starts, ends, total_s, config)
+        times = np.concatenate(self._edges) * dt
+        # a run still low at the last sample is released at total_s
+        runs = zip_longest(memoryview(times[0::2]), memoryview(times[1::2]), fillvalue=total_s)
+        return _merged(runs, total_s, config)
 
 
 def simulate_from_wake(wake: BinarySignal, config: NodeConfig) -> SimTrace:
@@ -215,10 +179,8 @@ def simulate_from_wake(wake: BinarySignal, config: NodeConfig) -> SimTrace:
     benchmark's tracer wraps it."""
     import numpy as np
 
-    high = np.empty(len(wake) + 1, dtype=bool)
-    high[1:] = wake.samples
     runs = WakeRuns(wake.sample_rate_hz)
-    runs.feed(high)
+    runs.feed(np.concatenate(([True], wake.samples)))
     return runs.trace(config)
 
 

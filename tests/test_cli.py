@@ -225,11 +225,12 @@ class TestAtomicOutput:
 
 def run_failing_at(argv: list[str], out: Path, patch: Callable) -> tuple[int, str]:
     """Exit code and stderr of ``main`` on ``argv`` with ``--out-dir out``,
-    under ``patch(monkeypatch)``; the run must leave no file in ``out``."""
+    under ``patch(monkeypatch)``, with no ``out`` before it; the run must
+    leave none."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         patch(monkeypatch)
         code, _, stderr = run_in_process(["--out-dir", str(out), *argv])
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
     return code, stderr
 
 
@@ -288,6 +289,10 @@ CHUNK_ERRORS = [
 ]
 
 
+def no_hard_links(src, dst, **kwargs):
+    raise PermissionError(1, "Operation not permitted", str(src))
+
+
 class TestPublishFailures:
     """Failures injected into _publish after it made the output directory:
     each exits with one code and leaves no file that the run wrote."""
@@ -321,6 +326,21 @@ class TestPublishFailures:
         assert code == 1
         assert re.findall(r"\[(E_[A-Z_]+)\]", stderr) == ["E_OUTPUT"], stderr
         assert "No space left on device" in stderr
+
+    @pytest.mark.parametrize("link", [os.link, no_hard_links], ids=["hard-link", "copy"])
+    def test_second_rename_failing_over_an_earlier_run(self, tmp_path, link):
+        # the earlier run's report must not be left without its trace
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "simulate", "--scenario", "urban"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            failing_on_second(os, "replace", os.replace)(monkeypatch)
+            monkeypatch.setattr(os, "link", link)
+            argv = ["--out-dir", str(out), "simulate", "--scenario", "urban", "--profile", "wifi"]
+            code, _, stderr = run_in_process(argv)
+        assert code == 1
+        assert re.findall(r"\[(E_[A-Z_]+)\]", stderr) == ["E_OUTPUT"], stderr
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 class TestGoldens:
@@ -1495,7 +1515,7 @@ class TestCsvSplit:
         assert main(["--out-dir", str(out), "calibrate", "unused.csv"]) == 1
         assert f"[{code}]" in capsys.readouterr().err
         assert len(pids) == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         assert_no_child_left()
 
     def test_failed_write_ends_the_worker(self, tmp_path, capsys, monkeypatch, pair_95s):
@@ -1531,7 +1551,7 @@ class TestCsvSplit:
         assert main(["--out-dir", str(out), "coherence", *pair_95s[1]]) == 1
         assert "[E_OUTPUT]: cannot write output: [Errno 28]" in capsys.readouterr().err
         assert len(pids) == 1
-        assert list(out.iterdir()) == []
+        assert not out.exists()
         assert_no_child_left()
 
         # _publish itself closes the generator, while its caller still holds it

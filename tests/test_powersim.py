@@ -24,7 +24,7 @@ from wakenode import (
     threshold_out,
 )
 from wakenode.cli import _trace_csv
-from wakenode.powersim import SimTrace, WakeRuns, _trace
+from wakenode.powersim import SimTrace, WakeRuns, _merged
 
 ZIGBEE_STANDALONE = BUILTIN_PROFILES["zigbee-standalone"]
 
@@ -38,9 +38,8 @@ TraceRows = tuple[list[tuple[float, float, bool]], float, float, float]
 
 def trace_rows(trace: SimTrace) -> TraceRows:
     """A trace's timeline rows and energy figures, to compare traces bit for
-    bit; a scenario's timeline columns are lists, a wake signal's arrays."""
-    columns = trace.timeline()
-    rows = list(zip(*(c if isinstance(c, list) else c.tolist() for c in columns)))
+    bit; a row's state reads 1 for transmit and 0 for sleep."""
+    rows = list(zip(*trace.timeline()))
     return rows, trace.energy_mwh, trace.duty_cycle, trace.avg_power_mw
 
 
@@ -48,7 +47,7 @@ def trace_oracle(
     intervals: list[tuple[float, float]], total_s: float, config: NodeConfig
 ) -> TraceRows:
     """Sort-and-merge loop, then one row per wake run and sleep gap: the
-    reference for the array merge and timeline of ``powersim``."""
+    reference for the one-pass merge and timeline of ``powersim``."""
     merged: list[tuple[float, float]] = []
     for start, end in sorted(intervals):
         if merged and start <= merged[-1][1]:
@@ -100,19 +99,6 @@ def simulate_from_wake_oracle(wake: BinarySignal, config: NodeConfig) -> TraceRo
     if run_start is not None:
         intervals.append((run_start * dt, total_s))
     return trace_oracle(intervals, total_s, config)
-
-
-def simulate_by_arrays(scenario: Scenario, config: NodeConfig) -> SimTrace:
-    """Per-segment ``(start, end)`` arrays from a cumulative sum, merged by
-    the array ``_trace``: the reference for the one-pass merge of simulate."""
-    durations = np.array([seg.duration_s for seg in scenario.segments])
-    sound = np.array([seg.sound_present for seg in scenario.segments], dtype=bool)
-    # cumsum adds one segment at a time, left to right, as a running total would
-    seg_end = np.cumsum(durations)
-    seg_start = np.concatenate(([0.0], seg_end[:-1]))
-    total_s = scenario.duration_s
-    ends = np.minimum(seg_end[sound] + config.hold_time_s, total_s)
-    return _trace(seg_start[sound], ends, total_s, config)
 
 
 @st.composite
@@ -192,7 +178,7 @@ class TestSimulate:
         trace = simulate(scenario, NodeConfig(ZIGBEE_STANDALONE))
         assert trace.duty_cycle == 0.0
         assert trace.avg_power_mw == pytest.approx(ZIGBEE_STANDALONE.sleep_mw)
-        assert trace.wake_s == ()
+        assert trace.wake_s.tolist() == []
         assert trace_rows(trace)[0] == [(0.0, 100.0, False)]
 
     def test_urban_scenario_closed_form(self):
@@ -223,9 +209,9 @@ class TestSimulate:
             )
         )
         trace = simulate(scenario, NodeConfig(ZIGBEE_STANDALONE, hold_time_s=5.0))
-        # a tuple of tuples: read-only, as a wake signal's array is
-        assert trace.wake_s == ((0.0, pytest.approx(28.0)),)
-        assert trace.timeline()[2] == [True, False]
+        assert trace.wake_s.readonly
+        assert trace.wake_s.tolist() == [0.0, pytest.approx(28.0)]
+        assert list(trace.timeline()[2]) == [1, 0]
 
     def test_hold_capped_at_scenario_end(self):
         scenario = Scenario((ScenarioSegment(50.0, False), ScenarioSegment(10.0, True)))
@@ -277,7 +263,7 @@ class TestSimulate:
             trace = simulate(scenario, config)
             assert trace_rows(trace) == simulate_oracle(scenario, config)
             sound = sum(seg.sound_present for seg in scenario.segments)
-            merged += len(trace.wake_s) < sound
+            merged += len(trace.wake_s) // 2 < sound
         assert merged > 100  # most scenarios merge some wakes
 
     @pytest.mark.parametrize(
@@ -295,31 +281,31 @@ class TestSimulate:
         scenario = Scenario(
             tuple(ScenarioSegment(d, bool(s)) for d, s in zip(durations, sound))
         )
-        self.check_against_arrays(scenario, NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_time_s))
+        self.check_against_oracle(scenario, NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_time_s))
 
     @given(scenario=scenarios(), hold_time_s=st.one_of(st.just(0.0), st.floats(0.0, 2000.0)))
     @settings(max_examples=200, deadline=None)
     def test_random_one_pass_merge_equals_the_array_merge(self, scenario, hold_time_s):
-        self.check_against_arrays(scenario, NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_time_s))
+        self.check_against_oracle(scenario, NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_time_s))
 
     @staticmethod
-    def check_against_arrays(scenario: Scenario, config: NodeConfig) -> None:
-        """Bit-identical figures, rows and trace.csv bytes, with every
-        boundary a Python float, as ``%r`` prints the arrays' floats."""
-        plain, arrays = simulate(scenario, config), simulate_by_arrays(scenario, config)
-        assert trace_rows(plain) == trace_rows(arrays)
-        assert len(plain.wake_s) == len(arrays.wake_s)
-        t_start, t_end, transmit = plain.timeline()
-        assert {type(t) for t in t_start + t_end} == {float}
-        assert {type(t) for t in transmit} <= {bool}
-        assert "".join(_trace_csv(plain, config)) == "".join(_trace_csv(arrays, config))
+    def check_against_oracle(scenario: Scenario, config: NodeConfig) -> None:
+        """Bit-identical figures and rows, and trace.csv bytes that print
+        the oracle's rows with ``%r`` of a float."""
+        trace = simulate(scenario, config)
+        rows, *figures = simulate_oracle(scenario, config)
+        assert trace_rows(trace) == (rows, *figures)
+        profile = config.profile
+        states = [f"sleep,{float(profile.sleep_mw)!r}", f"transmit,{float(profile.transmit_mw)!r}"]
+        text = "".join(f"{float(a)!r},{float(b)!r},{states[s]}\n" for a, b, s in rows)
+        assert "".join(_trace_csv(trace, config)) == "t_start_s,t_end_s,state,power_mw\n" + text
 
     def test_nested_intervals_merge_as_the_loop_oracle(self):
-        # neither caller passes an end below an earlier one; _trace takes it
+        # neither caller passes an end below an earlier one; _merged takes it
         starts = [0.0, 1.0, 2.0, 6.0, 6.0, 9.0]
         ends = [5.0, 2.0, 3.0, 6.0, 7.0, 9.5]
         config = NodeConfig(ZIGBEE_STANDALONE)
-        trace = _trace(np.array(starts), np.array(ends), 10.0, config)
+        trace = _merged(zip(starts, ends), 10.0, config)
         assert trace_rows(trace) == trace_oracle(list(zip(starts, ends)), 10.0, config)
 
     def test_energy_matches_closed_form(self):
@@ -405,6 +391,13 @@ class TestSimulateFromWake:
         config = NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_time_s)
         expected = simulate_from_wake_oracle(wake, config)
         assert trace_rows(simulate_from_wake(wake, config)) == expected
+
+    @given(pattern=st.text("01", min_size=1, max_size=40), hold_samples=st.integers(0, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_timeline_equals_loop_oracle(self, pattern, hold_samples):
+        # a hold of whole samples runs to about a later run's start, where
+        # equal starts merge
+        self.test_timeline_equals_loop_oracle(pattern, hold_samples / 100.0)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
