@@ -173,10 +173,10 @@ def _publish(out_dir: Path, files: dict[str, Iterable[str]]) -> None:
 
     Each file's text chunks are written, as they are produced, to a hidden
     temp file that is then renamed into place, once the file it replaces is
-    kept as a hidden backup (a hard link, or a copy without hard links). On
-    any failure, including one raised while a chunk is produced, the files
-    already renamed are put back or removed, and so is ``out_dir`` if this
-    call made it; an OSError becomes ``E_OUTPUT``. No temp file or backup
+    copied, with its permission bits, to a hidden backup. On any failure,
+    including one raised while a chunk is produced, the files already
+    renamed are put back or removed, and so is ``out_dir`` if this call
+    made it; an OSError becomes ``E_OUTPUT``. No temp file or backup
     is left. Every chunk iterator that has a ``close`` is then closed, so a
     CSV worker behind a generator that a failed write left suspended ends
     before this call returns, not at garbage collection. Mode "x" creates
@@ -198,11 +198,9 @@ def _publish(out_dir: Path, files: dict[str, Iterable[str]]) -> None:
             target, backup = out_dir / name, tmp.with_suffix(".bak")
             hidden.append(backup)
             try:
-                os.link(target, backup)
+                shutil.copy(target, backup)
             except FileNotFoundError:
                 backup = None
-            except OSError:
-                shutil.copyfile(target, backup)
             os.replace(tmp, target)
             placed.append((target, backup))
         placed, created = [], False  # done: nothing to undo

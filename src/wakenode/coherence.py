@@ -76,7 +76,7 @@ def _window_values(kind: Window, length: int) -> NDArray[np.float64]:
     return np.ones(length)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoherenceEstimate:
     """Per-frequency magnitude-squared coherence in [0, 1]."""
 

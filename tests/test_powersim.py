@@ -395,8 +395,8 @@ class TestSimulateFromWake:
     @given(pattern=st.text("01", min_size=1, max_size=40), hold_samples=st.integers(0, 12))
     @settings(max_examples=100, deadline=None)
     def test_drawn_timeline_equals_loop_oracle(self, pattern, hold_samples):
-        # a hold of whole samples runs to about a later run's start, where
-        # equal starts merge
+        # the WAV route's random reference against the loop oracle, now that
+        # no second merge exists to compare it with
         self.test_timeline_equals_loop_oracle(pattern, hold_samples / 100.0)
 
     @given(
