@@ -39,21 +39,21 @@ plain Python, run without it; ``coherence``, ``simulate --wav`` and
 report. ``simulate``, which ``cmd_simulate`` imports that way, can still be
 read as an attribute of this module.
 
-Both commands that read audio stream it through stage objects whose
-``feed`` takes the next chunk as a plain array and keeps the stage's state
-for the one after (``Resampler``, ``EnvelopeDetector``, ``WelchAccumulator``
-and ``WakeRuns``), so memory does not grow with a recording's length and
-the outputs are those of one pass over the whole recording. Each decodes a
-recording through :func:`_decoded`, into a buffer made once per recording,
-and checks every chunk with ``require_finite``. ``simulate
---wav`` reads chunks of the detector's ``chunk_samples`` and runs every
-step of its chain in place (see :func:`_wake_runs`). ``coherence`` reads
-chunks of :data:`WAV_CHUNK_FRAMES` and resamples each to the 8 kHz scoring
-rate for the scorer (see :func:`_score_wavs`), which holds the first 10 s
-of each recording and then one Welch segment, so no whole recording is
-held at any rate. The Welch settings are checked against the 80 s analysis
-span, and each recording's rate and length against its WAV header, before
-any decoding.
+Both commands that read audio stream it through stage objects
+(``Resampler``, ``EnvelopeDetector``, ``WelchAccumulator`` and
+``WakeRuns``) on one contract: ``feed`` takes exactly the next chunk, a
+plain array of any length, and keeps the stage's state for the one after,
+and the outputs of all chunks, joined, are bit for bit those of one feed of
+the whole recording. So memory does not grow with a recording's length.
+Each command decodes a recording through :func:`_decoded`, in chunks of
+:data:`WAV_CHUNK_FRAMES` into a buffer made once per recording, and checks
+every chunk with ``require_finite``. ``simulate --wav`` runs every step of
+its chain in place (see :func:`_wake_runs`). ``coherence`` resamples each
+chunk to the 8 kHz scoring rate for the scorer (see :func:`_score_wavs`),
+which holds the first 10 s of each recording and then one Welch segment,
+so no whole recording is held at any rate. The Welch settings are checked
+against the 80 s analysis span, and each recording's rate and length
+against its WAV header, before any decoding.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ import sys
 import warnings
 from dataclasses import asdict, replace
 from importlib import resources
-from itertools import chain
+from itertools import chain, takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -113,7 +113,7 @@ CSV_BLOCK_ROWS = 4096
 CSV_SPLIT_ROWS = 1 << 16
 # characters per piece copied from a worker's spill file
 CSV_SPILL_PIECE = 1 << 20
-# frames per chunk of a recording streamed into coherence: 256 KiB as float64
+# frames per chunk of a streamed recording: 256 KiB as float64
 WAV_CHUNK_FRAMES = 1 << 15
 
 PREFERRED_SOURCE_RATE_HZ = 16_000.0
@@ -127,7 +127,7 @@ _ERROR_CODES: list[tuple[type[BaseException], str]] = [
     (AlignmentError, "E_ALIGN"),
     (CalibrationDomainError, "E_DOMAIN"),
     (FitError, "E_FIT"),
-    (FileNotFoundError, "E_INPUT"),
+    (OSError, "E_INPUT"),
     (ValueError, "E_INPUT"),
 ]
 
@@ -175,19 +175,19 @@ def _publish(out_dir: Path, files: dict[str, Iterable[str]]) -> None:
     temp file that is then renamed into place, once the file it replaces is
     copied, with its permission bits, to a hidden backup. On any failure,
     including one raised while a chunk is produced, the files already
-    renamed are put back or removed, and so is ``out_dir`` if this call
-    made it; an OSError becomes ``E_OUTPUT``. No temp file or backup
-    is left. Every chunk iterator that has a ``close`` is then closed, so a
-    CSV worker behind a generator that a failed write left suspended ends
-    before this call returns, not at garbage collection. Mode "x" creates
-    the temp files with the permissions a plain write gives (0644 under
-    umask 022).
+    renamed are put back or removed, and so are ``out_dir`` and each parent
+    of it that this call made; an OSError becomes ``E_OUTPUT``. No temp
+    file or backup is left. Every chunk iterator that has a ``close`` is
+    then closed, so a CSV worker behind a generator that a failed write left
+    suspended ends before this call returns, not at garbage collection.
+    Mode "x" creates the temp files with the permissions a plain write gives
+    (0644 under umask 022).
     """
     hidden: list[Path] = []  # temp files, then backups
     placed: list[tuple[Path, Path | None]] = []  # renamed into place, and the backup
-    created = False
+    made: list[Path] = []  # directories this call makes, bottom up
     try:
-        created = not out_dir.exists()
+        made = list(takewhile(lambda path: not path.exists(), (out_dir, *out_dir.parents)))
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, chunks in files.items():
             tmp = out_dir / f".{name}.{os.urandom(4).hex()}.tmp"
@@ -203,7 +203,7 @@ def _publish(out_dir: Path, files: dict[str, Iterable[str]]) -> None:
                 backup = None
             os.replace(tmp, target)
             placed.append((target, backup))
-        placed, created = [], False  # done: nothing to undo
+        placed, made = [], []  # done: nothing to undo
     except OSError as exc:
         raise CliError("E_OUTPUT", f"cannot write output: {exc}") from exc
     finally:
@@ -217,9 +217,9 @@ def _publish(out_dir: Path, files: dict[str, Iterable[str]]) -> None:
         for path in hidden:
             with contextlib.suppress(OSError):
                 path.unlink()
-        if created:
+        for path in made:
             with contextlib.suppress(OSError):
-                out_dir.rmdir()
+                path.rmdir()
         for chunks in files.values():
             if hasattr(chunks, "close"):
                 chunks.close()
@@ -352,14 +352,13 @@ def _csv_blocks(header: str, row_format: str, *columns: np.ndarray | Sequence) -
 # loads numpy only if it needs it.
 
 
-def _decoded(wav: WavReader, out: np.ndarray, mask: np.ndarray) -> Iterator[np.ndarray]:
+def _decoded(wav: WavReader, out: np.ndarray) -> Iterator[np.ndarray]:
     """The recording's chunks, each decoded into the front of ``out`` (see
     :meth:`~wakenode.wavio.WavReader.chunks_into`) and checked by
-    :func:`~wakenode.signals.require_finite`, with the front of ``mask``, a
-    bool array at least as long as ``out``, as scratch."""
+    :func:`~wakenode.signals.require_finite`."""
     from .signals import require_finite
 
-    return (require_finite(samples, mask[: len(samples)]) for samples in wav.chunks_into(out))
+    return map(require_finite, wav.chunks_into(out))
 
 
 def _score_wavs(
@@ -379,10 +378,7 @@ def _score_wavs(
     from .signals import Resampler, require_finite
 
     files = (source, recording)
-    decoded = [
-        _decoded(wav, np.empty(WAV_CHUNK_FRAMES), np.empty(WAV_CHUNK_FRAMES, dtype=bool))
-        for wav in files
-    ]
+    decoded = [_decoded(wav, np.empty(WAV_CHUNK_FRAMES)) for wav in files]
     resamplers = [Resampler(wav.sample_rate_hz, SCORE_RATE_HZ, wav.frames) for wav in files]
     resampled = [map(require_finite, map(r.feed, chunks)) for r, chunks in zip(resamplers, decoded)]
     try:
@@ -470,12 +466,10 @@ def _wake_runs(
     recording, while the chain holds one chunk.
 
     Every stage runs in place in buffers made once per recording, so the
-    loop allocates nothing as long as a chunk: ``state``, the detector's
-    input and output behind the inputs its log-step scan carries, into
-    which each chunk is decoded and then scaled and amplified; ``high``, the
-    comparator output behind the level that ended the chunk before, whose
-    front also takes the mask of each finiteness check; the reader's byte
-    buffer and the stages' own scratch. Each stage's samples are checked by
+    loop allocates nothing as long as a chunk: one float buffer, into which
+    each chunk is decoded and then scaled, amplified and detected; one bool
+    buffer for the comparator output; the reader's byte buffer and the
+    stages' own scratch. Each stage's samples are checked by
     :func:`~wakenode.signals.require_finite`, in the chain's order. Arrays
     made afresh for each chunk are handed back to the system between chunks
     and faulted in again: on 480 s of 16 kHz clicks a chain of fresh arrays
@@ -493,19 +487,13 @@ def _wake_runs(
     with WavReader(wav_path) as wav:
         detector = EnvelopeDetector(circuit, wav.sample_rate_hz)
         runs = WakeRuns(wav.sample_rate_hz)
-        lead = detector.lead
-        state = np.empty(lead + detector.chunk_samples)
-        high = np.empty(detector.chunk_samples + 1, dtype=bool)
-        for samples in _decoded(wav, state[lead:], high[1:]):
-            count = len(samples)
-            mask = high[1 : count + 1]
+        high = np.empty(WAV_CHUNK_FRAMES, dtype=bool)
+        for samples in _decoded(wav, np.empty(WAV_CHUNK_FRAMES)):
             samples *= mic_scale_v
-            require_finite(samples, mask)
-            require_finite(amplify_into(samples, circuit, samples), mask)
-            envelope = detector.feed(state[: lead + count])
-            require_finite(envelope, mask)
-            threshold_into(envelope, threshold_v, mask)
-            runs.feed(high[: count + 1])
+            require_finite(samples)
+            require_finite(amplify_into(samples, circuit, samples))
+            envelope = require_finite(detector.feed(samples))
+            runs.feed(threshold_into(envelope, threshold_v, high[: len(samples)]))
     return runs
 
 

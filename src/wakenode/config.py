@@ -253,7 +253,10 @@ def load_scenario(path: str | Path) -> Scenario:
             )
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-    return Scenario(tuple(segments))
+    try:
+        return Scenario(tuple(segments))
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _load_table(path: str | Path, cls: type) -> list[Any]:

@@ -42,9 +42,6 @@ __all__ = [
 SCAN_BLOCK = 65_536
 SCAN_MAX_EXPONENT = 600.0
 SCAN_MIN_BLOCK = 200
-# Samples per chunk of a recording streamed through the chain, before
-# rounding down to whole scan blocks: 1 MiB per float64 stage.
-STREAM_CHUNK_SAMPLES = 2 * SCAN_BLOCK
 
 
 @dataclass(frozen=True)
@@ -138,18 +135,16 @@ class EnvelopeDetector:
     matches the per-sample recurrence to a relative 1e-9 of the detector
     state wherever that is a normal float (above ~2.2e-308).
 
-    From one chunk to the next it keeps the last level of the block scan,
-    or the log-step scan's last ``lead = 2**passes - 1`` inputs, every lag a
-    pass reads back. With chunks of ``chunk_samples``
-    (:data:`STREAM_CHUNK_SAMPLES` rounded down to whole scan blocks; the last
-    may be shorter) the outputs joined are bit for bit those of one feed of
-    the whole recording.
-
-    :meth:`feed` runs the scan in place in the caller's buffer, behind
-    ``lead`` samples of room for the carried inputs. The block scan's
-    ``exp(k m)`` ramp is built once, here, and the log-step scan's lagged
-    products go to one scratch array kept from chunk to chunk, so a stream
-    of chunks no longer than the first allocates nothing after it.
+    The block scan counts its blocks from the recording's first sample and
+    keeps, from one chunk to the next, its place in the current block and
+    that block's scaled running maximum, so a chunk takes up the block where
+    the one before left it. The log-step scan keeps its last ``2**passes -
+    1`` inputs, every lag a pass reads back, and scans them in front of the
+    next chunk in a window of its own. Chunks of any length then give, joined,
+    the bits of one feed of the whole recording. The block scan's ``exp(k
+    m)`` ramp is built once, here, and the log-step scan's window and lagged
+    products grow to the longest chunk fed, so a stream of chunks no longer
+    than the first allocates nothing after it.
     """
 
     def __init__(self, circuit: CircuitParams, sample_rate_hz: float) -> None:
@@ -157,10 +152,8 @@ class EnvelopeDetector:
         # per-sample decay of the detector state: exp(-1 / (fs * r5 * c5))
         self.decay = math.exp(-1.0 / (sample_rate_hz * circuit.r5_ohm * circuit.c5_f))
         self._block = _scan_block(self.decay)
-        self.chunk_samples = STREAM_CHUNK_SAMPLES
         self._lags: list[int] = []
         if self._block:
-            self.chunk_samples -= STREAM_CHUNK_SAMPLES % self._block
             self._ramp = np.exp(-math.log(self.decay) * np.arange(self._block))
         else:
             # short time constant: after the pass at lag d every sample holds
@@ -171,54 +164,59 @@ class EnvelopeDetector:
             while self.decay**lag != 0.0:
                 self._lags.append(lag)
                 lag *= 2
-        self.lead = 2 * self._lags[-1] - 1 if self._lags else 0
-        self._level = 0.0
+        # the block scan's place in its block and scaled running max; a level
+        # below zero gives the same clamped output as level[-1] = 0
+        self._place = 0
+        self._max = 0.0
+        self._lead = 2 * self._lags[-1] - 1 if self._lags else 0
         # the carried inputs, the last _carried of them at its end
-        self._tail = np.empty(self.lead)
+        self._tail = np.empty(self._lead)
         self._carried = 0
-        self._lagged = np.empty(0)
+        self._window = self._lagged = np.empty(0)
 
-    def feed(self, state: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Take the next chunk of the detector's input, in place:
-        ``state[lead:]`` holds the chunk and is overwritten with its output,
-        which is returned. ``state[:lead]`` is overwritten with the carried
-        inputs."""
+    def feed(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
+        """Take the next chunk of the detector's input, overwrite ``x`` with
+        its output and return it."""
         p, decay = self.circuit, self.decay
-        out = state[self.lead :]
-        out -= p.diode_drop_v
+        x -= p.diode_drop_v
 
-        # level[-1] = 0 is folded into the first sample of the block scan: a
-        # level below zero gives the same clamped output as zero
-        if self._block:
-            level = self._level
-            for start in range(0, len(out), self._block):
-                chunk = out[start : start + self._block]
-                scale = self._ramp[: len(chunk)]
-                chunk *= scale
-                chunk[0] = max(chunk[0], level * decay)
-                # fmax differs from maximum only on NaN, which a scan of
-                # finite samples never meets, and its scan runs ~20% faster
-                np.fmax.accumulate(chunk, out=chunk)
-                chunk /= scale
-                level = chunk[-1]
-            self._level = level
-        else:
-            state[: self.lead] = self._tail
-            scan = state[self.lead - self._carried :]
-            self._carried = min(self.lead, len(scan))
-            self._tail[self.lead - self._carried :] = scan[len(scan) - self._carried :]
-            if len(self._lagged) < len(state):
-                self._lagged = np.empty(len(state))
+        block, start = self._block, 0
+        while block and start < len(x):
+            place = self._place
+            part = x[start : start + block - place]
+            scale = self._ramp[place : place + len(part)]
+            part *= scale
+            part[0] = max(part[0], self._max)
+            # fmax differs from maximum only on NaN, which a scan of
+            # finite samples never meets, and its scan runs ~20% faster
+            np.fmax.accumulate(part, out=part)
+            self._max = part[-1]
+            part /= scale
+            start += len(part)
+            self._place = (place + len(part)) % block
+            if self._place == 0:
+                self._max = part[-1] * decay
+        if self._lags:
+            lead = self._lead
+            if len(self._window) < lead + len(x):
+                self._window, self._lagged = np.empty(lead + len(x)), np.empty(lead + len(x))
+            window = self._window[: lead + len(x)]
+            window[:lead] = self._tail
+            window[lead:] = x
+            scan = window[lead - self._carried :]
+            self._carried = min(lead, len(scan))
+            self._tail[lead - self._carried :] = scan[len(scan) - self._carried :]
             for lag in self._lags:
                 if lag >= len(scan):
                     break
                 lagged = np.multiply(scan[:-lag], decay**lag, out=self._lagged[: len(scan) - lag])
                 np.maximum(scan[lag:], lagged, out=scan[lag:])
+            x[:] = window[lead:]
 
-        out -= p.diode_drop_v
-        np.maximum(out, 0.0, out=out)
-        out *= p.r6_ohm / (p.r5_ohm + p.r6_ohm)
-        return out
+        x -= p.diode_drop_v
+        np.maximum(x, 0.0, out=x)
+        x *= p.r6_ohm / (p.r5_ohm + p.r6_ohm)
+        return x
 
 
 def envelope_detect(s: Signal, p: CircuitParams) -> Signal:
@@ -226,10 +224,7 @@ def envelope_detect(s: Signal, p: CircuitParams) -> Signal:
     benchmark's tracer wraps it."""
     if len(s) == 0:
         raise ValueError("cannot detect the envelope of an empty signal")
-    detector = EnvelopeDetector(p, s.sample_rate_hz)
-    state = np.empty(detector.lead + len(s))
-    state[detector.lead :] = s.samples
-    return Signal(detector.feed(state), s.sample_rate_hz)
+    return Signal(EnvelopeDetector(p, s.sample_rate_hz).feed(s.samples.copy()), s.sample_rate_hz)
 
 
 def threshold_into(

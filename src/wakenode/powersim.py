@@ -121,11 +121,9 @@ class WakeRuns:
 
     Edge detection carries two things across a chunk boundary: the level at
     the end of the previous chunk, and the sample offset of the next chunk.
-
-    :meth:`feed` finds a chunk's edges in the caller's buffer, behind one
-    slot for that carried level, and compares neighbours into one mask kept
-    from chunk to chunk, so a stream of chunks no longer than the first
-    allocates only each chunk's edge indices after it.
+    Neighbours are compared into one mask kept from chunk to chunk, so a
+    stream of chunks no longer than the first allocates only each chunk's
+    edge indices after it.
     """
 
     def __init__(self, sample_rate_hz: float) -> None:
@@ -140,18 +138,18 @@ class WakeRuns:
         self._changes = np.empty(0, dtype=bool)
 
     def feed(self, high: NDArray[np.bool_]) -> None:
-        """Take the next chunk of the comparator output, in place:
-        ``high[1:]`` holds the chunk (True for high), and ``high[0]`` is
-        overwritten."""
+        """Take the next chunk of the comparator output (True for high)."""
         import numpy as np
 
-        samples = len(high) - 1
-        # with the previous chunk's last level in front, change index i is
-        # the chunk's first sample at the new level
-        high[0] = self._ended_high
+        samples = len(high)
+        if samples == 0:
+            return
         if len(self._changes) < samples:
             self._changes = np.empty(samples, dtype=bool)
-        changes = np.not_equal(high[1:], high[:-1], out=self._changes[:samples])
+        # change index i is the chunk's first sample at the new level
+        changes = self._changes[:samples]
+        changes[0] = high[0] != self._ended_high
+        np.not_equal(high[1:], high[:-1], out=changes[1:])
         edges = np.flatnonzero(changes)
         edges += self._samples
         self._edges.append(edges)
@@ -177,10 +175,8 @@ class WakeRuns:
 def simulate_from_wake(wake: BinarySignal, config: NodeConfig) -> SimTrace:
     """:class:`WakeRuns` fed one whole comparator output, kept while the
     benchmark's tracer wraps it."""
-    import numpy as np
-
     runs = WakeRuns(wake.sample_rate_hz)
-    runs.feed(np.concatenate(([True], wake.samples)))
+    runs.feed(wake.samples)
     return runs.trace(config)
 
 

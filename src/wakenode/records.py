@@ -287,6 +287,8 @@ class Scenario:
         object.__setattr__(self, "segments", tuple(self.segments))
         if not self.segments:
             raise ValueError("scenario has no segments")
+        if not math.isfinite(self.duration_s):
+            raise ValueError(f"total duration_s must be finite, got {self.duration_s}")
 
     @property
     def duration_s(self) -> float:

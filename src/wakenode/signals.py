@@ -59,16 +59,15 @@ def _as_readonly_f64(samples: ArrayLike) -> NDArray[np.float64]:
     return arr
 
 
-def require_finite(
-    samples: NDArray[np.float64], scratch: NDArray[np.bool_] | None = None
-) -> NDArray[np.float64]:
+def require_finite(samples: NDArray[np.float64]) -> NDArray[np.float64]:
     """``samples``, once every one is found finite; otherwise ValueError.
 
-    ``scratch``, a bool array as long as ``samples``, takes the mask, so a
-    stream checking each chunk allocates nothing for it.
+    An array's minimum or maximum is NaN or infinite exactly when one of its
+    samples is.
     """
-    if not np.isfinite(samples, out=scratch).all():
-        raise ValueError("samples must all be finite (no NaN or infinity)")
+    with np.errstate(invalid="ignore"):
+        if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
+            raise ValueError("samples must all be finite (no NaN or infinity)")
     return samples
 
 

@@ -43,6 +43,7 @@ from wakenode.cli import (
     CONFIG_ENV_VAR,
     CSV_BLOCK_ROWS,
     CSV_SPLIT_ROWS,
+    WAV_CHUNK_FRAMES,
     CliError,
     _csv_blocks,
     _finish,
@@ -54,7 +55,6 @@ from wakenode.cli import (
 )
 from wakenode.coherence import analysis_welch
 from wakenode.config import RunConfig, _settable, load_run_config, parse_run_config
-from wakenode.frontend import EnvelopeDetector
 from wakenode.wavio import WavReader
 
 from conftest import add_noise_at_snr, chunk, fmt_chunk, rf64, riff, shift_right, urban_like_signal
@@ -198,6 +198,17 @@ class TestAtomicOutput:
         assert main(["--out-dir", str(out), "simulate", "--scenario", "urban"]) == 1
         assert "[E_OUTPUT]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["coherence", "simulate"])
+    def test_directory_as_wav_input_is_an_input_error(self, tmp_path, capsys, command):
+        wav = str(tmp_path)
+        out = tmp_path / "out"
+        argv = [wav, wav] if command == "coherence" else ["--wav", wav]
+        assert main(["--out-dir", str(out), command, *argv]) == 1
+        err = capsys.readouterr().err
+        assert re.findall(r"\[(E_[A-Z_]+)\]", err) == ["E_INPUT"], err
+        assert "Is a directory" in err
+        assert not out.exists()
+
     def test_outputs_get_plain_write_mode_and_no_temp_files(self, tmp_path):
         out = tmp_path / "out"
         args = ["--out-dir", str(out), "rank-mics", str(data_path("microphones.csv"))]
@@ -322,6 +333,14 @@ class TestPublishFailures:
         assert code == 1
         assert re.findall(r"\[(E_[A-Z_]+)\]", stderr) == ["E_OUTPUT"], stderr
         assert "No space left on device" in stderr
+
+    def test_failed_run_removes_the_parents_it_made(self):
+        with tempfile.TemporaryDirectory() as tmp:
+            patch = failing_on_second(os, "replace", os.replace)
+            code, stderr = run_failing_at(RANK_MICS, Path(tmp) / "a" / "b" / "c", patch)
+            assert os.listdir(tmp) == []
+        assert code == 1
+        assert re.findall(r"\[(E_[A-Z_]+)\]", stderr) == ["E_OUTPUT"], stderr
 
     def test_second_rename_failing_over_an_earlier_run(self, tmp_path):
         # the earlier run's report must not be left without its trace, and
@@ -525,8 +544,8 @@ def test_main_runs_the_command_looked_up_at_call_time(
 # simulate --wav streams the recording through the chain in chunks
 
 RATE = 16_000
-# a loud stretch over the first chunk boundary of every time constant
-# below: 130 800 samples (600-sample scan blocks) or 131 072
+# a loud stretch over the chunk boundary at 131 072 samples, which ends a
+# 65 536-sample scan block and falls inside a 600-sample one
 BURST = (130_700, 131_300)
 
 
@@ -535,7 +554,7 @@ def write_int16(path: Path, x: np.ndarray) -> None:
 
 
 def bursty(n: int, seed: int) -> np.ndarray:
-    """Quiet noise with loud stretches across the first chunk boundaries and at the end."""
+    """Quiet noise with loud stretches across a chunk boundary and at the end."""
     x = np.random.default_rng(seed).normal(scale=0.002, size=n)
     x[min(BURST[0], n // 2) : BURST[1]] += 0.9
     x[-40:] += 0.9
@@ -641,8 +660,8 @@ class TestCircuitConfig:
 
 class TestSimulateWavStreaming:
     # fs * tau: 1.44e6 (the default board) and 1440 take 65536-sample scan
-    # blocks, 1 takes 600-sample blocks (130800-sample chunks), 0.3 to 0.002
-    # the log-step scan, and 1.6e23 rounds decay to 1
+    # blocks, 1 takes 600-sample blocks, 0.3 to 0.002 the log-step scan, and
+    # 1.6e23 rounds decay to 1
     @pytest.mark.parametrize("fs_tau", [1.44e6, 1440.0, 1.0, 0.3, 0.05, 0.002, 1.6e23])
     @pytest.mark.parametrize("samples", [300_000, 1_000])
     def test_trace_matches_whole_array_chain(self, tmp_path, capsys, fs_tau, samples):
@@ -655,9 +674,10 @@ class TestSimulateWavStreaming:
         assert (out / "trace.csv").read_text() == trace_csv
         assert json.loads(capsys.readouterr().out)["duty_cycle"] == duty
         assert not wake[-1]  # a run still low at the last sample
-        chunk = EnvelopeDetector(load_run_config(config).circuit, RATE).chunk_samples
-        if samples > chunk:  # a low run across the first chunk boundary
-            assert not wake[chunk - 1] and not wake[chunk]
+        boundary = BURST[1] - BURST[1] % WAV_CHUNK_FRAMES
+        if samples > boundary:  # a low run across a chunk boundary
+            assert BURST[0] < boundary
+            assert not wake[boundary - 1] and not wake[boundary]
 
     @pytest.mark.parametrize("fs_tau", [1440.0, 0.05])
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
@@ -714,10 +734,10 @@ class TestSimulateWavStreaming:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2 * 2**20, peaks
-        # the chain's buffers for one 131 072-sample chunk (1 MiB of float64,
-        # the bytes, the comparator's masks, the detector's ramp) and the
-        # rest of the run: 2.0-2.2 MiB, where fresh arrays per chunk took
-        # 3.9-4.1 MiB
+        # the chain's buffers for one 32 768-sample chunk (256 KiB of
+        # float64, the bytes, the comparator's masks), the detector's 512 KiB
+        # ramp and the rest of the run: 1.1-1.2 MiB, where 131 072-sample
+        # chunks took 2.0-2.2 MiB and fresh arrays per chunk 3.9-4.1 MiB
         assert max(peaks) < 3 * 2**20, peaks
 
     def test_peak_memory_does_not_grow_with_trace_rows(self, tmp_path, capsys):
@@ -749,7 +769,7 @@ class TestSimulateWavStreaming:
 # the closed-form bursts: tau = r5 c5 = 0.25 s, 0.3 V diodes, 0.02 V per unit
 # of full scale into the default board (gain 1 + rf/r1 = 101, divider
 # r6 / (r5 + r6) = 1/101, rails 0 and 3.3 V); the second burst's run
-# crosses the first chunk boundary
+# crosses the chunk boundary at 131 072 samples
 FS_TAU = 4000.0
 DROP_V = 0.3
 MIC_V = 0.02

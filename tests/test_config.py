@@ -241,6 +241,12 @@ class TestScenarioLoading:
         with pytest.raises(ConfigError, match="sound"):
             load_scenario(path)
 
+    def test_durations_whose_sum_overflows_rejected(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("segments:\n" + "  - {duration_s: 1.0e308, sound: false}\n" * 2)
+        with pytest.raises(ConfigError, match=r"scenario\.yaml: total duration_s must be finite"):
+            load_scenario(path)
+
 
 class TestCsvLoaders:
     def test_bundled_mic_table_loads(self):

@@ -18,6 +18,8 @@ from wakenode import (
 
 from wakenode import frontend
 from wakenode.frontend import EnvelopeDetector
+from wakenode.powersim import WakeRuns, simulate_from_wake
+from wakenode.records import BUILTIN_PROFILES, NodeConfig
 
 from conftest import tone
 
@@ -221,13 +223,18 @@ class TestEnvelopeMatchesLoop:
         np.testing.assert_array_equal(wake, oracle)
 
 
-def envelope_in_chunks(x: np.ndarray, fs: float, p: CircuitParams, chunk: int) -> np.ndarray:
-    """One EnvelopeDetector fed consecutive chunks of x, each behind room for its lead."""
+def envelope_in_chunks(chunks: list[np.ndarray], fs: float, p: CircuitParams) -> np.ndarray:
+    """One EnvelopeDetector fed a copy of each chunk in turn, its outputs joined."""
     detector = EnvelopeDetector(p, fs)
-    room = np.empty(detector.lead)
-    return np.concatenate(
-        [detector.feed(np.concatenate((room, x[i : i + chunk]))) for i in range(0, len(x), chunk)]
-    )
+    return np.concatenate([detector.feed(chunk.copy()) for chunk in chunks])
+
+
+def random_chunks(x: np.ndarray, longest: int, seed: int) -> list[np.ndarray]:
+    """``x`` cut into consecutive chunks of random lengths from 0 to ``longest``
+    (the last one may be longer)."""
+    lengths = np.random.default_rng(seed).integers(0, longest + 1, size=4 * len(x) // longest + 8)
+    bounds = np.cumsum(lengths)
+    return np.split(x, bounds[bounds < len(x)])
 
 
 def sparse_drive(n: int, seed: int) -> np.ndarray:
@@ -237,44 +244,59 @@ def sparse_drive(n: int, seed: int) -> np.ndarray:
 
 
 class TestEnvelopeInChunks:
-    # fs * tau = 1 gives 600-sample blocks, four to a 2400-sample chunk;
-    # 0.002 to 0.3 take the log-step scan, 1e-4 underflows decay to 0.0
-    # and 1e20 rounds it to 1.0, which takes whole 1000-sample blocks
+    # fs * tau = 1 gives 600-sample blocks; 0.002 to 0.3 take the log-step
+    # scan, 1e-4 underflows decay to 0.0 and 1e20 rounds it to 1.0, which
+    # takes whole 1000-sample blocks
     @pytest.mark.parametrize("fs_tau", [1.0, 0.002, 0.05, 0.3, 1e-4, 1e20])
     def test_stream_chunks_are_bit_identical(self, monkeypatch, fs_tau):
         monkeypatch.setattr(frontend, "SCAN_BLOCK", 1000)
-        monkeypatch.setattr(frontend, "STREAM_CHUNK_SAMPLES", 2500)
         p = CircuitParams(c5_f=fs_tau / (FS_HZ * 1e7), diode_drop_v=0.05)
-        chunk = EnvelopeDetector(p, FS_HZ).chunk_samples
-        assert chunk == {1.0: 2400, 1e20: 2000}.get(fs_tau, 2500)
-        x = sparse_drive(10_001, seed=int(fs_tau * 1000) % 97)
+        seed = int(fs_tau * 1000) % 97
+        x = sparse_drive(10_001, seed)
         whole = envelope_detect(Signal(x, FS_HZ), p).samples
-        np.testing.assert_array_equal(envelope_in_chunks(x, FS_HZ, p, chunk), whole)
+        streamed = envelope_in_chunks(random_chunks(x, 2500, seed), FS_HZ, p)
+        np.testing.assert_array_equal(streamed, whole)
 
     def test_full_scan_blocks_are_bit_identical(self):
-        # tau 90 ms at 16 kHz: 65536-sample blocks, two to a chunk
+        # tau 90 ms at 16 kHz: 65536-sample blocks, each taken up by chunks
+        # that start and end anywhere in it
         fs = 16_000.0
         p = CircuitParams(c5_f=9e-9, diode_drop_v=0.05)
-        chunk = EnvelopeDetector(p, fs).chunk_samples
-        assert chunk == 2 * frontend.SCAN_BLOCK
         x = amplify(Signal(clicks_like(20.0, fs, 600, seed=6) * 0.01, fs), p).samples
         whole = envelope_detect(Signal(x, fs), p).samples
-        np.testing.assert_array_equal(envelope_in_chunks(x, fs, p, chunk), whole)
+        streamed = envelope_in_chunks(random_chunks(x, 100_000, seed=6), fs, p)
+        np.testing.assert_array_equal(streamed, whole)
 
-    @given(log_fs_tau=st.floats(-4.0, 20.0), seed=st.integers(0, 2**32 - 1))
+    # decay 0 (fs tau 1e-4), the log-step scan, the block scan and decay 1
+    @given(
+        log_fs_tau=st.floats(-4.0, 20.0),
+        block=st.sampled_from([1000, 65_536]),
+        splits=st.lists(st.integers(0, 7001), max_size=20),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(log_fs_tau=-4.0, block=1000, splits=[5, 5, 3000], seed=1)
+    @example(log_fs_tau=-1.3, block=1000, splits=[1, 2, 1500, 1500], seed=2)
+    @example(log_fs_tau=0.0, block=1000, splits=[599, 601, 1799, 4000], seed=3)
+    @example(log_fs_tau=2.0, block=65_536, splits=[3, 2500, 6999], seed=4)
+    @example(log_fs_tau=20.0, block=1000, splits=[999, 1000, 2001], seed=5)
     @settings(max_examples=40, deadline=None)
-    def test_any_time_constant_streams_at_its_chunk_samples(self, log_fs_tau, seed):
+    def test_any_time_constant_streams_in_any_chunks(self, log_fs_tau, block, splits, seed):
         p = CircuitParams(c5_f=10.0**log_fs_tau / (FS_HZ * 1e7), diode_drop_v=0.05)
         x = sparse_drive(7001, seed)
-        # blocks of at most 1000 samples, so each chunk holds two or more
+        chunks = np.split(x, sorted(splits))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(frontend, "SCAN_BLOCK", 1000)
-            patch.setattr(frontend, "STREAM_CHUNK_SAMPLES", 2500)
-            chunk = EnvelopeDetector(p, FS_HZ).chunk_samples
-            assert 1500 < chunk <= 2500
-            streamed = envelope_in_chunks(x, FS_HZ, p, chunk)
+            patch.setattr(frontend, "SCAN_BLOCK", block)
+            streamed = envelope_in_chunks(chunks, FS_HZ, p)
             whole = envelope_detect(Signal(x, FS_HZ), p).samples
         np.testing.assert_array_equal(streamed, whole)
+        # the comparator output of the same chunks, into WakeRuns
+        high = whole <= np.median(whole)
+        runs = WakeRuns(FS_HZ)
+        for part in np.split(high, sorted(splits)):
+            runs.feed(part)
+        config = NodeConfig(BUILTIN_PROFILES["zigbee-standalone"])
+        whole_trace = simulate_from_wake(BinarySignal(high, FS_HZ), config)
+        assert runs.trace(config).wake_s.tolist() == whole_trace.wake_s.tolist()
 
     @pytest.mark.parametrize("chunk", [1, 7, 255, 256, 1000])
     @pytest.mark.parametrize("fs_tau", [0.002, 0.05, 0.3])
@@ -282,7 +304,29 @@ class TestEnvelopeInChunks:
         p = CircuitParams(c5_f=fs_tau / (FS_HZ * 1e7))
         x = sparse_drive(3000, seed=chunk)
         whole = envelope_detect(Signal(x, FS_HZ), p).samples
-        np.testing.assert_array_equal(envelope_in_chunks(x, FS_HZ, p, chunk), whole)
+        chunks = np.split(x, range(chunk, len(x), chunk))
+        np.testing.assert_array_equal(envelope_in_chunks(chunks, FS_HZ, p), whole)
+
+    # the block scan, decay 1, the log-step scan and decay 0
+    @pytest.mark.parametrize("fs_tau", [1.0, 1e20, 0.05, 1e-4])
+    def test_feeds_touch_only_their_chunk(self, monkeypatch, fs_tau):
+        monkeypatch.setattr(frontend, "SCAN_BLOCK", 1000)
+        p = CircuitParams(c5_f=fs_tau / (FS_HZ * 1e7), diode_drop_v=0.05)
+        detector, runs = EnvelopeDetector(p, FS_HZ), WakeRuns(FS_HZ)
+        x = sparse_drive(3000, seed=7)
+        for chunk in np.split(x, [700, 1400, 1401, 2900]):
+            # each chunk fed as a view into the middle of a larger array
+            around = np.full(len(chunk) + 20, -7.0)
+            view = around[10:-10]
+            view[:] = chunk
+            envelope = detector.feed(view)
+            assert np.shares_memory(envelope, view)
+            np.testing.assert_array_equal(np.delete(around, np.s_[10:-10]), -7.0)
+            flags = np.zeros(len(chunk) + 20, dtype=bool)
+            flags[10:-10] = envelope > 0.01
+            before = flags.copy()
+            runs.feed(flags[10:-10])
+            np.testing.assert_array_equal(flags, before)
 
 
 class TestThresholdOut:

@@ -460,7 +460,7 @@ class TestWakeRunsInChunks:
         config = NodeConfig(ZIGBEE_STANDALONE, hold_time_s=hold_time_s)
         runs = WakeRuns(100.0)
         for part in np.split(samples, splits):
-            runs.feed(np.concatenate(([True], part)))
+            runs.feed(part)
         whole = simulate_from_wake(BinarySignal(samples, 100.0), config)
         assert trace_rows(runs.trace(config)) == trace_rows(whole)
 
@@ -469,10 +469,12 @@ class TestWakeRunsInChunks:
         samples = rng.random(5000) < 0.9  # many short low runs
         config = NodeConfig(ZIGBEE_STANDALONE, hold_time_s=0.05)
         whole = trace_rows(simulate_from_wake(BinarySignal(samples, 100.0), config))
-        for chunk in (1, 3, 64, 999, 5000):
+        for seed in range(5):
+            # chunks of 0 to 999 samples; the last takes what is left
+            bounds = np.cumsum(np.random.default_rng(seed).integers(0, 1000, size=20))
             runs = WakeRuns(100.0)
-            for start in range(0, samples.size, chunk):
-                runs.feed(np.concatenate(([True], samples[start : start + chunk])))
+            for part in np.split(samples, bounds[bounds < samples.size]):
+                runs.feed(part)
             assert trace_rows(runs.trace(config)) == whole
 
     def test_nothing_fed_is_rejected(self):

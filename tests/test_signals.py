@@ -1,7 +1,11 @@
 import math
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wakenode import Signal, find_delay, resample
 from wakenode import signals
@@ -12,6 +16,7 @@ from wakenode.signals import (
     Resampler,
     _antialias_kernel,
     _fft_length,
+    require_finite,
 )
 
 from conftest import shift_samples, tone
@@ -94,6 +99,36 @@ class TestSignal:
         s = Signal(raw, 10.0)
         raw[0] = 99.0
         assert s.samples[0] == 1.0
+
+
+class TestRequireFinite:
+    finite = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+        [1.7976931348623157e308, -1.7976931348623157e308, 5e-324, -5e-324, -0.0]
+    )
+
+    @given(st.lists(finite, max_size=50))
+    @example([])
+    def test_finite_arrays_pass_as_themselves(self, values):
+        samples = np.array(values, dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert require_finite(samples) is samples
+
+    # before and after empty: the first, the last and the only sample
+    @given(
+        st.lists(finite, max_size=50),
+        st.sampled_from([np.nan, np.inf, -np.inf]),
+        st.lists(finite, max_size=50),
+    )
+    @example([], np.nan, [])
+    @example([1.0], -np.inf, [])
+    @example([], np.inf, [1.0])
+    def test_a_non_finite_sample_anywhere_raises(self, before, bad, after):
+        samples = np.array([*before, bad, *after], dtype=np.float64)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                require_finite(samples)
 
 
 class TestResample:
