@@ -16,17 +16,13 @@ output. The recorded warnings go into the report's ``results.warnings``,
 after the warnings the command adds itself, instead of going to stderr.
 The two files are published together or not at all: each is written to a
 temp file in the output directory and renamed into place, and a run that
-fails (exit status 1) leaves no file it wrote. Every CSV goes through
-:func:`_csv_blocks`, its rows written to the temp file as they are
-formatted, not joined first. A CSV of at least :data:`CSV_SPLIT_ROWS` rows
-(``coherence.csv``) is formatted on two cores when the process may fork
-(:func:`_can_fork`): one forked worker formats the second half of the rows
-into an unnamed in-memory spill file, not into this process's memory,
-while this process writes the header and the first half, then copies the
-spill file after them. Both halves are formatted by the same ``%`` format,
-so the bytes are those of one process. A worker that fails is an
-``E_OUTPUT`` error and leaves no file, and no worker outlives the run,
-whether it succeeds or fails.
+fails (exit status 1) leaves no file it wrote. Every CSV's rows are
+written to the temp file as they are formatted, in strings of
+:data:`CSV_BLOCK_ROWS` rows, not joined first (:func:`_csv_blocks`, and
+:func:`_trace_csv` for ``trace.csv``).
+Every float cell is the float's repr(), which reads back to the same bits;
+:func:`_float_cells` takes a long CSV's digits from orjson, which writes
+them some 30 times faster than repr().
 
 Each command imports the numerics it computes with where it runs, not
 when this module loads: the records the commands parse, the microphone
@@ -105,14 +101,9 @@ if TYPE_CHECKING:
     from .wavio import WavReader
 
 CONFIG_ENV_VAR = "WAKENODE_CONFIG"
-# rows per string of a streamed coherence or trace CSV
-CSV_BLOCK_ROWS = 4096
-# fewest rows of a CSV formatted by two processes: coherence.csv (131 073
-# rows at the default Welch settings) splits; a trace.csv of ~27k rows
-# gains no wall time from the fork and only pays its CPU and page faults
-CSV_SPLIT_ROWS = 1 << 16
-# characters per piece copied from a worker's spill file
-CSV_SPILL_PIECE = 1 << 20
+# rows per string of a streamed CSV: a block's cell lists are held while
+# it is joined, so a longer block raises the peak RSS
+CSV_BLOCK_ROWS = 1024
 # frames per chunk of a streamed recording: 256 KiB as float64
 WAV_CHUNK_FRAMES = 1 << 15
 
@@ -177,11 +168,8 @@ def _publish(out_dir: Path, files: dict[str, Iterable[str]]) -> None:
     including one raised while a chunk is produced, the files already
     renamed are put back or removed, and so are ``out_dir`` and each parent
     of it that this call made; an OSError becomes ``E_OUTPUT``. No temp
-    file or backup is left. Every chunk iterator that has a ``close`` is
-    then closed, so a CSV worker behind a generator that a failed write left
-    suspended ends before this call returns, not at garbage collection.
-    Mode "x" creates the temp files with the permissions a plain write gives
-    (0644 under umask 022).
+    file or backup is left. Mode "x" creates the temp files with the
+    permissions a plain write gives (0644 under umask 022).
     """
     hidden: list[Path] = []  # temp files, then backups
     placed: list[tuple[Path, Path | None]] = []  # renamed into place, and the backup
@@ -220,9 +208,6 @@ def _publish(out_dir: Path, files: dict[str, Iterable[str]]) -> None:
         for path in made:
             with contextlib.suppress(OSError):
                 path.rmdir()
-        for chunks in files.values():
-            if hasattr(chunks, "close"):
-                chunks.close()
 
 
 def _finish(
@@ -260,88 +245,44 @@ def _finish(
     return report
 
 
-def _can_fork() -> bool:
-    """Whether this process may fork a CSV worker that runs beside it: it
-    has ``os.fork`` and ``os.memfd_create``, more than one usable CPU and a
-    single thread. Forking a threaded process is unsafe, and from Python
-    3.12 it raises a DeprecationWarning that :func:`main` would record into
-    the report."""
-    if not (hasattr(os, "fork") and hasattr(os, "memfd_create")):
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) > 1 and len(os.listdir("/proc/self/task")) == 1
-    except OSError:
-        return False
+def _float_cells(values: np.ndarray | Sequence[float]) -> list[str]:
+    """repr() of each float in ``values`` (a float64 array, an ``array("d")``
+    or a list). A block shorter than ``CSV_BLOCK_ROWS`` gets repr() itself,
+    so a short CSV never pays orjson's import (about 8 ms and 1 MiB). A
+    longer one takes orjson's shortest round-trip digits, spelled as repr()
+    spells them for 0 and for magnitudes from 1e-4 up to 1e16; repr()
+    rewrites each cell holding ``e``, ``n`` (NaN and the infinities are
+    ``null``) or ``0.0000``."""
+    if len(values) < CSV_BLOCK_ROWS:
+        return [repr(float(v)) for v in values]
+    import orjson
+
+    if hasattr(values, "typecode"):  # an array("d"): orjson would import numpy to look at it
+        values = values.tolist()
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    cells = text.decode()[1:-1].split(",")
+    if b"e" in text or b"n" in text or b"0.0000" in text:
+        for i, cell in enumerate(cells):
+            if "e" in cell or "n" in cell or "0.0000" in cell:
+                cells[i] = repr(float(values[i]))
+    return cells
 
 
-def _csv_rows(
-    row_format: str, columns: Sequence[np.ndarray | Sequence], start: int, stop: int
+def _csv_rows(*cells: Iterable[str]) -> str:
+    """One CSV row per index of the cell columns ``cells``, each ended by a newline."""
+    return "\n".join(map(",".join, zip(*cells))) + "\n"
+
+
+def _csv_blocks(
+    header: str, *columns: np.ndarray | Sequence[float] | Sequence[str]
 ) -> Iterator[str]:
-    """One ``row_format`` row per index in ``[start, stop)`` of ``columns``,
-    in strings of ``CSV_BLOCK_ROWS`` rows; ``%r`` of a Python float is its
-    repr(), which reads back to the same bits. A column is a list, used as
-    it is, or a numpy or stdlib array, whose slice is turned into Python
-    values with ``tolist()``: under numpy 2, ``%r`` of an ``np.float64`` is
-    ``np.float64(...)``."""
-    for first in range(start, stop, CSV_BLOCK_ROWS):
-        end = min(first + CSV_BLOCK_ROWS, stop)
-        block = [c[first:end] if isinstance(c, list) else c[first:end].tolist() for c in columns]
-        yield (row_format * len(block[0])) % tuple(chain.from_iterable(zip(*block)))
-
-
-def _csv_blocks(header: str, row_format: str, *columns: np.ndarray | Sequence) -> Iterator[str]:
-    """``header``, then one ``row_format`` row per index of ``columns``
-    (arrays or lists of one length), in strings of ``CSV_BLOCK_ROWS`` rows
-    (see :func:`_csv_rows`).
-
-    With at least ``CSV_SPLIT_ROWS`` rows and :func:`_can_fork`, the rows
-    are split at the middle. A forked worker formats the second half, block
-    by block, into an unnamed in-memory file (``os.memfd_create``) and
-    exits with status 0, or non-zero on any exception. Meanwhile this
-    process yields the first half; it then reaps the worker and yields the
-    spill file in pieces of ``CSV_SPILL_PIECE`` characters. The worker's
-    rows are held in the spill file, not in either process's memory, and
-    each process holds at most one block or piece of text at a time. A
-    worker that fails raises ``E_OUTPUT``. Closing the generator early, as
-    :func:`_publish` does when a write fails, kills and reaps the worker.
-    """
+    """``header``, then one row per index of ``columns``, in strings of
+    ``CSV_BLOCK_ROWS`` rows. A column of str cells is written as it is, and
+    a column of floats by :func:`_float_cells`."""
     yield header
-    rows = len(columns[0])
-    if rows < CSV_SPLIT_ROWS or not _can_fork():
-        yield from _csv_rows(row_format, columns, 0, rows)
-        return
-    mid = rows // 2
-    spill = os.memfd_create("wakenode-csv")
-    try:
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                with open(spill, "w", encoding="utf-8", newline="", closefd=False) as fh:
-                    fh.writelines(_csv_rows(row_format, columns, mid, rows))
-                status = 0
-            finally:
-                os._exit(status)
-        try:
-            yield from _csv_rows(row_format, columns, 0, mid)
-            _, status = os.waitpid(pid, 0)
-        except BaseException:
-            import signal
-
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            raise
-        if status != 0:
-            raise CliError(
-                "E_OUTPUT",
-                f"CSV worker failed with exit status {os.waitstatus_to_exitcode(status)}",
-            )
-        # the worker shares this descriptor's file offset, left at the end
-        with open(spill, encoding="utf-8", newline="", closefd=False) as fh:
-            fh.seek(0)
-            yield from iter(lambda: fh.read(CSV_SPILL_PIECE), "")
-    finally:
-        os.close(spill)
+    for first in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        blocks = [c[first : first + CSV_BLOCK_ROWS] for c in columns]
+        yield _csv_rows(*(b if isinstance(b[0], str) else _float_cells(b) for b in blocks))
 
 
 # ----------------------------------------------------------------------
@@ -436,7 +377,7 @@ def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
     }
     estimate = details.estimate
     columns = (estimate.frequencies_hz, estimate.values, details.envelope)
-    rows = _csv_blocks("frequency_hz,coherence,envelope\n", "%r,%r,%r\n", *columns)
+    rows = _csv_blocks("frequency_hz,coherence,envelope\n", *columns)
     return cfg, inputs, results, "coherence.csv", rows
 
 
@@ -447,15 +388,18 @@ BUILTIN_SCENARIOS: dict[str, Callable[[], Scenario]] = {
 
 
 def _trace_csv(trace: SimTrace, node: NodeConfig) -> Iterator[str]:
-    """``trace.csv``: one row per row of the trace's timeline."""
+    """``trace.csv``: one row per row of the trace's timeline. Row i's end
+    is row i + 1's start, so each block formats its rows' bounds once."""
     t_start, t_end, transmit = trace.timeline()
     # a row's state and power cells depend on its state alone: each row
     # refers to one of two strings, indexed by its state as 0 or 1
     profile = node.profile
-    cells = [f"sleep,{float(profile.sleep_mw)!r}", f"transmit,{float(profile.transmit_mw)!r}"]
-    states = [cells[state] for state in transmit]
-    header = "t_start_s,t_end_s,state,power_mw\n"
-    return _csv_blocks(header, "%r,%r,%s\n", t_start, t_end, states)
+    states = [f"sleep,{float(profile.sleep_mw)!r}", f"transmit,{float(profile.transmit_mw)!r}"]
+    yield "t_start_s,t_end_s,state,power_mw\n"
+    for first in range(0, len(transmit), CSV_BLOCK_ROWS):
+        end = min(first + CSV_BLOCK_ROWS, len(transmit))
+        bounds = _float_cells(t_start[first:end] + t_end[end - 1 : end])
+        yield _csv_rows(bounds[:-1], bounds[1:], map(states.__getitem__, transmit[first:end]))
 
 
 def _wake_runs(
@@ -559,7 +503,7 @@ def cmd_calibrate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
     predicted = [adc_to_db(x, curve) for x in adc]
     residual = [s - p for s, p in zip(spl, predicted)]
     header = "adc_value,spl_db,predicted_db,residual_db\n"
-    rows = _csv_blocks(header, "%r,%r,%r,%r\n", adc, spl, predicted, residual)
+    rows = _csv_blocks(header, adc, spl, predicted, residual)
     results = {
         "curve": asdict(curve),
         "r_squared": r2,
@@ -605,7 +549,7 @@ def cmd_rank_mics(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
     # one column per entry key, so the CSV and the report share one field list
     fields = list(entries[0])
     columns = [[_csv_cell(entry[f]) for entry in entries] for f in fields]
-    rows = _csv_blocks(",".join(fields) + "\n", ",".join(["%s"] * len(fields)) + "\n", *columns)
+    rows = _csv_blocks(",".join(fields) + "\n", *columns)
     return cfg, inputs, results, "ranking.csv", rows
 
 

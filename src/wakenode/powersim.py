@@ -80,16 +80,26 @@ def _merged(runs: Iterable[tuple[float, float]], total_s: float, config: NodeCon
 
     One pass merges as it goes: a run that starts within the open
     interval's reach (an equal start included) extends it, any other closes
-    it and opens the next. The builtin sum adds the interval lengths in
-    order, as a loop over the intervals does.
+    it and opens the next. The reach is kept in a local, and the first run
+    closes a sentinel interval that reaches ``-inf``. The builtin sum adds
+    the interval lengths in order, as a loop over the intervals does.
     """
+    hold_s = config.hold_time_s
     wake = array("d")
+    reach = -math.inf
     for start, release in runs:
-        end = min(release + config.hold_time_s, total_s)
-        if wake and start <= wake[-1]:
-            wake[-1] = max(wake[-1], end)
-        else:
-            wake.extend((start, end))
+        end = release + hold_s
+        if end > total_s:
+            end = total_s
+        if start > reach:
+            wake.append(reach)
+            wake.append(start)
+            reach = end
+        elif end > reach:
+            reach = end
+    if wake:
+        wake.append(reach)
+        del wake[0]  # the sentinel's reach
     profile = config.profile
     transmit_s = sum(end - start for start, end in zip(wake[0::2], wake[1::2]))
     sleep_s = total_s - transmit_s

@@ -11,11 +11,12 @@ import os
 import re
 import stat
 import struct
-import subprocess
 import sys
 import tempfile
 import tracemalloc
 import warnings
+from array import array
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable
 
@@ -42,11 +43,11 @@ from wakenode import (
 from wakenode.cli import (
     CONFIG_ENV_VAR,
     CSV_BLOCK_ROWS,
-    CSV_SPLIT_ROWS,
     WAV_CHUNK_FRAMES,
     CliError,
     _csv_blocks,
     _finish,
+    _float_cells,
     _publish,
     _score_wavs,
     _trace_csv,
@@ -150,10 +151,64 @@ class TestNonFiniteInputs:
         assert list(tmp_path.iterdir()) == []
 
 
+# the cells orjson spells otherwise than repr(): below 1e-4, from 1e16 up,
+# NaN and the infinities
+EXCEPTIONAL = [
+    5e-324, math.nextafter(1e-4, 0), 1e-5, 1e-7, 1e16, 1.7976931348623157e308,
+    -1.7976931348623157e308, math.nan, math.inf, -math.inf,
+]
+# those, and the ordinary cells at the edges of their range
+PINNED = [0.0, -0.0, 1e-4, math.nextafter(1e16, 0), 2.0**53, *EXCEPTIONAL]
+
+
+def float_inputs(values: list[float]) -> list:
+    """``values`` as each input ``_float_cells`` takes: a list, a float64
+    array and an array("d"); first as they are, then repeated to a whole
+    block, which goes through orjson."""
+    long = values * -(-CSV_BLOCK_ROWS // len(values))
+    return [kind(v) for v in (values, long) for kind in (list, np.array, partial(array, "d"))]
+
+
+class TestFloatCells:
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_cells_are_repr(self, values):
+        for given_values in float_inputs(values):
+            assert _float_cells(given_values) == [repr(float(v)) for v in given_values]
+
+    @pytest.mark.parametrize("value", PINNED, ids=repr)
+    def test_pinned_values_are_repr(self, value):
+        for given_values in float_inputs([value, 0.5, value]):
+            assert _float_cells(given_values) == [repr(float(v)) for v in given_values]
+
+    @pytest.mark.parametrize(
+        "index", [0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, 3 * CSV_BLOCK_ROWS - 1]
+    )
+    def test_an_exceptional_cell_alone_at_a_block_edge(self, index):
+        # every other cell is ordinary, so the block's text holds no e, n or 0.0000
+        ordinary = (np.arange(3 * CSV_BLOCK_ROWS) + 1.0) / 7.0
+        for value in EXCEPTIONAL:
+            column = ordinary.copy()
+            column[index] = value
+            expected = "".join(f"{v!r}\n" for v in column.tolist())
+            for given_values in (column.tolist(), column, array("d", column)):
+                assert "".join(_csv_blocks("", given_values)) == expected
+
+
+def mixed_columns(rows: int) -> tuple[np.ndarray, list[str], np.ndarray]:
+    """Floats of every magnitude, state names and a plain float grid."""
+    rng = np.random.default_rng(rows)
+    noise = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
+    state = ["transmit" if i % 3 == 0 else "sleep" for i in range(rows)]
+    return noise, state, np.arange(rows, dtype=np.float64) / 7
+
+
 class TestCsvBlocks:
     SPECIAL = [5e-324, -2.2250738585072e-308, 1e-310, 0.0, -0.0, 1e-5, 1e16, 3.0, -4096.0, 2.0**53]
 
-    @pytest.mark.parametrize("rows", [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize(
+        "rows", [4 * CSV_BLOCK_ROWS - 1, 4 * CSV_BLOCK_ROWS, 4 * CSV_BLOCK_ROWS + 1]
+    )
     def test_float_cells_are_repr_and_read_back_to_the_same_bits(self, rows):
         bits = np.random.default_rng(rows).integers(0, 2**64, rows, dtype=np.uint64, endpoint=False)
         bits[(bits >> np.uint64(52)) & np.uint64(0x7FF) == 0x7FF] ^= np.uint64(1 << 62)  # finite
@@ -161,26 +216,30 @@ class TestCsvBlocks:
         # the special values open the first block and close the last rows
         noise[: len(self.SPECIAL)] = noise[-len(self.SPECIAL) :] = self.SPECIAL
         integers = np.arange(rows, dtype=np.float64) - 2048.0
-        state = np.where(np.arange(rows) % 3 == 0, "transmit", "sleep")
-        blocks = list(_csv_blocks("a,state,b\n", "%r,%s,%r\n", noise, state, integers))
+        state = ["transmit" if i % 3 == 0 else "sleep" for i in range(rows)]
+        blocks = list(_csv_blocks("a,state,b\n", noise, state, integers))
         assert len(blocks) == 1 + -(-rows // CSV_BLOCK_ROWS)
         lines = "".join(blocks).splitlines()
         assert lines[0] == "a,state,b" and len(lines) == rows + 1
         a, got_state, b = zip(*(line.split(",") for line in lines[1:]))
-        assert list(got_state) == state.tolist()
+        assert list(got_state) == state
         for cells, column in ((a, noise), (b, integers)):
             assert list(cells) == [repr(v) for v in column.tolist()]
             read_back = np.array([float(cell) for cell in cells])
             assert np.array_equal(read_back.view(np.uint64), column.view(np.uint64))
 
-    @pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("rows", [1, 4 * CSV_BLOCK_ROWS + 1])
     def test_list_columns_give_the_bytes_of_array_columns(self, rows):
-        header, row_format = "f,state,i,g\n", "%r,%s,%d,%r\n"
-        columns = mixed_columns(rows)
-        as_arrays = "".join(_csv_blocks(header, row_format, *columns))
-        as_lists = "".join(_csv_blocks(header, row_format, *(c.tolist() for c in columns)))
-        assert as_lists == as_arrays
-        assert "np." not in as_arrays  # %r of an np.float64 would print np.float64(...)
+        # a float column as a list, a float64 array or an array("d"), or as
+        # str cells: the repr() of each float
+        noise, state, grid = mixed_columns(rows)
+        header = "f,state,g\n"
+        as_arrays = "".join(_csv_blocks(header, noise, state, grid))
+        texts = {as_arrays}
+        for kind in (list, partial(array, "d"), lambda c: [repr(v) for v in c]):
+            texts.add("".join(_csv_blocks(header, kind(noise.tolist()), state, kind(grid.tolist()))))
+        assert texts == {as_arrays}
+        assert "np." not in as_arrays  # repr of an np.float64 would print np.float64(...)
 
 
 class TestAtomicOutput:
@@ -1461,131 +1520,16 @@ class TestCoherenceReadsWholeFiles:
         assert not out.exists()
 
 
-# ----------------------------------------------------------------------
-# a large CSV's rows are formatted by this process and one forked worker
-#
-# conftest imports numpy before wakenode, so this process has an OpenBLAS
-# helper thread and _can_fork() is false here: the tests that fork patch it,
-# and only a fresh interpreter runs the fork path unpatched.
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def counting_forks(monkeypatch) -> list[int]:
-    """Allow the split at any row count; the pids of the workers forked."""
-    pids: list[int] = []
-    real_fork = os.fork
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(wakenode.cli, "CSV_SPLIT_ROWS", 1)
-    monkeypatch.setattr(wakenode.cli, "_can_fork", lambda: True)
-    monkeypatch.setattr(os, "fork", fork)
-    return pids
-
-
-def mixed_columns(rows: int) -> tuple[np.ndarray, ...]:
-    """The cells of trace.csv and coherence.csv: floats, state names, ints."""
-    rng = np.random.default_rng(rows)
-    noise = rng.normal(size=rows) * 10.0 ** rng.integers(-300, 300, rows)
-    state = np.where(np.arange(rows) % 3 == 0, "transmit", "sleep")
-    return noise, state, np.arange(rows) - rows // 2, np.arange(rows, dtype=np.float64) / 7
+def no_fork():
+    raise AssertionError("os.fork was called")
 
 
 class TestCsvSplit:
-    @pytest.mark.parametrize(
-        "rows", [1, 3, 4097, CSV_SPLIT_ROWS - 1, CSV_SPLIT_ROWS, CSV_SPLIT_ROWS + 1]
-    )
-    def test_split_rows_are_the_serial_bytes(self, monkeypatch, rows):
-        columns = mixed_columns(rows)
-        args = ("f,state,i,g\n", "%r,%s,%d,%r\n", *columns)
-        serial = "".join(_csv_blocks(*args))
-        pids = counting_forks(monkeypatch)
-        assert "".join(_csv_blocks(*args)) == serial
-        assert len(pids) == 1
-        assert_no_child_left()
-
-    @pytest.mark.parametrize("bad_row, code", [(3, "E_INTERNAL"), (7, "E_OUTPUT")])
-    def test_failed_half_leaves_no_file_and_no_child(
-        self, tmp_path, capsys, monkeypatch, bad_row, code
-    ):
-        # "%d" of a string raises in the half that holds it: rows [0, 5) are
-        # this process's, rows [5, 10) the worker's
-        column = np.arange(10).astype(object)
-        column[bad_row] = "x"
-
-        def cmd_calibrate(args, cfg):
-            return cfg, {}, {}, "residuals.csv", _csv_blocks("n\n", "%d\n", column)
-
-        pids = counting_forks(monkeypatch)
-        monkeypatch.setattr(wakenode.cli, "cmd_calibrate", cmd_calibrate)
-        out = tmp_path / "out"
-        assert main(["--out-dir", str(out), "calibrate", "unused.csv"]) == 1
-        assert f"[{code}]" in capsys.readouterr().err
-        assert len(pids) == 1
-        assert not out.exists()
-        assert_no_child_left()
-
-    def test_failed_write_ends_the_worker(self, tmp_path, capsys, monkeypatch, pair_95s):
-        real_open = open
-        failed = []
-
-        class FullDisk:
-            """coherence.csv's temp file: the disk fills after two chunks."""
-
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def writelines(self, chunks):
-                for i, chunk in enumerate(chunks):
-                    if i == 2:
-                        failed.append(chunks)
-                        raise OSError(28, "No space left on device")
-                    self.fh.write(chunk)
-
-        def fake_open(file, *args, **kwargs):
-            fh = real_open(file, *args, **kwargs)
-            return FullDisk(fh) if Path(file).name.startswith(".coherence.csv.") else fh
-
-        pids = counting_forks(monkeypatch)
-        monkeypatch.setattr(wakenode.cli, "open", fake_open, raising=False)
-        out = tmp_path / "out"
-        assert main(["--out-dir", str(out), "coherence", *pair_95s[1]]) == 1
-        assert "[E_OUTPUT]: cannot write output: [Errno 28]" in capsys.readouterr().err
-        assert len(pids) == 1
-        assert not out.exists()
-        assert_no_child_left()
-
-        # _publish itself closes the generator, while its caller still holds it
-        failed.clear()
-        rows = _csv_blocks("n\n", "%r\n", np.arange(3 * CSV_BLOCK_ROWS, dtype=np.float64))
-        with pytest.raises(CliError):
-            _publish(tmp_path / "direct", {"coherence.csv": rows})
-        assert failed == [rows] and len(pids) == 2
-        assert inspect.getgeneratorstate(rows) == inspect.GEN_CLOSED
-        assert_no_child_left()
+    """No command splits its CSV rows with a forked worker: every command runs
+    in this process."""
 
     @pytest.mark.parametrize("command", ["simulate-wav", "calibrate", "rank-mics"])
     def test_small_csv_commands_never_fork(self, tmp_path, capsys, monkeypatch, command):
-        def no_fork():
-            raise AssertionError("os.fork was called")
-
-        monkeypatch.setattr(wakenode.cli, "_can_fork", lambda: True)
         monkeypatch.setattr(os, "fork", no_fork)
         if command == "simulate-wav":
             wav = tmp_path / "clicks.wav"
@@ -1600,102 +1544,15 @@ class TestCsvSplit:
         assert len(os.listdir(out)) == 2
 
 
-FALLBACK = r"""
-import json, os, threading
-import wakenode.cli as cli
-import numpy as np  # after wakenode, which pins OpenBLAS to one thread
-
-class Forked(Exception):
-    pass
-
-def fork():
-    raise Forked
-
-def forks(rows, cpus=(0, 1)):
-    os.sched_getaffinity = lambda pid: set(cpus)
-    try:
-        "".join(cli._csv_blocks("x\n", "%r\n", np.arange(rows, dtype=np.float64)))
-    except Forked:
-        return True
-    return False
-
-os.fork = fork
-runs = {
-    "threshold": forks(cli.CSV_SPLIT_ROWS),
-    "one cpu": forks(cli.CSV_SPLIT_ROWS, cpus=(1,)),
-    "fewer rows": forks(cli.CSV_SPLIT_ROWS - 1),
-}
-stop = threading.Event()
-thread = threading.Thread(target=stop.wait)
-thread.start()
-try:
-    runs["second thread"] = forks(cli.CSV_SPLIT_ROWS)
-finally:
-    stop.set()
-    thread.join()
-print(json.dumps(runs))
-"""
-
-FORK_COUNTING_CLI = r"""
-import os, runpy, sys
-
-forks, sys.argv = sys.argv[1], ["wakenode", *sys.argv[2:]]
-real_fork = os.fork
-
-def fork():
-    pid = real_fork()
-    if pid:
-        with open(forks, "a") as fh:
-            fh.write(f"{pid}\n")
-    return pid
-
-os.fork = fork
-runpy.run_module("wakenode.cli", run_name="__main__")
-"""
-
-
-def fresh_interpreter(code: str, *args: str) -> subprocess.CompletedProcess:
-    env = {
-        k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", CONFIG_ENV_VAR)
-    }
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
-    )
-
-
-def test_fork_only_with_enough_rows_two_cpus_and_one_thread():
-    proc = fresh_interpreter(FALLBACK)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
-        "threshold": True,
-        "one cpu": False,
-        "fewer rows": False,
-        "second thread": False,
-    }
-
-
-def test_forked_coherence_run_is_the_serial_run(tmp_path, capsys, monkeypatch, pair_95s):
-    forks = tmp_path / "forks"
-    forks.touch()
-    split_out = tmp_path / "split"
-    proc = fresh_interpreter(
-        FORK_COUNTING_CLI, str(forks), "--out-dir", str(split_out), "coherence", *pair_95s[0]
-    )
-    assert len(forks.read_text().split()) == (len(os.sched_getaffinity(0)) > 1)
-
-    monkeypatch.setattr(wakenode.cli, "_can_fork", lambda: False)
-    serial_out = tmp_path / "serial"
-    code = main(["--out-dir", str(serial_out), "coherence", *pair_95s[0]])
-    captured = capsys.readouterr()
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, captured.out, captured.err)
-    assert code == 0
-    outputs = []
-    for out in (split_out, serial_out):
-        report = json.loads((out / "coherence_report.json").read_text())
-        del report["config"]["io"]["out_dir"]
-        outputs.append(((out / "coherence.csv").read_bytes(), report))
-    assert outputs[0] == outputs[1]
+def test_no_command_forks(tmp_path, capsys, monkeypatch, urban_90s_8k):
+    """The large CSVs too, coherence.csv's 131 073 rows included, are written
+    in this process."""
+    monkeypatch.setattr(os, "fork", no_fork)
+    for i, command in enumerate(("coherence", "simulate")):
+        out = tmp_path / f"out{i}"
+        args = command_args(command, tmp_path, urban_90s_8k)
+        assert main(["--out-dir", str(out), *args]) == 0, capsys.readouterr().err
+        assert len(os.listdir(out)) == 2
 
 
 # ----------------------------------------------------------------------

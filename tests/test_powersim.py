@@ -23,7 +23,7 @@ from wakenode import (
     simulate_from_wake,
     threshold_out,
 )
-from wakenode.cli import _trace_csv
+from wakenode.cli import CSV_BLOCK_ROWS, _trace_csv
 from wakenode.powersim import SimTrace, WakeRuns, _merged
 
 ZIGBEE_STANDALONE = BUILTIN_PROFILES["zigbee-standalone"]
@@ -307,6 +307,25 @@ class TestSimulate:
         config = NodeConfig(ZIGBEE_STANDALONE)
         trace = _merged(zip(starts, ends), 10.0, config)
         assert trace_rows(trace) == trace_oracle(list(zip(starts, ends)), 10.0, config)
+
+    @pytest.mark.parametrize(
+        "runs", [CSV_BLOCK_ROWS // 2 - 1, CSV_BLOCK_ROWS // 2, 2 * CSV_BLOCK_ROWS]
+    )
+    @pytest.mark.parametrize("from_zero, to_end", [(False, False), (True, False), (True, True)])
+    def test_trace_csv_over_many_blocks_prints_every_row(self, runs, from_zero, to_end):
+        # each bound ends one row and starts the next, also across a block
+        # edge; the first wake starts at 0 (no first sleep row) or at 1e-5,
+        # which orjson spells 0.00001
+        bounds = np.sort(np.random.default_rng(runs).uniform(0.0, 1000.0, 2 * runs))
+        bounds[0] = 0.0 if from_zero else 1e-5
+        total_s = float(bounds[-1]) if to_end else 1000.0
+        config = NodeConfig(ZIGBEE_STANDALONE)
+        trace = _merged(zip(bounds[0::2].tolist(), bounds[1::2].tolist()), total_s, config)
+        rows = trace_rows(trace)[0]
+        assert len(rows) == 2 * runs + 1 - from_zero - to_end
+        states = ["sleep,1.0", "transmit,34.3"]
+        text = "".join(f"{a!r},{b!r},{states[s]}\n" for a, b, s in rows)
+        assert "".join(_trace_csv(trace, config)) == "t_start_s,t_end_s,state,power_mw\n" + text
 
     def test_energy_matches_closed_form(self):
         rng = np.random.default_rng(12)

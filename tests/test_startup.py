@@ -1,15 +1,16 @@
 """Start-up guards: no command needs scipy, importing the CLI loads no YAML,
-no numpy and no numerics module, ``rank-mics`` runs without numpy, and
-importing the package pins OpenBLAS to one thread.
+no numpy, no orjson and no numerics module, ``rank-mics`` runs without
+numpy, and importing the package pins OpenBLAS to one thread.
 
 One fresh interpreter makes scipy unimportable (``sys.modules["scipy"] =
 None``) before it imports ``wakenode.cli``, then runs ``rank-mics``,
 ``simulate --scenario``, ``coherence``, ``simulate --wav`` and
-``calibrate`` in that order and records each exit status and each
-report's warnings. A scipy import anywhere on a command's path makes that
-command fail. An eager PyYAML import at module level would load it for
-commands that read no config, and an eager numerics import would load
-numpy for every command. Each command imports its numerics while
+``calibrate`` in that order and records each exit status, each report's
+warnings and whether numpy or orjson is loaded after each command: the
+first two, whose CSVs are short, load neither. A scipy import anywhere on
+a command's path makes that command fail. An eager PyYAML import at module
+level would load it for commands that read no config, and an eager
+numerics import would load numpy for every command. Each command imports its numerics while
 :func:`wakenode.cli.main` records warnings into the report, so a warning
 raised by an import would land in ``results.warnings``: on these clean
 inputs every report has none. A second fresh interpreter makes numpy
@@ -65,7 +66,8 @@ runs["numerics"] = sorted(
     m for m in sys.modules
     if m.split(".")[0] == "numpy" or m.removeprefix("wakenode.") in NUMERICS
 )
-runs["warnings"] = {}
+runs["orjson"] = sorted(m for m in sys.modules if m.split(".")[0] == "orjson")
+runs["warnings"], runs["loaded"] = {}, {}
 for step, args in [
     ("rank-mics", ["rank-mics", str(data_path("microphones.csv")), "--analog", "--supply", "3.3"]),
     ("simulate", ["simulate", "--scenario", "urban"]),
@@ -78,6 +80,7 @@ for step, args in [
         runs[step] = [main(["--out-dir", out_dir, *args]), err.getvalue()]
     with open(f"{out_dir}/{args[0].replace('-', '_')}_report.json") as fh:
         runs["warnings"][step] = json.load(fh)["results"]["warnings"]
+    runs["loaded"][step] = [m for m in ("numpy", "orjson") if m in sys.modules]
 print(json.dumps(runs))
 """
 
@@ -211,6 +214,19 @@ def test_calibrate_loads_no_scipy(runs):
 
 def test_import_loads_no_numpy_and_no_numerics_module(runs):
     assert runs["numerics"] == []
+
+
+def test_import_loads_no_orjson(runs):
+    # the CSV writer imports it for a long CSV's floats: 8 ms that start-up
+    # (the benchmark's setup_s) does not pay
+    assert runs["orjson"] == []
+
+
+@pytest.mark.parametrize("step", ["rank-mics", "simulate"])
+def test_short_csvs_load_no_numpy_and_no_orjson(runs, step):
+    # neither writes a whole CSV block; and orjson with its numpy option
+    # imports numpy to look at an object it does not know, like an array("d")
+    assert runs["loaded"][step] == []
 
 
 @pytest.mark.parametrize(
