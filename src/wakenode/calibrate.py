@@ -8,6 +8,13 @@ floor c is grid-searched in integer steps. Per c, a coarse log-spaced
 grid picks b, and for the 8 best floors a golden-section search refines
 b between the coarse value's grid neighbours, first stepping past the end
 of the grid while the residual keeps falling there.
+
+Both passes run as array passes. The coarse pass evaluates the grid for a
+block of :data:`_C_BLOCK` floors per :func:`_project` call, and the 8
+refinements run in lock-step, one call per golden-section step for all
+floors, each floor's bracket frozen once it is narrow enough. Every sum is
+computed by the same elementwise operations and length-n reductions as one
+floor and one exponent at a time, so the fit is that search's bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +38,11 @@ _B_GRID = np.sort(np.concatenate([-np.logspace(-3, 0.5, 18), np.logspace(-3, 0.5
 _B_GRID_STEP = _B_GRID[-1] / _B_GRID[-2]  # ratio of neighbouring magnitudes
 _B_TOL = 1e-10  # relative width at which the exponent search stops
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+# Floors per coarse _project call. All floors in one call would map fresh
+# pages for every (floors, 36, points) temporary; 4 keep each under glibc's
+# 128 KiB mmap threshold (46 KB at 40 points), and the peak RSS within
+# 0.2 MiB of one floor per call.
+_C_BLOCK = 4
 
 
 @dataclass(frozen=True)
@@ -54,13 +66,14 @@ def adc_to_db(x: float, curve: CalibrationCurve = CalibrationCurve()) -> float:
 
 
 def _project(
-    x: np.ndarray, y: np.ndarray, c: float, b: np.ndarray | float
+    x: np.ndarray, y: np.ndarray, c: np.ndarray | float, b: np.ndarray | float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum of squared residuals and exact (a, d) for each exponent in ``b``.
 
     For fixed (b, c) the model is linear in (a, d), so the pair has a
     closed-form least-squares solution. The sum is +inf where that system
-    is singular or the power overflows.
+    is singular or the power overflows. An array ``c`` broadcasts against
+    the exponents' shape, one floor per leading index.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         t = (x - c) ** np.asarray(b)[..., None]
@@ -74,39 +87,63 @@ def _project(
     return np.where((var > 0) & np.isfinite(sse), sse, np.inf), a, d
 
 
-def _refine_b(x: np.ndarray, y: np.ndarray, c: float, i: int) -> tuple[float, float]:
-    """(sse, b) minimising the projected sum near the coarse exponent _B_GRID[i].
+def _coarse(x: np.ndarray, y: np.ndarray, floors: int) -> list[tuple[float, float, int]]:
+    """(sse, c, grid index of b) of the best grid exponent for each integer
+    floor c below ``floors`` whose best sum is finite, in ascending c."""
+    coarse = []
+    for start in range(0, floors, _C_BLOCK):
+        c = np.arange(start, min(start + _C_BLOCK, floors), dtype=np.float64)
+        sse = _project(x, y, c[:, None, None], _B_GRID)[0]
+        best = zip(sse.min(axis=1).tolist(), c.tolist(), sse.argmin(axis=1).tolist())
+        coarse += [item for item in best if item[0] < np.inf]
+    return coarse
+
+
+def _refine(
+    x: np.ndarray, y: np.ndarray, seeds: Sequence[tuple[float, float, int]]
+) -> list[tuple[float, float, float]]:
+    """(sse, b, c) minimising the projected sum near each seed's coarse
+    exponent, for seeds (sse, c, i) of the exponent _B_GRID[i].
 
     The bracket is the grid neighbours of ``i``. At an end of the grid it
     first grows outward by grid steps while the sum falls, since the
-    optimum can lie past the grid. Golden-section search then shrinks it.
+    optimum can lie past the grid. Golden-section search then shrinks all
+    brackets in lock-step, one _project call per step; a floor whose
+    bracket is narrow enough keeps its state from then on.
     """
+    last = _B_GRID.size - 1
+    best, brackets = [], []
+    for sse, c, i in seeds:
+        found = (sse, float(_B_GRID[i]))
+        bracket = (_B_GRID[max(i - 1, 0)], _B_GRID[min(i + 1, last)])
+        if i in (0, last):
+            inner, edge = bracket[::-1] if i == 0 else bracket
+            outer = edge * _B_GRID_STEP
+            while (sse_outer := float(_project(x, y, c, outer)[0])) < found[0]:
+                found = (sse_outer, outer)
+                inner, edge, outer = edge, outer, outer * _B_GRID_STEP
+            bracket = sorted((inner, outer))
+        best.append(found)
+        brackets.append(bracket)
 
-    def sse_at(b: float) -> float:
-        return float(_project(x, y, c, b)[0])
-
-    best = (sse_at(_B_GRID[i]), float(_B_GRID[i]))
-    lo, hi = _B_GRID[max(i - 1, 0)], _B_GRID[min(i + 1, _B_GRID.size - 1)]
-    if i in (0, _B_GRID.size - 1):
-        inner, edge = (hi, lo) if i == 0 else (lo, hi)
-        outer = edge * _B_GRID_STEP
-        while (sse_outer := sse_at(outer)) < best[0]:
-            best = (sse_outer, outer)
-            inner, edge, outer = edge, outer, outer * _B_GRID_STEP
-        lo, hi = sorted((inner, outer))
-
+    c = np.array([seed[1] for seed in seeds])[:, None]
+    lo, hi = (np.array(end) for end in zip(*brackets))
     x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
-    f1, f2 = sse_at(x1), sse_at(x2)
-    while hi - lo > _B_TOL * max(abs(lo), abs(hi)):
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = sse_at(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = sse_at(x2)
-    return min(best, (f1, x1), (f2, x2))
+    f1, f2 = _project(x, y, c, x1)[0], _project(x, y, c, x2)[0]
+    while (active := hi - lo > _B_TOL * np.maximum(np.abs(lo), np.abs(hi))).any():
+        left = active & (f1 <= f2)  # the minimum lies in [lo, x2]
+        right = active & ~left  # or in [x1, hi]
+        hi, lo = np.where(left, x2, hi), np.where(right, x1, lo)
+        probe = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        f = _project(x, y, c, probe)[0]
+        x1, f1, x2, f2 = (
+            np.where(left, probe, np.where(right, x2, x1)),
+            np.where(left, f, np.where(right, f2, f1)),
+            np.where(right, probe, np.where(left, x1, x2)),
+            np.where(right, f, np.where(left, f1, f2)),
+        )
+    ends = zip(best, f1.tolist(), x1.tolist(), f2.tolist(), x2.tolist(), c[:, 0].tolist())
+    return [(*min(found, (s1, b1), (s2, b2)), floor) for found, s1, b1, s2, b2, floor in ends]
 
 
 def fit_curve(points: Sequence[CalPoint]) -> tuple[CalibrationCurve, float]:
@@ -123,23 +160,15 @@ def fit_curve(points: Sequence[CalPoint]) -> tuple[CalibrationCurve, float]:
     if np.ptp(y) == 0.0 or np.ptp(x) == 0.0:
         raise FitError("calibration points are degenerate (no variation)")
 
-    c_grid = np.arange(0, int(np.min(x)), dtype=np.float64)
-    if c_grid.size == 0:
+    floors = int(np.min(x))
+    if floors < 1:
         raise FitError("no admissible floor candidate below the smallest ADC value")
-
-    # Coarse pass: per integer c, the best b on the grid.
-    coarse: list[tuple[float, float, int]] = []  # (sse, c, grid index of b)
-    for c in c_grid:
-        sse = _project(x, y, float(c), _B_GRID)[0]
-        i = int(np.argmin(sse))
-        if np.isfinite(sse[i]):
-            coarse.append((float(sse[i]), float(c), i))
+    coarse = _coarse(x, y, floors)
     if not coarse:
         raise FitError("no floor candidate produced a solvable linear system")
 
     coarse.sort(key=lambda item: item[0])
-    fits = [(*_refine_b(x, y, c, i), c) for _, c, i in coarse[:8]]
-    _, b, c = min(fits, key=lambda fit: fit[0])
+    _, b, c = min(_refine(x, y, coarse[:8]), key=lambda fit: fit[0])
     _, a, d = _project(x, y, c, b)
     curve = CalibrationCurve(a=float(a), b=float(b), c=c, d=float(d))
     return curve, r_squared(points, curve)

@@ -24,6 +24,20 @@ Every float cell is the float's repr(), which reads back to the same bits;
 :func:`_float_cells` takes a long CSV's digits from orjson, which writes
 them some 30 times faster than repr().
 
+:func:`main` is the library entry: it returns the exit status and may run
+any number of times in one process. :func:`run` is the process entry,
+which ``python -m wakenode.cli`` and the ``wakenode`` console script call:
+it runs :func:`main`, then the :mod:`gc` module's ``freeze()``, then exits
+with main's status. The freeze moves every object the process holds into
+the collector's permanent generation, so the collections of interpreter
+shutdown skip the object graphs that numpy and the other imports built,
+memory the operating system takes back at exit anyway. Shutdown still
+runs in order (atexit handlers, the stdio flush, the clearing of module
+dicts), and every output file is closed and every temp file removed
+before :func:`main` returns. :func:`main` itself
+never freezes: a long-lived caller would keep every later object out of
+collection.
+
 Each command imports the numerics it computes with where it runs, not
 when this module loads: the records the commands parse, the microphone
 ranking and the error classes mapped to ``E_*`` codes come from the
@@ -68,7 +82,7 @@ from dataclasses import asdict, replace
 from importlib import resources
 from itertools import chain, takewhile
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence
 
 from . import __version__
 from .config import (
@@ -654,5 +668,15 @@ def __getattr__(name: str) -> Any:
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def run() -> NoReturn:
+    """Run :func:`main` on ``sys.argv`` and exit the process with its status,
+    skipping the shutdown collections of what the process loaded."""
+    status = main()
+    import gc
+
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -60,14 +60,9 @@ def _as_readonly_f64(samples: ArrayLike) -> NDArray[np.float64]:
 
 
 def require_finite(samples: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``samples``, once every one is found finite; otherwise ValueError.
-
-    An array's minimum or maximum is NaN or infinite exactly when one of its
-    samples is.
-    """
-    with np.errstate(invalid="ignore"):
-        if samples.size and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
-            raise ValueError("samples must all be finite (no NaN or infinity)")
+    """``samples``, once every one is found finite; otherwise ValueError."""
+    if not np.isfinite(samples).all():
+        raise ValueError("samples must all be finite (no NaN or infinity)")
     return samples
 
 

@@ -1,10 +1,23 @@
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.signal import lfilter
 
 from wakenode import Signal
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env() -> dict[str, str]:
+    """This process's environment for a child Python that imports wakenode
+    from this checkout, with no preset OpenBLAS thread count."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    return env
 
 
 def urban_like_signal(duration_s: float, rate_hz: float, seed: int) -> Signal:

@@ -13,7 +13,7 @@ from wakenode import (
     fit_curve,
     r_squared,
 )
-from wakenode.calibrate import _B_GRID, _project
+from wakenode.calibrate import _B_GRID, _B_GRID_STEP, _B_TOL, _GOLDEN, _project
 from wakenode.cli import main
 from wakenode.records import ADC_MAX
 
@@ -54,6 +54,73 @@ def synthetic_points(b: float, n: int, noise_db: float, seed: int) -> list[CalPo
     span = rng.uniform(10.0, 60.0)
     db = 30.0 + span * (t - t.min()) / np.ptp(t) + rng.uniform(-noise_db, noise_db, n)
     return [CalPoint(float(adc), float(spl)) for adc, spl in zip(x, db)]
+
+
+def floor_points(b: float, n: int, noise_db: float, seed: int, x_min: float) -> list[CalPoint]:
+    """n noisy points on a random curve with exponent b whose smallest ADC
+    value is x_min, so the fit has int(x_min) floor candidates."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(0.0, x_min - 0.5)
+    x = np.concatenate([[x_min], rng.uniform(x_min, ADC_MAX, n - 1)])
+    t = (x - c) ** b
+    db = 30.0 + 40.0 * (t - t.min()) / np.ptp(t) + rng.uniform(-noise_db, noise_db, n)
+    return [CalPoint(float(adc), float(spl)) for adc, spl in zip(x, db)]
+
+
+def fit_curve_oracle(points: list[CalPoint]) -> tuple[CalibrationCurve, float]:
+    """The variable-projection search fit_curve runs, one floor and one
+    exponent per _project call: the coarse grid per integer floor c, then a
+    golden-section search of b per floor for the 8 best floors."""
+    if len(points) < 6:
+        raise ValueError(f"need at least 6 calibration points, got {len(points)}")
+    x = np.array([p.adc_value for p in points], dtype=np.float64)
+    y = np.array([p.spl_db for p in points], dtype=np.float64)
+    if np.ptp(y) == 0.0 or np.ptp(x) == 0.0:
+        raise FitError("calibration points are degenerate (no variation)")
+
+    def sse_at(c: float, b: float) -> float:
+        return float(_project(x, y, c, b)[0])
+
+    def refine_b(c: float, i: int) -> tuple[float, float]:
+        best = (sse_at(c, _B_GRID[i]), float(_B_GRID[i]))
+        lo, hi = _B_GRID[max(i - 1, 0)], _B_GRID[min(i + 1, _B_GRID.size - 1)]
+        if i in (0, _B_GRID.size - 1):
+            inner, edge = (hi, lo) if i == 0 else (lo, hi)
+            outer = edge * _B_GRID_STEP
+            while (sse_outer := sse_at(c, outer)) < best[0]:
+                best = (sse_outer, outer)
+                inner, edge, outer = edge, outer, outer * _B_GRID_STEP
+            lo, hi = sorted((inner, outer))
+        x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+        f1, f2 = sse_at(c, x1), sse_at(c, x2)
+        while hi - lo > _B_TOL * max(abs(lo), abs(hi)):
+            if f1 <= f2:
+                hi, x2, f2 = x2, x1, f1
+                x1 = hi - _GOLDEN * (hi - lo)
+                f1 = sse_at(c, x1)
+            else:
+                lo, x1, f1 = x1, x2, f2
+                x2 = lo + _GOLDEN * (hi - lo)
+                f2 = sse_at(c, x2)
+        return min(best, (f1, x1), (f2, x2))
+
+    c_grid = np.arange(0, int(np.min(x)), dtype=np.float64)
+    if c_grid.size == 0:
+        raise FitError("no admissible floor candidate below the smallest ADC value")
+    coarse = []
+    for c in c_grid:
+        grid_sse = _project(x, y, float(c), _B_GRID)[0]
+        i = int(np.argmin(grid_sse))
+        if np.isfinite(grid_sse[i]):
+            coarse.append((float(grid_sse[i]), float(c), i))
+    if not coarse:
+        raise FitError("no floor candidate produced a solvable linear system")
+    coarse.sort(key=lambda item: item[0])
+    fits = [(*refine_b(c, i), c) for _, c, i in coarse[:8]]
+    _, b, c = min(fits, key=lambda fit: fit[0])
+    _, a, d = _project(x, y, c, b)
+    curve = CalibrationCurve(a=float(a), b=float(b), c=c, d=float(d))
+    return curve, r_squared(points, curve)
 
 
 def sse(points: list[CalPoint], curve: CalibrationCurve) -> float:
@@ -155,6 +222,49 @@ class TestFitCurve:
         first = fit_curve(points)
         second = fit_curve(points)
         assert first == second
+
+
+class TestFitIsThePerFloorSearch:
+    """fit_curve's array passes give the per-floor search's curve and R^2
+    bit for bit, past either end of the exponent grid and with fewer than
+    8 floor candidates too."""
+
+    @given(
+        magnitude=st.floats(0.0005, 8.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        n=st.integers(6, 40),
+        noise_db=st.floats(0.0, 1.5),
+        seed=st.integers(0, 2**32 - 1),
+        x_min=st.floats(1.0, 7.99) | st.floats(8.0, 400.0),
+    )
+    @example(magnitude=7.0, sign=1.0, n=10, noise_db=1.02, seed=458, x_min=120.0)
+    @example(magnitude=4.0, sign=-1.0, n=20, noise_db=0.15, seed=928, x_min=3.5)
+    @example(magnitude=0.04258, sign=-1.0, n=40, noise_db=0.0, seed=1, x_min=1.0)
+    @settings(max_examples=40, deadline=None)
+    def test_fit_equals_the_oracle(self, magnitude, sign, n, noise_db, seed, x_min):
+        points = floor_points(sign * magnitude, n, noise_db, seed, x_min)
+        assert repr(fit_curve(points)) == repr(fit_curve_oracle(points))
+
+    def test_noisy_fixture_equals_the_oracle(self):
+        points = noisy_fixture()
+        assert repr(fit_curve(points)) == repr(fit_curve_oracle(points))
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            model_points()[:5],
+            [CalPoint(400.0 + i, 70.0) for i in range(8)],
+            [CalPoint(400.0, 60.0 + i) for i in range(8)],
+            [CalPoint(0.5 + i, 60.0 + i) for i in range(8)],
+        ],
+        ids=["too-few", "flat-db", "flat-adc", "no-floor"],
+    )
+    def test_rejections_equal_the_oracle(self, points):
+        with pytest.raises((ValueError, FitError)) as got:
+            fit_curve(points)
+        with pytest.raises((ValueError, FitError)) as want:
+            fit_curve_oracle(points)
+        assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
 
 
 class TestFitAgainstLmOracle:

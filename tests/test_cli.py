@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import dataclasses
+import gc
 import importlib
 import inspect
 import io
@@ -11,6 +12,7 @@ import os
 import re
 import stat
 import struct
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -58,7 +60,16 @@ from wakenode.coherence import analysis_welch
 from wakenode.config import RunConfig, _settable, load_run_config, parse_run_config
 from wakenode.wavio import WavReader
 
-from conftest import add_noise_at_snr, chunk, fmt_chunk, rf64, riff, shift_right, urban_like_signal
+from conftest import (
+    add_noise_at_snr,
+    child_env,
+    chunk,
+    fmt_chunk,
+    rf64,
+    riff,
+    shift_right,
+    urban_like_signal,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -1661,3 +1672,61 @@ class TestApiIsWhatTheCommandsRun:
         # a name whose LAYERS entries are gone is deleted, with its tests
         wrapped = layers_functions()
         assert [key for key, kept_for in UNREACHED.items() if not wrapped & set(kept_for)] == []
+
+
+class TestProcessExit:
+    """``run`` is the process entry: ``main``, then ``gc.freeze()``, then
+    ``sys.exit`` with main's status. ``main`` freezes nothing, and a
+    ``python -m wakenode.cli`` process writes what ``main`` writes here."""
+
+    @pytest.fixture
+    def unfreeze(self):
+        yield
+        gc.unfreeze()
+
+    def test_main_freezes_nothing(self, tmp_path):
+        before = gc.get_freeze_count()
+        assert run_in_process(["--out-dir", str(tmp_path), *RANK_MICS])[0] == 0
+        assert gc.get_freeze_count() == before
+
+    @pytest.mark.parametrize(
+        "out, status, stderr",
+        [
+            ("out", 0, ""),
+            ("", 1, "wakenode: error [E_INPUT]: --out-dir: expected a directory, got an empty string\n"),
+        ],
+        ids=["success", "input-error"],
+    )
+    def test_run_exits_with_mains_status(self, tmp_path, monkeypatch, capsys, unfreeze, out, status, stderr):
+        out_dir = str(tmp_path / out) if out else out
+        monkeypatch.setattr(sys, "argv", ["wakenode", "--out-dir", out_dir, *RANK_MICS])
+        with pytest.raises(SystemExit) as exited:
+            wakenode.cli.run()
+        assert exited.value.code == status
+        assert capsys.readouterr().err == stderr
+        assert gc.get_freeze_count() > 0
+
+    @pytest.mark.parametrize("command", ["calibrate", "simulate"])
+    def test_module_process_writes_what_main_writes(self, tmp_path, command):
+        points = tmp_path / "points.csv"
+        adc = np.linspace(380.0, 1000.0, 40).tolist()
+        points.write_text("adc_value,spl_db\n" + "".join(
+            f"{x!r},{adc_to_db(x) + 0.5 * math.sin(x)!r}\n" for x in adc
+        ))
+        argv = {"calibrate": ["calibrate", str(points)], "simulate": ["simulate", "--scenario", "urban"]}
+        child_out, here_out = tmp_path / "child", tmp_path / "here"
+        child = subprocess.run(
+            [sys.executable, "-m", "wakenode.cli", "--out-dir", str(child_out), *argv[command]],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        here = run_in_process(["--out-dir", str(here_out), *argv[command]])
+        masked = [child.returncode, child.stdout.replace(str(child_out), "<out>"), child.stderr]
+        assert masked == [here[0], here[1].replace(str(here_out), "<out>"), here[2]]
+        names = sorted(path.name for path in child_out.iterdir())
+        assert names == sorted(path.name for path in here_out.iterdir()) != []
+        for name in names:
+            got = (child_out / name).read_bytes().replace(bytes(child_out), b"<out>")
+            assert got == (here_out / name).read_bytes().replace(bytes(here_out), b"<out>"), name

@@ -108,6 +108,8 @@ class TestRequireFinite:
 
     @given(st.lists(finite, max_size=50))
     @example([])
+    @example([1e308] * 50)
+    @example([-1e308, 1e308])
     def test_finite_arrays_pass_as_themselves(self, values):
         samples = np.array(values, dtype=np.float64)
         with warnings.catch_warnings():
@@ -121,13 +123,17 @@ class TestRequireFinite:
         st.lists(finite, max_size=50),
     )
     @example([], np.nan, [])
-    @example([1.0], -np.inf, [])
+    @example([], np.nan, [1.0])
+    @example([1.0], np.nan, [])
     @example([], np.inf, [1.0])
+    @example([1.0], np.inf, [])
+    @example([], -np.inf, [1.0])
+    @example([1.0], -np.inf, [])
     def test_a_non_finite_sample_anywhere_raises(self, before, bad, after):
         samples = np.array([*before, bad, *after], dtype=np.float64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="finite"):
+            with pytest.raises(ValueError, match=r"^samples must all be finite \(no NaN or infinity\)$"):
                 require_finite(samples)
 
 

@@ -33,7 +33,6 @@ points each name at a module that exports it.
 import ast
 import importlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -47,9 +46,7 @@ import wakenode
 import wakenode.cli
 from wakenode import adc_to_db
 
-from conftest import add_noise_at_snr, shift_right, urban_like_signal
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import add_noise_at_snr, child_env, shift_right, urban_like_signal
 
 STEPS = r"""
 import contextlib, io, json, sys
@@ -142,19 +139,12 @@ print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
 """
 
 
-def _child_env() -> dict[str, str]:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    return env
-
-
 def _pin(*args: str, **env: str) -> list:
     proc = subprocess.run(
         [sys.executable, "-c", PIN, *args],
         capture_output=True,
         text=True,
-        env={**_child_env(), **env},
+        env={**child_env(), **env},
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
@@ -187,7 +177,7 @@ def runs(tmp_path_factory):
         [sys.executable, "-c", STEPS, str(tmp / "out"), str(points), *map(str, wavs)],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -259,7 +249,7 @@ def numpy_free(tmp_path_factory):
         [sys.executable, "-c", NO_NUMPY, str(tmp / "child"), json.dumps(steps)],
         capture_output=True,
         text=True,
-        env=_child_env(),
+        env=child_env(),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
