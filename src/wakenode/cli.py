@@ -126,21 +126,22 @@ PREFERRED_SOURCE_RATE_HZ = 16_000.0
 # what a cmd_* returns: cfg, inputs, results, CSV name and CSV text chunks
 CommandOutput = tuple[RunConfig, dict[str, Any], dict[str, Any], str, Iterable[str]]
 
+
+class OutputError(Exception):
+    """The report files could not be written (see :func:`_publish`)."""
+
+
+# the first class an exception is an instance of gives its code
 _ERROR_CODES: list[tuple[type[BaseException], str]] = [
     (ConfigError, "E_CONFIG"),
     (WavFormatError, "E_WAV"),
     (AlignmentError, "E_ALIGN"),
     (CalibrationDomainError, "E_DOMAIN"),
     (FitError, "E_FIT"),
+    (OutputError, "E_OUTPUT"),
     (OSError, "E_INPUT"),
     (ValueError, "E_INPUT"),
 ]
-
-
-class CliError(Exception):
-    def __init__(self, code: str, message: str) -> None:
-        super().__init__(message)
-        self.code = code
 
 
 def _error_code(exc: BaseException) -> str:
@@ -181,7 +182,7 @@ def _publish(out_dir: Path, files: dict[str, Iterable[str]]) -> None:
     copied, with its permission bits, to a hidden backup. On any failure,
     including one raised while a chunk is produced, the files already
     renamed are put back or removed, and so are ``out_dir`` and each parent
-    of it that this call made; an OSError becomes ``E_OUTPUT``. No temp
+    of it that this call made; an OSError becomes :class:`OutputError`. No temp
     file or backup is left. Mode "x" creates the temp files with the
     permissions a plain write gives (0644 under umask 022).
     """
@@ -207,7 +208,7 @@ def _publish(out_dir: Path, files: dict[str, Iterable[str]]) -> None:
             placed.append((target, backup))
         placed, made = [], []  # done: nothing to undo
     except OSError as exc:
-        raise CliError("E_OUTPUT", f"cannot write output: {exc}") from exc
+        raise OutputError(f"cannot write output: {exc}") from exc
     finally:
         for target, backup in placed:
             with contextlib.suppress(OSError):
@@ -349,7 +350,7 @@ def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
 
     try:
         welch = analysis_welch(cfg.welch)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"welch: {exc}") from exc
     rate_warnings: list[str] = []
     with WavReader(args.source_wav) as source_file, WavReader(args.recording_wav) as recording_file:
@@ -357,8 +358,7 @@ def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
         for label, wav in files:
             rate = wav.sample_rate_hz
             if rate < SCORE_RATE_HZ:
-                raise CliError(
-                    "E_WAV",
+                raise WavFormatError(
                     f"{label} sample rate {rate:.0f} Hz is below the "
                     f"{SCORE_RATE_HZ:.0f} Hz analysis rate",
                 )
@@ -375,8 +375,8 @@ def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
         try:
             details = _score_wavs(source_file, recording_file, welch)
         except OverflowError as exc:
-            raise CliError(
-                "E_INPUT", f"cannot score {args.recording_wav} against {args.source_wav}: {exc}"
+            raise ValueError(
+                f"cannot score {args.recording_wav} against {args.source_wav}: {exc}"
             ) from exc
 
     inputs = {
@@ -461,8 +461,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
     node = cfg.node
     if args.profile is not None:
         if args.profile not in BUILTIN_PROFILES:
-            raise CliError(
-                "E_INPUT",
+            raise ValueError(
                 f"unknown profile {args.profile!r}; built-ins are {sorted(BUILTIN_PROFILES)}",
             )
         node = replace(node, profile=BUILTIN_PROFILES[args.profile])
@@ -631,25 +630,20 @@ def main(argv: Sequence[str] | None = None) -> int:
         for flag in ("threshold_v", "mic_scale_v", "supply"):
             value = getattr(args, flag, None)
             if value is not None and not math.isfinite(value):
-                raise CliError(
-                    "E_INPUT", f"--{flag.replace('_', '-')}: expected a finite number, got {value}"
+                raise ValueError(
+                    f"--{flag.replace('_', '-')}: expected a finite number, got {value}"
                 )
         threshold_v = getattr(args, "threshold_v", None)
         if threshold_v is not None and threshold_v <= 0:
-            raise CliError(
-                "E_INPUT", f"--threshold-v: expected a positive number, got {threshold_v}"
-            )
+            raise ValueError(f"--threshold-v: expected a positive number, got {threshold_v}")
         if args.out_dir == "":
-            raise CliError("E_INPUT", "--out-dir: expected a directory, got an empty string")
+            raise ValueError("--out-dir: expected a directory, got an empty string")
         # every Python warning raised while the command runs goes into its
         # report, not to stderr
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
             cfg = _load_config(args)
             report = _finish(args.subcommand, *args.run(args, cfg), warned)
-    except CliError as exc:
-        print(f"wakenode: error [{exc.code}]: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - boundary: map to coded diagnostics
         print(f"wakenode: error [{_error_code(exc)}]: {exc}", file=sys.stderr)
         return 1

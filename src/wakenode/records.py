@@ -182,9 +182,6 @@ def rank_microphones(
     if supply_v is not None and supply_v <= 0:
         raise ValueError(f"supply_v must be positive, got {supply_v}")
 
-    def sort_key(c: MicCandidate) -> tuple[float, float]:
-        return (-c.accuracy, c.power_mw)
-
     flagged: list[tuple[MicCandidate, tuple[str, ...]]] = []
     for cand in candidates:
         reasons: list[str] = []
@@ -197,14 +194,12 @@ def rank_microphones(
             )
         flagged.append((cand, tuple(reasons)))
 
-    eligible = sorted((c for c, r in flagged if not r), key=sort_key)
-    ineligible = sorted(((c, r) for c, r in flagged if r), key=lambda cr: sort_key(cr[0]))
-
-    ranking = [
-        RankedMic(cand, eligible=True, rank=i + 1) for i, cand in enumerate(eligible)
+    # eligible first; a stable sort keeps table order among equal keys
+    flagged.sort(key=lambda cr: (bool(cr[1]), -cr[0].accuracy, cr[0].power_mw))
+    return [
+        RankedMic(cand, eligible=not r, reasons=r, rank=None if r else i + 1)
+        for i, (cand, r) in enumerate(flagged)
     ]
-    ranking.extend(RankedMic(cand, eligible=False, reasons=r) for cand, r in ineligible)
-    return ranking
 
 
 @dataclass(frozen=True)
@@ -289,6 +284,11 @@ class Scenario:
             raise ValueError("scenario has no segments")
         if not math.isfinite(self.duration_s):
             raise ValueError(f"total duration_s must be finite, got {self.duration_s}")
+        # the power model divides by the duration in hours
+        if self.duration_s / 3600.0 == 0:
+            raise ValueError(
+                f"total duration_s {self.duration_s} is too short: its hours underflow to zero"
+            )
 
     @property
     def duration_s(self) -> float:

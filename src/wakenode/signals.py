@@ -41,14 +41,6 @@ ANTIALIAS_CUTOFF_FRACTION = 0.45  # of the target rate
 # depend on a product's row count, so changing this value changes them.
 RESAMPLE_BLOCK_MACS = 1 << 19
 
-# find_delay correlates directly while len(candidate) * len(reference), the
-# direct multiply-adds, is at most this many times nfft * log2(nfft), the
-# FFT path's butterflies. Measured with 5-smooth FFT lengths (numpy 2.4,
-# x86-64): the crossover is ~25x for lengths under ~1000 samples (equal
-# lengths near 512) and ~13-16x for 10 000-50 000 x 150-300 samples, where
-# the direct path then runs at most ~1.4x the FFT path's time.
-DIRECT_CORRELATE_COST_RATIO = 25
-
 
 def _as_readonly_f64(samples: ArrayLike) -> NDArray[np.float64]:
     arr = np.asarray(samples, dtype=np.float64)
@@ -298,11 +290,9 @@ def find_delay(
     maximizes the cross-correlation; positive d means the candidate lags
     the reference. Ties go to the smallest |d|, then negative over positive.
 
-    Small inputs are correlated directly, so the tie rule is exact there.
-    Above ``DIRECT_CORRELATE_COST_RATIO`` the correlation comes from an FFT
-    product zero-padded to the next 5-smooth length (160 000 points for two
-    80 000-sample inputs), whose rounding decides between lags that tie or
-    nearly tie.
+    The correlation is an FFT product zero-padded to the next 5-smooth
+    length (160 000 points for two 80 000-sample inputs), whose rounding
+    decides between lags that tie or nearly tie.
 
     Finite samples near the float limit can overflow the correlation; no lag
     is chosen from it, and OverflowError is raised instead.
@@ -324,14 +314,10 @@ def find_delay(
     nfft = _fft_length(n + m - 1)  # no circular wrap
     # finite samples overflow only near the float limit, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        if n * m <= DIRECT_CORRELATE_COST_RATIO * nfft * (nfft.bit_length() - 1):
-            # full cross-correlation; index i corresponds to lag i - (m - 1)
-            corr = np.correlate(candidate, reference, "full")[m - 1 - w : m + w]
-        else:
-            spectrum = np.fft.rfft(candidate, nfft)
-            spectrum *= np.conj(np.fft.rfft(reference, nfft))
-            circular = np.fft.irfft(spectrum, nfft)  # lag d at index d mod nfft
-            corr = np.concatenate((circular[nfft - w :], circular[: w + 1]))
+        spectrum = np.fft.rfft(candidate, nfft)
+        spectrum *= np.conj(np.fft.rfft(reference, nfft))
+        circular = np.fft.irfft(spectrum, nfft)  # lag d at index d mod nfft
+    corr = np.concatenate((circular[nfft - w :], circular[: w + 1]))
     lags = np.arange(-w, w + 1)
 
     best = np.max(corr)

@@ -29,6 +29,8 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 
 import wakenode.cli
+import wakenode.config
+import wakenode.records
 from wakenode import (
     BUILTIN_PROFILES,
     CalibrationCurve,
@@ -46,8 +48,9 @@ from wakenode.cli import (
     CONFIG_ENV_VAR,
     CSV_BLOCK_ROWS,
     WAV_CHUNK_FRAMES,
-    CliError,
+    OutputError,
     _csv_blocks,
+    _error_code,
     _finish,
     _float_cells,
     _publish,
@@ -108,6 +111,39 @@ class TestSimulateZeroPower:
         assert 0.0 < report["results"]["avg_power_mw"] < 1e-300
         assert report["results"]["lifetime_days"] is None
         assert json.loads(capsys.readouterr().out) == report["results"]
+
+
+class TestErrorCodes:
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            value
+            for module in (wakenode.records, wakenode.config, wakenode.cli)
+            for value in vars(module).values()
+            if isinstance(value, type)
+            and issubclass(value, BaseException)
+            and value.__module__ == module.__name__
+        ],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_every_error_class_has_a_code(self, cls):
+        assert _error_code(cls("message")) != "E_INTERNAL"
+
+    def test_scenario_whose_hours_underflow_exits_config(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("segments:\n  - {duration_s: 5.0e-324, sound: true}\n")
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "simulate", "--scenario", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"wakenode: error [E_CONFIG]: {path}: total duration_s 5e-324 is too short: "
+            "its hours underflow to zero\n"
+        )
+        assert not out.exists()
+
+    def test_subnormal_scenario_with_nonzero_hours_runs(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("segments:\n  - {duration_s: 1.0e-310, sound: true}\n")
+        assert main(["--out-dir", str(tmp_path / "out"), "simulate", "--scenario", str(path)]) == 0
 
 
 class TestNonFiniteInputs:
@@ -363,7 +399,7 @@ RANK_MICS = ["rank-mics", str(data_path("microphones.csv"))]
 RANK_MICS_LINES = len(data_path("microphones.csv").read_text().splitlines())
 # (exception raised by a CSV chunk iterator, the code it exits with)
 CHUNK_ERRORS = [
-    (lambda: CliError("E_OUTPUT", "CSV worker failed"), "E_OUTPUT"),
+    (lambda: OutputError("cannot write output: disk full"), "E_OUTPUT"),
     (lambda: OSError(5, "Input/output error"), "E_OUTPUT"),
     (lambda: ValueError("cell out of range"), "E_INPUT"),
     (lambda: RuntimeError("formatter bug"), "E_INTERNAL"),
@@ -1514,6 +1550,8 @@ class TestCoherenceReadsWholeFiles:
             ("segment_count: 1", "two Welch segments"),
             ("fft_length: 1024", "shorter than the segment length 142222"),
             ("segment_count: 1000000000", "too short for 1000000000 segments"),
+            # 2**44 + 1 complex bins, 256 TiB: numpy's allocation fails
+            (f"fft_length: {2**45}", "Unable to allocate"),
         ],
     )
     def test_bad_welch_settings_fail_before_decoding(

@@ -401,6 +401,40 @@ class TestRankMicrophones:
         with pytest.raises(ValueError, match="empty"):
             rank_microphones([], require_analog=False, supply_v=None)
 
+    @given(
+        table=st.lists(
+            st.tuples(
+                st.sampled_from([0.5, 0.7]),  # accuracy: few values, so keys tie
+                st.sampled_from([1.0, 2.0]),  # power_mw
+                st.sampled_from(list(MicConfiguration)),
+                st.sampled_from([(1.6, 3.6), (0.9, 1.3)]),  # supply range
+            ),
+            min_size=1,
+            max_size=8,
+        ),
+        require_analog=st.booleans(),
+        supply_v=st.sampled_from([None, 3.3]),
+    )
+    def test_order_is_that_of_two_sorts(self, table, require_analog, supply_v):
+        # the eligible sorted, then the ineligible sorted, each by accuracy
+        # down and power up; equal keys keep table order
+        mics = [MicCandidate(f"m{i}", p, a, c, *s) for i, (a, p, c, s) in enumerate(table)]
+        ranking = rank_microphones(mics, require_analog, supply_v)
+        eligible = {r.candidate.name for r in ranking if r.eligible}
+
+        def key(m):
+            return (-m.accuracy, m.power_mw)
+
+        want = sorted((m for m in mics if m.name in eligible), key=key)
+        want += sorted((m for m in mics if m.name not in eligible), key=key)
+        assert [r.candidate for r in ranking] == want
+        assert [r.rank for r in ranking] == [
+            i + 1 if m.name in eligible else None for i, m in enumerate(want)
+        ]
+        for r in ranking:
+            alone = rank_microphones([r.candidate], require_analog, supply_v)[0]
+            assert (r.eligible, r.reasons) == (alone.eligible, alone.reasons)
+
 
 # ----------------------------------------------------------------------
 # the Welch accumulator and the streamed scorer

@@ -247,6 +247,15 @@ class TestScenarioLoading:
         with pytest.raises(ConfigError, match=r"scenario\.yaml: total duration_s must be finite"):
             load_scenario(path)
 
+    def test_duration_whose_hours_underflow_rejected(self, tmp_path):
+        # the power model divides by the hours, which are 0.0 for 5e-324 s
+        path = tmp_path / "scenario.yaml"
+        path.write_text("segments:\n  - {duration_s: 5.0e-324, sound: true}\n")
+        with pytest.raises(
+            ConfigError, match=r"scenario\.yaml: total duration_s 5e-324 is too short: its hours"
+        ):
+            load_scenario(path)
+
 
 class TestCsvLoaders:
     def test_bundled_mic_table_loads(self):
