@@ -13,7 +13,8 @@ warning raised while the command runs, and hands the command's output to
 :func:`_finish`, which writes a CSV and a JSON report embedding the
 effective configuration, so results are reproducible from their own
 output. The recorded warnings go into the report's ``results.warnings``,
-after the warnings the command adds itself, instead of going to stderr.
+after the warnings the command adds itself, instead of going to stderr;
+each distinct message is listed once, so no chunking repeats one.
 The two files are published together or not at all: each is written to a
 temp file in the output directory and renamed into place, and a run that
 fails (exit status 1) leaves no file it wrote. Every CSV's rows are
@@ -47,7 +48,10 @@ plain Python, run without it; ``coherence``, ``simulate --wav`` and
 ``calibrate`` import it as they start. Such an import runs while
 :func:`main` records warnings, so a warning it raised would go into the
 report. ``simulate``, which ``cmd_simulate`` imports that way, can still be
-read as an attribute of this module.
+read as an attribute of this module. :mod:`hashlib`, which maps OpenSSL's
+libcrypto (about 3.5 MiB), is imported when an input is hashed, after a
+command's numerics: ``coherence`` reaches its peak memory in the Welch pass
+without it, and a built-in ``simulate --scenario`` hashes nothing.
 
 Both commands that read audio stream it through stage objects
 (``Resampler``, ``EnvelopeDetector``, ``WelchAccumulator`` and
@@ -70,7 +74,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import importlib
 import json
 import math
@@ -157,6 +160,8 @@ def data_path(name: str) -> Path:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib  # maps OpenSSL's libcrypto: about 3.5 MiB that start-up and scoring skip
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 16), b""):
@@ -238,8 +243,10 @@ def _finish(
     text chunks of ``csv_text`` (header line first), and the report.
 
     ``results["warnings"]`` lists the command's own warnings, if it has
-    any, then the message of each Python warning in ``warned``. The report
-    is serialised as strict JSON before any file is opened.
+    any, then the message of each Python warning in ``warned``, each
+    distinct message once, where it first appears: a warning raised once
+    per streamed chunk is reported once, whatever the chunk size. The
+    report is serialised as strict JSON before any file is opened.
     """
     report = {
         "command": command,
@@ -248,7 +255,9 @@ def _finish(
         "config": cfg.snapshot(),
         "results": {
             **results,
-            "warnings": [*results.get("warnings", ()), *(str(w.message) for w in warned)],
+            "warnings": list(
+                dict.fromkeys([*results.get("warnings", ()), *(str(w.message) for w in warned)])
+            ),
             f"{csv_name.removesuffix('.csv')}_csv": csv_name,
         },
     }

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -387,8 +386,19 @@ def _split(
         head[held : held + take] = piece[:take]
         held += take
         if held == n:
-            return head, chain((piece[take:],), pieces)
+            return head, _led_by(piece[take:], pieces)
     return head[:held], pieces
+
+
+def _led_by(
+    head: NDArray[np.float64], rest: Iterator[NDArray[np.float64]]
+) -> Iterator[NDArray[np.float64]]:
+    """``head``, then the arrays of ``rest``. Unlike ``chain((head,), rest)``,
+    which keeps its argument tuple until it is exhausted, this holds ``head``
+    only until the consumer has moved past it."""
+    yield head
+    del head
+    yield from rest
 
 
 def _in_step(
@@ -438,8 +448,9 @@ def score_streams(
             "starts at the delay point"
         )
     src_sound = rec_sound = False
-    xs = chain((src_head,), src_rest)
-    ys = chain((rec_head[delay:],), rec_rest)
+    xs = _led_by(src_head, src_rest)
+    ys = _led_by(rec_head[delay:], rec_rest)
+    del src_head, rec_head
     for x, y in _in_step(xs, ys, welch.length):
         src_sound = src_sound or bool(np.any(x))
         rec_sound = rec_sound or bool(np.any(y))

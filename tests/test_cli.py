@@ -816,6 +816,22 @@ class TestSimulateWavStreaming:
         assert len(results["warnings"]) == 1
         assert "file holds" in results["warnings"][0]
 
+    def test_a_warning_raised_per_chunk_is_reported_once(self, tmp_path, capsys, monkeypatch):
+        # samples scaled to near the float limit overflow in every chunk
+        wav = tmp_path / "a.wav"
+        write_int16(wav, np.random.default_rng(3).normal(scale=0.2, size=5 * RATE))
+        outputs = []
+        for frames in (WAV_CHUNK_FRAMES, 1 << 13):
+            monkeypatch.setattr(wakenode.cli, "WAV_CHUNK_FRAMES", frames)
+            out = tmp_path / str(frames)
+            argv = ["--out-dir", str(out), "simulate", "--wav", str(wav), "--mic-scale-v", "1e308"]
+            assert main(argv) == 0
+            report = (out / "simulate_report.json").read_text().replace(str(out), "OUT")
+            outputs.append((capsys.readouterr(), (out / "trace.csv").read_text(), report))
+        warned = json.loads(outputs[0][2])["results"]["warnings"]
+        assert warned == ["overflow encountered in multiply"]
+        assert outputs[0] == outputs[1]
+
     def test_nan_in_a_later_chunk_leaves_no_output(self, tmp_path, capsys):
         assert_later_chunk_rejected(tmp_path, capsys, np.nan)
 

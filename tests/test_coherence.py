@@ -1,4 +1,5 @@
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from wakenode import (
     rank_microphones,
     score_with_details,
 )
+from wakenode import coherence
 from wakenode.coherence import (
     WelchAccumulator,
     _window_values,
@@ -264,13 +266,17 @@ class TestPeakEnvelope:
 
     @staticmethod
     def scipy_envelope(series: np.ndarray, distance: int) -> np.ndarray:
-        """The envelope as scipy computes it: the reference for bit identity."""
+        """The envelope as scipy computes it: the reference for bit identity.
+        Its slopes may overflow (a knot at the smallest normal float), which
+        scipy leaves to the caller's error state; the overflow is no failure
+        of the envelope under test, so it is ignored here."""
         from scipy.interpolate import PchipInterpolator
         from scipy.signal import find_peaks
 
         peaks, _ = find_peaks(series, distance=distance)
         knots = np.unique(np.concatenate(([0], peaks, [series.size - 1])))
-        return PchipInterpolator(knots, series[knots])(np.arange(series.size))
+        with np.errstate(over="ignore"):
+            return PchipInterpolator(knots, series[knots])(np.arange(series.size))
 
     # small integer levels make plateaus and equal peak heights common
     levels = st.lists(st.integers(0, 5), min_size=3, max_size=300).map(
@@ -289,6 +295,8 @@ class TestPeakEnvelope:
     @example(series=np.array([1.0, 0.3, 0.9, 0.3, 0.9, 0.3, 1.0]), distance=2)
     # equal heights 3 apart: np.argsort and a stable sort keep different peaks
     @example(series=np.array([0, 2, 1, 0, 2, 1, 1, 0, 1, 0, 1, 0], dtype=float), distance=3)
+    # scipy's harmonic-mean slope overflows: 1 / (smallest normal float)
+    @example(series=np.array([0.0, 0.0, 2.2250738585072014e-308, 0.0]), distance=1)
     @settings(max_examples=400, deadline=None)
     def test_bit_identical_to_find_peaks_and_pchip(self, series, distance):
         assert np.array_equal(
@@ -626,3 +634,33 @@ class TestScoreStreams:
         with pytest.raises(ValueError, match="all-zero"):
             score_streams(chunked(source, 8000.0, 50_000), chunked(recording, 8000.0, 50_000),
                           analysis_welch())
+
+    def test_alignment_heads_are_freed_once_fed(self, monkeypatch):
+        # the 10 s heads (2 x 0.61 MB) must not stay pinned through every
+        # Welch segment: both are gone before the third segment is fed
+        heads = []
+        split = coherence._split
+
+        def noting_split(pieces, n):
+            head, rest = split(pieces, n)
+            heads.append(weakref.ref(head))
+            return head, rest
+
+        monkeypatch.setattr(coherence, "_split", noting_split)
+        alive = []
+
+        class NotingWelch(WelchAccumulator):
+            def feed(self, x, y):
+                if self._count - self._left == 2 and not alive:
+                    alive.append([ref() is not None for ref in heads])
+                super().feed(x, y)
+
+        source = white(720_000, seed=7)
+        recording = delayed(source, 3000, 720_000, seed=8)
+        welch = NotingWelch(640_000, 8000.0, WelchParams())
+        details = score_streams(
+            chunked(source, 8000.0, 7000), chunked(recording, 8000.0, 7000), welch
+        )
+        assert details.delay_samples == 3000
+        assert len(heads) == 2
+        assert alive == [[False, False]]

@@ -20,7 +20,12 @@ report must have the bytes this process, which has numpy, writes. An AST
 check keeps numpy and :mod:`wakenode.frontend` out of what
 :mod:`wakenode.powersim` imports as it loads, which that route needs.
 Three more interpreters import ``wakenode.cli`` with and without a preset
-``OPENBLAS_NUM_THREADS`` and after numpy.
+``OPENBLAS_NUM_THREADS`` and after numpy. One more runs ``simulate
+--scenario`` and then ``coherence``, and notes whether OpenSSL's
+``_hashlib`` is loaded after the import, after each command and when
+``coherence`` finishes its Welch sums: only hashing an input loads it,
+after a command's numerics. It runs apart from the first interpreter,
+whose ``rank-mics`` hashes its table first.
 
 The package resolves its public names lazily, from one name-to-module
 table; every name it exported when it imported its modules eagerly, and
@@ -79,6 +84,33 @@ for step, args in [
         runs["warnings"][step] = json.load(fh)["results"]["warnings"]
     runs["loaded"][step] = [m for m in ("numpy", "orjson") if m in sys.modules]
 print(json.dumps(runs))
+"""
+
+# whether OpenSSL's libcrypto (``_hashlib``) is loaded: after the import,
+# after a built-in scenario, while coherence finishes its Welch sums and
+# after coherence, which hashes its inputs
+OPENSSL = r"""
+import contextlib, io, json, sys
+
+out_dir, source_wav, recording_wav = sys.argv[1:]
+from wakenode.cli import main
+loaded = {"import": "_hashlib" in sys.modules}
+from wakenode.coherence import WelchAccumulator
+finish = WelchAccumulator.finish
+
+def finish_noting_openssl(self):
+    loaded["welch-finish"] = "_hashlib" in sys.modules
+    return finish(self)
+
+WelchAccumulator.finish = finish_noting_openssl
+for step, args in [
+    ("simulate", ["simulate", "--scenario", "urban"]),
+    ("coherence", ["coherence", source_wav, recording_wav]),
+]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded[f"{step}-status"] = main(["--out-dir", out_dir, *args])
+    loaded[step] = "_hashlib" in sys.modules
+print(json.dumps(loaded))
 """
 
 NO_NUMPY = r"""
@@ -162,7 +194,9 @@ def test_import_pins_openblas_to_one_thread_unless_preset_or_too_late():
 
 
 @pytest.fixture(scope="module")
-def runs(tmp_path_factory):
+def inputs(tmp_path_factory) -> tuple[Path, Path, list[Path]]:
+    """``(tmp, points, wavs)``: a directory, a calibration table in it and a
+    90 s source and recording pair of WAVs at 16 kHz."""
     tmp = tmp_path_factory.mktemp("startup")
     points = tmp / "points.csv"
     adc = np.linspace(380.0, 1000.0, 12).tolist()
@@ -173,8 +207,12 @@ def runs(tmp_path_factory):
     wavs = [tmp / "source.wav", tmp / "recording.wav"]
     for path, sig in zip(wavs, (source, recording)):
         wavfile.write(path, 16000, sig.samples.astype(np.float32))
+    return tmp, points, wavs
+
+
+def _child(script: str, *args: object) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", STEPS, str(tmp / "out"), str(points), *map(str, wavs)],
+        [sys.executable, "-c", script, *map(str, args)],
         capture_output=True,
         text=True,
         env=child_env(),
@@ -182,6 +220,31 @@ def runs(tmp_path_factory):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.fixture(scope="module")
+def runs(inputs):
+    tmp, points, wavs = inputs
+    return _child(STEPS, tmp / "out", points, *wavs)
+
+
+@pytest.fixture(scope="module")
+def openssl(inputs):
+    tmp, _, wavs = inputs
+    return _child(OPENSSL, tmp / "openssl", *wavs)
+
+
+def test_openssl_is_loaded_only_to_hash_inputs(openssl):
+    # libcrypto is about 3.5 MiB of a coherence run's peak RSS, which the
+    # Welch pass reaches; the inputs are hashed after it
+    assert openssl == {
+        "import": False,
+        "simulate-status": 0,
+        "simulate": False,
+        "welch-finish": False,
+        "coherence-status": 0,
+        "coherence": True,
+    }
 
 
 def test_import_loads_no_scipy_and_no_yaml(runs):
