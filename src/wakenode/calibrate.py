@@ -103,25 +103,21 @@ def _refine(
     x: np.ndarray, y: np.ndarray, seeds: Sequence[tuple[float, float, int]]
 ) -> list[tuple[float, float, float]]:
     """(sse, b, c) minimising the projected sum near each seed's coarse
-    exponent, for seeds (sse, c, i) of the exponent _B_GRID[i]: one per
-    seed, in order, then one more per seed at an end of the grid.
+    exponent, for seeds (sse, c, i) of the exponent _B_GRID[i].
 
     The bracket is the grid neighbours of ``i``. At an end of the grid it
     first grows outward by grid steps while the sum falls, since the
-    optimum can lie past the grid; the sum need not have one minimum
-    there, so the end's own grid interval is searched as well.
-    Golden-section search then shrinks all brackets in lock-step, one
-    _project call per step; a bracket narrow enough keeps its state from
-    then on.
+    optimum can lie past the grid. Golden-section search then shrinks all
+    brackets in lock-step, one _project call per step; a floor whose
+    bracket is narrow enough keeps its state from then on.
     """
     last = _B_GRID.size - 1
-    best, brackets, floors, inside = [], [], [], []
+    best, brackets = [], []
     for sse, c, i in seeds:
         found = (sse, float(_B_GRID[i]))
         bracket = (_B_GRID[max(i - 1, 0)], _B_GRID[min(i + 1, last)])
         if i in (0, last):
             inner, edge = bracket[::-1] if i == 0 else bracket
-            inside.append((found, bracket, c))
             outer = edge * _B_GRID_STEP
             while (sse_outer := float(_project(x, y, c, outer)[0])) < found[0]:
                 found = (sse_outer, outer)
@@ -129,16 +125,8 @@ def _refine(
             bracket = sorted((inner, outer))
         best.append(found)
         brackets.append(bracket)
-        floors.append(c)
-    # an end seed's sum can fall towards a limit past the grid while its
-    # minimum lies inside: search between the end and its neighbour too,
-    # after every seed, so a tie keeps the outward search's exponent
-    for found, bracket, c in inside:
-        best.append(found)
-        brackets.append(bracket)
-        floors.append(c)
 
-    c = np.array(floors)[:, None]
+    c = np.array([seed[1] for seed in seeds])[:, None]
     lo, hi = (np.array(end) for end in zip(*brackets))
     x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     f1, f2 = _project(x, y, c, x1)[0], _project(x, y, c, x2)[0]

@@ -24,8 +24,9 @@ Three more interpreters import ``wakenode.cli`` with and without a preset
 --scenario`` and then ``coherence``, and notes whether OpenSSL's
 ``_hashlib`` is loaded after the import, after each command and when
 ``coherence`` finishes its Welch sums: only hashing an input loads it,
-after a command's numerics. It runs apart from the first interpreter,
-whose ``rank-mics`` hashes its table first.
+after a command's numerics, unless numpy < 2 loaded it with itself. It
+runs apart from the first interpreter, whose ``rank-mics`` hashes its
+table first.
 
 The package resolves its public names lazily, from one name-to-module
 table; every name it exported when it imported its modules eagerly, and
@@ -87,14 +88,16 @@ print(json.dumps(runs))
 """
 
 # whether OpenSSL's libcrypto (``_hashlib``) is loaded: after the import,
-# after a built-in scenario, while coherence finishes its Welch sums and
-# after coherence, which hashes its inputs
+# after numpy's import, after a built-in scenario, while coherence finishes
+# its Welch sums and after coherence, which hashes its inputs
 OPENSSL = r"""
 import contextlib, io, json, sys
 
 out_dir, source_wav, recording_wav = sys.argv[1:]
 from wakenode.cli import main
 loaded = {"import": "_hashlib" in sys.modules}
+import numpy
+loaded["numpy"] = "_hashlib" in sys.modules
 from wakenode.coherence import WelchAccumulator
 finish = WelchAccumulator.finish
 
@@ -236,12 +239,18 @@ def openssl(inputs):
 
 def test_openssl_is_loaded_only_to_hash_inputs(openssl):
     # libcrypto is about 3.5 MiB of a coherence run's peak RSS, which the
-    # Welch pass reaches; the inputs are hashed after it
+    # Welch pass reaches; the inputs are hashed after it. numpy < 2 imports
+    # numpy.random as it loads, whose bit generators import secrets, so hmac
+    # and OpenSSL: there a command's numerics cannot run without it, and
+    # only the import of cli is checked before hashing. numpy >= 2 loads
+    # numpy.random on first use.
+    by_numpy = openssl.pop("numpy")
+    assert not by_numpy or np.lib.NumpyVersion(np.__version__) < "2.0.0"
     assert openssl == {
         "import": False,
         "simulate-status": 0,
-        "simulate": False,
-        "welch-finish": False,
+        "simulate": by_numpy,
+        "welch-finish": by_numpy,
         "coherence-status": 0,
         "coherence": True,
     }
