@@ -9,12 +9,12 @@ are kept while the benchmark's tracer wraps them; no command runs them.
 The package resolves its public names lazily (PEP 562): a name is
 imported from the module that defines it on first use. ``import
 wakenode``, and ``import wakenode.cli``, load no numpy: the records that
-the commands parse and the microphone ranking live in
-:mod:`wakenode.records`, which is plain Python. Each command imports its
-numerics where it runs, so ``rank-mics`` never imports numpy, nor does
-``simulate --scenario``, whose power model is plain Python, while
-``coherence``, ``simulate --wav`` and ``calibrate`` import it once they
-start.
+the commands parse, their parsing, the error classes and the microphone
+ranking live in :mod:`wakenode.config`, which is plain Python. Each
+command imports its numerics where it runs, so ``rank-mics`` never
+imports numpy, nor does ``simulate --scenario``, whose power model is
+plain Python, while ``coherence``, ``simulate --wav`` and ``calibrate``
+import it once they start.
 
 Importing the package pins OpenBLAS to one thread, unless the caller set
 ``OPENBLAS_NUM_THREADS`` or numpy was already imported. When numpy loads,
@@ -43,7 +43,7 @@ if "numpy" not in sys.modules:
 _SOURCE = {
     name: module
     for module, names in (
-        ("records", "AlignmentError BUILTIN_PROFILES CalibrationDomainError CalPoint "
+        ("config", "AlignmentError BUILTIN_PROFILES CalibrationDomainError CalPoint "
          "CircuitParams FitError MicCandidate MicConfiguration NodeConfig PowerProfile "
          "RankedMic Scenario ScenarioSegment WavFormatError WelchParams Window "
          "build_urban_scenario rank_microphones"),

@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .records import CalibrationDomainError, CalPoint, FitError
+from .config import CalibrationDomainError, CalPoint, FitError
 
 __all__ = [
     "CalibrationCurve",

@@ -39,13 +39,13 @@ before :func:`main` returns. :func:`main` itself
 never freezes: a long-lived caller would keep every later object out of
 collection.
 
-Each command imports the numerics it computes with where it runs, not
-when this module loads: the records the commands parse, the microphone
-ranking and the error classes mapped to ``E_*`` codes come from the
-numpy-free :mod:`wakenode.records`. Importing this module therefore loads
-no numpy. ``rank-mics`` and ``simulate --scenario``, whose power model is
-plain Python, run without it; ``coherence``, ``simulate --wav`` and
-``calibrate`` import it as they start. Such an import runs while
+Each command imports the numerics it computes with where it runs, not when
+this module loads: the records the commands parse, their parsers, the
+microphone ranking and the error classes mapped to ``E_*`` codes come from
+the numpy-free :mod:`wakenode.config`. Importing this module therefore
+loads no numpy. ``rank-mics`` and ``simulate --scenario``, whose power
+model is plain Python, run without it; ``coherence``, ``simulate --wav``
+and ``calibrate`` import it as they start. Such an import runs while
 :func:`main` records warnings, so a warning it raised would go into the
 report. ``simulate``, which ``cmd_simulate`` imports that way, can still be
 read as an attribute of this module. :mod:`hashlib`, which maps OpenSSL's
@@ -89,24 +89,23 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, S
 
 from . import __version__
 from .config import (
-    ConfigError,
-    RunConfig,
-    load_cal_points,
-    load_mic_table,
-    load_run_config,
-    load_scenario,
-)
-from .records import (
     BUILTIN_PROFILES,
     AlignmentError,
     CalibrationDomainError,
     CircuitParams,
+    ConfigError,
     FitError,
     NodeConfig,
+    RunConfig,
     Scenario,
     ScenarioSegment,
     WavFormatError,
     build_urban_scenario,
+    builtin_profile,
+    load_cal_points,
+    load_mic_table,
+    load_run_config,
+    load_scenario,
     rank_microphones,
 )
 
@@ -469,11 +468,7 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
 
     node = cfg.node
     if args.profile is not None:
-        if args.profile not in BUILTIN_PROFILES:
-            raise ValueError(
-                f"unknown profile {args.profile!r}; built-ins are {sorted(BUILTIN_PROFILES)}",
-            )
-        node = replace(node, profile=BUILTIN_PROFILES[args.profile])
+        node = replace(node, profile=builtin_profile(args.profile))
 
     inputs: dict[str, Any] = {}
     if args.wav is not None:

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 import numpy as np
 from numpy.typing import ArrayLike, NDArray
 
-from .records import AlignmentError, WelchParams, Window
+from .config import AlignmentError, WelchParams, Window
 from .signals import Signal, find_delay, resample
 
 __all__ = [

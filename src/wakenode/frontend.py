@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .records import CircuitParams
+from .config import CircuitParams
 from .signals import Signal
 
 __all__ = [

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import accumulate, pairwise, zip_longest
 from typing import TYPE_CHECKING, Iterable
 
-from .records import NodeConfig, PowerProfile, Scenario
+from .config import NodeConfig, PowerProfile, Scenario
 
 if TYPE_CHECKING:
     import numpy as np

@@ -40,7 +40,7 @@ from typing import BinaryIO, Iterator, NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .records import WavFormatError
+from .config import WavFormatError
 from .signals import Signal
 
 __all__ = ["WavReader", "read_wav"]

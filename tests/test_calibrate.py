@@ -15,7 +15,7 @@ from wakenode import (
 )
 from wakenode.calibrate import _B_GRID, _B_GRID_STEP, _B_TOL, _GOLDEN, _project
 from wakenode.cli import main
-from wakenode.records import ADC_MAX
+from wakenode.config import ADC_MAX
 
 DEFAULTS = CalibrationCurve()
 

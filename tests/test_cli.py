@@ -30,7 +30,6 @@ from scipy.io import wavfile
 
 import wakenode.cli
 import wakenode.config
-import wakenode.records
 from wakenode import (
     BUILTIN_PROFILES,
     CalibrationCurve,
@@ -118,7 +117,7 @@ class TestErrorCodes:
         "cls",
         [
             value
-            for module in (wakenode.records, wakenode.config, wakenode.cli)
+            for module in (wakenode.config, wakenode.cli)
             for value in vars(module).values()
             if isinstance(value, type)
             and issubclass(value, BaseException)
@@ -128,6 +127,24 @@ class TestErrorCodes:
     )
     def test_every_error_class_has_a_code(self, cls):
         assert _error_code(cls("message")) != "E_INTERNAL"
+
+    @pytest.mark.parametrize(
+        "config, flags, line",
+        [
+            (None, ["--profile", "nope"], "[E_INPUT]: "),
+            ("node: {profile: nope}\n", [], "[E_CONFIG]: node.profile: "),
+        ],
+        ids=["flag", "config"],
+    )
+    def test_unknown_profile_exits_with_one_line(self, tmp_path, capsys, config, flags, line):
+        args = ["--config", write_config(tmp_path, config)] if config else []
+        out = tmp_path / "out"
+        assert main([*args, "--out-dir", str(out), "simulate", "--scenario", "urban", *flags]) == 1
+        assert capsys.readouterr().err == (
+            f"wakenode: error {line}unknown profile 'nope'; "
+            "built-ins are ['ble', 'wifi', 'zigbee', 'zigbee-standalone']\n"
+        )
+        assert not out.exists()
 
     def test_scenario_whose_hours_underflow_exits_config(self, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
@@ -747,6 +764,24 @@ class TestCircuitConfig:
         assert main([*args, str(wav) if source == "--wav" else "urban"]) == 1
         assert f"[E_CONFIG]: circuit: {message}, got" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_overflowing_envelope_rejected_before_any_output(self, tmp_path, capsys):
+        # fs * tau = 16 scans 9 600-sample blocks, whose exp(k m) ramp reaches
+        # about 3.8e260: on amplifier outputs near 5e99 the envelope overflows,
+        # which only the check after EnvelopeDetector.feed catches
+        wav = tmp_path / "a.wav"
+        write_int16(wav, np.random.default_rng(7).uniform(-1.0, 1.0, 2 * RATE))
+        out = tmp_path / "out"
+        args = ["--out-dir", str(out), "simulate", "--wav", str(wav)]
+        config = write_config(tmp_path, "circuit: {vdd_v: 1.0e100, c5_f: 1.0e-10}\n")
+        assert main(["--config", config, *args]) == 1
+        assert capsys.readouterr().err == (
+            "wakenode: error [E_INPUT]: samples must all be finite (no NaN or infinity)\n"
+        )
+        assert not out.exists()
+        # the board's c5_f (fs * tau = 1.44e6) runs the same supply
+        config = write_config(tmp_path, "circuit: {vdd_v: 1.0e100}\n")
+        assert main(["--config", config, *args]) == 0
 
     def test_exponent_without_dot_reads_as_with_dot(self, tmp_path, capsys):
         wav = tmp_path / "a.wav"

@@ -17,9 +17,9 @@ from wakenode import (
 )
 
 from wakenode import frontend
+from wakenode.config import BUILTIN_PROFILES, NodeConfig
 from wakenode.frontend import EnvelopeDetector
 from wakenode.powersim import WakeRuns, simulate_from_wake
-from wakenode.records import BUILTIN_PROFILES, NodeConfig
 
 from conftest import tone
 

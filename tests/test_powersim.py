@@ -8,7 +8,10 @@ from hypothesis import strategies as st
 from wakenode import (
     BUILTIN_PROFILES,
     BinarySignal,
+    CalPoint,
     CircuitParams,
+    MicCandidate,
+    MicConfiguration,
     NodeConfig,
     PowerProfile,
     Scenario,
@@ -153,8 +156,20 @@ class TestTypes:
             lambda v: NodeConfig(ZIGBEE_STANDALONE, battery_mah=v),
             lambda v: NodeConfig(ZIGBEE_STANDALONE, battery_v=v),
             lambda v: ScenarioSegment(v, True),
+            lambda v: CircuitParams(vdd_v=v),
+            lambda v: CircuitParams(r1_ohm=v),
+            lambda v: CircuitParams(r6_ohm=v),
+            lambda v: CircuitParams(diode_drop_v=v),
+            lambda v: MicCandidate("m", v, 0.5, MicConfiguration.ANALOG, 1.0, 3.0),
+            lambda v: MicCandidate("m", 1.0, 0.5, MicConfiguration.ANALOG, v, 3.0),
+            lambda v: MicCandidate("m", 1.0, 0.5, MicConfiguration.ANALOG, 1.0, v),
+            lambda v: CalPoint(500.0, v),
         ],
-        ids=["transmit_mw", "sleep_mw", "hold_time_s", "battery_mah", "battery_v", "duration_s"],
+        ids=[
+            "transmit_mw", "sleep_mw", "hold_time_s", "battery_mah", "battery_v", "duration_s",
+            "vdd_v", "r1_ohm", "r6_ohm", "diode_drop_v", "power_mw", "supply_min_v",
+            "supply_max_v", "spl_db",
+        ],
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, build, value):

@@ -3,37 +3,39 @@ no numpy, no orjson and no numerics module, ``rank-mics`` runs without
 numpy, and importing the package pins OpenBLAS to one thread.
 
 One fresh interpreter makes scipy unimportable (``sys.modules["scipy"] =
-None``) before it imports ``wakenode.cli``, then runs ``rank-mics``,
-``simulate --scenario``, ``coherence``, ``simulate --wav`` and
-``calibrate`` in that order and records each exit status, each report's
-warnings and whether numpy or orjson is loaded after each command: the
-first two, whose CSVs are short, load neither. A scipy import anywhere on
-a command's path makes that command fail. An eager PyYAML import at module
-level would load it for commands that read no config, and an eager
-numerics import would load numpy for every command. Each command imports its numerics while
-:func:`wakenode.cli.main` records warnings into the report, so a warning
-raised by an import would land in ``results.warnings``: on these clean
-inputs every report has none. A second fresh interpreter makes numpy
-unimportable and runs ``rank-mics`` and ``simulate --scenario`` (both
-built-in scenarios, a profile and a scenario file); each run's CSV and
-report must have the bytes this process, which has numpy, writes. An AST
-check keeps numpy and :mod:`wakenode.frontend` out of what
-:mod:`wakenode.powersim` imports as it loads, which that route needs.
-Three more interpreters import ``wakenode.cli`` with and without a preset
-``OPENBLAS_NUM_THREADS`` and after numpy. One more runs ``simulate
---scenario`` and then ``coherence``, and notes whether OpenSSL's
-``_hashlib`` is loaded after the import, after each command and when
-``coherence`` finishes its Welch sums: only hashing an input loads it,
-after a command's numerics, unless numpy < 2 loaded it with itself. It
-runs apart from the first interpreter, whose ``rank-mics`` hashes its
-table first.
+None``) before it imports ``wakenode.cli``, notes the package's modules
+that import loaded (the package, ``cli`` and :mod:`wakenode.config`, which
+holds every input's records, error classes and parsing), then runs
+``rank-mics``, ``simulate --scenario``, ``coherence``, ``simulate --wav``
+and ``calibrate`` in that order and records each exit status, each
+report's warnings and whether numpy or orjson is loaded after each
+command: the first two, whose CSVs are short, load neither. A scipy import
+anywhere on a command's path makes that command fail. An eager PyYAML
+import at module level would load it for commands that read no config, and
+an eager numerics import would load numpy for every command. Each command
+imports its numerics while :func:`wakenode.cli.main` records warnings into
+the report, so a warning raised by an import would land in
+``results.warnings``: on these clean inputs every report has none. A
+second fresh interpreter makes numpy unimportable and runs ``rank-mics``
+and ``simulate --scenario`` (both built-in scenarios, a profile and a
+scenario file); each run's CSV and report must have the bytes this
+process, which has numpy, writes. An AST check keeps numpy and
+:mod:`wakenode.frontend` out of what :mod:`wakenode.powersim` imports as
+it loads, which that route needs. Three more interpreters import
+``wakenode.cli`` with and without a preset ``OPENBLAS_NUM_THREADS`` and
+after numpy. One more runs ``simulate --scenario`` and then ``coherence``,
+and notes whether OpenSSL's ``_hashlib`` is loaded after the import, after
+each command and when ``coherence`` finishes its Welch sums: only hashing
+an input loads it, after a command's numerics, unless numpy < 2 loaded it
+with itself. It runs apart from the first interpreter, whose ``rank-mics``
+hashes its table first.
 
 The package resolves its public names lazily, from one name-to-module
 table; every name it exported when it imported its modules eagerly, and
 still exports, must resolve from the module that defined it then or, for
-a record, from :mod:`wakenode.records`. Each name has one home: a module's ``__all__``
-lists only names that its own source defines, and the package's table
-points each name at a module that exports it.
+a record, from :mod:`wakenode.config`. Each name has one home: a
+module's ``__all__`` lists only names that its own source defines, and the
+package's table points each name at a module that exports it.
 """
 
 import ast
@@ -61,8 +63,9 @@ sys.modules["scipy"] = None  # every scipy import now raises ImportError
 
 out_dir, points_csv, source_wav, recording_wav = sys.argv[1:]
 from wakenode.cli import data_path, main
+wakenode_modules = sorted(m for m in sys.modules if m.split(".")[0] == "wakenode")
 NUMERICS = ("calibrate", "coherence", "frontend", "powersim", "signals", "wavio")
-runs = {"import": sorted(
+runs = {"wakenode": wakenode_modules, "import": sorted(
     m for m, mod in sys.modules.items() if mod and m.split(".")[0] in ("scipy", "yaml")
 )}
 runs["numerics"] = sorted(
@@ -145,7 +148,7 @@ SCENARIO_YAML = """segments:
 # the public names of the package, by the module that defined each when
 # the package imported every module eagerly, less those deleted since
 # because no command ran them; the records among them now live in
-# wakenode.records alone
+# wakenode.config alone
 API = {
     "calibrate": "CalibrationCurve CalibrationDomainError CalPoint FitError adc_to_db "
     "fit_curve r_squared",
@@ -256,6 +259,11 @@ def test_openssl_is_loaded_only_to_hash_inputs(openssl):
     }
 
 
+def test_cli_imports_only_the_package_and_its_input_module(runs):
+    # every input's records and parsing live in one numpy-free module
+    assert runs["wakenode"] == ["wakenode", "wakenode.cli", "wakenode.config"]
+
+
 def test_import_loads_no_scipy_and_no_yaml(runs):
     assert runs["import"] == []
 
@@ -358,7 +366,7 @@ def test_simulate_scenario_runs_without_numpy(numpy_free, capsys, step):
 @pytest.mark.parametrize("module, name", API_NAMES)
 def test_every_public_name_resolves_from_the_package(module, name):
     home = wakenode._SOURCE[name]
-    assert home in (module, "records")
+    assert home in (module, "config")
     assert getattr(wakenode, name) is getattr(importlib.import_module(f"wakenode.{home}"), name)
 
 
@@ -408,7 +416,7 @@ def load_time_imports(path: str) -> list[str]:
 def test_powersim_loads_no_numpy_and_no_frontend():
     # simulate --scenario runs without numpy only while this holds
     imports = load_time_imports(wakenode.powersim.__file__)
-    assert ".records" in imports
+    assert ".config" in imports
     assert [m for m in imports if m.split(".")[0] == "numpy" or m == ".frontend"] == []
 
 
