@@ -59,15 +59,17 @@ Both commands that read audio stream it through stage objects
 plain array of any length, and keeps the stage's state for the one after,
 and the outputs of all chunks, joined, are bit for bit those of one feed of
 the whole recording. So memory does not grow with a recording's length.
-Each command decodes a recording through :func:`_decoded`, in chunks of
-:data:`WAV_CHUNK_FRAMES` into a buffer made once per recording, and checks
-every chunk with ``require_finite``. ``simulate --wav`` runs every step of
-its chain in place (see :func:`_wake_runs`). ``coherence`` resamples each
-chunk to the 8 kHz scoring rate for the scorer (see :func:`_score_wavs`),
-which holds the first 10 s of each recording and then one Welch segment,
-so no whole recording is held at any rate. The Welch settings are checked
-against the 80 s analysis span, and each recording's rate and length
-against its WAV header, before any decoding.
+Each command decodes a recording in chunks of :data:`WAV_CHUNK_FRAMES`
+into a buffer made once per recording. The reader (of a float WAV),
+``Resampler`` and ``EnvelopeDetector`` check what they return with
+``require_finite``, and ``simulate --wav`` checks its scaled samples; the
+amplifier's clip maps any overflow to a rail. ``simulate --wav`` runs
+every step of its chain in place (see :func:`_wake_runs`). ``coherence``
+resamples each chunk to the 8 kHz scoring rate for the scorer (see
+:func:`_score_wavs`), which holds the first 10 s of each recording and
+then one Welch segment, so no whole recording is held at any rate. The
+Welch settings are checked against the 80 s analysis span, and each
+recording's rate and length against its WAV header, before any decoding.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ from .config import (
     CircuitParams,
     ConfigError,
     FitError,
+    IoParams,
     NodeConfig,
     RunConfig,
     Scenario,
@@ -262,7 +265,7 @@ def _finish(
     }
     text = _to_json(report) + "\n"
     _publish(
-        Path(cfg.out_dir),
+        Path(cfg.io.out_dir),
         {csv_name: csv_text, f"{command.replace('-', '_')}_report.json": (text,)},
     )
     return report
@@ -316,35 +319,24 @@ def _csv_blocks(
 # loads numpy only if it needs it.
 
 
-def _decoded(wav: WavReader, out: np.ndarray) -> Iterator[np.ndarray]:
-    """The recording's chunks, each decoded into the front of ``out`` (see
-    :meth:`~wakenode.wavio.WavReader.chunks_into`) and checked by
-    :func:`~wakenode.signals.require_finite`."""
-    from .signals import require_finite
-
-    return map(require_finite, wav.chunks_into(out))
-
-
 def _score_wavs(
     source: WavReader, recording: WavReader, welch: WelchAccumulator
 ) -> ScoreBreakdown:
     """Score ``recording`` against ``source`` with ``welch``, each decoded in
     chunks of :data:`WAV_CHUNK_FRAMES` into a buffer made once per recording
-    and resampled to the scoring rate as it is decoded; each decoded and
-    each resampled chunk is checked by
-    :func:`~wakenode.signals.require_finite`, in that order. What scoring
+    and resampled to the scoring rate as it is decoded. What scoring
     leaves of both files is then decoded, the source first, so a bad sample
     anywhere fails the run as when each file was read whole before
     scoring."""
     import numpy as np
 
     from .coherence import SCORE_RATE_HZ, score_streams
-    from .signals import Resampler, require_finite
+    from .signals import Resampler
 
     files = (source, recording)
-    decoded = [_decoded(wav, np.empty(WAV_CHUNK_FRAMES)) for wav in files]
+    decoded = [wav.chunks_into(np.empty(WAV_CHUNK_FRAMES)) for wav in files]
     resamplers = [Resampler(wav.sample_rate_hz, SCORE_RATE_HZ, wav.frames) for wav in files]
-    resampled = [map(require_finite, map(r.feed, chunks)) for r, chunks in zip(resamplers, decoded)]
+    resampled = [map(r.feed, chunks) for r, chunks in zip(resamplers, decoded)]
     try:
         return score_streams(*resampled, welch)
     finally:
@@ -435,8 +427,9 @@ def _wake_runs(
     loop allocates nothing as long as a chunk: one float buffer, into which
     each chunk is decoded and then scaled, amplified and detected; one bool
     buffer for the comparator output; the reader's byte buffer and the
-    stages' own scratch. Each stage's samples are checked by
-    :func:`~wakenode.signals.require_finite`, in the chain's order. Arrays
+    stages' own scratch. Only the scaled samples are checked here, by
+    :func:`~wakenode.signals.require_finite`; the other stages check
+    their own outputs. Arrays
     made afresh for each chunk are handed back to the system between chunks
     and faulted in again: on 480 s of 16 kHz clicks a chain of fresh arrays
     took about 8 000 minor page faults a run, these kept buffers 6 400. The
@@ -454,11 +447,10 @@ def _wake_runs(
         detector = EnvelopeDetector(circuit, wav.sample_rate_hz)
         runs = WakeRuns(wav.sample_rate_hz)
         high = np.empty(WAV_CHUNK_FRAMES, dtype=bool)
-        for samples in _decoded(wav, np.empty(WAV_CHUNK_FRAMES)):
+        for samples in wav.chunks_into(np.empty(WAV_CHUNK_FRAMES)):
             samples *= mic_scale_v
             require_finite(samples)
-            require_finite(amplify_into(samples, circuit, samples))
-            envelope = require_finite(detector.feed(samples))
+            envelope = detector.feed(amplify_into(samples, circuit, samples))
             runs.feed(threshold_into(envelope, threshold_v, high[: len(samples)]))
     return runs
 
@@ -623,7 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     cfg = load_run_config(path) if path else RunConfig()
-    return replace(cfg, out_dir=args.out_dir) if args.out_dir else cfg
+    return replace(cfg, io=IoParams(args.out_dir)) if args.out_dir else cfg
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -2,11 +2,12 @@
 run-config YAML file, scenario files and the CSV tables (microphone
 candidates, calibration points).
 
-The dataclasses here are the schema: a config section's keys and a
-table's columns are the fields of the dataclass they build. Unknown config
-keys are rejected with the dotted path of the offending key so typos
-surface immediately. The CLI maps the error classes here to its diagnostic
-codes. None of this needs numpy, so parsing the inputs, ranking
+The dataclasses here are the schema: a config section's keys, a scenario
+segment's keys and a table's columns are the fields of the dataclass they
+build, with no exception, and each value is checked once, by the parser of
+its field's type. Unknown config keys are rejected with the dotted path of
+the offending key so typos surface immediately. The CLI maps the error
+classes here to its diagnostic codes. None of this needs numpy, so parsing the inputs, ranking
 microphones (:func:`rank_microphones`) and building the urban scenario load
 none. This module is each record's one home: read it as ``wakenode.X`` or
 ``wakenode.config.X``. The modules that compute with a record import it
@@ -19,9 +20,9 @@ import csv
 import enum
 import functools
 import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence, get_type_hints
+from typing import Any, Iterable, Mapping, NewType, Sequence, get_type_hints
 
 __all__ = [
     "ADC_MAX",
@@ -33,6 +34,7 @@ __all__ = [
     "ConfigError",
     "DEFAULT_OUT_DIR",
     "FitError",
+    "IoParams",
     "MicCandidate",
     "MicConfiguration",
     "NodeConfig",
@@ -60,6 +62,9 @@ URBAN_SILENCE_SECONDS = 100.0
 URBAN_CATEGORIES = ("human", "nature", "music", "mechanical")
 
 DEFAULT_OUT_DIR = "wakenode-out"
+
+# text a config value may leave empty; a plain ``str`` must be non-empty
+MaybeEmpty = NewType("MaybeEmpty", str)
 
 
 class ConfigError(ValueError):
@@ -291,8 +296,8 @@ class PowerProfile:
 @dataclass(frozen=True)
 class ScenarioSegment:
     duration_s: float
-    sound_present: bool
-    label: str = ""
+    sound: bool
+    label: MaybeEmpty = MaybeEmpty("")
 
     def __post_init__(self) -> None:
         if not (0 < self.duration_s < math.inf):
@@ -320,22 +325,6 @@ class Scenario:
     @property
     def duration_s(self) -> float:
         return sum(seg.duration_s for seg in self.segments)
-
-
-@dataclass(frozen=True)
-class NodeConfig:
-    """Node hardware profile plus wake-hold and battery parameters."""
-
-    profile: PowerProfile
-    hold_time_s: float = 0.0
-    battery_mah: float = 2900.0
-    battery_v: float = 3.3
-
-    def __post_init__(self) -> None:
-        if not (0 <= self.hold_time_s < math.inf):
-            raise ValueError(f"hold_time_s must be finite and non-negative, got {self.hold_time_s}")
-        if not (0 < self.battery_mah < math.inf and 0 < self.battery_v < math.inf):
-            raise ValueError("battery capacity and voltage must be finite and positive")
 
 
 def build_urban_scenario() -> Scenario:
@@ -370,28 +359,48 @@ def builtin_profile(name: str) -> PowerProfile:
 
 
 @dataclass(frozen=True)
+class NodeConfig:
+    """Node hardware profile (by default the stand-alone Zigbee board) plus
+    wake-hold and battery parameters."""
+
+    profile: PowerProfile = BUILTIN_PROFILES["zigbee-standalone"]
+    hold_time_s: float = 0.0
+    battery_mah: float = 2900.0
+    battery_v: float = 3.3
+
+    def __post_init__(self) -> None:
+        if not (0 <= self.hold_time_s < math.inf):
+            raise ValueError(f"hold_time_s must be finite and non-negative, got {self.hold_time_s}")
+        if not (0 < self.battery_mah < math.inf and 0 < self.battery_v < math.inf):
+            raise ValueError("battery capacity and voltage must be finite and positive")
+
+
+@dataclass(frozen=True)
+class IoParams:
+    """Where a command writes its CSV and JSON report."""
+
+    out_dir: str = DEFAULT_OUT_DIR
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Effective configuration of one CLI invocation.
 
-    Each dataclass field is a YAML section of the same name whose keys are
-    that dataclass's fields; ``out_dir`` is read from ``io.out_dir``.
+    Each field is a YAML section of the same name whose keys are the fields
+    of that section's dataclass, with no exception.
     """
 
     circuit: CircuitParams = field(default_factory=CircuitParams)
     welch: WelchParams = field(default_factory=WelchParams)
-    node: NodeConfig = field(
-        default_factory=lambda: NodeConfig(profile=BUILTIN_PROFILES["zigbee-standalone"])
-    )
-    out_dir: str = DEFAULT_OUT_DIR
+    node: NodeConfig = field(default_factory=NodeConfig)
+    io: IoParams = field(default_factory=IoParams)
 
     def snapshot(self) -> dict[str, Any]:
         """Plain-dict image of every settable value, for report embedding.
 
         It has the shape of a config file: ``parse_run_config`` reads it back.
         """
-        image = _snapshot(self)
-        image["io"] = {"out_dir": image.pop("out_dir")}
-        return image
+        return _snapshot(self)
 
 
 def _settable(cls: type) -> dict[str, Any]:
@@ -443,7 +452,8 @@ def _enum(kind: type[enum.Enum], value: Any, path: str) -> Any:
 
 
 def _parse_value(kind: Any, value: Any, path: str) -> Any:
-    """Validate one YAML value as a field of type ``kind``."""
+    """Validate one YAML value as a field of type ``kind``: a plain ``str``
+    must be non-empty, a :data:`MaybeEmpty` may be empty."""
     if kind is float:
         return _number(value, path)
     if kind in (int, int | None):
@@ -453,9 +463,14 @@ def _parse_value(kind: Any, value: Any, path: str) -> Any:
             expected = "an integer" if kind is int else "an integer or null"
             raise ConfigError(f"{path}: expected {expected}, got {value!r}")
         return value
-    if kind is str:
-        if not isinstance(value, str) or not value:
-            raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path}: expected true/false, got {value!r}")
+        return value
+    if kind in (str, MaybeEmpty):
+        if not isinstance(value, str) or (kind is str and not value):
+            expected = "a non-empty string" if kind is str else "a string"
+            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
         return value
     if kind is PowerProfile and isinstance(value, str):
         try:
@@ -467,22 +482,19 @@ def _parse_value(kind: Any, value: Any, path: str) -> Any:
     return _enum(kind, value, path)
 
 
-def _parse_section(cls: type, raw: Any, path: str, base: Any = None) -> Any:
-    """Build a ``cls`` from a YAML mapping of its settable fields.
-
-    A key the mapping omits keeps its value in ``base``; without a base
-    (an inline profile), every field lacking a default must be given.
-    """
+def _parse_section(cls: type, raw: Any, path: str) -> Any:
+    """Build a ``cls`` from a YAML mapping of its settable fields; a key the
+    mapping omits takes the field's default, and a field with none must be
+    given."""
     section = _require_mapping(raw, path)
     kinds = _settable(cls)
     _reject_unknown(section, kinds, path)
     values = {key: _parse_value(kinds[key], section[key], f"{path}.{key}") for key in section}
-    if base is None:
-        for f in fields(cls):
-            if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
-                raise ConfigError(f"{path}.{f.name}: required key is missing")
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{path}.{f.name}: required key is missing")
     try:
-        return cls(**values) if base is None else replace(base, **values)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -490,18 +502,11 @@ def _parse_section(cls: type, raw: Any, path: str, base: Any = None) -> Any:
 def parse_run_config(raw: Any, source: str = "<config>") -> RunConfig:
     """Validate a parsed YAML document into a RunConfig."""
     document = _require_mapping(raw, source)
-    defaults = RunConfig()
-    sections = {name: kind for name, kind in _settable(RunConfig).items() if is_dataclass(kind)}
-    _reject_unknown(document, [*sections, "io"], source)
-    values = {
-        name: _parse_section(kind, document.get(name), name, getattr(defaults, name))
-        for name, kind in sections.items()
-    }
-    io_section = _require_mapping(document.get("io"), "io")
-    _reject_unknown(io_section, {"out_dir"}, "io")
-    if "out_dir" in io_section:
-        values["out_dir"] = _parse_value(str, io_section["out_dir"], "io.out_dir")
-    return replace(defaults, **values)
+    sections = _settable(RunConfig)
+    _reject_unknown(document, sections, source)
+    return RunConfig(
+        **{name: _parse_section(kind, document.get(name), name) for name, kind in sections.items()}
+    )
 
 
 @functools.cache
@@ -543,7 +548,8 @@ def load_run_config(path: str | Path) -> RunConfig:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Read a scenario YAML file: a ``segments`` list of duration/sound/label."""
+    """Read a scenario YAML file: a non-empty ``segments`` list of mappings,
+    each read as a config section of :class:`ScenarioSegment`."""
     path = Path(path)
     raw = _load_yaml(path)
     if raw is None:
@@ -553,25 +559,10 @@ def load_scenario(path: str | Path) -> Scenario:
     raw_segments = document.get("segments")
     if not isinstance(raw_segments, list) or not raw_segments:
         raise ConfigError(f"{path}: 'segments' must be a non-empty list")
-    segments = []
-    for idx, entry in enumerate(raw_segments):
-        where = f"{path}: segments[{idx}]"
-        section = _require_mapping(entry, where)
-        _reject_unknown(section, {"duration_s", "sound", "label"}, where)
-        if "duration_s" not in section or "sound" not in section:
-            raise ConfigError(f"{where}: needs duration_s and sound")
-        sound = section["sound"]
-        if not isinstance(sound, bool):
-            raise ConfigError(f"{where}.sound: expected true/false, got {sound!r}")
-        label = section.get("label", "")
-        if not isinstance(label, str):
-            raise ConfigError(f"{where}.label: expected a string, got {label!r}")
-        try:
-            segments.append(
-                ScenarioSegment(_number(section["duration_s"], f"{where}.duration_s"), sound, label)
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+    segments = [
+        _parse_section(ScenarioSegment, entry, f"{path}: segments[{i}]")
+        for i, entry in enumerate(raw_segments)
+    ]
     try:
         return Scenario(tuple(segments))
     except ValueError as exc:

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .config import CircuitParams
-from .signals import Signal
+from .signals import Signal, require_finite
 
 __all__ = [
     "BinarySignal",
@@ -176,7 +176,8 @@ class EnvelopeDetector:
 
     def feed(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
         """Take the next chunk of the detector's input, overwrite ``x`` with
-        its output and return it."""
+        its output, check it by :func:`~wakenode.signals.require_finite`
+        and return it."""
         p, decay = self.circuit, self.decay
         x -= p.diode_drop_v
 
@@ -216,7 +217,7 @@ class EnvelopeDetector:
         x -= p.diode_drop_v
         np.maximum(x, 0.0, out=x)
         x *= p.r6_ohm / (p.r5_ohm + p.r6_ohm)
-        return x
+        return require_finite(x)
 
 
 def envelope_detect(s: Signal, p: CircuitParams) -> Signal:

@@ -122,7 +122,7 @@ def simulate(scenario: Scenario, config: NodeConfig) -> SimTrace:
     one segment at a time, left to right.
     """
     bounds = pairwise(accumulate((seg.duration_s for seg in scenario.segments), initial=0.0))
-    sound = (run for seg, run in zip(scenario.segments, bounds) if seg.sound_present)
+    sound = (run for seg, run in zip(scenario.segments, bounds) if seg.sound)
     return _merged(sound, float(scenario.duration_s), config)
 
 

@@ -207,7 +207,8 @@ class Resampler:
             self._held = plan.lead
 
     def feed(self, chunk: NDArray[np.float64]) -> NDArray[np.float64]:
-        """Take the next chunk of the recording; return the output it completes."""
+        """Take the next chunk of the recording; return the output it
+        completes, checked by :func:`require_finite`."""
         if self.fed + len(chunk) > self.total:
             raise ValueError(
                 f"chunk of {len(chunk)} samples runs past the {self.total} samples "
@@ -217,7 +218,7 @@ class Resampler:
         self.fed += len(chunk)
         plan = self._plan
         if plan is None:
-            return chunk
+            return require_finite(chunk)
 
         row, lead, width, phases, parts = plan
         block = plan.block
@@ -254,7 +255,7 @@ class Resampler:
             self._held = kept
             self._rows += rows
             done += rows
-        return out.reshape(-1)[: self._n_out - (self._rows - ready) * phases]
+        return require_finite(out.reshape(-1)[: self._n_out - (self._rows - ready) * phases])
 
 
 def resample(s: Signal, target_rate_hz: float) -> Signal:

@@ -41,7 +41,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .config import WavFormatError
-from .signals import Signal
+from .signals import Signal, require_finite
 
 __all__ = ["WavReader", "read_wav"]
 
@@ -247,8 +247,9 @@ class WavReader:
         each decoded into the front of ``out`` and yielded as that view.
 
         The frames are read into one byte buffer, so after the first chunk
-        nothing is allocated. Each chunk overwrites the one before, and its
-        samples are not checked for finiteness.
+        nothing is allocated. Each chunk overwrites the one before. A float
+        container's chunks are checked by :func:`~wakenode.signals.require_finite`;
+        integer PCM scales into [-1, 1), so it needs no check.
         """
         frames = len(out)
         if frames < 1:
@@ -257,12 +258,14 @@ class WavReader:
         self._fh.seek(layout.start)
         buffer = memoryview(bytearray(frames * layout.block_align))
         padded = np.zeros((frames * layout.channels, 4), np.uint8) if layout.width == 3 else None
+        floats = np.dtype(layout.dtype).kind == "f"
         for first in range(0, layout.frames, frames):
             count = min(frames, layout.frames - first)
             raw = buffer[: count * layout.block_align]
             if self._fh.readinto(raw) != len(raw):
                 raise WavFormatError(f"{self.path}: file ended inside the data chunk")
-            yield _to_mono(_decode(raw, layout, padded), out[:count])
+            samples = _to_mono(_decode(raw, layout, padded), out[:count])
+            yield require_finite(samples) if floats else samples
 
     def close(self) -> None:
         self._fh.close()

@@ -59,7 +59,7 @@ from wakenode.cli import (
     main,
 )
 from wakenode.coherence import analysis_welch
-from wakenode.config import RunConfig, _settable, load_run_config, parse_run_config
+from wakenode.config import IoParams, RunConfig, _settable, load_run_config, parse_run_config
 from wakenode.wavio import WavReader
 
 from conftest import (
@@ -208,7 +208,7 @@ class TestNonFiniteInputs:
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_report_writer_refuses_non_json_numbers(self, tmp_path, value):
-        cfg = RunConfig(out_dir=str(tmp_path))
+        cfg = RunConfig(io=IoParams(str(tmp_path)))
         with pytest.raises(ValueError):
             _finish("simulate", cfg, {}, {"lifetime_days": value}, "trace.csv", ["t\n", "0\n"], [])
         assert not (tmp_path / "simulate_report.json").exists()
@@ -351,7 +351,7 @@ class TestAtomicOutput:
             yield "0\n"
             raise RuntimeError("row formatting failed")
 
-        cfg = RunConfig(out_dir=str(tmp_path))
+        cfg = RunConfig(io=IoParams(str(tmp_path)))
         with pytest.raises(RuntimeError, match="row formatting"):
             _finish("simulate", cfg, {}, {}, "trace.csv", rows(), [])
         assert list(tmp_path.iterdir()) == []
@@ -1275,13 +1275,13 @@ INT_EXTREMES = [-1, 0, 1, 2, 2**63]
 
 def config_leaves(cls: type, path: tuple[str, ...] = ()) -> list[tuple[tuple[str, ...], Any]]:
     """(YAML path, type) of every settable field under ``cls``, found as
-    the config loader finds them; ``out_dir`` is read from ``io``."""
+    the config loader finds them."""
     leaves = []
     for name, kind in _settable(cls).items():
         if dataclasses.is_dataclass(kind):
             leaves += config_leaves(kind, (*path, name))
         else:
-            leaves.append(((*path, name) if name != "out_dir" else ("io", name), kind))
+            leaves.append(((*path, name), kind))
     return leaves
 
 

@@ -39,7 +39,7 @@ class TestRunConfig:
         assert cfg.circuit.vdd_v == 3.3
         assert cfg.welch.segment_count == 8
         assert cfg.node.profile.name == "zigbee-standalone"
-        assert cfg.out_dir == "wakenode-out"
+        assert cfg.io.out_dir == "wakenode-out"
 
     def test_full_document(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -54,7 +54,7 @@ class TestRunConfig:
         assert cfg.node.profile is BUILTIN_PROFILES["ble"]
         assert cfg.node.hold_time_s == 2.5
         assert cfg.node.battery_v == 3.7
-        assert cfg.out_dir == "results"
+        assert cfg.io.out_dir == "results"
 
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="radio: unknown key"):
@@ -221,7 +221,7 @@ class TestScenarioLoading:
         scenario = load_scenario(path)
         assert scenario.duration_s == 120.0
         assert scenario.segments[0].label == "siren"
-        assert scenario.segments[1].sound_present is False
+        assert scenario.segments[1].sound is False
 
     def test_empty_file_rejected_with_line(self, tmp_path):
         path = tmp_path / "empty.yaml"

@@ -81,7 +81,7 @@ def simulate_oracle(scenario: Scenario, config: NodeConfig) -> TraceRows:
     intervals: list[tuple[float, float]] = []
     t = 0.0
     for seg in scenario.segments:
-        if seg.sound_present:
+        if seg.sound:
             intervals.append((t, min(t + seg.duration_s + config.hold_time_s, total_s)))
         t += seg.duration_s
     return trace_oracle(intervals, total_s, config)
@@ -277,7 +277,7 @@ class TestSimulate:
             config = NodeConfig(random_profile(rng), hold_time_s=hold_time_s)
             trace = simulate(scenario, config)
             assert trace_rows(trace) == simulate_oracle(scenario, config)
-            sound = sum(seg.sound_present for seg in scenario.segments)
+            sound = sum(seg.sound for seg in scenario.segments)
             merged += len(trace.wake_s) // 2 < sound
         assert merged > 100  # most scenarios merge some wakes
 
@@ -457,7 +457,7 @@ class TestSimulateFromWake:
         mic = np.zeros(t.size)
         cursor = 0.0
         for seg in scenario.segments:
-            if seg.sound_present:
+            if seg.sound:
                 idx = (t >= cursor) & (t < cursor + seg.duration_s)
                 mic[idx] = 0.01 * np.sin(2 * np.pi * 100.0 * t[idx])
             cursor += seg.duration_s
@@ -562,10 +562,10 @@ class TestUrbanScenario:
 
     def test_sound_fraction(self):
         scenario = build_urban_scenario()
-        sound = sum(s.duration_s for s in scenario.segments if s.sound_present)
+        sound = sum(s.duration_s for s in scenario.segments if s.sound)
         assert sound / scenario.duration_s == pytest.approx(80.0 / 480.0)
 
     def test_category_labels(self):
-        labels = [s.label for s in build_urban_scenario().segments if s.sound_present]
+        labels = [s.label for s in build_urban_scenario().segments if s.sound]
         assert labels == ["human", "nature", "music", "mechanical"]
 
