@@ -7,7 +7,8 @@ so that pair is solved in closed form and only c and b are searched. The
 floor c is grid-searched in integer steps. Per c, a coarse log-spaced
 grid picks b, and for the 8 best floors a golden-section search refines
 b between the coarse value's grid neighbours, first stepping past the end
-of the grid while the residual keeps falling there.
+of the grid while the residual keeps falling there; a floor that stepped
+also searches the end's own interval, keeping the better result.
 
 Both passes run as array passes. The coarse pass evaluates the grid for a
 block of :data:`_C_BLOCK` floors per :func:`_project` call, and the 8
@@ -107,13 +108,16 @@ def _refine(
 
     The bracket is the grid neighbours of ``i``. At an end of the grid it
     first grows outward by grid steps while the sum falls, since the
-    optimum can lie past the grid. Golden-section search then shrinks all
-    brackets in lock-step, one _project call per step; a floor whose
-    bracket is narrow enough keeps its state from then on.
+    optimum can lie past the grid; if it grew, the end's own bracket is
+    searched too, as one more row for that floor, since the sum can fall
+    outward towards a limit while its minimum lies inside. Golden-section
+    search then shrinks all brackets in lock-step, one _project call per
+    step; a row whose bracket is narrow enough keeps its state from then
+    on. Each floor keeps the best of its rows.
     """
     last = _B_GRID.size - 1
-    best, brackets = [], []
-    for sse, c, i in seeds:
+    rows = []  # (seed index, best sum found, bracket)
+    for k, (sse, c, i) in enumerate(seeds):
         found = (sse, float(_B_GRID[i]))
         bracket = (_B_GRID[max(i - 1, 0)], _B_GRID[min(i + 1, last)])
         if i in (0, last):
@@ -122,12 +126,13 @@ def _refine(
             while (sse_outer := float(_project(x, y, c, outer)[0])) < found[0]:
                 found = (sse_outer, outer)
                 inner, edge, outer = edge, outer, outer * _B_GRID_STEP
+            if found[0] < sse:
+                rows.append((k, found, bracket))
             bracket = sorted((inner, outer))
-        best.append(found)
-        brackets.append(bracket)
+        rows.append((k, found, bracket))
 
-    c = np.array([seed[1] for seed in seeds])[:, None]
-    lo, hi = (np.array(end) for end in zip(*brackets))
+    c = np.array([seeds[k][1] for k, _, _ in rows])[:, None]
+    lo, hi = (np.array(end) for end in zip(*(bracket for _, _, bracket in rows)))
     x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
     f1, f2 = _project(x, y, c, x1)[0], _project(x, y, c, x2)[0]
     while (active := hi - lo > _B_TOL * np.maximum(np.abs(lo), np.abs(hi))).any():
@@ -142,8 +147,11 @@ def _refine(
             np.where(right, probe, np.where(left, x1, x2)),
             np.where(right, f, np.where(left, f1, f2)),
         )
-    ends = zip(best, f1.tolist(), x1.tolist(), f2.tolist(), x2.tolist(), c[:, 0].tolist())
-    return [(*min(found, (s1, b1), (s2, b2)), floor) for found, s1, b1, s2, b2, floor in ends]
+    best: dict[int, tuple[float, float]] = {}
+    ends = zip(rows, f1.tolist(), x1.tolist(), f2.tolist(), x2.tolist())
+    for (k, found, _), s1, b1, s2, b2 in ends:
+        best[k] = min(best.get(k, found), (s1, b1), (s2, b2))
+    return [(*best[k], floor) for k, (_, floor, _) in enumerate(seeds)]
 
 
 def fit_curve(points: Sequence[CalPoint]) -> tuple[CalibrationCurve, float]:

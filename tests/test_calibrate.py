@@ -70,7 +70,8 @@ def floor_points(b: float, n: int, noise_db: float, seed: int, x_min: float) -> 
 def fit_curve_oracle(points: list[CalPoint]) -> tuple[CalibrationCurve, float]:
     """The variable-projection search fit_curve runs, one floor and one
     exponent per _project call: the coarse grid per integer floor c, then a
-    golden-section search of b per floor for the 8 best floors."""
+    golden-section search of b per floor for the 8 best floors, which also
+    searches the end's own interval when an end exponent stepped outward."""
     if len(points) < 6:
         raise ValueError(f"need at least 6 calibration points, got {len(points)}")
     x = np.array([p.adc_value for p in points], dtype=np.float64)
@@ -85,12 +86,18 @@ def fit_curve_oracle(points: list[CalPoint]) -> tuple[CalibrationCurve, float]:
         best = (sse_at(c, _B_GRID[i]), float(_B_GRID[i]))
         lo, hi = _B_GRID[max(i - 1, 0)], _B_GRID[min(i + 1, _B_GRID.size - 1)]
         if i in (0, _B_GRID.size - 1):
+            grid_sse, grid_lo, grid_hi = best[0], lo, hi
             inner, edge = (hi, lo) if i == 0 else (lo, hi)
             outer = edge * _B_GRID_STEP
             while (sse_outer := sse_at(c, outer)) < best[0]:
                 best = (sse_outer, outer)
                 inner, edge, outer = edge, outer, outer * _B_GRID_STEP
+            if best[0] < grid_sse:
+                best = min(best, golden(c, grid_lo, grid_hi))
             lo, hi = sorted((inner, outer))
+        return min(best, golden(c, lo, hi))
+
+    def golden(c: float, lo: float, hi: float) -> tuple[float, float]:
         x1, x2 = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
         f1, f2 = sse_at(c, x1), sse_at(c, x2)
         while hi - lo > _B_TOL * max(abs(lo), abs(hi)):
@@ -102,7 +109,7 @@ def fit_curve_oracle(points: list[CalPoint]) -> tuple[CalibrationCurve, float]:
                 lo, x1, f1 = x1, x2, f2
                 x2 = lo + _GOLDEN * (hi - lo)
                 f2 = sse_at(c, x2)
-        return min(best, (f1, x1), (f2, x2))
+        return min((f1, x1), (f2, x2))
 
     c_grid = np.arange(0, int(np.min(x)), dtype=np.float64)
     if c_grid.size == 0:
@@ -294,12 +301,9 @@ class TestFitAgainstLmOracle:
     )
     @example(magnitude=7.0, sign=1.0, n=10, noise_db=1.02, seed=458)
     @example(magnitude=4.0, sign=-1.0, n=20, noise_db=0.15, seed=928)
-    # A known failure: the sum falls past the grid's end towards a limit,
-    # so the search only steps outward, while the minimum (b near -2.63)
-    # lies between the end and its neighbour.
-    @example(magnitude=3.625, sign=-1.0, n=40, noise_db=0.3125, seed=878887296).xfail(
-        raises=AssertionError, reason="the end of the grid's own interval is not searched"
-    )
+    # the sum falls past the grid's end towards a limit, while the minimum
+    # (b near -2.63) lies between the end and its neighbour
+    @example(magnitude=3.625, sign=-1.0, n=40, noise_db=0.3125, seed=878887296)
     @settings(max_examples=20, deadline=None)
     def test_sse_no_worse_than_oracle(self, magnitude, sign, n, noise_db, seed):
         points = synthetic_points(sign * magnitude, n, noise_db, seed)

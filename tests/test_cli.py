@@ -768,7 +768,7 @@ class TestCircuitConfig:
     def test_overflowing_envelope_rejected_before_any_output(self, tmp_path, capsys):
         # fs * tau = 16 scans 9 600-sample blocks, whose exp(k m) ramp reaches
         # about 3.8e260: on amplifier outputs near 5e99 the envelope overflows,
-        # which only the check after EnvelopeDetector.feed catches
+        # which only EnvelopeDetector.feed's own check catches
         wav = tmp_path / "a.wav"
         write_int16(wav, np.random.default_rng(7).uniform(-1.0, 1.0, 2 * RATE))
         out = tmp_path / "out"

@@ -1,11 +1,18 @@
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wakenode import BUILTIN_PROFILES, CircuitParams, Window
+from wakenode import BUILTIN_PROFILES, CircuitParams, Scenario, ScenarioSegment, Window
 from wakenode.cli import data_path
 from wakenode.config import (
     ConfigError,
     RunConfig,
+    _settable,
     load_cal_points,
     load_mic_table,
     load_run_config,
@@ -40,6 +47,11 @@ class TestRunConfig:
         assert cfg.welch.segment_count == 8
         assert cfg.node.profile.name == "zigbee-standalone"
         assert cfg.io.out_dir == "wakenode-out"
+
+    def test_every_field_is_a_section(self):
+        # a config file's top-level keys are RunConfig's fields, and each
+        # one's keys are the fields of its dataclass
+        assert all(dataclasses.is_dataclass(kind) for kind in _settable(RunConfig).values())
 
     def test_full_document(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -234,6 +246,53 @@ class TestScenarioLoading:
         path.write_text("segments:\n  - {duration_s: 20}\n")
         with pytest.raises(ConfigError, match=r"segments\[0\]"):
             load_scenario(path)
+
+    def test_missing_sound_is_named(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("segments:\n  - {duration_s: 20}\n")
+        with pytest.raises(ConfigError) as raised:
+            load_scenario(path)
+        assert str(raised.value) == f"{path}: segments[0].sound: required key is missing"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x", "expected a number, got 'x'"),
+            (".nan", "expected a finite number, got nan"),
+        ],
+    )
+    def test_duration_error_is_prefixed_once(self, tmp_path, text, message):
+        path = tmp_path / "scenario.yaml"
+        path.write_text(f"segments:\n  - {{duration_s: {text}, sound: true}}\n")
+        with pytest.raises(ConfigError) as raised:
+            load_scenario(path)
+        assert str(raised.value) == f"{path}: segments[0].duration_s: {message}"
+
+    def test_empty_label_loads(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("segments:\n  - {duration_s: 20, sound: true, label: ''}\n")
+        assert load_scenario(path) == Scenario((ScenarioSegment(20.0, True, ""),))
+
+    @given(
+        st.lists(
+            st.builds(
+                ScenarioSegment,
+                duration_s=st.floats(1e-300, 1e300),
+                sound=st.booleans(),
+                label=st.text(),
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_segment_fields_round_trip(self, segments):
+        # a segment's YAML keys are its dataclass's fields
+        document = {"segments": [dataclasses.asdict(segment) for segment in segments]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scenario.yaml"
+            path.write_text(yaml.safe_dump(document))
+            assert load_scenario(path) == Scenario(tuple(segments))
 
     def test_non_boolean_sound_rejected(self, tmp_path):
         path = tmp_path / "scenario.yaml"

@@ -128,6 +128,19 @@ class TestAmplify:
         assert np.max(out.samples) == 3.3
         assert np.min(out.samples) == 0.0
 
+    @given(
+        magnitude=st.floats(1.8e306, np.finfo(float).max),
+        sign=st.sampled_from([-1.0, 1.0]),
+    )
+    def test_overflowing_product_lands_on_a_rail(self, magnitude, sign):
+        # finite samples whose product with the gain of 101 overflows clip
+        # to exactly a rail, so the amplifier's output needs no check
+        p = CircuitParams()
+        x = np.array([sign * magnitude])
+        with np.errstate(over="ignore"):
+            out = frontend.amplify_into(x, p, np.empty(1))
+        assert out.tolist() == [p.vdd_v if sign > 0 else 0.0]
+
     @given(seed=st.integers(0, 10_000), scale=st.floats(1e-6, 10.0))
     @settings(max_examples=50, deadline=None)
     def test_output_always_within_rails(self, seed, scale):
@@ -173,6 +186,14 @@ class TestEnvelopeDetect:
         sig = Signal(np.abs(rng.normal(size=1000)), 8000.0)
         out = envelope_detect(sig, CircuitParams(diode_drop_v=0.6))
         assert np.all(out.samples >= 0.0)
+
+    def test_feed_rejects_an_output_that_overflows(self):
+        # fs * tau = 16 scans 9 600-sample blocks, whose exp(k m) ramp
+        # reaches about 3.8e260: inputs of 5e99 overflow the scaled scan
+        detector = EnvelopeDetector(CircuitParams(vdd_v=1e100, c5_f=1e-10), 16_000.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"^samples must all be finite \(no NaN or infinity\)$"):
+                detector.feed(np.full(20_000, 5e99))
 
 
 class TestEnvelopeMatchesLoop:

@@ -286,6 +286,22 @@ class TestPolyphaseResample:
         with pytest.raises(ValueError, match="runs past"):
             resampler.feed(np.zeros(60))
 
+    def test_feed_rejects_an_output_that_overflows(self):
+        # the largest float, with the sign of each weight of one output
+        # sample, makes every product positive: their sum overflows in any
+        # order, since the weights' magnitudes add up to more than 1
+        n = 256
+        weights = np.array([Resampler(16_000, 8000, n).feed(np.eye(n)[t])[64] for t in range(n)])
+        assert np.abs(weights).sum() > 1.0
+        x = np.copysign(np.finfo(float).max, weights)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match=r"^samples must all be finite \(no NaN or infinity\)$"):
+                Resampler(16_000, 8000, n).feed(x)
+
+    def test_equal_rate_feed_rejects_a_non_finite_sample(self):
+        with pytest.raises(ValueError, match=r"^samples must all be finite \(no NaN or infinity\)$"):
+            Resampler(8000, 8000, 3).feed(np.array([0.0, np.inf, 0.0]))
+
 
 class TestFindDelay:
     def test_self_delay_is_zero(self):

@@ -291,6 +291,19 @@ def test_truncation_warns_once_however_many_chunks(tmp_path):
     ]
 
 
+def test_float_chunk_with_a_nan_rejected(tmp_path):
+    # a float container's chunk is checked as it is decoded; integer PCM
+    # scales into [-1, 1) and cannot hold a non-finite sample
+    x = np.zeros(300, dtype=np.float32)
+    x[250] = np.nan
+    wavfile.write(tmp_path / "nan.wav", 8000, x)
+    with WavReader(tmp_path / "nan.wav") as wav:
+        chunks = wav.chunks_into(np.empty(200))
+        assert np.array_equal(next(chunks), np.zeros(200))
+        with pytest.raises(ValueError, match=r"^samples must all be finite \(no NaN or infinity\)$"):
+            next(chunks)
+
+
 def test_empty_data_chunk_rejected_when_opened(tmp_path):
     path = tmp_path / "a.wav"
     path.write_bytes(riff(fmt_chunk(1, 1, 8000, 16, 2), chunk(b"data", b"")))
