@@ -165,8 +165,9 @@ def fit_curve(points: Sequence[CalPoint]) -> tuple[CalibrationCurve, float]:
         raise ValueError(f"need at least 6 calibration points, got {len(points)}")
     x = np.array([p.adc_value for p in points], dtype=np.float64)
     y = np.array([p.spl_db for p in points], dtype=np.float64)
-    if np.ptp(y) == 0.0 or np.ptp(x) == 0.0:
-        raise FitError("calibration points are degenerate (no variation)")
+    with np.errstate(over="ignore"):  # squares that overflow sum to inf, not 0
+        if np.sum((y - y.mean()) ** 2) == 0.0 or np.ptp(x) == 0.0:
+            raise FitError("calibration points are degenerate (no variation)")
 
     floors = int(np.min(x))
     if floors < 1:

@@ -6,15 +6,16 @@ analog chain), ``calibrate`` (fit the ADC-to-dB curve), and ``rank-mics``
 (order microphone candidates).
 
 Every subcommand is a ``cmd_*(args, cfg)`` function that only computes: it
-returns the effective configuration, its inputs, its results, the CSV
-file name and the CSV text chunks. :func:`main` is the one runner. It
-looks the command up when it parses the arguments, records every Python
-warning raised while the command runs, and hands the command's output to
+returns its inputs, its results, the CSV file name and the CSV text chunks.
+:func:`main` is the one runner. It looks the command up when it parses the
+arguments, loads the configuration (:func:`_load_config` applies
+``--out-dir`` and ``--profile``), records every Python warning raised while
+the command runs, and hands the configuration and the command's output to
 :func:`_finish`, which writes a CSV and a JSON report embedding the
-effective configuration, so results are reproducible from their own
-output. The recorded warnings go into the report's ``results.warnings``,
-after the warnings the command adds itself, instead of going to stderr;
-each distinct message is listed once, so no chunking repeats one.
+configuration, so results are reproducible from their own output. The
+recorded warnings go into the report's ``results.warnings``, after the
+warnings the command adds itself, instead of going to stderr; each distinct
+message is listed once, so no chunking repeats one.
 The two files are published together or not at all: each is written to a
 temp file in the output directory and renamed into place, and a run that
 fails (exit status 1) leaves no file it wrote. Every CSV's rows are
@@ -128,8 +129,8 @@ WAV_CHUNK_FRAMES = 1 << 15
 
 PREFERRED_SOURCE_RATE_HZ = 16_000.0
 
-# what a cmd_* returns: cfg, inputs, results, CSV name and CSV text chunks
-CommandOutput = tuple[RunConfig, dict[str, Any], dict[str, Any], str, Iterable[str]]
+# what a cmd_* returns: inputs, results, CSV name and CSV text chunks
+CommandOutput = tuple[dict[str, Any], dict[str, Any], str, Iterable[str]]
 
 
 class OutputError(Exception):
@@ -312,9 +313,9 @@ def _csv_blocks(
 
 
 # ----------------------------------------------------------------------
-# subcommands: each takes the parsed arguments and the run config and
-# returns (cfg, inputs, results, csv_name, csv_chunks), the arguments of
-# _finish between the command name and the recorded warnings; main runs it.
+# subcommands: each takes the parsed arguments and the run config (with
+# --out-dir and --profile applied) and returns (inputs, results, csv_name,
+# csv_chunks), the arguments of _finish after the config; main runs it.
 # Each imports the numerics it computes with where it runs, so a command
 # loads numpy only if it needs it.
 
@@ -392,7 +393,7 @@ def cmd_coherence(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
     estimate = details.estimate
     columns = (estimate.frequencies_hz, estimate.values, details.envelope)
     rows = _csv_blocks("frequency_hz,coherence,envelope\n", *columns)
-    return cfg, inputs, results, "coherence.csv", rows
+    return inputs, results, "coherence.csv", rows
 
 
 BUILTIN_SCENARIOS: dict[str, Callable[[], Scenario]] = {
@@ -458,14 +459,10 @@ def _wake_runs(
 def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
     from .powersim import battery_lifetime_days, savings_percent, simulate
 
-    node = cfg.node
-    if args.profile is not None:
-        node = replace(node, profile=builtin_profile(args.profile))
-
     inputs: dict[str, Any] = {}
     if args.wav is not None:
         runs = _wake_runs(args.wav, cfg.circuit, args.threshold_v, args.mic_scale_v)
-        trace = runs.trace(node)
+        trace = runs.trace(cfg.node)
         inputs["wav"] = _input_entry(args.wav)
         source_desc = {
             "kind": "wav",
@@ -478,27 +475,27 @@ def cmd_simulate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
         else:
             scenario = load_scenario(args.scenario)
             inputs["scenario"] = _input_entry(args.scenario)
-        trace = simulate(scenario, node)
+        trace = simulate(scenario, cfg.node)
         source_desc = {"kind": "scenario", "name": args.scenario}
 
     # zero average power (a sleep draw of 0 that never wakes) never drains
     # the battery, and a subnormal one outlasts any float: the lifetime is
     # unbounded, reported as null
     lifetime = (
-        battery_lifetime_days(trace.avg_power_mw, node.battery_mah, node.battery_v)
+        battery_lifetime_days(trace.avg_power_mw, cfg.node.battery_mah, cfg.node.battery_v)
         if trace.avg_power_mw > 0
         else math.inf
     )
     results = {
         "source": source_desc,
-        "profile": node.profile.name,
+        "profile": cfg.node.profile.name,
         "duty_cycle": trace.duty_cycle,
         "avg_power_mw": trace.avg_power_mw,
         "energy_mwh": trace.energy_mwh,
         "lifetime_days": lifetime if math.isfinite(lifetime) else None,
-        "savings_percent": savings_percent(node.profile),
+        "savings_percent": savings_percent(cfg.node.profile),
     }
-    return replace(cfg, node=node), inputs, results, "trace.csv", _trace_csv(trace, node)
+    return inputs, results, "trace.csv", _trace_csv(trace, cfg.node)
 
 
 def cmd_calibrate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
@@ -519,7 +516,7 @@ def cmd_calibrate(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
         "points": len(points),
     }
     inputs = {"points_csv": _input_entry(args.points_csv)}
-    return cfg, inputs, results, "residuals.csv", rows
+    return inputs, results, "residuals.csv", rows
 
 
 def _csv_cell(value: Any) -> str:
@@ -559,7 +556,7 @@ def cmd_rank_mics(args: argparse.Namespace, cfg: RunConfig) -> CommandOutput:
     fields = list(entries[0])
     columns = [[_csv_cell(entry[f]) for entry in entries] for f in fields]
     rows = _csv_blocks(",".join(fields) + "\n", *columns)
-    return cfg, inputs, results, "ranking.csv", rows
+    return inputs, results, "ranking.csv", rows
 
 
 # ----------------------------------------------------------------------
@@ -615,6 +612,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     cfg = load_run_config(path) if path else RunConfig()
+    if getattr(args, "profile", None) is not None:
+        cfg = replace(cfg, node=replace(cfg.node, profile=builtin_profile(args.profile)))
     return replace(cfg, io=IoParams(args.out_dir)) if args.out_dir else cfg
 
 
@@ -639,7 +638,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as warned:
             warnings.simplefilter("always")
             cfg = _load_config(args)
-            report = _finish(args.subcommand, *args.run(args, cfg), warned)
+            report = _finish(args.subcommand, cfg, *args.run(args, cfg), warned)
     except Exception as exc:  # noqa: BLE001 - boundary: map to coded diagnostics
         print(f"wakenode: error [{_error_code(exc)}]: {exc}", file=sys.stderr)
         return 1

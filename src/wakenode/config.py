@@ -4,18 +4,20 @@ candidates, calibration points).
 
 The dataclasses here are the schema: a config section's keys, a scenario
 segment's keys and a table's columns are the fields of the dataclass they
-build, with no exception, and each value is checked once, by the parser of
-its field's type. Unknown config keys are rejected with the dotted path of
-the offending key so typos surface immediately. The CLI maps the error
-classes here to its diagnostic codes. None of this needs numpy, so parsing the inputs, ranking
-microphones (:func:`rank_microphones`) and building the urban scenario load
-none. This module is each record's one home: read it as ``wakenode.X`` or
+build, with no exception, and each value, a table's cell as a section's, is
+checked once, by :func:`_parse_value` as the type of its field. Unknown
+config keys are rejected with the dotted path of the offending key so typos
+surface immediately. The CLI maps the error classes here to its diagnostic
+codes. None of this needs numpy, so parsing the inputs, ranking microphones
+(:func:`rank_microphones`) and building the urban scenario load none. This
+module is each record's one home: read it as ``wakenode.X`` or
 ``wakenode.config.X``. The modules that compute with a record import it
 from here, but do not export it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import enum
 import functools
@@ -403,6 +405,7 @@ class RunConfig:
         return _snapshot(self)
 
 
+@functools.cache
 def _settable(cls: type) -> dict[str, Any]:
     """Name and type of each field of ``cls``; a config file can set every one."""
     hints = get_type_hints(cls)
@@ -443,17 +446,9 @@ def _number(value: Any, path: str) -> float:
     return float(value)
 
 
-def _enum(kind: type[enum.Enum], value: Any, path: str) -> Any:
-    try:
-        return kind(str(value).strip().lower())
-    except ValueError:
-        choices = " or ".join(member.value for member in kind)
-        raise ConfigError(f"{path}: expected {choices}, got {value!r}") from None
-
-
 def _parse_value(kind: Any, value: Any, path: str) -> Any:
-    """Validate one YAML value as a field of type ``kind``: a plain ``str``
-    must be non-empty, a :data:`MaybeEmpty` may be empty."""
+    """Validate one value, of YAML or a CSV cell, as a field of type ``kind``:
+    a plain ``str`` must be non-empty, a :data:`MaybeEmpty` may be empty."""
     if kind is float:
         return _number(value, path)
     if kind in (int, int | None):
@@ -479,7 +474,11 @@ def _parse_value(kind: Any, value: Any, path: str) -> Any:
             raise ConfigError(f"{path}: {exc}") from None
     if is_dataclass(kind):
         return _parse_section(kind, value, path)
-    return _enum(kind, value, path)
+    try:
+        return kind(str(value).strip().lower())
+    except ValueError:
+        choices = " or ".join(member.value for member in kind)
+        raise ConfigError(f"{path}: expected {choices}, got {value!r}") from None
 
 
 def _parse_section(cls: type, raw: Any, path: str) -> Any:
@@ -569,11 +568,21 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _cell(kind: Any, text: str) -> Any:
+    """A CSV cell's text, or a float column's float if ``float()`` reads one,
+    for :func:`_parse_value` to check as a value of type ``kind``."""
+    if kind is float:
+        with contextlib.suppress(ValueError):
+            return float(text)
+    return text
+
+
 def _load_table(path: str | Path, cls: type) -> list[Any]:
-    """Read CSV rows into ``cls`` instances; the header must list its fields in order."""
+    """Read CSV rows into ``cls`` instances; the header must list its fields
+    in order. Each row is the config section ``{column: cell}`` at
+    ``path:line``: :func:`_parse_value` checks a cell as a YAML value."""
     path = Path(path)
     kinds = _settable(cls)
-    columns = list(kinds)
     try:
         # utf-8-sig: a spreadsheet export may start with a byte-order mark
         with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -581,9 +590,9 @@ def _load_table(path: str | Path, cls: type) -> list[Any]:
             header = next(reader, None)
             if header is None:
                 raise ConfigError(f"{path}:1: CSV file is empty")
-            if [c.strip() for c in header] != columns:
+            if [c.strip() for c in header] != list(kinds):
                 raise ConfigError(
-                    f"{path}:1: expected header {','.join(columns)}, got {','.join(header)}"
+                    f"{path}:1: expected header {','.join(kinds)}, got {','.join(header)}"
                 )
             rows = [(reader.line_num, row) for row in reader if row]
     except (OSError, UnicodeDecodeError) as exc:
@@ -595,28 +604,10 @@ def _load_table(path: str | Path, cls: type) -> list[Any]:
     records = []
     for line_num, row in rows:
         where = f"{path}:{line_num}"
-        if len(row) != len(columns):
-            raise ConfigError(f"{where}: expected {len(columns)} fields, got {len(row)}")
-        values: dict[str, Any] = {}
-        for (name, kind), cell in zip(kinds.items(), row):
-            text = cell.strip()
-            if kind is float:
-                try:
-                    values[name] = float(text)
-                except ValueError:
-                    raise ConfigError(f"{where}: {name} must be a number, got {text!r}") from None
-                if not math.isfinite(values[name]):
-                    raise ConfigError(f"{where}: {name} must be a finite number, got {text!r}")
-            elif kind is str:
-                if not text:
-                    raise ConfigError(f"{where}: {name} is empty")
-                values[name] = text
-            else:
-                values[name] = _enum(kind, text, f"{where}: {name}")
-        try:
-            records.append(cls(**values))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        if len(row) != len(kinds):
+            raise ConfigError(f"{where}: expected {len(kinds)} fields, got {len(row)}")
+        cells = {name: _cell(kind, cell.strip()) for (name, kind), cell in zip(kinds.items(), row)}
+        records.append(_parse_section(cls, cells, where))
     return records
 
 

@@ -136,15 +136,15 @@ class EnvelopeDetector:
     state wherever that is a normal float (above ~2.2e-308).
 
     The block scan counts its blocks from the recording's first sample and
-    keeps, from one chunk to the next, its place in the current block and
-    that block's scaled running maximum, so a chunk takes up the block where
-    the one before left it. The log-step scan keeps its last ``2**passes -
-    1`` inputs, every lag a pass reads back, and scans them in front of the
-    next chunk in a window of its own. Chunks of any length then give, joined,
-    the bits of one feed of the whole recording. The block scan's ``exp(k
-    m)`` ramp is built once, here, and the log-step scan's window and lagged
-    products grow to the longest chunk fed, so a stream of chunks no longer
-    than the first allocates nothing after it.
+    keeps, from one chunk to the next, its place in the current block and that
+    block's scaled running maximum, so a chunk takes up the block where the one
+    before left it. The log-step scan keeps its last ``2**passes - 1`` inputs
+    (``-inf`` before the first), every lag a pass reads back, and scans them in
+    front of the next chunk in a window of its own. Chunks of any length then
+    give, joined, the bits of one feed of the whole recording. The block scan's
+    ``exp(k m)`` ramp is built once, here, and the log-step scan's window and
+    lagged products grow to the longest chunk fed, so a stream of chunks no
+    longer than the first allocates nothing after it.
     """
 
     def __init__(self, circuit: CircuitParams, sample_rate_hz: float) -> None:
@@ -169,9 +169,8 @@ class EnvelopeDetector:
         self._place = 0
         self._max = 0.0
         self._lead = 2 * self._lags[-1] - 1 if self._lags else 0
-        # the carried inputs, the last _carried of them at its end
-        self._tail = np.empty(self._lead)
-        self._carried = 0
+        # the carried inputs; -inf before the first, which no maximum keeps
+        self._tail = np.full(self._lead, -np.inf)
         self._window = self._lagged = np.empty(0)
 
     def feed(self, x: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -204,14 +203,11 @@ class EnvelopeDetector:
             window = self._window[: lead + len(x)]
             window[:lead] = self._tail
             window[lead:] = x
-            scan = window[lead - self._carried :]
-            self._carried = min(lead, len(scan))
-            self._tail[lead - self._carried :] = scan[len(scan) - self._carried :]
+            self._tail[:] = window[len(x) :]
             for lag in self._lags:
-                if lag >= len(scan):
-                    break
-                lagged = np.multiply(scan[:-lag], decay**lag, out=self._lagged[: len(scan) - lag])
-                np.maximum(scan[lag:], lagged, out=scan[lag:])
+                lagged = self._lagged[: len(window) - lag]
+                np.multiply(window[:-lag], decay**lag, out=lagged)
+                np.maximum(window[lag:], lagged, out=window[lag:])
             x[:] = window[lead:]
 
         x -= p.diode_drop_v

@@ -146,6 +146,19 @@ class TestErrorCodes:
         )
         assert not out.exists()
 
+    def test_nearly_flat_calibration_table_is_degenerate(self, tmp_path, capsys):
+        # np.ptp of these dB values is 1e-300, but the squares of their
+        # deviations, which R^2 divides by, underflow to a zero sum
+        points = tmp_path / "points.csv"
+        rows = "".join(f"{400 + 10 * i},{(1 + i % 2) * 1e-300!r}\n" for i in range(8))
+        points.write_text("adc_value,spl_db\n" + rows)
+        out = tmp_path / "out"
+        assert main(["--out-dir", str(out), "calibrate", str(points)]) == 1
+        assert capsys.readouterr().err == (
+            "wakenode: error [E_FIT]: calibration points are degenerate (no variation)\n"
+        )
+        assert not out.exists()
+
     def test_scenario_whose_hours_underflow_exits_config(self, tmp_path, capsys):
         path = tmp_path / "scenario.yaml"
         path.write_text("segments:\n  - {duration_s: 5.0e-324, sound: true}\n")
@@ -521,6 +534,16 @@ class TestGoldens:
         assert main(args) == 0
         report = json.loads((out / "simulate_report.json").read_text())
         assert parse_run_config(report["config"]).node.profile == BUILTIN_PROFILES["wifi"]
+
+    def test_profile_flag_replaces_only_the_loaded_configs_profile(self, tmp_path):
+        config = write_config(tmp_path, "node: {profile: ble, hold_time_s: 1.5}\n")
+        out = tmp_path / "out"
+        args = ["--config", config, "--out-dir", str(out), "simulate", "--scenario", "urban"]
+        assert main([*args, "--profile", "wifi"]) == 0
+        report = json.loads((out / "simulate_report.json").read_text())
+        node = parse_run_config(report["config"]).node
+        assert (node.profile, node.hold_time_s) == (BUILTIN_PROFILES["wifi"], 1.5)
+        assert report["results"]["profile"] == "wifi"
 
 
 class TestCommands:

@@ -316,6 +316,9 @@ class TestScenarioLoading:
             load_scenario(path)
 
 
+MIC_HEADER = "name,power_mw,accuracy,configuration,supply_min_v,supply_max_v"
+
+
 class TestCsvLoaders:
     def test_bundled_mic_table_loads(self):
         mics = load_mic_table(data_path("microphones.csv"))
@@ -357,7 +360,9 @@ class TestCsvLoaders:
             "ok,1.0,0.5,analog,1.0,3.0\n"
             "boundless,inf,0.5,analog,1.0,3.0\n"
         )
-        with pytest.raises(ConfigError, match="mics.csv:3: power_mw must be a finite number"):
+        with pytest.raises(
+            ConfigError, match=r"mics.csv:3\.power_mw: expected a finite number, got inf"
+        ):
             load_mic_table(path)
 
     def test_cal_points_load(self, tmp_path):
@@ -376,8 +381,44 @@ class TestCsvLoaders:
     def test_cal_points_non_finite_number_carries_row(self, tmp_path):
         path = tmp_path / "points.csv"
         path.write_text("adc_value,spl_db\n400,60.5\n500,nan\n")
-        with pytest.raises(ConfigError, match="points.csv:3: spl_db must be a finite number"):
+        with pytest.raises(
+            ConfigError, match=r"points.csv:3\.spl_db: expected a finite number, got nan"
+        ):
             load_cal_points(path)
+
+    @pytest.mark.parametrize(
+        "name, row, message",
+        [
+            ("mics.csv", "ok,x,0.5,analog,1.0,3.0", "2.power_mw: expected a number, got 'x'"),
+            (
+                "mics.csv",
+                "ok,inf,0.5,analog,1.0,3.0",
+                "2.power_mw: expected a finite number, got inf",
+            ),
+            ("mics.csv", ",1.0,0.5,analog,1.0,3.0", "2.name: expected a non-empty string, got ''"),
+            (
+                "mics.csv",
+                "ok,1.0,0.5,optical,1.0,3.0",
+                "2.configuration: expected analog or digital, got 'optical'",
+            ),
+            ("mics.csv", "ok,-1,0.5,analog,1.0,3.0", "2: power_mw must be positive, got -1.0"),
+            ("points.csv", "400,x", "2.spl_db: expected a number, got 'x'"),
+            ("points.csv", "400,nan", "2.spl_db: expected a finite number, got nan"),
+            ("points.csv", "2000,60", "2: adc_value must be within [0, 1023], got 2000.0"),
+        ],
+    )
+    def test_cells_are_checked_as_config_values(self, tmp_path, name, row, message):
+        # a cell's error is located as a config key's, at path:line.column;
+        # a record's, which no one cell causes, at path:line
+        header, load = {
+            "mics.csv": (MIC_HEADER, load_mic_table),
+            "points.csv": ("adc_value,spl_db", load_cal_points),
+        }[name]
+        path = tmp_path / name
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ConfigError) as info:
+            load(path)
+        assert str(info.value) == f"{path}:{message}"
 
     def test_spaced_header_reads_every_column(self, tmp_path):
         path = tmp_path / "points.csv"
