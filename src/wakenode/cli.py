@@ -22,9 +22,12 @@ fails (exit status 1) leaves no file it wrote. Every CSV's rows are
 written to the temp file as they are formatted, in strings of
 :data:`CSV_BLOCK_ROWS` rows, not joined first (:func:`_csv_blocks`, and
 :func:`_trace_csv` for ``trace.csv``).
-Every float cell is the float's repr(), which reads back to the same bits;
-:func:`_float_cells` takes a long CSV's digits from orjson, which writes
-them some 30 times faster than repr().
+Every float cell is the float's repr(), which reads back to the same bits.
+A long CSV takes its digits from orjson (:func:`_orjson_floats`), some 30
+times faster than repr(), and repr() writes the few cells that orjson
+spells otherwise. A block of float64 array columns, as ``coherence.csv``'s,
+is one orjson call cut into rows in place; any other block is joined cell
+by cell (:func:`_float_cells`).
 
 :func:`main` is the library entry: it returns the exit status and may run
 any number of times in one process. :func:`run` is the process entry,
@@ -272,25 +275,38 @@ def _finish(
     return report
 
 
-def _float_cells(values: np.ndarray | Sequence[float]) -> list[str]:
-    """repr() of each float in ``values`` (a float64 array, an ``array("d")``
-    or a list). A block shorter than ``CSV_BLOCK_ROWS`` gets repr() itself,
-    so a short CSV never pays orjson's import (about 8 ms and 1 MiB). A
-    longer one takes orjson's shortest round-trip digits, spelled as repr()
-    spells them for 0 and for magnitudes from 1e-4 up to 1e16; repr()
-    rewrites each cell holding ``e``, ``n`` (NaN and the infinities are
-    ``null``) or ``0.0000``."""
-    if len(values) < CSV_BLOCK_ROWS:
-        return [repr(float(v)) for v in values]
+def _respelled(text: bytes) -> bool:
+    """Whether orjson's ``text`` holds a cell that repr() spells otherwise:
+    one with ``e``, ``n`` (NaN and the infinities are ``null``) or
+    ``0.0000``. orjson spells every other float as repr() does: 0 and the
+    magnitudes from 1e-4 up to 1e16."""
+    return b"e" in text or b"n" in text or b"0.0000" in text
+
+
+def _orjson_floats(values: np.ndarray | Sequence[float]) -> tuple[bytes, bool]:
+    """orjson's JSON array of the shortest round-trip digits of ``values``,
+    and whether it holds a cell that repr() spells otherwise."""
     import orjson
 
     if hasattr(values, "typecode"):  # an array("d"): orjson would import numpy to look at it
         values = values.tolist()
     text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
+    return text, _respelled(text)
+
+
+def _float_cells(values: np.ndarray | Sequence[float]) -> list[str]:
+    """repr() of each float in ``values`` (a float64 array, an ``array("d")``
+    or a list). A block shorter than ``CSV_BLOCK_ROWS`` gets repr() itself,
+    so a short CSV never pays orjson's import (about 8 ms and 1 MiB). A
+    longer one takes orjson's digits (:func:`_orjson_floats`), and repr()
+    rewrites each cell that it spells otherwise."""
+    if len(values) < CSV_BLOCK_ROWS:
+        return [repr(float(v)) for v in values]
+    text, respelled = _orjson_floats(values)
     cells = text.decode()[1:-1].split(",")
-    if b"e" in text or b"n" in text or b"0.0000" in text:
-        for i, cell in enumerate(cells):
-            if "e" in cell or "n" in cell or "0.0000" in cell:
+    if respelled:
+        for i, cell in enumerate(text[1:-1].split(b",")):
+            if _respelled(cell):
                 cells[i] = repr(float(values[i]))
     return cells
 
@@ -304,11 +320,30 @@ def _csv_blocks(
     header: str, *columns: np.ndarray | Sequence[float] | Sequence[str]
 ) -> Iterator[str]:
     """``header``, then one row per index of ``columns``, in strings of
-    ``CSV_BLOCK_ROWS`` rows. A column of str cells is written as it is, and
-    a column of floats by :func:`_float_cells`."""
+    ``CSV_BLOCK_ROWS`` rows.
+
+    A whole block of float64 array columns is one orjson call on its
+    row-interleaved cells, cut into rows in place by turning every
+    ``len(columns)``-th comma into a newline, so no cell or row is a str of
+    its own. Any other block, and one with a cell that repr() spells
+    otherwise, is joined row by row: a str column as it is, and a float
+    column by :func:`_float_cells`. So list columns load no numpy here, and
+    a short CSV no orjson."""
+    whole = all(getattr(c, "dtype", None) == "float64" for c in columns)
     yield header
     for first in range(0, len(columns[0]), CSV_BLOCK_ROWS):
         blocks = [c[first : first + CSV_BLOCK_ROWS] for c in columns]
+        if whole and len(blocks[0]) == CSV_BLOCK_ROWS:
+            import numpy as np
+
+            text, respelled = _orjson_floats(np.column_stack(blocks).ravel())
+            if not respelled:
+                row_text = bytearray(text)
+                view = np.frombuffer(row_text, np.uint8)
+                view[np.flatnonzero(view == ord(","))[len(blocks) - 1 :: len(blocks)]] = ord("\n")
+                view[-1] = ord("\n")  # the array's closing bracket ends the last row
+                yield row_text[1:].decode()
+                continue
         yield _csv_rows(*(b if isinstance(b[0], str) else _float_cells(b) for b in blocks))
 
 

@@ -17,14 +17,14 @@ from here, but do not export it.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import enum
 import functools
 import math
+from collections.abc import Mapping
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Iterable, Mapping, NewType, Sequence, get_type_hints
+from typing import Any, Iterable, NewType, Sequence, get_type_hints
 
 __all__ = [
     "ADC_MAX",
@@ -412,6 +412,14 @@ def _settable(cls: type) -> dict[str, Any]:
     return {f.name: hints[f.name] for f in fields(cls)}
 
 
+@functools.cache
+def _required(cls: type) -> tuple[str, ...]:
+    """Name of each field of ``cls`` that has no default, in field order."""
+    return tuple(
+        f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING
+    )
+
+
 def _snapshot(obj: Any) -> dict[str, Any]:
     image: dict[str, Any] = {}
     for name in _settable(type(obj)):
@@ -438,47 +446,45 @@ def _reject_unknown(section: Mapping[str, Any], allowed: Iterable[str], path: st
             raise ConfigError(f"{path}.{key}: unknown key")
 
 
-def _number(value: Any, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return float(value)
-
-
-def _parse_value(kind: Any, value: Any, path: str) -> Any:
-    """Validate one value, of YAML or a CSV cell, as a field of type ``kind``:
-    a plain ``str`` must be non-empty, a :data:`MaybeEmpty` may be empty."""
+def _parse_value(kind: Any, value: Any, path: str, key: str) -> Any:
+    """Validate one value, of YAML or a CSV cell, as the field ``key``, of
+    type ``kind``, of the section at ``path``: a plain ``str`` must be
+    non-empty, a :data:`MaybeEmpty` may be empty. An error names the value
+    ``path.key``, a string built only then."""
     if kind is float:
-        return _number(value, path)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}.{key}: expected a finite number, got {value!r}")
+        return float(value)
     if kind in (int, int | None):
         if value is None and kind is not int:
             return None
         if isinstance(value, bool) or not isinstance(value, int):
             expected = "an integer" if kind is int else "an integer or null"
-            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+            raise ConfigError(f"{path}.{key}: expected {expected}, got {value!r}")
         return value
     if kind is bool:
         if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected true/false, got {value!r}")
+            raise ConfigError(f"{path}.{key}: expected true/false, got {value!r}")
         return value
     if kind in (str, MaybeEmpty):
         if not isinstance(value, str) or (kind is str and not value):
             expected = "a non-empty string" if kind is str else "a string"
-            raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+            raise ConfigError(f"{path}.{key}: expected {expected}, got {value!r}")
         return value
     if kind is PowerProfile and isinstance(value, str):
         try:
             return builtin_profile(value)
         except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
+            raise ConfigError(f"{path}.{key}: {exc}") from None
     if is_dataclass(kind):
-        return _parse_section(kind, value, path)
+        return _parse_section(kind, value, f"{path}.{key}")
     try:
         return kind(str(value).strip().lower())
     except ValueError:
         choices = " or ".join(member.value for member in kind)
-        raise ConfigError(f"{path}: expected {choices}, got {value!r}") from None
+        raise ConfigError(f"{path}.{key}: expected {choices}, got {value!r}") from None
 
 
 def _parse_section(cls: type, raw: Any, path: str) -> Any:
@@ -488,10 +494,10 @@ def _parse_section(cls: type, raw: Any, path: str) -> Any:
     section = _require_mapping(raw, path)
     kinds = _settable(cls)
     _reject_unknown(section, kinds, path)
-    values = {key: _parse_value(kinds[key], section[key], f"{path}.{key}") for key in section}
-    for f in fields(cls):
-        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{path}.{f.name}: required key is missing")
+    values = {key: _parse_value(kinds[key], section[key], path, key) for key in section}
+    for name in _required(cls):
+        if name not in values:
+            raise ConfigError(f"{path}.{name}: required key is missing")
     try:
         return cls(**values)
     except ValueError as exc:
@@ -572,8 +578,10 @@ def _cell(kind: Any, text: str) -> Any:
     """A CSV cell's text, or a float column's float if ``float()`` reads one,
     for :func:`_parse_value` to check as a value of type ``kind``."""
     if kind is float:
-        with contextlib.suppress(ValueError):
+        try:
             return float(text)
+        except ValueError:
+            pass
     return text
 
 

@@ -261,15 +261,33 @@ class TestFloatCells:
     @pytest.mark.parametrize(
         "index", [0, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, 3 * CSV_BLOCK_ROWS - 1]
     )
-    def test_an_exceptional_cell_alone_at_a_block_edge(self, index):
-        # every other cell is ordinary, so the block's text holds no e, n or 0.0000
+    def test_an_exceptional_cell_alone_at_a_block_edge(self, index, monkeypatch):
+        # every other cell is ordinary, so with float64 columns the block
+        # holding the exceptional cell is joined row by row, whole, and the
+        # blocks beside it take the block route; list and array("d")
+        # columns are joined row by row in every block
         ordinary = (np.arange(3 * CSV_BLOCK_ROWS) + 1.0) / 7.0
+        second = ordinary * -3.0
+        first = index - index % CSV_BLOCK_ROWS
+        block = slice(first, first + CSV_BLOCK_ROWS)
+        joined: list = []  # each float column block joined row by row
+        def spy(values):
+            joined.append(values)
+            return _float_cells(values)
+
+        monkeypatch.setattr(wakenode.cli, "_float_cells", spy)
         for value in EXCEPTIONAL:
             column = ordinary.copy()
             column[index] = value
-            expected = "".join(f"{v!r}\n" for v in column.tolist())
-            for given_values in (column.tolist(), column, array("d", column)):
-                assert "".join(_csv_blocks("", given_values)) == expected
+            expected = "".join(f"{v!r},{w!r}\n" for v, w in zip(column.tolist(), second.tolist()))
+            for kind in (list, np.array, partial(array, "d")):
+                joined.clear()
+                given_values = (kind(column.tolist()), kind(second.tolist()))
+                assert "".join(_csv_blocks("", *given_values)) == expected
+                if kind is np.array:
+                    assert [bytes(b) for b in joined] == [bytes(column[block]), bytes(second[block])]
+                else:
+                    assert len(joined) == 3 * 2
 
 
 def mixed_columns(rows: int) -> tuple[np.ndarray, list[str], np.ndarray]:
@@ -284,25 +302,44 @@ class TestCsvBlocks:
     SPECIAL = [5e-324, -2.2250738585072e-308, 1e-310, 0.0, -0.0, 1e-5, 1e16, 3.0, -4096.0, 2.0**53]
 
     @pytest.mark.parametrize(
-        "rows", [4 * CSV_BLOCK_ROWS - 1, 4 * CSV_BLOCK_ROWS, 4 * CSV_BLOCK_ROWS + 1]
+        ("rows", "floats"),
+        [
+            pytest.param(rows, floats, id=str(rows) if floats is None else f"{rows}-{floats}floats")
+            for floats in (None, 2, 3)
+            for rows in (4 * CSV_BLOCK_ROWS - 1, 4 * CSV_BLOCK_ROWS, 4 * CSV_BLOCK_ROWS + 1)
+        ],
     )
-    def test_float_cells_are_repr_and_read_back_to_the_same_bits(self, rows):
-        bits = np.random.default_rng(rows).integers(0, 2**64, rows, dtype=np.uint64, endpoint=False)
+    def test_float_cells_are_repr_and_read_back_to_the_same_bits(self, rows, floats):
+        # ``floats`` float64 columns alone, or two beside a state column
+        rng = np.random.default_rng(rows)
+        bits = rng.integers(0, 2**64, rows, dtype=np.uint64, endpoint=False)
         bits[(bits >> np.uint64(52)) & np.uint64(0x7FF) == 0x7FF] ^= np.uint64(1 << 62)  # finite
+        if floats:
+            # the two middle blocks hold magnitudes from 2**-13 to 2**50 only,
+            # which orjson spells as repr() does: they take the block route,
+            # and the blocks that hold any magnitude are joined row by row
+            middle = slice(CSV_BLOCK_ROWS, 3 * CSV_BLOCK_ROWS)
+            exponents = rng.integers(1023 - 13, 1023 + 50, 2 * CSV_BLOCK_ROWS, dtype=np.uint64)
+            bits[middle] &= np.uint64(~(0x7FF << 52) % 2**64)
+            bits[middle] |= exponents << np.uint64(52)
         noise = bits.view(np.float64)
         # the special values open the first block and close the last rows
         noise[: len(self.SPECIAL)] = noise[-len(self.SPECIAL) :] = self.SPECIAL
         integers = np.arange(rows, dtype=np.float64) - 2048.0
         state = ["transmit" if i % 3 == 0 else "sleep" for i in range(rows)]
-        blocks = list(_csv_blocks("a,state,b\n", noise, state, integers))
+        floating = [noise, integers, integers / 7][: floats or 2]
+        columns = floating if floats else [noise, state, integers]
+        header = "a,state,b" if floats is None else ",".join("abc"[:floats])
+        blocks = list(_csv_blocks(header + "\n", *columns))
         assert len(blocks) == 1 + -(-rows // CSV_BLOCK_ROWS)
         lines = "".join(blocks).splitlines()
-        assert lines[0] == "a,state,b" and len(lines) == rows + 1
-        a, got_state, b = zip(*(line.split(",") for line in lines[1:]))
-        assert list(got_state) == state
-        for cells, column in ((a, noise), (b, integers)):
-            assert list(cells) == [repr(v) for v in column.tolist()]
-            read_back = np.array([float(cell) for cell in cells])
+        assert lines[0] == header and len(lines) == rows + 1
+        cells = list(zip(*(line.split(",") for line in lines[1:])))
+        if floats is None:
+            assert list(cells.pop(1)) == state
+        for column_cells, column in zip(cells, floating, strict=True):
+            assert list(column_cells) == [repr(v) for v in column.tolist()]
+            read_back = np.array([float(cell) for cell in column_cells])
             assert np.array_equal(read_back.view(np.uint64), column.view(np.uint64))
 
     @pytest.mark.parametrize("rows", [1, 4 * CSV_BLOCK_ROWS + 1])
@@ -1517,7 +1554,7 @@ class TestCoherenceStreaming:
 
 def assert_cli_scores_whole_signals(out: Path, stdout: str, pair: list[str]) -> dict:
     """The CLI's report and CSV hold the bits of score_with_details on the
-    whole decoded files."""
+    whole decoded files, each CSV cell spelled as repr() spells it."""
     results = json.loads(stdout)
     details = score_with_details(*(read_wav(path) for path in pair))
     assert results["score"] == details.score
@@ -1528,6 +1565,8 @@ def assert_cli_scores_whole_signals(out: Path, stdout: str, pair: list[str]) -> 
     assert np.array_equal(columns[0], details.estimate.frequencies_hz)
     assert np.array_equal(columns[1], details.estimate.values)
     assert np.array_equal(columns[2], details.envelope)
+    estimate = (details.estimate.frequencies_hz, details.estimate.values, details.envelope)
+    assert rows == [",".join(map(repr, row)) for row in zip(*(c.tolist() for c in estimate))]
     return results
 
 
