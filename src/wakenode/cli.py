@@ -52,10 +52,26 @@ model is plain Python, run without it; ``coherence``, ``simulate --wav``
 and ``calibrate`` import it as they start. Such an import runs while
 :func:`main` records warnings, so a warning it raised would go into the
 report. ``simulate``, which ``cmd_simulate`` imports that way, can still be
-read as an attribute of this module. :mod:`hashlib`, which maps OpenSSL's
-libcrypto (about 3.5 MiB), is imported when an input is hashed, after a
-command's numerics: ``coherence`` reaches its peak memory in the Welch pass
-without it, and a built-in ``simulate --scenario`` hashes nothing.
+read as an attribute of this module.
+
+Each input a report names is hashed (:func:`_sha256`) after the command's
+numerics, by one of two SHA-256s chosen by the file's size. An input below
+:data:`BUILTIN_SHA256_BYTES` (768 KiB), such as a microphone table, a
+calibration table or a scenario file, takes the interpreter's own
+(``_sha2`` from Python 3.12, ``_sha256`` on 3.10 and 3.11), the lean module
+CPython's ``random`` imports before :mod:`hashlib`. So ``rank-mics``,
+``calibrate`` and ``simulate --scenario`` map no OpenSSL libcrypto, about
+3.3 MiB of peak memory (numpy < 2 still maps it for ``calibrate``: its
+import loads ``numpy.random``, which imports :mod:`hashlib`). A larger
+input, as the WAVs of ``coherence`` and ``simulate --wav``, takes
+:mod:`hashlib`, whose OpenSSL (with the SHA-NI instructions) hashes 8.4 MB
+in 6 ms against the built-in's 49 ms; ``coherence`` reaches its peak memory
+in the Welch pass, before libcrypto is mapped. The size is where the two
+cost a fresh interpreter the same, import and hash together, built-in
+against :mod:`hashlib`: on a 2-vCPU x86-64 machine with Python 3.11, the
+medians of 15 runs were 3.15 against 3.47 ms at 640 KiB, 3.72 against
+3.64 ms at 768 KiB and 4.84 against 3.82 ms at 1 MiB. A Python built
+without either module uses :mod:`hashlib` for every input.
 
 Both commands that read audio stream it through stage objects
 (``Resampler``, ``EnvelopeDetector``, ``WelchAccumulator`` and
@@ -129,6 +145,10 @@ CONFIG_ENV_VAR = "WAKENODE_CONFIG"
 CSV_BLOCK_ROWS = 1024
 # frames per chunk of a streamed recording: 256 KiB as float64
 WAV_CHUNK_FRAMES = 1 << 15
+# an input of fewer bytes is hashed by the interpreter's own SHA-256, a
+# larger one by hashlib's OpenSSL: where the two cost a fresh interpreter
+# the same (see the module docstring)
+BUILTIN_SHA256_BYTES = 3 << 18
 
 PREFERRED_SOURCE_RATE_HZ = 16_000.0
 
@@ -165,11 +185,24 @@ def data_path(name: str) -> Path:
     return Path(str(resources.files("wakenode") / "data" / name))
 
 
-def _sha256(path: Path) -> str:
-    import hashlib  # maps OpenSSL's libcrypto: about 3.5 MiB that start-up and scoring skip
+def _new_sha256(size: int) -> Any:
+    """A SHA-256 object for an input of ``size`` bytes: below
+    :data:`BUILTIN_SHA256_BYTES` the interpreter's own (``_sha2`` from
+    Python 3.12, ``_sha256`` before), which maps no OpenSSL; from there up,
+    or where neither module imports, :mod:`hashlib`'s."""
+    if size < BUILTIN_SHA256_BYTES:
+        for name in ("_sha2", "_sha256"):
+            with contextlib.suppress(ImportError):
+                return importlib.import_module(name).sha256()
+    import hashlib
 
-    digest = hashlib.sha256()
+    return hashlib.sha256()
+
+
+def _sha256(path: Path) -> str:
     with open(path, "rb") as fh:
+        # sized from the open file, so the size is that of the bytes hashed
+        digest = _new_sha256(os.fstat(fh.fileno()).st_size)
         for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
@@ -275,12 +308,20 @@ def _finish(
     return report
 
 
-def _respelled(text: bytes) -> bool:
-    """Whether orjson's ``text`` holds a cell that repr() spells otherwise:
-    one with ``e``, ``n`` (NaN and the infinities are ``null``) or
-    ``0.0000``. orjson spells every other float as repr() does: 0 and the
-    magnitudes from 1e-4 up to 1e16."""
-    return b"e" in text or b"n" in text or b"0.0000" in text
+def _respelled(text: bytes, values: np.ndarray | Sequence[float] = ()) -> bool:
+    """Whether orjson's ``text`` of ``values`` holds a cell that repr()
+    spells otherwise: one with ``e``, ``n`` (NaN and the infinities are
+    ``null``) or ``0.0000``. orjson spells every other float as repr() does:
+    0 and the magnitudes from 1e-4 up to 1e16. Of a float64 array, the
+    ``0.0000`` cells, the nonzero magnitudes below 1e-4, are found from its
+    values: a substring search of the text takes some 50 µs a 3-column
+    block, and it also finds ordinary cells such as ``10.00001``. Of any
+    other ``values``, which load no numpy, the text is searched."""
+    if b"e" in text or b"n" in text:
+        return True
+    if getattr(values, "dtype", None) == "float64":
+        return bool(((abs(values) < 1e-4) & (values != 0)).any())
+    return b"0.0000" in text
 
 
 def _orjson_floats(values: np.ndarray | Sequence[float]) -> tuple[bytes, bool]:
@@ -291,7 +332,7 @@ def _orjson_floats(values: np.ndarray | Sequence[float]) -> tuple[bytes, bool]:
     if hasattr(values, "typecode"):  # an array("d"): orjson would import numpy to look at it
         values = values.tolist()
     text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
-    return text, _respelled(text)
+    return text, _respelled(text, values)
 
 
 def _float_cells(values: np.ndarray | Sequence[float]) -> list[str]:

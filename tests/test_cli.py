@@ -3,6 +3,7 @@ import contextlib
 import csv
 import dataclasses
 import gc
+import hashlib
 import importlib
 import inspect
 import io
@@ -20,6 +21,7 @@ import warnings
 from array import array
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Callable
 
 import numpy as np
@@ -44,6 +46,7 @@ from wakenode import (
     threshold_out,
 )
 from wakenode.cli import (
+    BUILTIN_SHA256_BYTES,
     CONFIG_ENV_VAR,
     CSV_BLOCK_ROWS,
     WAV_CHUNK_FRAMES,
@@ -54,6 +57,7 @@ from wakenode.cli import (
     _float_cells,
     _publish,
     _score_wavs,
+    _sha256,
     _trace_csv,
     data_path,
     main,
@@ -234,8 +238,9 @@ EXCEPTIONAL = [
     5e-324, math.nextafter(1e-4, 0), 1e-5, 1e-7, 1e16, 1.7976931348623157e308,
     -1.7976931348623157e308, math.nan, math.inf, -math.inf,
 ]
-# those, and the ordinary cells at the edges of their range
-PINNED = [0.0, -0.0, 1e-4, math.nextafter(1e16, 0), 2.0**53, *EXCEPTIONAL]
+# those, the ordinary cells at the edges of their range and one whose text
+# holds "0.0000" but is spelled as repr() spells it
+PINNED = [0.0, -0.0, 1e-4, math.nextafter(1e16, 0), 2.0**53, 10.00001, *EXCEPTIONAL]
 
 
 def float_inputs(values: list[float]) -> list:
@@ -288,6 +293,27 @@ class TestFloatCells:
                     assert [bytes(b) for b in joined] == [bytes(column[block]), bytes(second[block])]
                 else:
                     assert len(joined) == 3 * 2
+
+    def test_an_ordinary_cell_holding_zeros_takes_the_block_route(self, monkeypatch):
+        # 10.00001's text holds "0.0000", but orjson spells it as repr()
+        # does: a float64 block holding it is found ordinary from its values
+        # and cut from one orjson call; list and array("d") columns are
+        # joined row by row in every block
+        column = (np.arange(3 * CSV_BLOCK_ROWS) + 1.0) / 7.0
+        column[CSV_BLOCK_ROWS + 5] = 10.00001
+        second = column * -3.0
+        expected = "".join(f"{v!r},{w!r}\n" for v, w in zip(column.tolist(), second.tolist()))
+        joined: list = []
+        def spy(values):
+            joined.append(values)
+            return _float_cells(values)
+
+        monkeypatch.setattr(wakenode.cli, "_float_cells", spy)
+        for kind in (list, np.array, partial(array, "d")):
+            joined.clear()
+            given_values = (kind(column.tolist()), kind(second.tolist()))
+            assert "".join(_csv_blocks("", *given_values)) == expected
+            assert len(joined) == (0 if kind is np.array else 3 * 2)
 
 
 def mixed_columns(rows: int) -> tuple[np.ndarray, list[str], np.ndarray]:
@@ -354,6 +380,49 @@ class TestCsvBlocks:
             texts.add("".join(_csv_blocks(header, kind(noise.tolist()), state, kind(grid.tolist()))))
         assert texts == {as_arrays}
         assert "np." not in as_arrays  # repr of an np.float64 would print np.float64(...)
+
+
+SHA256_SIZES = [0, BUILTIN_SHA256_BYTES - 1, BUILTIN_SHA256_BYTES, BUILTIN_SHA256_BYTES + 1]
+
+# hashes argv[1] with the interpreter's own SHA-256 modules unimportable
+NO_BUILTIN_SHA256 = r"""
+import json, sys
+
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from wakenode.cli import _sha256
+print(json.dumps([_sha256(sys.argv[1]), "_hashlib" in sys.modules]))
+"""
+
+
+class TestSha256:
+    @pytest.mark.parametrize("size", SHA256_SIZES)
+    def test_digest_is_hashlibs(self, tmp_path, size, monkeypatch):
+        # the implementation the size does not pick is made unusable:
+        # hashlib below the constant, the interpreter's own modules from it up
+        data = np.random.default_rng(size).bytes(size)
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        expected = hashlib.sha256(data).hexdigest()
+        if size < BUILTIN_SHA256_BYTES:
+            monkeypatch.setitem(sys.modules, "hashlib", None)
+        else:
+            builtin = SimpleNamespace(sha256=partial(pytest.fail, "built-in SHA-256 used"))
+            for name in ("_sha2", "_sha256"):
+                monkeypatch.setitem(sys.modules, name, builtin)
+        assert _sha256(path) == expected
+
+    def test_without_the_builtin_modules_hashlib_hashes(self, tmp_path):
+        path = tmp_path / "input"
+        path.write_bytes(b"adc_value,spl_db\n400.0,50.0\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", NO_BUILTIN_SHA256, str(path)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [hashlib.sha256(path.read_bytes()).hexdigest(), True]
 
 
 class TestAtomicOutput:

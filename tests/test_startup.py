@@ -23,12 +23,15 @@ process, which has numpy, writes. An AST check keeps numpy and
 :mod:`wakenode.frontend` out of what :mod:`wakenode.powersim` imports as
 it loads, which that route needs. Three more interpreters import
 ``wakenode.cli`` with and without a preset ``OPENBLAS_NUM_THREADS`` and
-after numpy. One more runs ``simulate --scenario`` and then ``coherence``,
-and notes whether OpenSSL's ``_hashlib`` is loaded after the import, after
-each command and when ``coherence`` finishes its Welch sums: only hashing
-an input loads it, after a command's numerics, unless numpy < 2 loaded it
-with itself. It runs apart from the first interpreter, whose ``rank-mics``
-hashes its table first.
+after numpy. One more runs ``rank-mics``, ``simulate --scenario`` (built
+in, then from a file), ``calibrate`` and ``coherence``, and notes whether
+OpenSSL's ``_hashlib`` is loaded after the import, after numpy's import,
+after each command and when ``coherence`` finishes its Welch sums: only
+hashing an input of at least ``BUILTIN_SHA256_BYTES`` loads it, after a
+command's numerics, so of these only ``coherence``'s WAVs do; the smaller
+tables and the scenario file are hashed by the interpreter's own SHA-256.
+numpy < 2 loads it with itself, before ``calibrate``; ``rank-mics`` and
+``simulate --scenario`` import no numpy and run first.
 
 The package resolves its public names lazily, from one name-to-module
 table; every name it exported when it imported its modules eagerly, and
@@ -91,14 +94,25 @@ print(json.dumps(runs))
 """
 
 # whether OpenSSL's libcrypto (``_hashlib``) is loaded: after the import,
-# after numpy's import, after a built-in scenario, while coherence finishes
-# its Welch sums and after coherence, which hashes its inputs
+# after rank-mics and simulate --scenario, built-in and from a file, which
+# hash no input or one below BUILTIN_SHA256_BYTES, after numpy's import,
+# after calibrate, whose points are as small, while coherence finishes its
+# Welch sums and after coherence, which hashes its WAVs with hashlib
 OPENSSL = r"""
 import contextlib, io, json, sys
 
-out_dir, source_wav, recording_wav = sys.argv[1:]
-from wakenode.cli import main
+out_dir, scenario_yaml, points_csv, source_wav, recording_wav = sys.argv[1:]
+from wakenode.cli import data_path, main
 loaded = {"import": "_hashlib" in sys.modules}
+
+def run(step, args):
+    with contextlib.redirect_stdout(io.StringIO()):
+        loaded[f"{step}-status"] = main(["--out-dir", out_dir, *args])
+    loaded[step] = "_hashlib" in sys.modules
+
+run("rank-mics", ["rank-mics", str(data_path("microphones.csv"))])
+run("simulate", ["simulate", "--scenario", "urban"])
+run("simulate-file", ["simulate", "--scenario", scenario_yaml])
 import numpy
 loaded["numpy"] = "_hashlib" in sys.modules
 from wakenode.coherence import WelchAccumulator
@@ -109,13 +123,8 @@ def finish_noting_openssl(self):
     return finish(self)
 
 WelchAccumulator.finish = finish_noting_openssl
-for step, args in [
-    ("simulate", ["simulate", "--scenario", "urban"]),
-    ("coherence", ["coherence", source_wav, recording_wav]),
-]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        loaded[f"{step}-status"] = main(["--out-dir", out_dir, *args])
-    loaded[step] = "_hashlib" in sys.modules
+run("calibrate", ["calibrate", points_csv])
+run("coherence", ["coherence", source_wav, recording_wav])
 print(json.dumps(loaded))
 """
 
@@ -236,23 +245,33 @@ def runs(inputs):
 
 @pytest.fixture(scope="module")
 def openssl(inputs):
-    tmp, _, wavs = inputs
-    return _child(OPENSSL, tmp / "openssl", *wavs)
+    tmp, points, wavs = inputs
+    scenario = tmp / "scenario.yaml"
+    scenario.write_text(SCENARIO_YAML)
+    return _child(OPENSSL, tmp / "openssl", scenario, points, *wavs)
 
 
 def test_openssl_is_loaded_only_to_hash_inputs(openssl):
-    # libcrypto is about 3.5 MiB of a coherence run's peak RSS, which the
-    # Welch pass reaches; the inputs are hashed after it. numpy < 2 imports
-    # numpy.random as it loads, whose bit generators import secrets, so hmac
-    # and OpenSSL: there a command's numerics cannot run without it, and
-    # only the import of cli is checked before hashing. numpy >= 2 loads
-    # numpy.random on first use.
+    # libcrypto is about 3.3 MiB of a command's peak RSS. The small inputs
+    # of rank-mics, simulate --scenario and calibrate are hashed by the
+    # interpreter's own SHA-256, and coherence's WAVs by hashlib after its
+    # Welch pass, where its peak is. numpy < 2 imports numpy.random as it
+    # loads, whose bit generators import secrets, so hmac and OpenSSL:
+    # there calibrate's and coherence's numerics cannot run without it.
+    # numpy >= 2 loads numpy.random on first use. rank-mics and simulate
+    # --scenario, which never import numpy, map no libcrypto on either.
     by_numpy = openssl.pop("numpy")
     assert not by_numpy or np.lib.NumpyVersion(np.__version__) < "2.0.0"
     assert openssl == {
         "import": False,
+        "rank-mics-status": 0,
+        "rank-mics": False,
         "simulate-status": 0,
-        "simulate": by_numpy,
+        "simulate": False,
+        "simulate-file-status": 0,
+        "simulate-file": False,
+        "calibrate-status": 0,
+        "calibrate": by_numpy,
         "welch-finish": by_numpy,
         "coherence-status": 0,
         "coherence": True,
