@@ -23,11 +23,11 @@ written to the temp file as they are formatted, in strings of
 :data:`CSV_BLOCK_ROWS` rows, not joined first (:func:`_csv_blocks`, and
 :func:`_trace_csv` for ``trace.csv``).
 Every float cell is the float's repr(), which reads back to the same bits.
-A long CSV takes its digits from orjson (:func:`_orjson_floats`), some 30
-times faster than repr(), and repr() writes the few cells that orjson
-spells otherwise. A block of float64 array columns, as ``coherence.csv``'s,
-is one orjson call cut into rows in place; any other block is joined cell
-by cell (:func:`_float_cells`).
+One rule spells each block of a long CSV: orjson's digits, some 30 times
+faster than repr(), for the whole block, or repr() for every cell of it
+where orjson would spell one otherwise (:func:`_orjson_text`). A block of
+float64 array columns, as ``coherence.csv``'s, is one orjson call cut into
+rows in place; any other block is joined cell by cell (:func:`_float_cells`).
 
 :func:`main` is the library entry: it returns the exit status and may run
 any number of times in one process. :func:`run` is the process entry,
@@ -104,7 +104,6 @@ import shutil
 import sys
 import warnings
 from dataclasses import asdict, replace
-from importlib import resources
 from itertools import chain, takewhile
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, NoReturn, Sequence
@@ -182,7 +181,7 @@ def _error_code(exc: BaseException) -> str:
 
 def data_path(name: str) -> Path:
     """Path of a bundled data file (e.g. the microphone table)."""
-    return Path(str(resources.files("wakenode") / "data" / name))
+    return Path(__file__).with_name("data") / name
 
 
 def _new_sha256(size: int) -> Any:
@@ -308,48 +307,39 @@ def _finish(
     return report
 
 
-def _respelled(text: bytes, values: np.ndarray | Sequence[float] = ()) -> bool:
-    """Whether orjson's ``text`` of ``values`` holds a cell that repr()
-    spells otherwise: one with ``e``, ``n`` (NaN and the infinities are
-    ``null``) or ``0.0000``. orjson spells every other float as repr() does:
-    0 and the magnitudes from 1e-4 up to 1e16. Of a float64 array, the
-    ``0.0000`` cells, the nonzero magnitudes below 1e-4, are found from its
-    values: a substring search of the text takes some 50 µs a 3-column
-    block, and it also finds ordinary cells such as ``10.00001``. Of any
-    other ``values``, which load no numpy, the text is searched."""
-    if b"e" in text or b"n" in text:
-        return True
-    if getattr(values, "dtype", None) == "float64":
-        return bool(((abs(values) < 1e-4) & (values != 0)).any())
-    return b"0.0000" in text
-
-
-def _orjson_floats(values: np.ndarray | Sequence[float]) -> tuple[bytes, bool]:
-    """orjson's JSON array of the shortest round-trip digits of ``values``,
-    and whether it holds a cell that repr() spells otherwise."""
+def _orjson_text(values: np.ndarray | Sequence[float]) -> bytes | None:
+    """orjson's JSON array of the shortest round-trip digits of ``values``
+    (a float64 array, an ``array("d")`` or a list), or None if a cell of it
+    differs from repr(): one with ``e``, ``n`` (NaN and the infinities are
+    ``null``) or a nonzero magnitude below 1e-4 (``0.0000...``); orjson
+    spells every other float as repr() does. A float64 array's small
+    magnitudes are found from its values, as a search of the text takes
+    some 50 µs a 3-column block; other ``values``, which load no numpy, have
+    their text searched, which also rejects ordinary cells like 10.00001."""
     import orjson
 
     if hasattr(values, "typecode"):  # an array("d"): orjson would import numpy to look at it
         values = values.tolist()
     text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)
-    return text, _respelled(text, values)
+    if b"e" in text or b"n" in text:
+        return None
+    if getattr(values, "dtype", None) == "float64":
+        small = ((abs(values) < 1e-4) & (values != 0)).any()
+    else:
+        small = b"0.0000" in text
+    return None if small else text
 
 
 def _float_cells(values: np.ndarray | Sequence[float]) -> list[str]:
     """repr() of each float in ``values`` (a float64 array, an ``array("d")``
-    or a list). A block shorter than ``CSV_BLOCK_ROWS`` gets repr() itself,
-    so a short CSV never pays orjson's import (about 8 ms and 1 MiB). A
-    longer one takes orjson's digits (:func:`_orjson_floats`), and repr()
-    rewrites each cell that it spells otherwise."""
-    if len(values) < CSV_BLOCK_ROWS:
+    or a list): orjson's digits (:func:`_orjson_text`) for a block of at
+    least ``CSV_BLOCK_ROWS`` that has them right, repr() for every cell of
+    any other, so a short CSV never pays orjson's import (about 8 ms and
+    1 MiB)."""
+    text = _orjson_text(values) if len(values) >= CSV_BLOCK_ROWS else None
+    if text is None:
         return [repr(float(v)) for v in values]
-    text, respelled = _orjson_floats(values)
-    cells = text.decode()[1:-1].split(",")
-    if respelled:
-        for i, cell in enumerate(text[1:-1].split(b",")):
-            if _respelled(cell):
-                cells[i] = repr(float(values[i]))
-    return cells
+    return text.decode()[1:-1].split(",")
 
 
 def _csv_rows(*cells: Iterable[str]) -> str:
@@ -363,13 +353,13 @@ def _csv_blocks(
     """``header``, then one row per index of ``columns``, in strings of
     ``CSV_BLOCK_ROWS`` rows.
 
-    A whole block of float64 array columns is one orjson call on its
-    row-interleaved cells, cut into rows in place by turning every
-    ``len(columns)``-th comma into a newline, so no cell or row is a str of
-    its own. Any other block, and one with a cell that repr() spells
-    otherwise, is joined row by row: a str column as it is, and a float
-    column by :func:`_float_cells`. So list columns load no numpy here, and
-    a short CSV no orjson."""
+    A whole block of float64 array columns is one :func:`_orjson_text`
+    call on its row-interleaved cells, cut into rows in place by turning
+    every ``len(columns)``-th comma into a newline, so no cell or row is a
+    str of its own. Any other block, and one that call rejects, is joined
+    row by row: a str column as it is, and a float column by
+    :func:`_float_cells`. So list columns load no numpy here, and a short
+    CSV no orjson."""
     whole = all(getattr(c, "dtype", None) == "float64" for c in columns)
     yield header
     for first in range(0, len(columns[0]), CSV_BLOCK_ROWS):
@@ -377,8 +367,8 @@ def _csv_blocks(
         if whole and len(blocks[0]) == CSV_BLOCK_ROWS:
             import numpy as np
 
-            text, respelled = _orjson_floats(np.column_stack(blocks).ravel())
-            if not respelled:
+            text = _orjson_text(np.column_stack(blocks).ravel())
+            if text is not None:
                 row_text = bytearray(text)
                 view = np.frombuffer(row_text, np.uint8)
                 view[np.flatnonzero(view == ord(","))[len(blocks) - 1 :: len(blocks)]] = ord("\n")
@@ -479,18 +469,19 @@ BUILTIN_SCENARIOS: dict[str, Callable[[], Scenario]] = {
 
 
 def _trace_csv(trace: SimTrace, node: NodeConfig) -> Iterator[str]:
-    """``trace.csv``: one row per row of the trace's timeline. Row i's end
-    is row i + 1's start, so each block formats its rows' bounds once."""
-    t_start, t_end, transmit = trace.timeline()
+    """``trace.csv``: one row per row of the trace's timeline. Row i runs
+    from bound i to bound i + 1, so each block formats its rows' bounds
+    once, the next block's first start included."""
+    bounds, transmit = trace.timeline()
     # a row's state and power cells depend on its state alone: each row
     # refers to one of two strings, indexed by its state as 0 or 1
     profile = node.profile
     states = [f"sleep,{float(profile.sleep_mw)!r}", f"transmit,{float(profile.transmit_mw)!r}"]
     yield "t_start_s,t_end_s,state,power_mw\n"
     for first in range(0, len(transmit), CSV_BLOCK_ROWS):
-        end = min(first + CSV_BLOCK_ROWS, len(transmit))
-        bounds = _float_cells(t_start[first:end] + t_end[end - 1 : end])
-        yield _csv_rows(bounds[:-1], bounds[1:], map(states.__getitem__, transmit[first:end]))
+        end = first + CSV_BLOCK_ROWS
+        cells = _float_cells(bounds[first : end + 1])
+        yield _csv_rows(cells[:-1], cells[1:], map(states.__getitem__, transmit[first:end]))
 
 
 def _wake_runs(

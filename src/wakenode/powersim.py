@@ -52,10 +52,10 @@ class SimTrace:
     duty_cycle: float
     avg_power_mw: float
 
-    def timeline(self) -> tuple[array, array, bytearray]:
-        """The contiguous state timeline as ``(t_start, t_end, transmit)``
-        columns: two ``array("d")`` of the row bounds, and one byte per row,
-        1 for transmit and 0 for sleep.
+    def timeline(self) -> tuple[array, bytearray]:
+        """The contiguous state timeline as ``(bounds, transmit)``: row i
+        runs from ``bounds[i]`` to ``bounds[i + 1]`` of an ``array("d")``,
+        and its byte ``transmit[i]`` is 1 for transmit, 0 for sleep.
 
         The sleep gaps go around the transmit rows. A sleep gap of zero length
         is dropped, a transmit row never is; no wake interval gives the one
@@ -65,12 +65,11 @@ class SimTrace:
         bounds.frombytes(self.wake_s.cast("B"))
         bounds.append(self.total_s)
         transmit = bytearray(b"\0\1") * (len(self.wake_s) // 2) + b"\0"
-        # row i runs from bound i to bound i + 1; the merge leaves a gap
-        # between any two intervals, so only the first and last sleep rows
-        # can be empty
+        # the merge leaves a gap between any two intervals, so only the
+        # first and last sleep rows can be empty
         lo = int(bounds[1] <= 0.0)
         hi = len(bounds) - 1 - int(bounds[-1] <= bounds[-2])
-        return bounds[lo:hi], bounds[lo + 1 : hi + 1], transmit[lo:hi]
+        return bounds[lo : hi + 1], transmit[lo:hi]
 
 
 def _merged(runs: Iterable[tuple[float, float]], total_s: float, config: NodeConfig) -> SimTrace:

@@ -23,8 +23,11 @@ process, which has numpy, writes. An AST check keeps numpy and
 :mod:`wakenode.frontend` out of what :mod:`wakenode.powersim` imports as
 it loads, which that route needs. Three more interpreters import
 ``wakenode.cli`` with and without a preset ``OPENBLAS_NUM_THREADS`` and
-after numpy. One more runs ``rank-mics``, ``simulate --scenario`` (built
-in, then from a file), ``calibrate`` and ``coherence``, and notes whether
+after numpy, and one more without :mod:`site` (``-S``), where the import
+must load neither :mod:`importlib.resources` nor :mod:`tempfile`: the
+bundled data are plain files beside the module. One more runs
+``rank-mics``, ``simulate --scenario`` (built in, then from a file),
+``calibrate`` and ``coherence``, and notes whether
 OpenSSL's ``_hashlib`` is loaded after the import, after numpy's import,
 after each command and when ``coherence`` finishes its Welch sums: only
 hashing an input of at least ``BUILTIN_SHA256_BYTES`` loads it, after a
@@ -309,6 +312,21 @@ def test_import_loads_no_orjson(runs):
     # the CSV writer imports it for a long CSV's floats: 8 ms that start-up
     # (the benchmark's setup_s) does not pay
     assert runs["orjson"] == []
+
+
+def test_import_loads_no_importlib_resources_and_no_tempfile():
+    # without site (-S), which may import importlib.resources through a .pth
+    # file: the bundled data are found next to the module, as plain files
+    script = "import sys, wakenode.cli; print([m in sys.modules for m in sys.argv[1:]])"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script, "importlib.resources", "tempfile"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False]"
 
 
 @pytest.mark.parametrize("step", ["rank-mics", "simulate"])
