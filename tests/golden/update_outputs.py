@@ -3,9 +3,11 @@
 stdout and of every file it writes into its out dir. Each path a run is
 given, the out dir included, is replaced by its placeholder before hashing.
 
-None of these runs loads numpy, so the digests hold whatever numpy is
-installed. After a change meant to alter these outputs, run from the
-repository root::
+``rank-mics`` and ``simulate --scenario`` load no numpy, so their digests
+hold whatever numpy is installed. A run given an input from
+:data:`NUMPY_INPUTS` (``simulate --wav``) also records that input's SHA-256
+and the numpy version: its digests hold on that numpy version only. After a
+change meant to alter these outputs, run from the repository root::
 
     PYTHONPATH=src python tests/golden/update_outputs.py
 """
@@ -17,7 +19,10 @@ import hashlib
 import io
 import json
 import tempfile
+import wave
 from pathlib import Path
+
+import numpy as np
 
 from wakenode import cli
 from wakenode.config import BUILTIN_PROFILES
@@ -34,7 +39,44 @@ TOUCHING_SCENARIO = """segments:
   - {duration_s: 4.0, sound: true, label: c}
   - {duration_s: 9.0, sound: false, label: ""}
 """
-INPUTS = {"scenario.yaml": TOUCHING_SCENARIO, "hold.yaml": "node: {hold_time_s: 3.0}\n"}
+# the built-in urban scenario, spelled out
+URBAN_SCENARIO = "segments:\n" + "".join(
+    f"  - {{duration_s: 20, sound: true, label: {label}}}\n"
+    f"  - {{duration_s: 100, sound: false, label: {label}-silence}}\n"
+    for label in ("human", "nature", "music", "mechanical")
+)
+INPUTS = {
+    "scenario.yaml": TOUCHING_SCENARIO,
+    "hold.yaml": "node: {hold_time_s: 3.0}\n",
+    "urban.yaml": URBAN_SCENARIO,
+    # a 90 ms envelope time constant: the clicks wake the node 291 times, where
+    # at the default 90 s it wakes once and stays awake
+    "tau90ms.yaml": "circuit: {c5_f: 9.0e-9}\n",
+}
+
+
+def clicks_wav() -> bytes:
+    """10 s of faint noise at 16 kHz, int16, with 400 clicks of 8 samples at
+    2 kHz from a seeded generator. An amplitude above about 0.6 of full scale
+    crosses the default 22 mV threshold. The clip spans 2 envelope scan
+    blocks of 65 536 samples and 5 decode chunks of 32 768 frames, and clicks
+    fall shortly before each block's end."""
+    rate = 16000
+    rng = np.random.default_rng(1)
+    samples = rng.normal(scale=0.002, size=10 * rate)
+    starts = rng.integers(0, len(samples) - 8, size=400)
+    click = np.sin(2 * np.pi * 2000 * np.arange(8) / rate + np.pi / 4)
+    samples[starts[:, None] + np.arange(8)] += rng.uniform(0.65, 0.95, size=(400, 1)) * click
+    data = io.BytesIO()
+    with wave.open(data, "wb") as wav:
+        wav.setnchannels(1)
+        wav.setsampwidth(2)
+        wav.setframerate(rate)
+        wav.writeframes((np.clip(samples, -1, 1) * 32767).astype("<i2").tobytes())
+    return data.getvalue()
+
+
+NUMPY_INPUTS = {"clicks.wav": clicks_wav}
 
 # each run's arguments after --out-dir; a {name} is the path of that input
 ENTRIES: dict[str, list[str]] = {
@@ -44,9 +86,12 @@ ENTRIES: dict[str, list[str]] = {
         f"urban-{profile}": ["simulate", "--scenario", "urban", "--profile", profile]
         for profile in sorted(BUILTIN_PROFILES)
     },
+    "urban-file": ["simulate", "--scenario", "{urban.yaml}"],
     "silence": ["simulate", "--scenario", "silence"],
     "touching": ["simulate", "--scenario", "{scenario.yaml}"],
     "touching-hold": ["--config", "{hold.yaml}", "simulate", "--scenario", "{scenario.yaml}"],
+    "clicks": ["simulate", "--wav", "{clicks.wav}"],
+    "clicks-tau90ms": ["--config", "{tau90ms.yaml}", "simulate", "--wav", "{clicks.wav}"],
 }
 
 
@@ -58,6 +103,14 @@ def run_entry(name: str, tmp: Path) -> dict:
     for input_name, text in INPUTS.items():
         given[f"{{{input_name}}}"] = tmp / "inputs" / input_name
         (tmp / "inputs" / input_name).write_text(text)
+    written = {
+        input_name: make()
+        for input_name, make in NUMPY_INPUTS.items()
+        if f"{{{input_name}}}" in ENTRIES[name]
+    }
+    for input_name, data in written.items():
+        given[f"{{{input_name}}}"] = tmp / "inputs" / input_name
+        (tmp / "inputs" / input_name).write_bytes(data)
     argv = ["--out-dir", "{out}", *ENTRIES[name]]
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
@@ -69,12 +122,16 @@ def run_entry(name: str, tmp: Path) -> dict:
         return hashlib.sha256(data).hexdigest()
 
     files = sorted(given["{out}"].iterdir()) if given["{out}"].exists() else []
-    return {
+    record = {
         "argv": ENTRIES[name],
         "status": status,
         "stdout": sha256(stdout.getvalue().encode()),
         "files": {path.name: sha256(path.read_bytes()) for path in files},
     }
+    if written:
+        record["inputs"] = {n: hashlib.sha256(data).hexdigest() for n, data in written.items()}
+        record["numpy"] = np.__version__
+    return record
 
 
 def main() -> None:

@@ -133,21 +133,41 @@ class TestErrorCodes:
         assert _error_code(cls("message")) != "E_INTERNAL"
 
     @pytest.mark.parametrize(
-        "config, flags, line",
+        "argv, line",
         [
-            (None, ["--profile", "nope"], "[E_INPUT]: "),
-            ("node: {profile: nope}\n", [], "[E_CONFIG]: node.profile: "),
+            (
+                ["simulate", "--scenario", "urban", "--profile", "nope"],
+                "[E_INPUT]: unknown profile 'nope'; "
+                "built-ins are ['ble', 'wifi', 'zigbee', 'zigbee-standalone']",
+            ),
+            (
+                ["--config", "{tmp}/profile.yaml", "simulate", "--scenario", "urban"],
+                "[E_CONFIG]: node.profile: unknown profile 'nope'; "
+                "built-ins are ['ble', 'wifi', 'zigbee', 'zigbee-standalone']",
+            ),
+            (
+                ["simulate", "--scenario", "{tmp}/scenario.yaml"],
+                "[E_CONFIG]: {tmp}/scenario.yaml: segments[0].duration_s: expected a number, got 'x'",
+            ),
+            (
+                ["rank-mics", "{tmp}/mics.csv"],
+                "[E_CONFIG]: {tmp}/mics.csv:2.power_mw: expected a number, got 'x'",
+            ),
         ],
-        ids=["flag", "config"],
+        ids=["flag", "config", "scenario-cell", "table-cell"],
     )
-    def test_unknown_profile_exits_with_one_line(self, tmp_path, capsys, config, flags, line):
-        args = ["--config", write_config(tmp_path, config)] if config else []
+    def test_unknown_profile_exits_with_one_line(self, tmp_path, capsys, argv, line):
+        # as an unknown profile does, so does a scenario file's or a
+        # microphone table's cell that is not a number
+        (tmp_path / "profile.yaml").write_text("node: {profile: nope}\n")
+        (tmp_path / "scenario.yaml").write_text("segments:\n  - {duration_s: x, sound: true}\n")
+        table = data_path("microphones.csv").read_text().splitlines(keepends=True)
+        name, _power_mw, rest = table[1].split(",", 2)
+        (tmp_path / "mics.csv").write_text("".join([table[0], f"{name},x,{rest}", *table[2:]]))
         out = tmp_path / "out"
-        assert main([*args, "--out-dir", str(out), "simulate", "--scenario", "urban", *flags]) == 1
-        assert capsys.readouterr().err == (
-            f"wakenode: error {line}unknown profile 'nope'; "
-            "built-ins are ['ble', 'wifi', 'zigbee', 'zigbee-standalone']\n"
-        )
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(["--out-dir", str(out), *argv]) == 1
+        assert capsys.readouterr().err == f"wakenode: error {line.format(tmp=tmp_path)}\n"
         assert not out.exists()
 
     def test_nearly_flat_calibration_table_is_degenerate(self, tmp_path, capsys):
@@ -716,6 +736,11 @@ class TestCommands:
         results = json.loads(capsys.readouterr().out)
         assert results["points"] == 12
         assert results["r_squared"] > 0.999
+        report = json.loads((out / "calibrate_report.json").read_text())
+        assert report["inputs"]["points_csv"] == {
+            "path": str(points),
+            "sha256": hashlib.sha256(points.read_bytes()).hexdigest(),
+        }
         rows = (out / results["residuals_csv"]).read_text().splitlines()
         assert rows[0] == "adc_value,spl_db,predicted_db,residual_db"
         assert len(rows) == 13
